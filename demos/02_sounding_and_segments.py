@@ -10,7 +10,6 @@ output repeats the channel response 2p times with alternating sign.
 import numpy as np
 
 from chirpsounder import (
-    build_full_matched_filter,
     build_sounding_matrix,
     derive_rng,
     generate_chirp,
@@ -40,7 +39,7 @@ for i, w in enumerate(waveforms):
 
 print("\nfull-period output of tx 2 (p=4) at rx 0: 8 replicas, signs + - + - ...")
 w = waveforms[2]
-seg = segmented_output(build_full_matched_filter(w), r[0])
+seg = segmented_output(w, r[0])
 taps = scenario.link(2, 0).taps
 for j in range(seg.segments.shape[0]):
     sign = "+" if j % 2 == 0 else "-"

@@ -14,7 +14,6 @@ import numpy as np
 from chirpsounder import (
     average_segments,
     awgn,
-    build_full_matched_filter,
     derive_rng,
     generate_chirp,
     preset,
@@ -43,14 +42,13 @@ scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
 noiseless = replace(scenario, sigma2=scenario.sigma2 * 0)
 waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
 r0 = receive_integer(noiseless, waveforms)
-F = build_full_matched_filter(waveforms[2])
 taps = scenario.link(2, 0).taps
 gen = derive_rng(cfg.seed, 1, 0)
 err_single = err_avg = 0.0
 trials = 5000
 for _ in range(trials):
     r = awgn(r0[:1], scenario.sigma2[:1], gen)
-    seg = segmented_output(F, r[0])
+    seg = segmented_output(waveforms[2], r[0])
     err_single += np.sum(np.abs(seg.segments[0][: len(taps)] - taps) ** 2)
     err_avg += np.sum(np.abs(average_segments(seg)[: len(taps)] - taps) ** 2)
 print(f"\nsegment averaging over {trials} noisy trials (tx 2, p=4, 8 segments):")

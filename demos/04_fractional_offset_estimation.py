@@ -50,7 +50,7 @@ print("  (the taps leak into neighbouring lags through the pulse)")
 rep = joint_estimate(hF, pulse, L, M)
 print(f"\njoint estimate: mu_hat = {rep.mu_hat:.8f} "
       f"(error {abs(rep.mu_hat - mu_true):.2e}), "
-      f"{rep.iterations} outer iterations, residual {rep.residual:.2e}")
+      f"{rep.iterations} polish steps, residual {rep.residual:.2e}")
 print(f"tap error: {np.linalg.norm(rep.h_hat - taps):.2e}")
 
 # brute-force profile search as a cross-check

@@ -43,7 +43,6 @@ from .estimator import (
     SegmentedOutput,
     SoundingMatrix,
     average_segments,
-    build_full_matched_filter,
     build_shaping_matrix,
     build_sounding_matrix,
     joint_estimate,
@@ -74,6 +73,7 @@ from .waveform import (
     SoundingWaveform,
     check_design_constraints,
     closed_form_autocorrelation,
+    cyclic_correlation,
     generate_chirp,
     papr,
     periodic_autocorrelation,

@@ -286,21 +286,30 @@ def awgn(r0, sigma2, rng):
     return out
 
 
-def receive_integer(scenario, waveforms, rng=None):
-    """One period of received samples per antenna under integer offsets only.
+def _receive(scenario, waveforms, coeffs, lead, rng):
+    """Cyclic reception: antenna m sums c[k] * roll(s_i, k - lead) over links.
 
-    Returns an (Nr, N) array.  Pass ``rng=None`` for the noiseless stream
-    (only valid when every sigma2 is zero).
+    ``c = coeffs(link)`` is the link's effective filter, c[k] at lag k - lead.
     """
     N = _check_reception_inputs(scenario, waveforms, rng)
     r0 = np.zeros((scenario.nr, N), dtype=complex)
     for m in range(scenario.nr):
         for i in range(scenario.nt):
-            taps = scenario.link(i, m).taps
+            c = coeffs(scenario.link(i, m))
             s = waveforms[i].samples
-            for l in np.nonzero(taps)[0]:
-                r0[m] += taps[l] * np.roll(s, l)
+            for k in np.nonzero(c)[0]:
+                r0[m] += c[k] * np.roll(s, k - lead)
     return awgn(r0, scenario.sigma2, rng)
+
+
+def receive_integer(scenario, waveforms, rng=None):
+    """One period of received samples per antenna under integer offsets only.
+
+    Returns an (Nr, N) array.  Pass ``rng=None`` for the noiseless stream
+    (only valid when every sigma2 is zero).  The effective filter is the
+    taps alone: the pulse sampled at mu = 0 is not an exact delta.
+    """
+    return _receive(scenario, waveforms, lambda link: link.taps, 0, rng)
 
 
 def receive_fractional(scenario, waveforms, pulse, rng=None):
@@ -311,19 +320,9 @@ def receive_fractional(scenario, waveforms, pulse, rng=None):
     the link's own mu.  This equals the Toeplitz matrix form
     S_i^F @ G(mu) @ h used on the estimation side.
     """
-    N = _check_reception_inputs(scenario, waveforms, rng)
-    M = pulse.M
-    kernel_lags = np.arange(-M, M + 1)
-    r0 = np.zeros((scenario.nr, N), dtype=complex)
-    for m in range(scenario.nr):
-        for i in range(scenario.nt):
-            link = scenario.link(i, m)
-            if not link.taps.any():
-                continue
-            kernel = pulse((kernel_lags + link.mu) * pulse.T)
-            coeffs = np.convolve(kernel, link.taps)  # lags -M .. M+L-1
-            s = waveforms[i].samples
-            for k, c in enumerate(coeffs):
-                if c != 0:
-                    r0[m] += c * np.roll(s, k - M)
-    return awgn(r0, scenario.sigma2, rng)
+    lags = np.arange(-pulse.M, pulse.M + 1)
+
+    def coeffs(link):  # lags -M .. M+L-1
+        return np.convolve(pulse((lags + link.mu) * pulse.T), link.taps)
+
+    return _receive(scenario, waveforms, coeffs, pulse.M, rng)

@@ -13,10 +13,19 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import config as config_mod
 from .errors import ConfigError, ConstraintViolationError, NumericalError
-from .harness import emit_results, run_capacity_experiment, run_mse_experiment, run_sounding
-from .waveform import generate_chirp, periodic_autocorrelation, periodic_crosscorrelation
+from .harness import (
+    _fmt,
+    _write_lines,
+    emit_results,
+    run_capacity_experiment,
+    run_mse_experiment,
+    run_sounding,
+)
+from .waveform import cyclic_correlation, generate_chirp
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,20 +62,9 @@ def _load_config(args):
     return cfg
 
 
-def _fmt(x):
-    return f"{x:.12e}"
-
-
-def _write_csv(outdir, name, lines):
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
-
-
 def _cmd_generate(args):
     cfg = _load_config(args)
+    os.makedirs(args.out, exist_ok=True)
     paths = []
     for p in cfg.chirp_rates:
         w = generate_chirp(p, cfg.waveform_length)
@@ -74,7 +72,8 @@ def _cmd_generate(args):
         lines.extend(
             f"{n},{_fmt(v.real)},{_fmt(v.imag)}" for n, v in enumerate(w.samples)
         )
-        paths.append(_write_csv(args.out, f"waveform_p{p}_N{w.N}.csv", lines))
+        path = os.path.join(args.out, f"waveform_p{p}_N{w.N}.csv")
+        paths.append(_write_lines(path, lines))
     for path in paths:
         print(path)
     return EXIT_OK
@@ -83,21 +82,19 @@ def _cmd_generate(args):
 def _cmd_correlate(args):
     cfg = _load_config(args)
     waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
+    os.makedirs(args.out, exist_ok=True)
+    # periodic correlation of a with b at lag tau = conj(cyclic_correlation(b, a))[tau]
     lines = ["p,tau,re,im"]
     for w in waveforms:
-        for tau in range(w.N):
-            r = periodic_autocorrelation(w, tau)
+        for tau, r in enumerate(np.conj(cyclic_correlation(w.samples, w.samples))):
             lines.append(f"{w.p},{tau},{_fmt(r.real)},{_fmt(r.imag)}")
-    print(_write_csv(args.out, "autocorrelation.csv", lines))
+    print(_write_lines(os.path.join(args.out, "autocorrelation.csv"), lines))
     lines = ["p,q,tau,re,im"]
-    for a in range(len(waveforms)):
-        for b in range(a + 1, len(waveforms)):
-            for tau in range(waveforms[a].N):
-                c = periodic_crosscorrelation(waveforms[a], waveforms[b], tau)
-                lines.append(
-                    f"{waveforms[a].p},{waveforms[b].p},{tau},{_fmt(c.real)},{_fmt(c.imag)}"
-                )
-    print(_write_csv(args.out, "crosscorrelation.csv", lines))
+    for a, wa in enumerate(waveforms):
+        for wb in waveforms[a + 1 :]:
+            for tau, c in enumerate(np.conj(cyclic_correlation(wb.samples, wa.samples))):
+                lines.append(f"{wa.p},{wb.p},{tau},{_fmt(c.real)},{_fmt(c.imag)}")
+    print(_write_lines(os.path.join(args.out, "crosscorrelation.csv"), lines))
     return EXIT_OK
 
 

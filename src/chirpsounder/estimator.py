@@ -9,14 +9,15 @@ matrices vanish, so the matched filter returns the channel taps directly
 
 Recovering (mu, h) from the fractional output minimizes
 
-    || h_F - G(mu) h ||^2      over mu in [0, 1/2], h in C^L,
+    || h_F - G(mu) h ||^2      over mu in [0, 1/2], h in C^L.
 
-by alternating a mu step and an exact least-squares h step.  The mu step
-scores candidates by the projected residual (the h solve is embedded, so the
-scalar objective is the true profile of the joint problem) and polishes the
-best grid candidate with a bracketed, bisection-safeguarded Newton iteration
-on the derivative.  Freezing h during the mu step, as a literal alternation
-would, contracts too slowly to be usable; see the convergence tests.
+The mu step scores candidates by the projected residual (the h solve is
+embedded, so the scalar objective is the true profile of the joint problem
+and depends on h_F alone) and polishes the best grid candidate with a
+bracketed, bisection-safeguarded Newton iteration on the derivative; one
+least-squares h solve at that mu finishes the estimate.  Freezing h during
+the mu step, as a literal alternation would, contracts too slowly to be
+usable; see the convergence tests.
 """
 
 from dataclasses import dataclass
@@ -29,9 +30,12 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
 )
+from .waveform import cyclic_correlation
 
 _COND_LIMIT = 1e12  # on kappa(G); kappa(G^H G) is its square
 _SCAN_POINTS = 33
+_POLISH_TOL = 1e-10  # on the Newton update of mu
+_POLISH_STEPS = 60
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,20 +43,12 @@ class SoundingMatrix:
     """Toeplitz sounding matrix S of one waveform.
 
     ``entries[r, c] = s[(offset + r - c) mod N]`` with offset 0 for the
-    integer-offset layout (N x L), the pulse half-support M for the
-    fractional layout (N x (2M+L-1)), and M again for the full-period
-    matched filter (N x N) used in segment analysis.
+    integer-offset layout (N x L) and the pulse half-support M for the
+    fractional layout (N x (2M+L-1)).
     """
 
     entries: np.ndarray
-    kind: str  # "integer" | "fractional" | "full"
-    offset: int
-    p: int
-    N: int
-
-    @property
-    def columns(self):
-        return self.entries.shape[1]
+    kind: str  # "integer" | "fractional"
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +57,7 @@ class EstimateReport:
 
     h_hat: np.ndarray
     mu_hat: float  # None when undetermined (zero input)
-    raw_output: np.ndarray
-    iterations: int
+    iterations: int  # Newton polish steps taken
     residual: float
     converged: bool
     mu_undetermined: bool = False
@@ -75,12 +70,6 @@ class SegmentedOutput:
     full: np.ndarray
     segments: np.ndarray  # (2p, N/(2p))
     stride: int
-
-
-def _toeplitz_indices(N, rows, cols, offset):
-    r = np.arange(rows)[:, None]
-    c = np.arange(cols)[None, :]
-    return (offset + r - c) % N
 
 
 def build_sounding_matrix(w, L, kind="integer", M=0, check=True):
@@ -110,14 +99,8 @@ def build_sounding_matrix(w, L, kind="integer", M=0, check=True):
             f"waveform p={w.p}, N={w.N} cannot sound {cols} columns: "
             f"requires N > {2 * w.p * cols}"
         )
-    entries = w.samples[_toeplitz_indices(w.N, w.N, cols, offset)]
-    return SoundingMatrix(entries=entries, kind=kind, offset=offset, p=w.p, N=w.N)
-
-
-def build_full_matched_filter(w, M=0):
-    """N x N cyclic matched-filter matrix (all N shifts) for segment analysis."""
-    entries = w.samples[_toeplitz_indices(w.N, w.N, w.N, M)]
-    return SoundingMatrix(entries=entries, kind="full", offset=M, p=w.p, N=w.N)
+    lags = offset + np.arange(w.N)[:, None] - np.arange(cols)[None, :]
+    return SoundingMatrix(entries=w.samples[lags % w.N], kind=kind)
 
 
 def _apply_matched_filter(S, r, kind):
@@ -189,12 +172,14 @@ def _profile_derivative(pulse, mu, L, M, hF, delta=1e-6):
     return -2.0 * float(np.real(np.vdot(resid, Gp @ h)))
 
 
-def _mu_step(pulse, L, M, hF, tol):
+def _mu_step(pulse, L, M, hF):
     """Global coarse scan of the profile objective, then safeguarded Newton.
 
     Maintains a bracket [lo, hi] around the minimizer from derivative signs;
     a Newton step that leaves the bracket (or faces a non-convex second
-    difference) falls back to bisection.
+    difference) falls back to bisection.  Returns ``(mu, steps, converged)``:
+    ``converged`` is false only when ``_POLISH_STEPS`` steps did not bring the
+    update below ``_POLISH_TOL``.
     """
     mus, mats, pinvs = _scan_grid(pulse, L, M, _SCAN_POINTS)
     resid = np.empty(len(mus))
@@ -205,7 +190,7 @@ def _mu_step(pulse, L, M, hF, tol):
     hi = mus[min(k + 1, len(mus) - 1)]
     mu = float(mus[k])
 
-    for _ in range(60):
+    for steps in range(1, _POLISH_STEPS + 1):
         fp = _profile_derivative(pulse, mu, L, M, hF)
         if fp > 0:
             hi = mu
@@ -219,20 +204,19 @@ def _mu_step(pulse, L, M, hF, tol):
         nxt = mu - fp / fpp if fpp > 0 else np.inf
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - mu) < tol:
-            return float(min(max(nxt, 0.0), 0.5))
+        if abs(nxt - mu) < _POLISH_TOL:
+            return float(min(max(nxt, 0.0), 0.5)), steps, True
         mu = nxt
-    return float(min(max(mu, 0.0), 0.5))
+    return float(min(max(mu, 0.0), 0.5)), _POLISH_STEPS, False
 
 
-def joint_estimate(hF, pulse, L, M, tol_mu=1e-8, tol_resid=1e-10, max_iters=50):
+def joint_estimate(hF, pulse, L, M):
     """Jointly estimate the fractional offset and channel taps from ``hF``.
 
-    Alternates the mu step and the least-squares h step starting from
-    mu = 0.25 until the mu update falls below ``tol_mu`` and the residual
-    change (relative to ||hF||^2) falls below ``tol_resid``, or ``max_iters``
-    is hit; non-convergence is flagged on the report, never silent.  An
-    all-zero input returns h = 0 with the offset flagged undetermined.
+    Scans and polishes mu on the profile objective, then solves for h by
+    least squares at that mu.  A polish that exhausts its step budget is
+    flagged on the report (``converged`` false), never silent.  An all-zero
+    input returns h = 0 with the offset flagged undetermined.
     """
     hF = np.asarray(hF, dtype=complex)
     if hF.shape != (2 * M + L - 1,):
@@ -245,54 +229,36 @@ def joint_estimate(hF, pulse, L, M, tol_mu=1e-8, tol_resid=1e-10, max_iters=50):
         return EstimateReport(
             h_hat=np.zeros(L, dtype=complex),
             mu_hat=None,
-            raw_output=hF,
             iterations=0,
             residual=0.0,
             converged=True,
             mu_undetermined=True,
         )
 
-    mu = 0.25
-    _, h = _solve_h(pulse, mu, L, M, hF)
-    prev_resid = np.inf
-    iterations = max_iters
-    converged = False
-    inner_tol = min(tol_mu * 1e-2, 1e-10)
-    for it in range(1, max_iters + 1):
-        mu_new = _mu_step(pulse, L, M, hF, inner_tol)
-        G, h = _solve_h(pulse, mu_new, L, M, hF)
-        resid = float(np.sum(np.abs(hF - G @ h) ** 2))
-        if abs(mu_new - mu) < tol_mu and abs(prev_resid - resid) / scale < tol_resid:
-            mu, iterations, converged = mu_new, it, True
-            break
-        mu, prev_resid = mu_new, resid
-    G = build_shaping_matrix(pulse, mu, L, M)
-    residual = float(np.sum(np.abs(hF - G @ h) ** 2))
+    mu, steps, converged = _mu_step(pulse, L, M, hF)
+    G, h = _solve_h(pulse, mu, L, M, hF)
     return EstimateReport(
         h_hat=h,
-        mu_hat=float(mu),
-        raw_output=hF,
-        iterations=iterations,
-        residual=residual,
+        mu_hat=mu,
+        iterations=steps,
+        residual=float(np.sum(np.abs(hF - G @ h) ** 2)),
         converged=converged,
     )
 
 
-def segmented_output(S_full, r):
+def segmented_output(w, r, M=0):
     """Full-period matched filter output and its 2p sign-alternating segments.
 
-    The output of the N-column matched filter contains 2p replicas of the
-    channel response at stride N/(2p), with signs +, -, +, -, ...; segment j
-    is ``segments[j]``.
+    ``full[k] = sum_n r[n] * conj(s[(n - k + M) mod N])`` for every lag k:
+    the matched filter over all N cyclic shifts of waveform ``w``, with the
+    lag origin moved back by the pulse half-support M (0 for integer
+    offsets).  It contains 2p replicas of the channel response at stride
+    N/(2p), with signs +, -, +, -, ...; segment j is ``segments[j]``.
     """
-    if S_full.kind != "full":
-        raise ConstraintViolationError(
-            f"expected a full matched-filter matrix, got {S_full.kind!r}"
-        )
-    out = _apply_matched_filter(S_full, r, "full")
-    stride = S_full.N // (2 * S_full.p)
+    out = cyclic_correlation(r, np.roll(w.samples, -M))
+    stride = w.N // (2 * w.p)
     return SegmentedOutput(
-        full=out, segments=out.reshape(2 * S_full.p, stride), stride=stride
+        full=out, segments=out.reshape(2 * w.p, stride), stride=stride
     )
 
 

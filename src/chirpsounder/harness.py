@@ -33,13 +33,12 @@ from .channel import (
     synthesize_channels,
     with_fractional_offsets,
 )
-from .errors import ConstraintViolationError
 from .estimator import (
-    build_full_matched_filter,
     build_sounding_matrix,
     joint_estimate,
     matched_filter_fractional,
     matched_filter_integer,
+    segmented_output,
 )
 from .metrics import FrequencyGrid, capacity_equivalence_report, crb
 from .waveform import generate_chirp, papr
@@ -92,9 +91,10 @@ class RunResult:
     capacity: tuple = ()
     traces: tuple = ()  # (tx, rx, magnitudes) triples for segment plots
     nonconverged: int = 0
-    wall_clock_s: float = 0.0
+    wall_clock_s: float = 0.0  # run_meta.json only
 
     def to_dict(self):
+        """The deterministic payload: every field except ``wall_clock_s``."""
         return {
             "kind": self.kind,
             "run_id": self.run_id,
@@ -109,20 +109,11 @@ class RunResult:
                 {"tx": i, "rx": m, "magnitude": list(mag)} for i, m, mag in self.traces
             ],
             "nonconverged": self.nonconverged,
-            "wall_clock_s": self.wall_clock_s,
         }
 
 
 def _run_id(kind, echo):
     return hashlib.sha256(f"{kind}\n{echo}".encode()).hexdigest()[:12]
-
-
-def _abort_on_constraints(cfg):
-    report = cfg.design_report()
-    if not report.passed:
-        raise ConstraintViolationError(
-            f"configuration violates the design constraint: {report.condition}"
-        )
 
 
 def _waveforms(cfg):
@@ -142,24 +133,19 @@ def run_mse_experiment(cfg):
     and accumulates squared errors.
     """
     t0 = time.perf_counter()
-    _abort_on_constraints(cfg)
     waveforms = _waveforms(cfg)
     scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
     L = cfg.total_length
     M = cfg.pulse_half_support
     pulse = build_pulse(cfg.pulse_kind, cfg.pulse_rolloff, M)
-    if cfg.fractional:
-        matrices = [
-            build_sounding_matrix(w, L, kind="fractional", M=M) for w in waveforms
-        ]
-    else:
-        matrices = [build_sounding_matrix(w, L, kind="integer") for w in waveforms]
+    kind = "fractional" if cfg.fractional else "integer"
+    matrices = [build_sounding_matrix(w, L, kind=kind, M=M) for w in waveforms]
 
     sq_err = np.zeros((cfg.nt, cfg.nr))
     nonconverged = 0
     redraw_mu = cfg.fractional and cfg.mu_mode == "uniform"
-    base = None if (cfg.redraw_per_trial or redraw_mu) else _precompute_base(
-        cfg, scenario, waveforms, pulse
+    base = None if (cfg.redraw_per_trial or redraw_mu) else _received(
+        cfg, _noiseless(scenario), waveforms, pulse
     )
 
     for t in range(cfg.trials):
@@ -169,8 +155,8 @@ def run_mse_experiment(cfg):
         if redraw_mu:
             mu_pairs = draw_fractional_offsets(cfg, derive_rng(cfg.seed, 2, t))
             trial_scenario = with_fractional_offsets(scenario, mu_pairs)
-        r0 = base if base is not None else _precompute_base(
-            cfg, trial_scenario, waveforms, pulse
+        r0 = base if base is not None else _received(
+            cfg, _noiseless(trial_scenario), waveforms, pulse
         )
         r = awgn(r0, trial_scenario.sigma2, derive_rng(cfg.seed, 1, t))
         for m in range(cfg.nr):
@@ -215,17 +201,15 @@ def run_mse_experiment(cfg):
     )
 
 
-def _precompute_base(cfg, scenario, waveforms, pulse):
-    quiet = _noiseless(scenario)
+def _received(cfg, scenario, waveforms, pulse, rng=None):
     if cfg.fractional:
-        return receive_fractional(quiet, waveforms, pulse)
-    return receive_integer(quiet, waveforms)
+        return receive_fractional(scenario, waveforms, pulse, rng)
+    return receive_integer(scenario, waveforms, rng)
 
 
 def run_capacity_experiment(cfg):
     """Synchronous vs asynchronous capacity over the configured SNR sweep."""
     t0 = time.perf_counter()
-    _abort_on_constraints(cfg)
     scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
     grid = FrequencyGrid(cfg.capacity_bins)
     rows = []
@@ -261,22 +245,15 @@ def run_sounding(cfg):
     the channel response.
     """
     t0 = time.perf_counter()
-    _abort_on_constraints(cfg)
     waveforms = _waveforms(cfg)
     scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
     pulse = build_pulse(cfg.pulse_kind, cfg.pulse_rolloff, cfg.pulse_half_support)
-    rng = derive_rng(cfg.seed, 1, 0)
-    if cfg.fractional:
-        r = receive_fractional(scenario, waveforms, pulse, rng)
-        offset = cfg.pulse_half_support
-    else:
-        r = receive_integer(scenario, waveforms, rng)
-        offset = 0
-    filters = [build_full_matched_filter(w, offset) for w in waveforms]
+    r = _received(cfg, scenario, waveforms, pulse, derive_rng(cfg.seed, 1, 0))
+    offset = cfg.pulse_half_support if cfg.fractional else 0
     traces = []
-    for i in range(cfg.nt):
+    for i, w in enumerate(waveforms):
         for m in range(cfg.nr):
-            out = filters[i].entries.conj().T @ r[m]
+            out = segmented_output(w, r[m], offset).full
             traces.append((i, m, tuple(float(v) for v in np.abs(out))))
     echo = cfg.canonical_json()
     return RunResult(
@@ -308,12 +285,16 @@ def _write(path, text):
     return path
 
 
+def _write_lines(path, lines):
+    return _write(path, "\n".join(lines) + "\n")
+
+
 def emit_results(result, outdir, fmt="csv"):
     """Write a run's outputs under ``outdir``; returns the created paths.
 
-    CSV payloads contain only deterministic data; the run id sidecar holds
-    the timestamp and wall-clock.  The ``record`` format mirrors the
-    RunResult fields verbatim as JSON.
+    CSV and record payloads contain only deterministic data; the run id
+    sidecar holds the timestamp and wall-clock.  The ``record`` format
+    writes ``RunResult.to_dict()`` as JSON.
     """
     if fmt not in ("csv", "record"):
         raise ValueError(f"format must be 'csv' or 'record', got {fmt!r}")
@@ -349,13 +330,11 @@ def emit_results(result, outdir, fmt="csv"):
             lines.append(
                 f"{row.tx},{row.rx},{_fmt(row.mse)},{_fmt(row.crb)},{_fmt(row.ratio)}"
             )
-        paths.append(_write(os.path.join(outdir, "mse.csv"), "\n".join(lines) + "\n"))
+        paths.append(_write_lines(os.path.join(outdir, "mse.csv"), lines))
         lines = ["rx,mse,crb,ratio"]
         for row in result.antennas:
             lines.append(f"{row.rx},{_fmt(row.mse)},{_fmt(row.crb)},{_fmt(row.ratio)}")
-        paths.append(
-            _write(os.path.join(outdir, "antenna_mse.csv"), "\n".join(lines) + "\n")
-        )
+        paths.append(_write_lines(os.path.join(outdir, "antenna_mse.csv"), lines))
     elif result.kind == "capacity":
         lines = ["rho_db,c_syn,c_asyn,max_bin_gap"]
         for row in result.capacity:
@@ -363,17 +342,11 @@ def emit_results(result, outdir, fmt="csv"):
                 f"{_fmt(row.rho_db)},{_fmt(row.c_syn)},{_fmt(row.c_asyn)},"
                 f"{_fmt(row.max_bin_gap)}"
             )
-        paths.append(
-            _write(os.path.join(outdir, "capacity.csv"), "\n".join(lines) + "\n")
-        )
+        paths.append(_write_lines(os.path.join(outdir, "capacity.csv"), lines))
     elif result.kind == "sound":
         for i, m, mag in result.traces:
             lines = ["n,magnitude"]
             lines.extend(f"{n},{_fmt(v)}" for n, v in enumerate(mag))
-            paths.append(
-                _write(
-                    os.path.join(outdir, f"trace_tx{i}_rx{m}.csv"),
-                    "\n".join(lines) + "\n",
-                )
-            )
+            path = os.path.join(outdir, f"trace_tx{i}_rx{m}.csv")
+            paths.append(_write_lines(path, lines))
     return paths

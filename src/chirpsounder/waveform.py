@@ -23,7 +23,7 @@ from .errors import (
     UndefinedResultError,
 )
 
-VALID_SCENARIOS = ("su-siso", "sync-mu-mimo", "async-integer", "async-fractional")
+VALID_SCENARIOS = ("async-integer", "async-fractional")
 
 
 def _is_pow2(value):
@@ -84,11 +84,6 @@ class ScenarioKind:
             return self.Lmax + 2 * self.M - 1
         return self.Lmax
 
-    @property
-    def needs_cross(self):
-        """Whether the scenario also constrains cross-correlations."""
-        return self.tag != "su-siso"
-
 
 @dataclass(frozen=True)
 class ConstraintReport:
@@ -121,6 +116,22 @@ def generate_chirp(p, N):
     samples = np.exp(2j * np.pi * phase_index / N) / np.sqrt(N)
     samples.flags.writeable = False
     return SoundingWaveform(p=int(p), N=int(N), samples=samples)
+
+
+def cyclic_correlation(a, b):
+    """All N lags of c[k] = sum_n a[(n+k) mod N] * conj(b[n]), by FFT.
+
+    With ``a`` a received period this is the matched filter over every
+    cyclic shift of ``b``.  The periodic correlation sum_n a[n] *
+    conj(b[(n+tau) mod N]) computed lag by lag below equals c[-tau mod N],
+    and also conj(cyclic_correlation(b, a))[tau].
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.ndim != 1:
+        raise DimensionMismatchError(
+            f"need two sequences of one length, got shapes {a.shape} and {b.shape}"
+        )
+    return np.fft.ifft(np.fft.fft(a) * np.conj(np.fft.fft(b)))
 
 
 def periodic_autocorrelation(w, tau):

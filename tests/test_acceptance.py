@@ -14,7 +14,6 @@ from chirpsounder import (
     FrequencyGrid,
     average_segments,
     awgn,
-    build_full_matched_filter,
     build_pulse,
     build_shaping_matrix,
     build_sounding_matrix,
@@ -28,6 +27,7 @@ from chirpsounder import (
     receive_integer,
     run_capacity_experiment,
     run_mse_experiment,
+    segmented_output,
     synthesize_channels,
 )
 from chirpsounder.cli import main
@@ -125,7 +125,7 @@ def test_criterion_5_segments_and_averaging():
         taps = np.zeros(15, dtype=complex)
         taps[5:] = block / np.linalg.norm(block)
         sc = single_link_scenario(taps, N=128)
-        out = build_full_matched_filter(w).entries.conj().T @ receive_integer(sc, [w])[0]
+        out = segmented_output(w, receive_integer(sc, [w])[0]).full
         segments = out.reshape(2 * p, 128 // (2 * p))
         for j in range(2 * p):
             sign = 1.0 if j % 2 == 0 else -1.0
@@ -143,16 +143,13 @@ def test_criterion_5_segments_and_averaging():
     taps[5:] = block / np.linalg.norm(block)
     sc = single_link_scenario(taps, N=128)
     r0 = receive_integer(sc, [w])
-    F = build_full_matched_filter(w)
     sigma2 = 1e-3
     gen = derive_rng(4242, 1, 0)
     err_single = err_avg = 0.0
     trials = 5000
-    from chirpsounder import segmented_output
-
     for _ in range(trials):
         r = awgn(r0, np.array([sigma2]), gen)
-        seg = segmented_output(F, r[0])
+        seg = segmented_output(w, r[0])
         err_single += float(np.sum(np.abs(seg.segments[0][:15] - taps) ** 2))
         err_avg += float(np.sum(np.abs(average_segments(seg)[:15] - taps) ** 2))
     ratio = err_avg / err_single

@@ -165,6 +165,16 @@ def test_nonconvergence_exits_3(tmp_path, capsys, monkeypatch):
     assert "converge" in capsys.readouterr().err
 
 
+def test_exhausted_polish_budget_exits_3(tmp_path, capsys, monkeypatch):
+    from chirpsounder import estimator
+
+    monkeypatch.setattr(estimator, "_POLISH_STEPS", 1)
+    path = small_config_file(tmp_path, fractional={"enabled": True, "mu": "uniform"}, trials=2)
+    code = main(["mse", "--config", path, "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "converge" in capsys.readouterr().err
+
+
 def test_numerical_error_exits_3(tmp_path, capsys, monkeypatch):
     import chirpsounder.cli as cli_mod
     from chirpsounder import IllConditionedError

@@ -1,0 +1,43 @@
+"""Golden digests of the deterministic result files.
+
+Identical config and seed must give byte-identical ``mse.csv``,
+``antenna_mse.csv`` and ``capacity.csv``.  These sha256 digests were taken
+with numpy 2.4.6 on x86-64; a change that alters the bytes fails here and
+has to say why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from chirpsounder.cli import main
+
+GOLDEN = {
+    ("mse", "paper-sec5", 200): {
+        "mse.csv": "df2d215151b878a0e4b090cfae057bccedcc5f5fb3261f33ebe8003af689de42",
+        "antenna_mse.csv": "d0c3f18193af0eb1373dcab001e07c5ce9869fdada3a8b0a50c486dfe4871527",
+    },
+    ("mse", "paper-sec5-fractional", 3): {
+        "mse.csv": "f71b1054cc9dddaab6c3750da09ff9cdc3a2bbcf1aeb9b16cb95d42c2121fd78",
+        "antenna_mse.csv": "0457e2e609877d927249b583d2abb131ebe7f41d9553d91d8db22b449c551d53",
+    },
+    ("capacity", "capacity-tx-shared", None): {
+        "capacity.csv": "625be9a0ffea6157ddf94c71b308d1485a40fa392665c1fb6717eb0d4636173d",
+    },
+    ("capacity", "capacity-rx-shared", None): {
+        "capacity.csv": "47ddb236870c31b98745d264c2628cf08cd0317bee6cf211a440594362a2aa9e",
+    },
+    ("capacity", "capacity-multi-lo", None): {
+        "capacity.csv": "1e9cdeb1ef0098d8fb92fe9a9ee4ebaacaf1985a1b8dd785aa89d4dd63653f79",
+    },
+}
+
+
+@pytest.mark.parametrize("command,preset,trials", list(GOLDEN))
+def test_output_digests(tmp_path, command, preset, trials):
+    argv = [command, "--preset", preset, "--out", str(tmp_path)]
+    if trials is not None:
+        argv += ["--trials", str(trials)]
+    assert main(argv) == 0
+    for name, digest in GOLDEN[command, preset, trials].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -227,6 +227,16 @@ class TestEmit:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_record_byte_identical_reruns(self, tmp_path):
+        # the record payload carries no timing; the wall clock lives in run_meta.json
+        cfg = small_config(trials=10)
+        for side in ("a", "b"):
+            emit_results(run_mse_experiment(cfg), tmp_path / side, fmt="record")
+        record = (tmp_path / "a" / "result.json").read_bytes()
+        assert record == (tmp_path / "b" / "result.json").read_bytes()
+        meta = json.loads((tmp_path / "a" / "run_meta.json").read_text())
+        assert "wall_clock_s" in meta and b"wall_clock_s" not in record
+
     def test_sound_traces(self, tmp_path):
         cfg = small_config(trials=1)
         result = run_sounding(cfg)

@@ -10,6 +10,7 @@ from chirpsounder import (
     UndefinedResultError,
     check_design_constraints,
     closed_form_autocorrelation,
+    cyclic_correlation,
     generate_chirp,
     papr,
     periodic_autocorrelation,
@@ -152,6 +153,29 @@ class TestCrosscorrelation:
             periodic_crosscorrelation(generate_chirp(1, 64), generate_chirp(2, 128), 0)
 
 
+class TestCyclicCorrelation:
+    @pytest.mark.parametrize("N", [64, 128, 1024])
+    def test_matches_per_lag_reference(self, N):
+        waveforms = [generate_chirp(p, N) for p in (1, 2, 4)]
+        worst = 0.0
+        for wa in waveforms:
+            for wb in waveforms:
+                c = cyclic_correlation(wa.samples, wb.samples)
+                swapped = np.conj(cyclic_correlation(wb.samples, wa.samples))
+                for tau in range(N):
+                    ref = (
+                        periodic_autocorrelation(wa, tau)
+                        if wa is wb
+                        else periodic_crosscorrelation(wa, wb, tau)
+                    )
+                    worst = max(worst, abs(c[-tau % N] - ref), abs(swapped[tau] - ref))
+        assert worst < 1e-12
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            cyclic_correlation(np.ones(8), np.ones(4))
+
+
 class TestPapr:
     def test_chirps_are_flat(self):
         for p, N in [(1, 128), (2, 128), (4, 128), (8, 256)]:
@@ -192,6 +216,4 @@ class TestDesignConstraints:
         with pytest.raises(ConstraintViolationError):
             ScenarioKind(tag="nonsense", Lmax=10)
         with pytest.raises(ConstraintViolationError):
-            ScenarioKind(tag="su-siso", Lmax=0)
-        assert not ScenarioKind(tag="su-siso", Lmax=4).needs_cross
-        assert ScenarioKind(tag="sync-mu-mimo", Lmax=4).needs_cross
+            ScenarioKind(tag="async-integer", Lmax=0)
