@@ -68,10 +68,9 @@ class PulseShape:
 
     M: int
     rolloff: float
-    T: float = 1.0
 
     def __call__(self, t):
-        return raised_cosine(np.asarray(t, dtype=float) / self.T, self.rolloff, self.M)
+        return raised_cosine(t, self.rolloff, self.M)
 
 
 def build_pulse(kind="raised-cosine", rolloff=0.25, M=4):
@@ -145,14 +144,6 @@ class MimoScenario:
     def nr(self):
         return len(self.rx_node)
 
-    @property
-    def mt(self):
-        return max(self.tx_node) + 1
-
-    @property
-    def mr(self):
-        return max(self.rx_node) + 1
-
     def link(self, i, m):
         return self.links[i][m]
 
@@ -180,14 +171,13 @@ def draw_fractional_offsets(cfg, rng):
     return tuple(tuple(draw() for _ in range(cfg.mr)) for _ in range(cfg.mt))
 
 
-def synthesize_channels(cfg, rng, mu_pairs=None):
+def synthesize_channels(cfg, rng):
     """Realize the scenario's channel grid from a seeded generator.
 
     Nonzero taps are i.i.d. unit-variance circular complex Gaussian placed at
     lags d .. d+active-1, optionally normalized to unit energy per link.
-    ``mu_pairs`` overrides the fractional offsets (used by the harness when
-    offsets are redrawn every trial); otherwise they come from the config
-    (fixed grid) or are drawn here (uniform policy).
+    Fractional offsets come from the config (fixed grid) or are drawn here
+    (uniform policy).
 
     The per-antenna noise level is calibrated from the configured SNR against
     the noiseless received power sum_i ||h_im||^2 / N, which equals the
@@ -199,13 +189,12 @@ def synthesize_channels(cfg, rng, mu_pairs=None):
         raise ConstraintViolationError(
             f"waveform design constraint violated: {report.condition}"
         )
-    if mu_pairs is None:
-        if not cfg.fractional:
-            mu_pairs = tuple(tuple([0.0] * cfg.mr) for _ in range(cfg.mt))
-        elif cfg.mu_mode == "fixed":
-            mu_pairs = cfg.mu_values
-        else:
-            mu_pairs = draw_fractional_offsets(cfg, rng)
+    if not cfg.fractional:
+        mu_pairs = tuple(tuple([0.0] * cfg.mr) for _ in range(cfg.mt))
+    elif cfg.mu_mode == "fixed":
+        mu_pairs = cfg.mu_values
+    else:
+        mu_pairs = draw_fractional_offsets(cfg, rng)
 
     L = cfg.total_length
     links = []
@@ -274,16 +263,13 @@ def awgn(r0, sigma2, rng):
     """Add circular complex Gaussian noise, variance 2*sigma2[m] per sample.
 
     Row m of ``r0`` receives noise scaled by sqrt(sigma2[m]); draws are
-    consumed in antenna order even where sigma2 is zero, so substreams stay
-    aligned across configurations.
+    consumed in antenna order (real parts, then imaginary parts) even where
+    sigma2 is zero, so substreams stay aligned across configurations.
     """
     if rng is None:
         return r0
-    out = np.empty_like(r0)
-    for m in range(r0.shape[0]):
-        draws = rng.standard_normal((2, r0.shape[1]))
-        out[m] = r0[m] + np.sqrt(sigma2[m]) * (draws[0] + 1j * draws[1])
-    return out
+    draws = rng.standard_normal((r0.shape[0], 2, r0.shape[1]))
+    return r0 + np.sqrt(sigma2)[:, None] * (draws[:, 0] + 1j * draws[:, 1])
 
 
 def _receive(scenario, waveforms, coeffs, lead, rng):
@@ -323,6 +309,6 @@ def receive_fractional(scenario, waveforms, pulse, rng=None):
     lags = np.arange(-pulse.M, pulse.M + 1)
 
     def coeffs(link):  # lags -M .. M+L-1
-        return np.convolve(pulse((lags + link.mu) * pulse.T), link.taps)
+        return np.convolve(pulse(lags + link.mu), link.taps)
 
     return _receive(scenario, waveforms, coeffs, pulse.M, rng)

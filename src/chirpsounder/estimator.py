@@ -14,7 +14,7 @@ Recovering (mu, h) from the fractional output minimizes
 The mu step scores candidates by the projected residual (the h solve is
 embedded, so the scalar objective is the true profile of the joint problem
 and depends on h_F alone) and polishes the best grid candidate with a
-bracketed, bisection-safeguarded Newton iteration on the derivative; one
+bracketed, bisection-safeguarded secant iteration on the profile slope; one
 least-squares h solve at that mu finishes the estimate.  Freezing h during
 the mu step, as a literal alternation would, contracts too slowly to be
 usable; see the convergence tests.
@@ -34,7 +34,8 @@ from .waveform import cyclic_correlation
 
 _COND_LIMIT = 1e12  # on kappa(G); kappa(G^H G) is its square
 _SCAN_POINTS = 33
-_POLISH_TOL = 1e-10  # on the Newton update of mu
+_SLOPE_DELTA = 1e-6  # half-width of the central difference of the pulse
+_POLISH_TOL = 1e-10  # on the secant update of mu
 _POLISH_STEPS = 60
 
 
@@ -57,7 +58,7 @@ class EstimateReport:
 
     h_hat: np.ndarray
     mu_hat: float  # None when undetermined (zero input)
-    iterations: int  # Newton polish steps taken
+    iterations: int  # secant polish steps taken
     residual: float
     converged: bool
     mu_undetermined: bool = False
@@ -134,16 +135,16 @@ def build_shaping_matrix(pulse, mu, L, M):
         raise DimensionMismatchError(f"need L >= 1 and M >= 1, got L={L}, M={M}")
     r = np.arange(2 * M + L - 1)[:, None]
     c = np.arange(L)[None, :]
-    return pulse((r - M - c + mu) * pulse.T)
+    return pulse(r - M - c + mu)
 
 
 @lru_cache(maxsize=32)
-def _scan_grid(pulse, L, M, points):
-    """Precompute pseudoinverses of G(mu) on the coarse scan grid."""
-    mus = np.linspace(0.0, 0.5, points)
-    mats = [build_shaping_matrix(pulse, mu, L, M) for mu in mus]
-    pinvs = [np.linalg.pinv(G) for G in mats]
-    return mus, mats, pinvs
+def _scan_grid(pulse, L, M):
+    """Scan offsets and their stacked residual makers I - G(mu) pinv(G(mu))."""
+    mus = np.linspace(0.0, 0.5, _SCAN_POINTS)
+    mats = np.stack([build_shaping_matrix(pulse, mu, L, M) for mu in mus])
+    makers = np.eye(2 * M + L - 1) - mats @ np.linalg.pinv(mats)
+    return mus, makers
 
 
 def _solve_h(pulse, mu, L, M, hF):
@@ -156,14 +157,14 @@ def _solve_h(pulse, mu, L, M, hF):
     return G, h
 
 
-def _profile_derivative(pulse, mu, L, M, hF, delta=1e-6):
+def _profile_derivative(pulse, mu, L, M, hF):
     """Derivative of the projected residual ||hF - G(mu) h(mu)||^2 in mu.
 
     Because the residual is orthogonal to range(G), only the explicit G(mu)
     dependence contributes: phi'(mu) = -2 Re <hF - G h, G' h>.  G' uses a
     central difference of the pulse.
     """
-    lo, hi = max(mu - delta, 0.0), min(mu + delta, 0.5)
+    lo, hi = max(mu - _SLOPE_DELTA, 0.0), min(mu + _SLOPE_DELTA, 0.5)
     G, h = _solve_h(pulse, mu, L, M, hF)
     Gp = (
         build_shaping_matrix(pulse, hi, L, M) - build_shaping_matrix(pulse, lo, L, M)
@@ -173,41 +174,36 @@ def _profile_derivative(pulse, mu, L, M, hF, delta=1e-6):
 
 
 def _mu_step(pulse, L, M, hF):
-    """Global coarse scan of the profile objective, then safeguarded Newton.
+    """Global coarse scan of the profile objective, then a safeguarded secant.
 
-    Maintains a bracket [lo, hi] around the minimizer from derivative signs;
-    a Newton step that leaves the bracket (or faces a non-convex second
-    difference) falls back to bisection.  Returns ``(mu, steps, converged)``:
+    Each step evaluates the profile slope once, narrows a bracket [lo, hi]
+    around the minimizer by its sign and takes a secant step from the previous
+    slope; the first step, and a secant step that leaves the bracket or meets a
+    non-increasing slope, bisect instead.  Returns ``(mu, steps, converged)``:
     ``converged`` is false only when ``_POLISH_STEPS`` steps did not bring the
     update below ``_POLISH_TOL``.
     """
-    mus, mats, pinvs = _scan_grid(pulse, L, M, _SCAN_POINTS)
-    resid = np.empty(len(mus))
-    for k, (G, P) in enumerate(zip(mats, pinvs)):
-        resid[k] = np.sum(np.abs(hF - G @ (P @ hF)) ** 2)
-    k = int(np.argmin(resid))
+    mus, makers = _scan_grid(pulse, L, M)
+    k = int(np.argmin(np.sum(np.abs(makers @ hF) ** 2, axis=1)))
     lo = mus[max(k - 1, 0)]
     hi = mus[min(k + 1, len(mus) - 1)]
     mu = float(mus[k])
 
+    mu0 = fp0 = None
     for steps in range(1, _POLISH_STEPS + 1):
         fp = _profile_derivative(pulse, mu, L, M, hF)
         if fp > 0:
             hi = mu
         else:
             lo = mu
-        step = 1e-6
-        fpp = (
-            _profile_derivative(pulse, min(mu + step, 0.5), L, M, hF)
-            - _profile_derivative(pulse, max(mu - step, 0.0), L, M, hF)
-        ) / (min(mu + step, 0.5) - max(mu - step, 0.0))
-        nxt = mu - fp / fpp if fpp > 0 else np.inf
+        slope = 0.0 if mu0 is None else (fp - fp0) / (mu - mu0)
+        nxt = mu - fp / slope if slope > 0 else np.inf
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - mu) < _POLISH_TOL:
-            return float(min(max(nxt, 0.0), 0.5)), steps, True
-        mu = nxt
-    return float(min(max(mu, 0.0), 0.5)), _POLISH_STEPS, False
+            return float(nxt), steps, True
+        mu0, fp0, mu = mu, fp, nxt
+    return float(mu), _POLISH_STEPS, False
 
 
 def joint_estimate(hF, pulse, L, M):
@@ -224,8 +220,7 @@ def joint_estimate(hF, pulse, L, M):
             f"matched filter output must have length 2M+L-1 = {2 * M + L - 1}, "
             f"got {hF.shape}"
         )
-    scale = float(np.sum(np.abs(hF) ** 2))
-    if scale == 0.0:
+    if not hF.any():
         return EstimateReport(
             h_hat=np.zeros(L, dtype=complex),
             mu_hat=None,
@@ -235,13 +230,16 @@ def joint_estimate(hF, pulse, L, M):
             mu_undetermined=True,
         )
 
+    # Power-of-two scaling is exact and keeps the squared residuals in range.
+    scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(hF)))[1]))
+    hF = hF / scale
     mu, steps, converged = _mu_step(pulse, L, M, hF)
     G, h = _solve_h(pulse, mu, L, M, hF)
     return EstimateReport(
-        h_hat=h,
+        h_hat=h * scale,
         mu_hat=mu,
         iterations=steps,
-        residual=float(np.sum(np.abs(hF - G @ h) ** 2)),
+        residual=float(np.sum(np.abs(hF - G @ h) ** 2) * scale * scale),
         converged=converged,
     )
 

@@ -240,6 +240,18 @@ class TestReceiveInteger:
         measured = np.mean(np.abs(z) ** 2)
         assert measured == pytest.approx(2 * sigma2, rel=0.02)
 
+    def test_noise_matches_per_antenna_draws(self):
+        # reference: one (2, N) draw per antenna, in antenna order
+        sigma2 = np.array([0.3, 0.0, 1.7])
+        r0 = np.arange(3 * 64).reshape(3, 64) * (1 + 0.5j)
+        ref_rng = derive_rng(98, 1, 0)
+        expected = np.empty_like(r0)
+        for m in range(3):
+            draws = ref_rng.standard_normal((2, 64))
+            expected[m] = r0[m] + np.sqrt(sigma2[m]) * (draws[0] + 1j * draws[1])
+        z = awgn(r0, sigma2, derive_rng(98, 1, 0))
+        assert z.tobytes() == expected.tobytes()
+
     def test_noisy_without_rng_rejected(self):
         sc = single_link_scenario([1, 0, 0], sigma2=0.1)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chirpsounder import (
     ConstraintViolationError,
@@ -303,6 +304,51 @@ class TestJointEstimate:
         hF = build_shaping_matrix(pulse, 0.37, 15, 4) @ taps
         rep = joint_estimate(hF, pulse, 15, 4)
         assert not rep.converged and rep.iterations == 1
+
+    def test_tiny_input_not_undetermined(self):
+        # |hF|^2 underflows to 0 below about 1e-162, hence a 1e-170 peak
+        pulse = build_pulse(rolloff=0.25, M=4)
+        rng = np.random.default_rng(17)
+        hF = build_shaping_matrix(pulse, 0.3, 15, 4) @ random_taps(rng, 15)
+        ref = joint_estimate(hF, pulse, 15, 4)
+        rep = joint_estimate(hF * 1e-170, pulse, 15, 4)
+        assert not rep.mu_undetermined and rep.h_hat.any()
+        assert abs(rep.mu_hat - ref.mu_hat) < 1e-9
+
+    def test_one_lstsq_per_polish_step(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        pulse = build_pulse(rolloff=0.25, M=4)
+        rng = np.random.default_rng(18)
+        hF = build_shaping_matrix(pulse, 0.37, 15, 4) @ random_taps(rng, 15)
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        rep = joint_estimate(hF, pulse, 15, 4)
+        assert rep.iterations > 1 and len(calls) == rep.iterations + 1
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        mu=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(-600, 600),
+    )
+    def test_noiseless_recovery_property(self, mu, seed, k):
+        from chirpsounder.estimator import _POLISH_STEPS
+
+        pulse = build_pulse(rolloff=0.25, M=4)
+        L, M = 8, 4
+        taps = random_taps(np.random.default_rng(seed), L)
+        hF = build_shaping_matrix(pulse, mu, L, M) @ (taps * 2.0**k)
+        rep = joint_estimate(hF, pulse, L, M)
+        assert rep.converged and rep.iterations < _POLISH_STEPS
+        assert abs(rep.mu_hat - mu) < 1e-6
+        # compared at unit scale: the norms of 2^k-scaled taps under/overflow
+        h_hat = rep.h_hat / 2.0**k
+        assert np.linalg.norm(h_hat - taps) / np.linalg.norm(taps) < 1e-6
 
     def test_wrong_length_rejected(self):
         pulse = build_pulse(rolloff=0.25, M=4)

@@ -3,7 +3,9 @@
 Identical config and seed must give byte-identical ``mse.csv``,
 ``antenna_mse.csv`` and ``capacity.csv``.  These sha256 digests were taken
 with numpy 2.4.6 on x86-64; a change that alters the bytes fails here and
-has to say why in CHANGES.md.
+has to say why in CHANGES.md.  The ``paper-sec5-fractional`` digests depend
+on the estimator's polish iteration, which stops within 1e-10 of the
+minimizer, so a different iteration moves the last printed digits.
 """
 
 import hashlib
@@ -18,8 +20,8 @@ GOLDEN = {
         "antenna_mse.csv": "d0c3f18193af0eb1373dcab001e07c5ce9869fdada3a8b0a50c486dfe4871527",
     },
     ("mse", "paper-sec5-fractional", 3): {
-        "mse.csv": "f71b1054cc9dddaab6c3750da09ff9cdc3a2bbcf1aeb9b16cb95d42c2121fd78",
-        "antenna_mse.csv": "0457e2e609877d927249b583d2abb131ebe7f41d9553d91d8db22b449c551d53",
+        "mse.csv": "2f1b2e0bae0dc11444f17bbac644333438838df25dfb9e97d86577488cb26c1f",
+        "antenna_mse.csv": "217bddca3905531af38cef249a71f72183f42c830bd43edc57115df243d9c10d",
     },
     ("capacity", "capacity-tx-shared", None): {
         "capacity.csv": "625be9a0ffea6157ddf94c71b308d1485a40fa392665c1fb6717eb0d4636173d",
