@@ -23,11 +23,7 @@ from chirpsounder import (
 cfg = preset("paper-sec5")
 scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
 waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
-quiet = scenario.sigma2 * 0  # sound without noise to expose the structure
-
-from dataclasses import replace
-noiseless = replace(scenario, sigma2=quiet)
-r = receive_integer(noiseless, waveforms)
+r = receive_integer(scenario, waveforms)  # noiseless, to expose the structure
 
 print("noiseless matched-filter recovery (worst tap error per link):")
 for i, w in enumerate(waveforms):

@@ -22,7 +22,6 @@ from chirpsounder import (
     segmented_output,
     synthesize_channels,
 )
-from dataclasses import replace
 
 cfg = preset("paper-sec5").replace(trials=2000)
 result = run_mse_experiment(cfg)
@@ -39,9 +38,8 @@ for row in result.links:
 
 # ---- averaging the replica segments does not reduce the MSE ----
 scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
-noiseless = replace(scenario, sigma2=scenario.sigma2 * 0)
 waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
-r0 = receive_integer(noiseless, waveforms)
+r0 = receive_integer(scenario, waveforms)  # noiseless; awgn adds the noise below
 taps = scenario.link(2, 0).taps
 gen = derive_rng(cfg.seed, 1, 0)
 err_single = err_avg = 0.0

@@ -19,7 +19,8 @@ pulse g shifted by its own mu:
 
     r[n] = sum_i sum_l sum_y s_i[(n - y) mod N] g((y + mu_im - l)T) h_im[l] + z[n],
 
-where y spans -M .. M+L-2 and g vanishes outside [-MT, MT].
+where y spans -M .. M+L-2 and g vanishes outside [-MT, MT].  The
+``receive_*`` functions return the noiseless sum; ``awgn`` alone adds z.
 
 The sampling interval T is normalized to 1 throughout; only ratios t/T enter
 any formula.
@@ -246,7 +247,7 @@ def with_fractional_offsets(scenario, mu_pairs):
     return replace(scenario, links=links)
 
 
-def _check_reception_inputs(scenario, waveforms, rng):
+def _check_reception_inputs(scenario, waveforms):
     if len(waveforms) != scenario.nt:
         raise DimensionMismatchError(
             f"need one waveform per tx antenna ({scenario.nt}), got {len(waveforms)}"
@@ -254,8 +255,6 @@ def _check_reception_inputs(scenario, waveforms, rng):
     periods = {w.N for w in waveforms}
     if len(periods) != 1:
         raise DimensionMismatchError(f"waveforms must share one period, got {periods}")
-    if rng is None and np.any(scenario.sigma2 > 0):
-        raise ValueError("scenario has nonzero noise but no generator was supplied")
     return periods.pop()
 
 
@@ -266,18 +265,16 @@ def awgn(r0, sigma2, rng):
     consumed in antenna order (real parts, then imaginary parts) even where
     sigma2 is zero, so substreams stay aligned across configurations.
     """
-    if rng is None:
-        return r0
     draws = rng.standard_normal((r0.shape[0], 2, r0.shape[1]))
     return r0 + np.sqrt(sigma2)[:, None] * (draws[:, 0] + 1j * draws[:, 1])
 
 
-def _receive(scenario, waveforms, coeffs, lead, rng):
-    """Cyclic reception: antenna m sums c[k] * roll(s_i, k - lead) over links.
+def _receive(scenario, waveforms, coeffs, lead):
+    """Noiseless cyclic reception: antenna m sums c[k] * roll(s_i, k - lead) over links.
 
     ``c = coeffs(link)`` is the link's effective filter, c[k] at lag k - lead.
     """
-    N = _check_reception_inputs(scenario, waveforms, rng)
+    N = _check_reception_inputs(scenario, waveforms)
     r0 = np.zeros((scenario.nr, N), dtype=complex)
     for m in range(scenario.nr):
         for i in range(scenario.nt):
@@ -285,30 +282,31 @@ def _receive(scenario, waveforms, coeffs, lead, rng):
             s = waveforms[i].samples
             for k in np.nonzero(c)[0]:
                 r0[m] += c[k] * np.roll(s, k - lead)
-    return awgn(r0, scenario.sigma2, rng)
+    return r0
 
 
-def receive_integer(scenario, waveforms, rng=None):
-    """One period of received samples per antenna under integer offsets only.
+def receive_integer(scenario, waveforms):
+    """One noiseless period of received samples per antenna, integer offsets only.
 
-    Returns an (Nr, N) array.  Pass ``rng=None`` for the noiseless stream
-    (only valid when every sigma2 is zero).  The effective filter is the
-    taps alone: the pulse sampled at mu = 0 is not an exact delta.
+    Returns an (Nr, N) array whatever ``scenario.sigma2`` holds; ``awgn``
+    adds the noise.  The effective filter is the taps alone: the pulse
+    sampled at mu = 0 is not an exact delta.
     """
-    return _receive(scenario, waveforms, lambda link: link.taps, 0, rng)
+    return _receive(scenario, waveforms, lambda link: link.taps, 0)
 
 
-def receive_fractional(scenario, waveforms, pulse, rng=None):
-    """One period of received samples per antenna with fractional offsets.
+def receive_fractional(scenario, waveforms, pulse):
+    """One noiseless period of received samples per antenna, fractional offsets.
 
     Each link contributes through an effective cyclic filter: the discrete
     convolution of its taps with the pulse sampled at integer lags shifted by
     the link's own mu.  This equals the Toeplitz matrix form
-    S_i^F @ G(mu) @ h used on the estimation side.
+    S_i^F @ G(mu) @ h used on the estimation side.  Like ``receive_integer``
+    it ignores ``scenario.sigma2``; ``awgn`` adds the noise.
     """
     lags = np.arange(-pulse.M, pulse.M + 1)
 
     def coeffs(link):  # lags -M .. M+L-1
         return np.convolve(pulse(lags + link.mu), link.taps)
 
-    return _receive(scenario, waveforms, coeffs, pulse.M, rng)
+    return _receive(scenario, waveforms, coeffs, pulse.M)

@@ -3,7 +3,9 @@
 Subcommands: generate, correlate, check, sound, mse, capacity.  Every
 command takes a scenario either from ``--config FILE`` or from a built-in
 ``--preset`` (default ``paper-sec5``); ``--seed`` and ``--trials`` override
-the corresponding config fields.
+the corresponding config fields and are validated like them.  ``--format``
+(``csv`` or ``record``) exists only on the commands that run an experiment:
+sound, mse and capacity.
 
 Exit codes: 0 success, 2 configuration or constraint error, 3 numerical
 failure (including flagged non-convergence), 4 I/O error.
@@ -18,12 +20,11 @@ import numpy as np
 from . import config as config_mod
 from .errors import ConfigError, ConstraintViolationError, NumericalError
 from .harness import (
-    _fmt,
-    _write_lines,
     emit_results,
     run_capacity_experiment,
     run_mse_experiment,
     run_sounding,
+    write_table,
 )
 from .waveform import cyclic_correlation, generate_chirp
 
@@ -43,9 +44,6 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--trials", type=int, help="override the trial count")
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
-    parser.add_argument(
-        "--format", choices=("csv", "record"), default="csv", help="output format"
-    )
 
 
 def _load_config(args):
@@ -55,27 +53,21 @@ def _load_config(args):
         cfg = config_mod.load(args.config)
     else:
         cfg = config_mod.preset(args.preset or "paper-sec5")
-    if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
-    if args.trials is not None:
-        cfg = cfg.replace(trials=args.trials)
+    overrides = {"seed": args.seed, "trials": args.trials}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    if overrides:  # validated like the config's own values
+        cfg = config_mod.from_dict({**cfg.to_dict(), **overrides})
     return cfg
 
 
 def _cmd_generate(args):
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
-    paths = []
     for p in cfg.chirp_rates:
         w = generate_chirp(p, cfg.waveform_length)
-        lines = ["n,re,im"]
-        lines.extend(
-            f"{n},{_fmt(v.real)},{_fmt(v.imag)}" for n, v in enumerate(w.samples)
-        )
+        rows = ((n, v.real, v.imag) for n, v in enumerate(w.samples.tolist()))
         path = os.path.join(args.out, f"waveform_p{p}_N{w.N}.csv")
-        paths.append(_write_lines(path, lines))
-    for path in paths:
-        print(path)
+        print(write_table(path, "n,re,im", rows))
     return EXIT_OK
 
 
@@ -83,18 +75,22 @@ def _cmd_correlate(args):
     cfg = _load_config(args)
     waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
     os.makedirs(args.out, exist_ok=True)
-    # periodic correlation of a with b at lag tau = conj(cyclic_correlation(b, a))[tau]
-    lines = ["p,tau,re,im"]
-    for w in waveforms:
-        for tau, r in enumerate(np.conj(cyclic_correlation(w.samples, w.samples))):
-            lines.append(f"{w.p},{tau},{_fmt(r.real)},{_fmt(r.imag)}")
-    print(_write_lines(os.path.join(args.out, "autocorrelation.csv"), lines))
-    lines = ["p,q,tau,re,im"]
-    for a, wa in enumerate(waveforms):
-        for wb in waveforms[a + 1 :]:
-            for tau, c in enumerate(np.conj(cyclic_correlation(wb.samples, wa.samples))):
-                lines.append(f"{wa.p},{wb.p},{tau},{_fmt(c.real)},{_fmt(c.imag)}")
-    print(_write_lines(os.path.join(args.out, "crosscorrelation.csv"), lines))
+
+    def lags(a, b):
+        # periodic correlation of a with b at lag tau = conj(cyclic_correlation(b, a))[tau]
+        return enumerate(np.conj(cyclic_correlation(b.samples, a.samples)).tolist())
+
+    auto = ((w.p, tau, c.real, c.imag) for w in waveforms for tau, c in lags(w, w))
+    path = os.path.join(args.out, "autocorrelation.csv")
+    print(write_table(path, "p,tau,re,im", auto))
+    cross = (
+        (wa.p, wb.p, tau, c.real, c.imag)
+        for a, wa in enumerate(waveforms)
+        for wb in waveforms[a + 1 :]
+        for tau, c in lags(wa, wb)
+    )
+    path = os.path.join(args.out, "crosscorrelation.csv")
+    print(write_table(path, "p,q,tau,re,im", cross))
     return EXIT_OK
 
 
@@ -107,19 +103,19 @@ def _cmd_check(args):
     return EXIT_OK
 
 
-def _cmd_sound(args):
-    cfg = _load_config(args)
-    result = run_sounding(cfg)
+def _emit(args, result):
     for path in emit_results(result, args.out, args.format):
         print(path)
+    return result
+
+
+def _cmd_sound(args):
+    _emit(args, run_sounding(_load_config(args)))
     return EXIT_OK
 
 
 def _cmd_mse(args):
-    cfg = _load_config(args)
-    result = run_mse_experiment(cfg)
-    for path in emit_results(result, args.out, args.format):
-        print(path)
+    result = _emit(args, run_mse_experiment(_load_config(args)))
     for row in result.antennas:
         print(
             f"rx {row.rx}: mse={row.mse:.6e} crb={row.crb:.6e} ratio={row.ratio:.4f}"
@@ -135,10 +131,7 @@ def _cmd_mse(args):
 
 
 def _cmd_capacity(args):
-    cfg = _load_config(args)
-    result = run_capacity_experiment(cfg)
-    for path in emit_results(result, args.out, args.format):
-        print(path)
+    result = _emit(args, run_capacity_experiment(_load_config(args)))
     for row in result.capacity:
         flag = "equal" if row.equal else f"gap {row.max_bin_gap:.3e}"
         print(
@@ -156,6 +149,7 @@ _COMMANDS = {
     "mse": (_cmd_mse, "Monte-Carlo MSE experiment against the variance bound"),
     "capacity": (_cmd_capacity, "synchronous vs asynchronous capacity report"),
 }
+_EMITTING = ("sound", "mse", "capacity")  # commands that write a RunResult
 
 
 def build_parser():
@@ -167,6 +161,10 @@ def build_parser():
     for name, (func, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         _add_common(cmd)
+        if name in _EMITTING:
+            cmd.add_argument(
+                "--format", choices=("csv", "record"), default="csv", help="output format"
+            )
         cmd.set_defaults(func=func)
     return parser
 

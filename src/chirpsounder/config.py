@@ -170,19 +170,31 @@ class _Reader:
             return default
         return self.data[key]
 
+    def flag(self, key, required=False, default=False):
+        value = self.get(key, required, default)
+        if type(value) is not bool:
+            self.problems.append(
+                f"{self.context}.{key}: expected true or false, got {value!r}"
+            )
+            return False
+        return value
+
     def finish(self):
         unknown = sorted(set(self.data) - self.seen)
         for key in unknown:
             self.problems.append(f"{self.context}: unknown key {key!r}")
 
 
-def _as_int(value, what, problems, minimum=None):
+def _as_int(value, what, problems, minimum=0):
+    """The integer ``value``, or ``minimum`` if rejected, so that parsing goes on."""
     if not isinstance(value, int) or isinstance(value, bool):
         problems.append(f"{what}: expected an integer, got {value!r}")
-        return 0
-    if minimum is not None and value < minimum:
+        return minimum
+    if value < minimum:
         problems.append(f"{what}: must be >= {minimum}, got {value}")
+        return minimum
     return value
+
 
 def _as_number(value, what, problems):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -191,25 +203,37 @@ def _as_number(value, what, problems):
     return float(value)
 
 
+def _as_nodes(value, count, what, problems):
+    """Node index of each antenna: a nonempty list covering [0, count)."""
+    if not isinstance(value, list) or not value:
+        problems.append(f"{what}: expected a nonempty list")
+        return ()
+    if not all(type(v) is int and 0 <= v < count for v in value):
+        problems.append(f"{what}: node indices must lie in [0, {count})")
+        return tuple(0 for _ in value)
+    if set(value) != set(range(count)):
+        problems.append(f"{what}: every node in [0, {count}) needs an antenna")
+    return tuple(value)
+
+
 def _as_grid(value, rows, cols, what, problems, cast):
-    """Accept a scalar (broadcast) or a rows x cols nested list."""
-    if isinstance(value, list):
-        if len(value) != rows or any(
-            not isinstance(r, list) or len(r) != cols for r in value
-        ):
-            problems.append(f"{what}: expected a {rows}x{cols} grid")
-            return tuple(tuple(cast(0) for _ in range(cols)) for _ in range(rows))
-        flat = [v for row in value for v in row]
-    else:
-        flat = [value]
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in flat):
-        problems.append(f"{what}: expected a number or a {rows}x{cols} numeric grid")
-        value = 0
-        if isinstance(flat, list) and len(flat) > 1:
-            return tuple(tuple(cast(0) for _ in range(cols)) for _ in range(rows))
-    if isinstance(value, list):
-        return tuple(tuple(cast(v) for v in row) for row in value)
-    return tuple(tuple(cast(value) for _ in range(cols)) for _ in range(rows))
+    """Accept a scalar (broadcast) or a rows x cols nested list.
+
+    With ``cast=int`` every entry must be an integer, with ``float`` a number.
+    """
+    zeros = tuple(tuple(cast(0) for _ in range(cols)) for _ in range(rows))
+    if not isinstance(value, list):
+        value = [[value] * cols for _ in range(rows)]
+    elif len(value) != rows or any(
+        not isinstance(r, list) or len(r) != cols for r in value
+    ):
+        problems.append(f"{what}: expected a {rows}x{cols} grid")
+        return zeros
+    kinds, noun = ((int,), "an integer") if cast is int else ((int, float), "a number")
+    if any(type(v) not in kinds for row in value for v in row):
+        problems.append(f"{what}: expected {noun} or a {rows}x{cols} grid of them")
+        return zeros
+    return tuple(tuple(cast(v) for v in row) for row in value)
 
 
 def from_dict(data):
@@ -228,22 +252,9 @@ def from_dict(data):
     nodes.finish()
 
     ants = _Reader(top.get("antennas", default={}) or {}, "antennas", problems)
-    tx_node = ants.get("tx_node", default=[]) or []
-    rx_node = ants.get("rx_node", default=[]) or []
+    tx_node = _as_nodes(ants.get("tx_node"), mt, "antennas.tx_node", problems)
+    rx_node = _as_nodes(ants.get("rx_node"), mr, "antennas.rx_node", problems)
     ants.finish()
-    for label, mapping, count in (("tx", tx_node, mt), ("rx", rx_node, mr)):
-        if not isinstance(mapping, list) or not mapping:
-            problems.append(f"antennas.{label}_node: expected a nonempty list")
-        elif any(not isinstance(v, int) or v < 0 or v >= count for v in mapping):
-            problems.append(
-                f"antennas.{label}_node: node indices must lie in [0, {count})"
-            )
-        elif set(mapping) != set(range(count)):
-            problems.append(
-                f"antennas.{label}_node: every node in [0, {count}) needs an antenna"
-            )
-    tx_node = tuple(v if isinstance(v, int) else 0 for v in tx_node)
-    rx_node = tuple(v if isinstance(v, int) else 0 for v in rx_node)
     nt, nr = max(len(tx_node), 1), max(len(rx_node), 1)
 
     chan = _Reader(top.get("channel", default={}) or {}, "channel", problems)
@@ -254,8 +265,8 @@ def from_dict(data):
     offsets = _as_grid(
         chan.get("integer_offsets"), mt, mr, "channel.integer_offsets", problems, int
     )
-    normalize = bool(chan.get("normalize_taps", required=False, default=True))
-    redraw = bool(chan.get("redraw_per_trial", required=False, default=False))
+    normalize = chan.flag("normalize_taps", default=True)
+    redraw = chan.flag("redraw_per_trial")
     chan.finish()
     if any(v < 0 for row in active for v in row):
         problems.append("channel.active_taps: counts must be >= 0")
@@ -263,7 +274,7 @@ def from_dict(data):
         problems.append("channel.integer_offsets: offsets must be >= 0")
 
     frac = _Reader(top.get("fractional", default={}) or {}, "fractional", problems)
-    enabled = bool(frac.get("enabled"))
+    enabled = frac.flag("enabled", required=True)
     mu_mode, mu_values = "uniform", None
     if enabled:
         mu = frac.get("mu")

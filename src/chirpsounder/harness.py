@@ -10,17 +10,20 @@ on execution order and are byte-reproducible:
     stream (3, t)      channel taps redrawn for trial t (only with
                        ``redraw_per_trial``)
 
-Result files are written with fixed 12-significant-digit decimal formatting;
-wall-clock time and timestamps live only in the ``run_meta.json`` sidecar so
-repeated runs with the same config and seed produce byte-identical CSV and
-record payloads.
+Reception (``channel.receive_*``) is noiseless; each run adds the noise of
+trial t with ``awgn`` from stream (1, t).
+
+Every CSV table, the CLI's included, is written by ``write_table`` with
+fixed 12-significant-digit decimal formatting; wall-clock time and
+timestamps live only in the ``run_meta.json`` sidecar so repeated runs with
+the same config and seed produce byte-identical CSV and record payloads.
 """
 
 import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -112,16 +115,26 @@ class RunResult:
         }
 
 
-def _run_id(kind, echo):
-    return hashlib.sha256(f"{kind}\n{echo}".encode()).hexdigest()[:12]
+def _result(kind, cfg, t0, waveforms=(), trials=None, **fields):
+    """The ``kind`` RunResult of ``cfg``, a run that started at ``t0``.
+
+    ``papr`` lists the ``waveforms``; ``trials`` defaults to ``cfg.trials``.
+    """
+    echo = cfg.canonical_json()
+    return RunResult(
+        kind=kind,
+        run_id=hashlib.sha256(f"{kind}\n{echo}".encode()).hexdigest()[:12],
+        config_echo=echo,
+        seed=cfg.seed,
+        trials=cfg.trials if trials is None else trials,
+        papr=tuple((w.p, papr(w.samples)) for w in waveforms),
+        wall_clock_s=time.perf_counter() - t0,
+        **fields,
+    )
 
 
 def _waveforms(cfg):
     return [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
-
-
-def _noiseless(scenario):
-    return replace(scenario, sigma2=np.zeros(scenario.nr))
 
 
 def run_mse_experiment(cfg):
@@ -145,7 +158,7 @@ def run_mse_experiment(cfg):
     nonconverged = 0
     redraw_mu = cfg.fractional and cfg.mu_mode == "uniform"
     base = None if (cfg.redraw_per_trial or redraw_mu) else _received(
-        cfg, _noiseless(scenario), waveforms, pulse
+        cfg, scenario, waveforms, pulse
     )
 
     for t in range(cfg.trials):
@@ -156,7 +169,7 @@ def run_mse_experiment(cfg):
             mu_pairs = draw_fractional_offsets(cfg, derive_rng(cfg.seed, 2, t))
             trial_scenario = with_fractional_offsets(scenario, mu_pairs)
         r0 = base if base is not None else _received(
-            cfg, _noiseless(trial_scenario), waveforms, pulse
+            cfg, trial_scenario, waveforms, pulse
         )
         r = awgn(r0, trial_scenario.sigma2, derive_rng(cfg.seed, 1, t))
         for m in range(cfg.nr):
@@ -186,25 +199,21 @@ def run_mse_experiment(cfg):
         agg = float(sq_err[:, m].mean())
         antennas.append(AntennaResult(rx=m, mse=agg, crb=bound, ratio=agg / bound))
 
-    echo = cfg.canonical_json()
-    return RunResult(
-        kind="mse",
-        run_id=_run_id("mse", echo),
-        config_echo=echo,
-        seed=cfg.seed,
-        trials=cfg.trials,
-        papr=tuple((w.p, papr(w.samples)) for w in waveforms),
+    return _result(
+        "mse",
+        cfg,
+        t0,
+        waveforms,
         links=tuple(links),
         antennas=tuple(antennas),
         nonconverged=nonconverged,
-        wall_clock_s=time.perf_counter() - t0,
     )
 
 
-def _received(cfg, scenario, waveforms, pulse, rng=None):
+def _received(cfg, scenario, waveforms, pulse):
     if cfg.fractional:
-        return receive_fractional(scenario, waveforms, pulse, rng)
-    return receive_integer(scenario, waveforms, rng)
+        return receive_fractional(scenario, waveforms, pulse)
+    return receive_integer(scenario, waveforms)
 
 
 def run_capacity_experiment(cfg):
@@ -225,16 +234,7 @@ def run_capacity_experiment(cfg):
                 equal=rep.equal,
             )
         )
-    echo = cfg.canonical_json()
-    return RunResult(
-        kind="capacity",
-        run_id=_run_id("capacity", echo),
-        config_echo=echo,
-        seed=cfg.seed,
-        trials=cfg.trials,
-        capacity=tuple(rows),
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return _result("capacity", cfg, t0, capacity=tuple(rows))
 
 
 def run_sounding(cfg):
@@ -248,31 +248,20 @@ def run_sounding(cfg):
     waveforms = _waveforms(cfg)
     scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
     pulse = build_pulse(cfg.pulse_kind, cfg.pulse_rolloff, cfg.pulse_half_support)
-    r = _received(cfg, scenario, waveforms, pulse, derive_rng(cfg.seed, 1, 0))
+    r0 = _received(cfg, scenario, waveforms, pulse)
+    r = awgn(r0, scenario.sigma2, derive_rng(cfg.seed, 1, 0))
     offset = cfg.pulse_half_support if cfg.fractional else 0
     traces = []
     for i, w in enumerate(waveforms):
         for m in range(cfg.nr):
             out = segmented_output(w, r[m], offset).full
             traces.append((i, m, tuple(float(v) for v in np.abs(out))))
-    echo = cfg.canonical_json()
-    return RunResult(
-        kind="sound",
-        run_id=_run_id("sound", echo),
-        config_echo=echo,
-        seed=cfg.seed,
-        trials=1,
-        papr=tuple((w.p, papr(w.samples)) for w in waveforms),
-        traces=tuple(traces),
-        wall_clock_s=time.perf_counter() - t0,
-    )
+    return _result("sound", cfg, t0, waveforms, trials=1, traces=tuple(traces))
 
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return str(value)
     return f"{float(value):.12e}"
 
 
@@ -285,7 +274,14 @@ def _write(path, text):
     return path
 
 
-def _write_lines(path, lines):
+def write_table(path, header, rows):
+    """Write one CSV table and return its path.
+
+    ``header`` is the comma-separated column line; each row is a sequence of
+    integers (written as is) and reals (12-significant-digit scientific).
+    """
+    lines = [header]
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     return _write(path, "\n".join(lines) + "\n")
 
 
@@ -324,29 +320,19 @@ def emit_results(result, outdir, fmt="csv"):
         )
         return paths
 
-    if result.kind == "mse":
-        lines = ["link_tx,link_rx,mse,crb,ratio"]
-        for row in result.links:
-            lines.append(
-                f"{row.tx},{row.rx},{_fmt(row.mse)},{_fmt(row.crb)},{_fmt(row.ratio)}"
-            )
-        paths.append(_write_lines(os.path.join(outdir, "mse.csv"), lines))
-        lines = ["rx,mse,crb,ratio"]
-        for row in result.antennas:
-            lines.append(f"{row.rx},{_fmt(row.mse)},{_fmt(row.crb)},{_fmt(row.ratio)}")
-        paths.append(_write_lines(os.path.join(outdir, "antenna_mse.csv"), lines))
+    if result.kind == "mse":  # the columns are the row fields, in order
+        tables = {
+            "mse.csv": ("link_tx,link_rx,mse,crb,ratio", map(astuple, result.links)),
+            "antenna_mse.csv": ("rx,mse,crb,ratio", map(astuple, result.antennas)),
+        }
     elif result.kind == "capacity":
-        lines = ["rho_db,c_syn,c_asyn,max_bin_gap"]
-        for row in result.capacity:
-            lines.append(
-                f"{_fmt(row.rho_db)},{_fmt(row.c_syn)},{_fmt(row.c_asyn)},"
-                f"{_fmt(row.max_bin_gap)}"
-            )
-        paths.append(_write_lines(os.path.join(outdir, "capacity.csv"), lines))
-    elif result.kind == "sound":
-        for i, m, mag in result.traces:
-            lines = ["n,magnitude"]
-            lines.extend(f"{n},{_fmt(v)}" for n, v in enumerate(mag))
-            path = os.path.join(outdir, f"trace_tx{i}_rx{m}.csv")
-            paths.append(_write_lines(path, lines))
+        rows = [(c.rho_db, c.c_syn, c.c_asyn, c.max_bin_gap) for c in result.capacity]
+        tables = {"capacity.csv": ("rho_db,c_syn,c_asyn,max_bin_gap", rows)}
+    else:
+        tables = {
+            f"trace_tx{i}_rx{m}.csv": ("n,magnitude", enumerate(mag))
+            for i, m, mag in result.traces
+        }
+    for name, (header, rows) in tables.items():
+        paths.append(write_table(os.path.join(outdir, name), header, rows))
     return paths

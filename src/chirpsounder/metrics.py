@@ -37,14 +37,12 @@ class FrequencyGrid:
         return np.arange(self.K) / self.K
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CapacityResult:
-    """Synchronous / asynchronous capacity pair with per-bin integrands."""
+    """Synchronous / asynchronous capacity pair and their largest per-bin gap."""
 
     c_syn: float
     c_asyn: float
-    integrand_syn: np.ndarray
-    integrand_asyn: np.ndarray
     max_bin_gap: float
     equal: bool
 
@@ -93,7 +91,7 @@ def frequency_response(link, grid, mode="sync"):
     return base * np.exp(-2j * np.pi * grid.frequencies * link.zeta)
 
 
-def capacity(H_grid, rho, Nt=None):
+def capacity(H_grid, rho):
     """Equal-power capacity in bits/s/Hz from per-bin Nr x Nt channel matrices.
 
     ``H_grid`` has shape (K, Nr, Nt); the band integral (1/B) int log2 det(...)
@@ -106,13 +104,13 @@ def capacity(H_grid, rho, Nt=None):
         raise ValueError("channel matrices contain non-finite entries")
     if rho < 0:
         raise ValueError(f"SNR must be >= 0, got {rho}")
-    return float(np.mean(_capacity_integrand(H, rho, Nt)))
+    return float(np.mean(_capacity_integrand(H, rho)))
 
 
-def _capacity_integrand(H, rho, Nt=None):
-    nt = H.shape[2] if Nt is None else Nt
+def _capacity_integrand(H, rho):
+    nt = H.shape[2]
     gram = np.einsum("kji,kjl->kil", H.conj(), H)
-    eye = np.eye(H.shape[2])
+    eye = np.eye(nt)
     _, logdet = np.linalg.slogdet(eye[None, :, :] + (rho / nt) * gram)
     return logdet / np.log(2.0)
 
@@ -138,8 +136,6 @@ def capacity_equivalence_report(scenario, grid, rho):
     return CapacityResult(
         c_syn=float(gs.mean()),
         c_asyn=float(ga.mean()),
-        integrand_syn=gs,
-        integrand_asyn=ga,
         max_bin_gap=max_gap,
         equal=bool(max_gap < EQUALITY_GAP),
     )

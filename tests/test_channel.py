@@ -1,5 +1,7 @@
 """Channel model: pulse shaping, synthesis, integer and fractional reception."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -252,10 +254,25 @@ class TestReceiveInteger:
         z = awgn(r0, sigma2, derive_rng(98, 1, 0))
         assert z.tobytes() == expected.tobytes()
 
-    def test_noisy_without_rng_rejected(self):
-        sc = single_link_scenario([1, 0, 0], sigma2=0.1)
-        with pytest.raises(ValueError):
-            receive_integer(sc, [generate_chirp(1, 128)])
+    def test_reception_is_noiseless(self):
+        # sigma2 > 0 changes nothing: only awgn adds noise
+        cfg = sec5_config(
+            fractional={"enabled": True, "mu": 0.3},
+            waveform={"length": 256, "chirp_rates": [1, 2, 4]},
+        )
+        sc = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
+        quiet = replace(sc, sigma2=np.zeros(sc.nr))
+        waveforms = [generate_chirp(p, 256) for p in cfg.chirp_rates]
+        pulse = build_pulse(rolloff=0.25, M=4)
+        assert np.all(sc.sigma2 > 0)
+        assert (
+            receive_integer(sc, waveforms).tobytes()
+            == receive_integer(quiet, waveforms).tobytes()
+        )
+        assert (
+            receive_fractional(sc, waveforms, pulse).tobytes()
+            == receive_fractional(quiet, waveforms, pulse).tobytes()
+        )
 
 
 class TestReceiveFractional:
@@ -307,8 +324,12 @@ class TestReceiveFractional:
         sc = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
         waveforms = [generate_chirp(p, 256) for p in cfg.chirp_rates]
         pulse = build_pulse(rolloff=0.25, M=4)
-        a = receive_fractional(sc, waveforms, pulse, derive_rng(cfg.seed, 1, 0))
-        b = receive_fractional(sc, waveforms, pulse, derive_rng(cfg.seed, 1, 0))
+        a = awgn(
+            receive_fractional(sc, waveforms, pulse), sc.sigma2, derive_rng(cfg.seed, 1, 0)
+        )
+        b = awgn(
+            receive_fractional(sc, waveforms, pulse), sc.sigma2, derive_rng(cfg.seed, 1, 0)
+        )
         np.testing.assert_array_equal(a, b)
 
     def test_with_fractional_offsets_override(self):

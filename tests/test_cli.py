@@ -187,3 +187,27 @@ def test_numerical_error_exits_3(tmp_path, capsys, monkeypatch):
     code = main(["mse", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override,field",
+    [
+        (["--trials", "0"], "trials"),
+        (["--trials", "-3"], "trials"),
+        (["--seed", "-1"], "seed"),
+    ],
+)
+def test_invalid_overrides_exit_2(tmp_path, capsys, override, field):
+    argv = ["mse", "--preset", "paper-sec5", "--out", str(tmp_path / "o")] + override
+    assert main(argv) == 2
+    assert f"{field}: must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "correlate", "check"])
+def test_format_only_on_experiment_commands(tmp_path, capsys, command):
+    argv = [command, "--preset", "paper-sec5", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "record"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err

@@ -1,11 +1,13 @@
 """Golden digests of the deterministic result files.
 
 Identical config and seed must give byte-identical ``mse.csv``,
-``antenna_mse.csv`` and ``capacity.csv``.  These sha256 digests were taken
-with numpy 2.4.6 on x86-64; a change that alters the bytes fails here and
-has to say why in CHANGES.md.  The ``paper-sec5-fractional`` digests depend
-on the estimator's polish iteration, which stops within 1e-10 of the
-minimizer, so a different iteration moves the last printed digits.
+``antenna_mse.csv``, ``capacity.csv`` and ``result.json``; the trace,
+waveform and correlation tables and ``config_echo.json`` are pinned too.
+These sha256 digests were taken with numpy 2.4.6 on x86-64; a change that
+alters the bytes fails here and has to say why in CHANGES.md.  The
+``paper-sec5-fractional`` digests depend on the estimator's polish
+iteration, which stops within 1e-10 of the minimizer, so a different
+iteration moves the last printed digits.
 """
 
 import hashlib
@@ -32,6 +34,23 @@ GOLDEN = {
     ("capacity", "capacity-multi-lo", None): {
         "capacity.csv": "1e9cdeb1ef0098d8fb92fe9a9ee4ebaacaf1985a1b8dd785aa89d4dd63653f79",
     },
+    ("mse", "paper-sec5", 20): {  # record format
+        "result.json": "3f59ad82b2b1d3894878f4b305d2e6ff3460acd09d083e3c9a29e3318a30b9ee",
+        "config_echo.json": "1cfc64d74ac686d224f3abb136bedbd5a39d4d0c9891f0b502ab9d552be51463",
+    },
+    ("sound", "paper-sec5", None): {
+        "trace_tx2_rx0.csv": "c27478e90fdbe63a6c8f95577e0f82b088829f5fa3cdedfdd9d97a94db9f7f6b",
+    },
+    ("sound", "paper-sec5-fractional", None): {
+        "trace_tx2_rx0.csv": "21737aadd85b47ae2f3d260375f95dc2efc8148687710107f5a4bc1859d65187",
+    },
+    ("generate", "paper-sec5", None): {
+        "waveform_p4_N128.csv": "2fc8ea996d22ea56b8ce2334ca408966c467d46278437f269d8a8860add7ba4b",
+    },
+    ("correlate", "paper-sec5", None): {
+        "autocorrelation.csv": "a560e67784eb5d644c1a85c593e687ac185f542bc250b1ab0718f080914e972b",
+        "crosscorrelation.csv": "2fb71ebbb89b5e7e5eb4d6bdfb5326496cecf6d473c9e602fb0858db70fbda04",
+    },
 }
 
 
@@ -40,6 +59,8 @@ def test_output_digests(tmp_path, command, preset, trials):
     argv = [command, "--preset", preset, "--out", str(tmp_path)]
     if trials is not None:
         argv += ["--trials", str(trials)]
+    if "result.json" in GOLDEN[command, preset, trials]:  # only records write it
+        argv += ["--format", "record"]
     assert main(argv) == 0
     for name, digest in GOLDEN[command, preset, trials].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

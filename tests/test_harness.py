@@ -104,6 +104,43 @@ class TestConfig:
         cfg = small_config(capacity={"rho_db": [-np.inf, 10.0], "bins": 64})
         assert cfg.rho_db[0] == -np.inf
 
+    @staticmethod
+    def channel(**fields):
+        base = {"total_length": 8, "active_taps": 5, "integer_offsets": [[0, 0], [3, 3]]}
+        return {**base, **fields}
+
+    def test_normalize_taps_must_be_boolean(self):
+        with pytest.raises(ConfigError, match="normalize_taps: expected true or false"):
+            small_config(channel=self.channel(normalize_taps="false"))
+
+    def test_redraw_per_trial_must_be_boolean(self):
+        with pytest.raises(ConfigError, match="redraw_per_trial: expected true or false"):
+            small_config(channel=self.channel(redraw_per_trial="no"))
+
+    def test_fractional_enabled_must_be_boolean(self):
+        with pytest.raises(ConfigError, match="fractional.enabled: expected true or"):
+            small_config(fractional={"enabled": 0})
+
+    def test_active_taps_must_be_integers(self):
+        with pytest.raises(ConfigError, match="active_taps: expected an integer"):
+            small_config(channel=self.channel(active_taps=2.5))
+
+    def test_integer_offsets_must_be_integers(self):
+        with pytest.raises(ConfigError, match="integer_offsets: expected an integer"):
+            small_config(channel=self.channel(integer_offsets=[[0, 0], [4.7, 4.7]]))
+
+    def test_node_index_rejects_booleans(self):
+        with pytest.raises(ConfigError, match="tx_node: node indices must lie"):
+            small_config(antennas={"tx_node": [0, True], "rx_node": [0, 1]})
+
+    def test_out_of_range_node_index_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="tx_node: node indices must lie"):
+            small_config(antennas={"tx_node": [0, 5], "rx_node": [0, 1]})
+
+    def test_invalid_node_count_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="nodes.tx: must be >= 1"):
+            small_config(nodes={"tx": 0, "rx": 2})
+
 
 class TestMseExperiment:
     def test_zero_noise_single_trial(self):
