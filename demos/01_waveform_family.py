@@ -10,7 +10,6 @@ check through a few scenarios.
 import numpy as np
 
 from chirpsounder import (
-    ScenarioKind,
     check_design_constraints,
     closed_form_autocorrelation,
     generate_chirp,
@@ -51,14 +50,14 @@ for a in range(len(rates)):
         print(f"  (p={rates[a]}, q={rates[b]}): max |C[tau]| = {worst:.2e}")
 
 print("\ndesign constraints (N must exceed 2*pmax*window):")
-cases = [
-    ("integer offsets, 15-tap span", ScenarioKind(tag="async-integer", Lmax=15)),
-    ("integer offsets, 16-tap span", ScenarioKind(tag="async-integer", Lmax=16)),
-    ("fractional offsets, M=4 pulse", ScenarioKind(tag="async-fractional", Lmax=15, M=4)),
+cases = [  # (label, span L, pulse half-support M; M = 0 for integer offsets)
+    ("integer offsets, 15-tap span", 15, 0),
+    ("integer offsets, 16-tap span", 16, 0),
+    ("fractional offsets, M=4 pulse", 15, 4),
 ]
-for label, kind in cases:
-    report = check_design_constraints(4, N, kind)
+for label, L, M in cases:
+    report = check_design_constraints(4, N, L, M)
     status = "pass" if report.passed else "FAIL"
     print(f"  {label}: {status} (bound {report.bound}, slack {report.slack})")
 print("  -> the fractional case needs a longer period; N = 256 passes:",
-      check_design_constraints(4, 256, cases[2][1]).passed)
+      check_design_constraints(4, 256, 15, M=4).passed)

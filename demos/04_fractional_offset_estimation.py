@@ -39,7 +39,7 @@ sc = MimoScenario(
     tx_node=(0,), rx_node=(0,), links=((link,),), sigma2=np.zeros(1), L=L
 )
 r = receive_fractional(sc, [w], pulse)
-S = build_sounding_matrix(w, L, kind="fractional", M=M)
+S = build_sounding_matrix(w, L, M)
 hF = matched_filter_fractional(S, r[0])
 
 print(f"true offset mu = {mu_true}, 10 active taps at lags 5..14")

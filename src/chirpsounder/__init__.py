@@ -69,7 +69,6 @@ from .metrics import (
 )
 from .waveform import (
     ConstraintReport,
-    ScenarioKind,
     SoundingWaveform,
     check_design_constraints,
     closed_form_autocorrelation,

@@ -192,7 +192,7 @@ def synthesize_channels(cfg, rng):
         )
     if not cfg.fractional:
         mu_pairs = tuple(tuple([0.0] * cfg.mr) for _ in range(cfg.mt))
-    elif cfg.mu_mode == "fixed":
+    elif cfg.mu_values is not None:
         mu_pairs = cfg.mu_values
     else:
         mu_pairs = draw_fractional_offsets(cfg, rng)

@@ -2,10 +2,10 @@
 
 Subcommands: generate, correlate, check, sound, mse, capacity.  Every
 command takes a scenario either from ``--config FILE`` or from a built-in
-``--preset`` (default ``paper-sec5``); ``--seed`` and ``--trials`` override
-the corresponding config fields and are validated like them.  ``--format``
-(``csv`` or ``record``) exists only on the commands that run an experiment:
-sound, mse and capacity.
+``--preset`` (default ``paper-sec5``).  The commands that run an experiment
+(sound, mse and capacity) also take ``--seed`` and ``--trials``, which
+override the corresponding config fields and are validated like them, and
+``--format`` (``csv`` or ``record``).
 
 Exit codes: 0 success, 2 configuration or constraint error, 3 numerical
 failure (including flagged non-convergence), 4 I/O error.
@@ -41,8 +41,6 @@ def _add_common(parser):
         choices=sorted(config_mod.PRESETS),
         help="built-in scenario (default: paper-sec5)",
     )
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--trials", type=int, help="override the trial count")
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
 
 
@@ -53,11 +51,9 @@ def _load_config(args):
         cfg = config_mod.load(args.config)
     else:
         cfg = config_mod.preset(args.preset or "paper-sec5")
-    overrides = {"seed": args.seed, "trials": args.trials}
+    overrides = {k: getattr(args, k, None) for k in ("seed", "trials")}
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    if overrides:  # validated like the config's own values
-        cfg = config_mod.from_dict({**cfg.to_dict(), **overrides})
-    return cfg
+    return cfg.replace(**overrides) if overrides else cfg
 
 
 def _cmd_generate(args):
@@ -149,7 +145,7 @@ _COMMANDS = {
     "mse": (_cmd_mse, "Monte-Carlo MSE experiment against the variance bound"),
     "capacity": (_cmd_capacity, "synchronous vs asynchronous capacity report"),
 }
-_EMITTING = ("sound", "mse", "capacity")  # commands that write a RunResult
+_EMITTING = ("sound", "mse", "capacity")  # commands that run an experiment
 
 
 def build_parser():
@@ -162,6 +158,8 @@ def build_parser():
         cmd = sub.add_parser(name, help=help_text)
         _add_common(cmd)
         if name in _EMITTING:
+            cmd.add_argument("--seed", type=int, help="override the config seed")
+            cmd.add_argument("--trials", type=int, help="override the trial count")
             cmd.add_argument(
                 "--format", choices=("csv", "record"), default="csv", help="output format"
             )

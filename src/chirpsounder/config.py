@@ -26,10 +26,11 @@ mismatch, so per-link freedom would only invite inconsistent inputs.
 """
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 from .errors import ConfigError
-from .waveform import ScenarioKind, check_design_constraints, _is_pow2
+from .waveform import check_design_constraints, _is_pow2
 
 LO_TOPOLOGIES = ("independent", "tx-shared", "rx-shared")
 
@@ -49,7 +50,6 @@ class ScenarioConfig:
     normalize_taps: bool
     redraw_per_trial: bool
     fractional: bool
-    mu_mode: str  # "uniform" or "fixed"
     mu_values: tuple  # (mt, mr) grid, or None for uniform / non-fractional
     waveform_length: int
     chirp_rates: tuple
@@ -78,23 +78,19 @@ class ScenarioConfig:
     def link_active(self, i, m):
         return self.active_taps[i][m]
 
-    def scenario_kind(self):
-        if self.fractional:
-            return ScenarioKind(
-                tag="async-fractional",
-                Lmax=self.total_length,
-                M=self.pulse_half_support,
-            )
-        return ScenarioKind(tag="async-integer", Lmax=self.total_length)
+    @property
+    def lead(self):
+        """Lag origin M of the sounding window: 0 unless offsets are fractional."""
+        return self.pulse_half_support if self.fractional else 0
 
     def design_report(self):
         """Waveform design-constraint report for this configuration."""
         return check_design_constraints(
-            max(self.chirp_rates), self.waveform_length, self.scenario_kind()
+            max(self.chirp_rates), self.waveform_length, self.total_length, self.lead
         )
 
     def to_dict(self):
-        mu = self.mu_mode if self.mu_mode == "uniform" else _degrid(self.mu_values)
+        mu = "uniform" if self.mu_values is None else _degrid(self.mu_values)
         fractional = {"enabled": self.fractional}
         if self.fractional:
             fractional["mu"] = mu
@@ -131,9 +127,8 @@ class ScenarioConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def replace(self, **kwargs):
-        d = asdict(self)
-        d.update(kwargs)
-        return ScenarioConfig(**d)
+        """This configuration with ``kwargs`` fields changed, validated anew."""
+        return _from_dict(ScenarioConfig(**{**asdict(self), **kwargs}).to_dict())
 
 
 def _degrid(grid):
@@ -197,8 +192,12 @@ def _as_int(value, what, problems, minimum=0):
 
 
 def _as_number(value, what, problems):
+    """The finite number ``value``, or 0.0 if rejected, so that parsing goes on."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{what}: expected a number, got {value!r}")
+        return 0.0
+    if not math.isfinite(value):
+        problems.append(f"{what}: expected a finite number, got {value!r}")
         return 0.0
     return float(value)
 
@@ -238,6 +237,11 @@ def _as_grid(value, rows, cols, what, problems, cast):
 
 def from_dict(data):
     """Build a validated ScenarioConfig from a parsed JSON object."""
+    return _from_dict(data)
+
+
+def _from_dict(data):
+    """``from_dict``'s body; ``replace`` calls it, adding no public config call."""
     problems = []
     top = _Reader(data, "config", problems)
 
@@ -275,17 +279,14 @@ def from_dict(data):
 
     frac = _Reader(top.get("fractional", default={}) or {}, "fractional", problems)
     enabled = frac.flag("enabled", required=True)
-    mu_mode, mu_values = "uniform", None
+    mu_values = None
     if enabled:
         mu = frac.get("mu")
-        if mu == "uniform":
-            mu_mode = "uniform"
-        elif isinstance(mu, (int, float, list)) and not isinstance(mu, bool):
-            mu_mode = "fixed"
+        if isinstance(mu, (int, float, list)) and not isinstance(mu, bool):
             mu_values = _as_grid(mu, mt, mr, "fractional.mu", problems, float)
             if any(not 0.0 < v <= 0.5 for row in mu_values for v in row):
                 problems.append("fractional.mu: fixed offsets must lie in (0, 0.5]")
-        else:
+        elif mu != "uniform":
             problems.append(
                 "fractional.mu: expected 'uniform', a number, or a per-pair grid"
             )
@@ -339,7 +340,10 @@ def from_dict(data):
     if not isinstance(rho_raw, list) or not rho_raw:
         problems.append("capacity.rho_db: expected a nonempty list")
         rho_raw = [0.0]
-    rho = tuple(_as_number(v, "capacity.rho_db", problems) for v in rho_raw)
+    rho = tuple(  # -Infinity dB is rho = 0
+        -math.inf if v == -math.inf else _as_number(v, "capacity.rho_db", problems)
+        for v in rho_raw
+    )
     if bins < total_length:
         problems.append(
             f"capacity.bins: must be >= channel.total_length ({total_length}), got {bins}"
@@ -390,7 +394,6 @@ def from_dict(data):
         normalize_taps=normalize,
         redraw_per_trial=redraw,
         fractional=enabled,
-        mu_mode=mu_mode,
         mu_values=mu_values,
         waveform_length=wf_length,
         chirp_rates=tuple(rates),

@@ -30,7 +30,7 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
 )
-from .waveform import cyclic_correlation
+from .waveform import _window, cyclic_correlation
 
 _COND_LIMIT = 1e12  # on kappa(G); kappa(G^H G) is its square
 _SCAN_POINTS = 33
@@ -43,13 +43,13 @@ _POLISH_STEPS = 60
 class SoundingMatrix:
     """Toeplitz sounding matrix S of one waveform.
 
-    ``entries[r, c] = s[(offset + r - c) mod N]`` with offset 0 for the
-    integer-offset layout (N x L) and the pulse half-support M for the
-    fractional layout (N x (2M+L-1)).
+    ``entries[r, c] = s[(M + r - c) mod N]``: N x L with lag origin M = 0 for
+    integer offsets, N x (2M+L-1) with the pulse half-support M for
+    fractional offsets.
     """
 
     entries: np.ndarray
-    kind: str  # "integer" | "fractional"
+    M: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,41 +73,33 @@ class SegmentedOutput:
     stride: int
 
 
-def build_sounding_matrix(w, L, kind="integer", M=0, check=True):
+def build_sounding_matrix(w, L, M=0):
     """Build the N x D Toeplitz sounding matrix of waveform ``w``.
 
-    D = L for the integer layout, 2M + L - 1 for the fractional one.  By
-    default the single-waveform design bound N > 2*p*D is enforced (the
-    family-level bound with p_max is the harness's job); pass ``check=False``
-    to build a matrix at or beyond the boundary deliberately.
+    D is the lag window of span L: L itself for integer offsets (M = 0),
+    2M + L - 1 with a pulse of half-support M.  The single-waveform design
+    bound N > 2*p*D is enforced (the family-level bound with p_max is the
+    harness's job).
     """
-    if L < 1:
-        raise DimensionMismatchError(f"channel length must be >= 1, got {L}")
+    if L < 1 or M < 0:
+        raise DimensionMismatchError(f"need L >= 1 and M >= 0, got L={L}, M={M}")
     if w.N < L:
         raise DimensionMismatchError(f"period {w.N} shorter than channel length {L}")
-    if kind == "integer":
-        cols, offset = L, 0
-    elif kind == "fractional":
-        if M < 1:
-            raise DimensionMismatchError(
-                f"fractional layout needs pulse half-support M >= 1, got {M}"
-            )
-        cols, offset = 2 * M + L - 1, M
-    else:
-        raise ConstraintViolationError(f"unknown sounding matrix kind {kind!r}")
-    if check and w.N <= 2 * w.p * cols:
+    cols = _window(L, M)
+    if w.N <= 2 * w.p * cols:
         raise ConstraintViolationError(
             f"waveform p={w.p}, N={w.N} cannot sound {cols} columns: "
             f"requires N > {2 * w.p * cols}"
         )
-    lags = offset + np.arange(w.N)[:, None] - np.arange(cols)[None, :]
-    return SoundingMatrix(entries=w.samples[lags % w.N], kind=kind)
+    lags = M + np.arange(w.N)[:, None] - np.arange(cols)[None, :]
+    return SoundingMatrix(entries=w.samples[lags % w.N], M=M)
 
 
-def _apply_matched_filter(S, r, kind):
-    if S.kind != kind:
+def _apply_matched_filter(S, r, fractional):
+    if (S.M > 0) != fractional:
         raise ConstraintViolationError(
-            f"expected a {kind!r} sounding matrix, got {S.kind!r}"
+            f"a sounding matrix with M={S.M} does not fit the "
+            f"{'fractional' if fractional else 'integer'} matched filter"
         )
     r = np.asarray(r)
     if r.shape != (S.entries.shape[0],):
@@ -118,13 +110,13 @@ def _apply_matched_filter(S, r, kind):
 
 
 def matched_filter_integer(S, r):
-    """Matched-filter estimate S^H r of the channel taps (integer offsets)."""
-    return _apply_matched_filter(S, r, "integer")
+    """Matched-filter estimate S^H r of the channel taps (M = 0 matrix)."""
+    return _apply_matched_filter(S, r, False)
 
 
 def matched_filter_fractional(S, r):
-    """Matched-filter output S^H r of length 2M+L-1 (fractional offsets)."""
-    return _apply_matched_filter(S, r, "fractional")
+    """Matched-filter output S^H r of length 2M+L-1 (matrix with M >= 1)."""
+    return _apply_matched_filter(S, r, True)
 
 
 def build_shaping_matrix(pulse, mu, L, M):
@@ -133,7 +125,7 @@ def build_shaping_matrix(pulse, mu, L, M):
         raise ConstraintViolationError(f"mu must lie in [0, 0.5], got {mu}")
     if L < 1 or M < 1:
         raise DimensionMismatchError(f"need L >= 1 and M >= 1, got L={L}, M={M}")
-    r = np.arange(2 * M + L - 1)[:, None]
+    r = np.arange(_window(L, M))[:, None]
     c = np.arange(L)[None, :]
     return pulse(r - M - c + mu)
 
@@ -143,7 +135,7 @@ def _scan_grid(pulse, L, M):
     """Scan offsets and their stacked residual makers I - G(mu) pinv(G(mu))."""
     mus = np.linspace(0.0, 0.5, _SCAN_POINTS)
     mats = np.stack([build_shaping_matrix(pulse, mu, L, M) for mu in mus])
-    makers = np.eye(2 * M + L - 1) - mats @ np.linalg.pinv(mats)
+    makers = np.eye(_window(L, M)) - mats @ np.linalg.pinv(mats)
     return mus, makers
 
 
@@ -215,10 +207,9 @@ def joint_estimate(hF, pulse, L, M):
     input returns h = 0 with the offset flagged undetermined.
     """
     hF = np.asarray(hF, dtype=complex)
-    if hF.shape != (2 * M + L - 1,):
+    if hF.shape != (_window(L, M),):
         raise DimensionMismatchError(
-            f"matched filter output must have length 2M+L-1 = {2 * M + L - 1}, "
-            f"got {hF.shape}"
+            f"matched filter output must have length 2M+L-1 = {_window(L, M)}, got {hF.shape}"
         )
     if not hF.any():
         return EstimateReport(

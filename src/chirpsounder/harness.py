@@ -151,12 +151,11 @@ def run_mse_experiment(cfg):
     L = cfg.total_length
     M = cfg.pulse_half_support
     pulse = build_pulse(cfg.pulse_kind, cfg.pulse_rolloff, M)
-    kind = "fractional" if cfg.fractional else "integer"
-    matrices = [build_sounding_matrix(w, L, kind=kind, M=M) for w in waveforms]
+    matrices = [build_sounding_matrix(w, L, cfg.lead) for w in waveforms]
 
     sq_err = np.zeros((cfg.nt, cfg.nr))
     nonconverged = 0
-    redraw_mu = cfg.fractional and cfg.mu_mode == "uniform"
+    redraw_mu = cfg.fractional and cfg.mu_values is None
     base = None if (cfg.redraw_per_trial or redraw_mu) else _received(
         cfg, scenario, waveforms, pulse
     )
@@ -250,11 +249,10 @@ def run_sounding(cfg):
     pulse = build_pulse(cfg.pulse_kind, cfg.pulse_rolloff, cfg.pulse_half_support)
     r0 = _received(cfg, scenario, waveforms, pulse)
     r = awgn(r0, scenario.sigma2, derive_rng(cfg.seed, 1, 0))
-    offset = cfg.pulse_half_support if cfg.fractional else 0
     traces = []
     for i, w in enumerate(waveforms):
         for m in range(cfg.nr):
-            out = segmented_output(w, r[m], offset).full
+            out = segmented_output(w, r[m], cfg.lead).full
             traces.append((i, m, tuple(float(v) for v in np.abs(out))))
     return _result("sound", cfg, t0, waveforms, trials=1, traces=tuple(traces))
 

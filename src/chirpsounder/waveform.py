@@ -23,8 +23,6 @@ from .errors import (
     UndefinedResultError,
 )
 
-VALID_SCENARIOS = ("async-integer", "async-fractional")
-
 
 def _is_pow2(value):
     return isinstance(value, (int, np.integer)) and value >= 1 and (value & (value - 1)) == 0
@@ -49,40 +47,14 @@ class SoundingWaveform:
     samples: np.ndarray
 
 
-@dataclass(frozen=True)
-class ScenarioKind:
-    """Sounding scenario and the lag window its correlations must clear.
+def _window(L, M=0):
+    """Columns of the correlation-free lag window of a channel span ``L``.
 
-    ``Lmax`` is the worst-case channel span: max over links of the number of
-    modeled taps including the integer clock offset.  ``M`` is the pulse
-    shaping half-support in symbols and only matters for the fractional
-    scenario (it widens the required zero-correlation window by 2M - 1).
+    ``M`` is the window's lag origin: 0 for integer offsets, where the window
+    is the span itself, and the pulse half-support once a fractional offset
+    brings in the pulse, which widens the window by 2M - 1.
     """
-
-    tag: str
-    Lmax: int
-    M: int = 0
-
-    def __post_init__(self):
-        if self.tag not in VALID_SCENARIOS:
-            raise ConstraintViolationError(
-                f"unknown scenario tag {self.tag!r}; expected one of {VALID_SCENARIOS}"
-            )
-        if self.Lmax < 1:
-            raise ConstraintViolationError(f"Lmax must be >= 1, got {self.Lmax}")
-        if self.M < 0:
-            raise ConstraintViolationError(f"M must be >= 0, got {self.M}")
-        if self.tag == "async-fractional" and self.M < 1:
-            raise ConstraintViolationError(
-                "fractional scenario needs a pulse half-support M >= 1"
-            )
-
-    @property
-    def window(self):
-        """Half-width of the lag window that must be correlation-free."""
-        if self.tag == "async-fractional":
-            return self.Lmax + 2 * self.M - 1
-        return self.Lmax
+    return 2 * M + L - 1 if M else L
 
 
 @dataclass(frozen=True)
@@ -184,25 +156,24 @@ def papr(samples):
     return float(power.max() / power.mean())
 
 
-def check_design_constraints(pmax, N, scenario):
-    """Check whether period N clears the scenario's correlation-free window.
+def check_design_constraints(pmax, N, L, M=0):
+    """Check whether period N clears the correlation-free window of span ``L``.
 
-    For integer-offset scenarios the family needs ``N > 2*pmax*Lmax``; with a
-    fractional offset the window widens to ``N > 2*pmax*(2M + Lmax - 1)``.
-    Returns a :class:`ConstraintReport` with the slack ``N - bound``; a failed
-    check is a valid report, not an exception.
+    For integer offsets (``M = 0``) the family needs ``N > 2*pmax*L``; a
+    fractional offset with pulse half-support ``M`` widens the window to
+    ``N > 2*pmax*(2M + L - 1)``.  Returns a :class:`ConstraintReport` with the
+    slack ``N - bound``; a failed check is a valid report, not an exception.
     """
-    if pmax < 1:
-        raise ConstraintViolationError(f"pmax must be >= 1, got {pmax}")
-    window = scenario.window
-    bound = 2 * int(pmax) * window
-    if scenario.tag == "async-fractional":
-        condition = (
-            f"N > 2*pmax*(2M + Lmax - 1): {N} > 2*{pmax}*({2 * scenario.M} + "
-            f"{scenario.Lmax} - 1) = {bound}"
+    if pmax < 1 or L < 1 or M < 0:
+        raise ConstraintViolationError(
+            f"need pmax >= 1, L >= 1 and M >= 0, got pmax={pmax}, L={L}, M={M}"
         )
+    window = _window(L, M)
+    bound = 2 * int(pmax) * window
+    if M:
+        condition = f"N > 2*pmax*(2M + Lmax - 1): {N} > 2*{pmax}*({2 * M} + {L} - 1) = {bound}"
     else:
-        condition = f"N > 2*pmax*Lmax: {N} > 2*{pmax}*{scenario.Lmax} = {bound}"
+        condition = f"N > 2*pmax*Lmax: {N} > 2*{pmax}*{L} = {bound}"
     return ConstraintReport(
         passed=bool(N > bound),
         condition=condition,

@@ -96,7 +96,7 @@ def test_criterion_3_gram_conditions():
         block = integer[pa].entries.conj().T @ integer[pb].entries
         worst = max(worst, np.max(np.abs(block)))
     # the fractional window 2M+L-1 = 22 only fits rates up to pmax = 1 at N = 128
-    SF = build_sounding_matrix(generate_chirp(1, N), L, kind="fractional", M=M)
+    SF = build_sounding_matrix(generate_chirp(1, N), L, M=M)
     dim = 2 * M + L - 1
     worst = max(worst, np.max(np.abs(SF.entries.conj().T @ SF.entries - np.eye(dim))))
     assert worst < 1e-10

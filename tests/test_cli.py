@@ -204,10 +204,22 @@ def test_invalid_overrides_exit_2(tmp_path, capsys, override, field):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["generate", "correlate", "check"])
-def test_format_only_on_experiment_commands(tmp_path, capsys, command):
+_NO_EXPERIMENT = ("generate", "correlate", "check")
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [pytest.param(c, ["--format", "record"], id=c) for c in _NO_EXPERIMENT]
+    + [
+        pytest.param(c, [flag, "5"], id=f"{c}-{flag[2:]}")
+        for c in _NO_EXPERIMENT
+        for flag in ("--seed", "--trials")
+    ],
+)
+def test_format_only_on_experiment_commands(tmp_path, capsys, command, flag):
+    # --format, --seed and --trials would change nothing these commands write
     argv = [command, "--preset", "paper-sec5", "--out", str(tmp_path)]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--format", "record"])
+        main(argv + flag)
     assert exc.value.code == 2
-    assert "--format" in capsys.readouterr().err
+    assert flag[0] in capsys.readouterr().err

@@ -1,7 +1,4 @@
-"""Smoke test: the quick demos run end to end against the current API.
-
-``04_fractional_offset_estimation.py`` is left out; it takes about 10 s.
-"""
+"""Smoke test: every demo runs end to end against the current API."""
 
 import contextlib
 import io
@@ -19,6 +16,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
         "01_waveform_family.py",
         "02_sounding_and_segments.py",
         "03_mse_meets_bound.py",
+        "04_fractional_offset_estimation.py",
         "05_capacity_equivalence.py",
     ],
 )

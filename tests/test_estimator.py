@@ -21,7 +21,6 @@ from chirpsounder import (
     receive_fractional,
     receive_integer,
     segmented_output,
-    ScenarioKind,
 )
 from tests.test_channel import single_link_scenario
 
@@ -39,6 +38,12 @@ def grid_search_oracle(hF, pulse, L, M, step=1e-4):
     return best_mu
 
 
+def toeplitz(w, L, M=0):
+    """The sounding-matrix layout s[(M + r - c) mod N], built with no design check."""
+    cols = 2 * M + L - 1 if M else L
+    return w.samples[(M + np.arange(w.N)[:, None] - np.arange(cols)[None, :]) % w.N]
+
+
 def random_taps(rng, L):
     return (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2)
 
@@ -53,7 +58,7 @@ class TestSoundingMatrix:
 
     def test_toeplitz_layout_fractional(self):
         w = generate_chirp(1, 128)
-        S = build_sounding_matrix(w, 15, kind="fractional", M=4)
+        S = build_sounding_matrix(w, 15, M=4)
         assert S.entries.shape == (128, 22)
         for r in (0, 3, 127):
             for c in (0, 10, 21):
@@ -81,26 +86,30 @@ class TestSoundingMatrix:
         with pytest.raises(DimensionMismatchError):
             build_sounding_matrix(generate_chirp(1, 4), 5)
         with pytest.raises(DimensionMismatchError):
-            build_sounding_matrix(w, 5, kind="fractional", M=0)
+            build_sounding_matrix(w, 5, M=-1)
 
     def test_design_bound_enforced_and_overridable(self):
+        # the bound N > 2pD is sufficient, not necessary: at N = 2pD the Gram
+        # matrix is still the identity, so the matrix is built in the test
         w = generate_chirp(4, 128)
         with pytest.raises(ConstraintViolationError):
             build_sounding_matrix(w, 16)
-        S = build_sounding_matrix(w, 16, check=False)
-        gram = S.entries.conj().T @ S.entries
-        assert np.max(np.abs(gram - np.eye(16))) < 1e-10
+        with pytest.raises(ConstraintViolationError):
+            build_sounding_matrix(w, 9, M=4)
+        np.testing.assert_array_equal(toeplitz(w, 15), build_sounding_matrix(w, 15).entries)
+        S = toeplitz(w, 16)
+        assert np.max(np.abs(S.conj().T @ S - np.eye(16))) < 1e-10
 
     @pytest.mark.parametrize("pa,pb", [(1, 2), (1, 4), (2, 4)])
     def test_gram_blocks_all_pairs(self, pa, pb):
         # integer layout at L = 15 and fractional at 2M+L-1 <= 16
-        for kind, L, M in (("integer", 15, 0), ("fractional", 9, 4)):
-            Sa = build_sounding_matrix(generate_chirp(pa, 128), L, kind=kind, M=M, check=False)
-            Sb = build_sounding_matrix(generate_chirp(pb, 128), L, kind=kind, M=M, check=False)
-            D = Sa.entries.shape[1]
-            assert np.max(np.abs(Sa.entries.conj().T @ Sa.entries - np.eye(D))) < 1e-10
-            assert np.max(np.abs(Sb.entries.conj().T @ Sb.entries - np.eye(D))) < 1e-10
-            assert np.max(np.abs(Sa.entries.conj().T @ Sb.entries)) < 1e-10
+        for L, M in ((15, 0), (9, 4)):
+            Sa = toeplitz(generate_chirp(pa, 128), L, M)
+            Sb = toeplitz(generate_chirp(pb, 128), L, M)
+            D = Sa.shape[1]
+            assert np.max(np.abs(Sa.conj().T @ Sa - np.eye(D))) < 1e-10
+            assert np.max(np.abs(Sb.conj().T @ Sb - np.eye(D))) < 1e-10
+            assert np.max(np.abs(Sa.conj().T @ Sb)) < 1e-10
 
     def test_passing_constraints_imply_gram_identities(self):
         # whenever the family-level check passes, the Gram blocks are exact
@@ -113,19 +122,9 @@ class TestSoundingMatrix:
         ]
         checked = 0
         for rates, N, L, M in cases:
-            kind = "async-fractional" if M else "async-integer"
-            scen = ScenarioKind(tag=kind, Lmax=L, M=M)
-            if not check_design_constraints(max(rates), N, scen).passed:
+            if not check_design_constraints(max(rates), N, L, M).passed:
                 continue
-            mats = [
-                build_sounding_matrix(
-                    generate_chirp(p, N),
-                    L,
-                    kind="fractional" if M else "integer",
-                    M=M,
-                )
-                for p in rates
-            ]
+            mats = [build_sounding_matrix(generate_chirp(p, N), L, M) for p in rates]
             D = mats[0].entries.shape[1]
             for a in range(len(mats)):
                 for b in range(len(mats)):
@@ -171,9 +170,13 @@ class TestMatchedFilterInteger:
             matched_filter_integer(S, np.zeros(64, dtype=complex))
 
     def test_kind_checked(self):
-        S = build_sounding_matrix(generate_chirp(1, 128), 5, kind="fractional", M=2)
+        # the lag origin M tells the layouts apart: M = 0 integer, M >= 1 fractional
+        w = generate_chirp(1, 128)
+        r = np.zeros(128, dtype=complex)
         with pytest.raises(ConstraintViolationError):
-            matched_filter_integer(S, np.zeros(128, dtype=complex))
+            matched_filter_integer(build_sounding_matrix(w, 5, M=2), r)
+        with pytest.raises(ConstraintViolationError):
+            matched_filter_fractional(build_sounding_matrix(w, 5), r)
 
 
 class TestMatchedFilterFractional:
@@ -184,7 +187,7 @@ class TestMatchedFilterFractional:
         w = generate_chirp(1, 256)
         pulse = build_pulse(rolloff=0.25, M=4)
         r = receive_fractional(single_link_scenario(taps, mu=mu, N=256), [w], pulse)
-        S = build_sounding_matrix(w, 15, kind="fractional", M=4)
+        S = build_sounding_matrix(w, 15, M=4)
         hF = matched_filter_fractional(S, r[0])
         G = build_shaping_matrix(pulse, mu, 15, 4)
         assert np.max(np.abs(hF - G @ taps)) < 1e-9
@@ -195,7 +198,7 @@ class TestMatchedFilterFractional:
         w = generate_chirp(1, 128)
         pulse = build_pulse(rolloff=0.25, M=4)
         r = receive_fractional(single_link_scenario(taps, mu=0.0), [w], pulse)
-        S = build_sounding_matrix(w, 10, kind="fractional", M=4)
+        S = build_sounding_matrix(w, 10, M=4)
         hF = matched_filter_fractional(S, r[0])
         assert np.max(np.abs(hF[4:14] - taps)) < 1e-9
         assert np.max(np.abs(hF[:4])) < 1e-9 and np.max(np.abs(hF[14:])) < 1e-9
@@ -214,7 +217,7 @@ class TestMatchedFilterFractional:
         )
         waveforms = [generate_chirp(1, 256), generate_chirp(2, 256)]
         pulse = build_pulse(rolloff=0.25, M=4)
-        S1 = build_sounding_matrix(waveforms[0], 15, kind="fractional", M=4)
+        S1 = build_sounding_matrix(waveforms[0], 15, M=4)
         alone = MimoScenario(
             tx_node=(0,), rx_node=(0,), links=(links[0],), sigma2=np.zeros(1), L=15
         )

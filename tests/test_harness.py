@@ -104,6 +104,27 @@ class TestConfig:
         cfg = small_config(capacity={"rho_db": [-np.inf, 10.0], "bins": 64})
         assert cfg.rho_db[0] == -np.inf
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"snr_db": np.nan},
+            {"snr_db": -np.inf},
+            {"snr_db": np.inf},
+            {"capacity": {"rho_db": [np.nan], "bins": 64}},
+            {"capacity": {"rho_db": [0.0, np.inf], "bins": 64}},
+        ],
+        ids=["snr-nan", "snr-neg-inf", "snr-inf", "rho-nan", "rho-inf"],
+    )
+    def test_non_finite_numbers_rejected(self, field):
+        with pytest.raises(ConfigError, match="expected a finite number"):
+            small_config(**field)
+
+    def test_replace_validates(self):
+        with pytest.raises(ConfigError, match="trials: must be >= 1"):
+            preset("paper-sec5").replace(trials=0)
+        cfg = preset("paper-sec5")
+        assert cfg.replace(seed=7) == from_dict({**cfg.to_dict(), "seed": 7})
+
     @staticmethod
     def channel(**fields):
         base = {"total_length": 8, "active_taps": 5, "integer_offsets": [[0, 0], [3, 3]]}

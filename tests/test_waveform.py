@@ -6,7 +6,6 @@ import pytest
 from chirpsounder import (
     ConstraintViolationError,
     DimensionMismatchError,
-    ScenarioKind,
     UndefinedResultError,
     check_design_constraints,
     closed_form_autocorrelation,
@@ -196,24 +195,22 @@ class TestPapr:
 
 class TestDesignConstraints:
     def test_sec5_scenario_has_slack_8(self):
-        kind = ScenarioKind(tag="async-integer", Lmax=15)
-        report = check_design_constraints(4, 128, kind)
+        report = check_design_constraints(4, 128, 15)
         assert report.passed and report.slack == 8
+        assert report.condition == "N > 2*pmax*Lmax: 128 > 2*4*15 = 120"
 
     def test_boundary_fails(self):
-        kind = ScenarioKind(tag="async-integer", Lmax=16)
-        report = check_design_constraints(4, 128, kind)
+        report = check_design_constraints(4, 128, 16)
         assert not report.passed and report.slack == 0
 
     def test_fractional_window(self):
-        kind = ScenarioKind(tag="async-fractional", Lmax=10, M=4)
-        report = check_design_constraints(1, 128, kind)
+        report = check_design_constraints(1, 128, 10, M=4)
         assert report.passed and report.bound == 34 and report.window == 17
+        assert report.condition == "N > 2*pmax*(2M + Lmax - 1): 128 > 2*1*(8 + 10 - 1) = 34"
 
     def test_scenario_kind_validation(self):
-        with pytest.raises(ConstraintViolationError):
-            ScenarioKind(tag="async-fractional", Lmax=10, M=0)
-        with pytest.raises(ConstraintViolationError):
-            ScenarioKind(tag="nonsense", Lmax=10)
-        with pytest.raises(ConstraintViolationError):
-            ScenarioKind(tag="async-integer", Lmax=0)
+        # M = 0 is the integer-offset window, not an error
+        assert check_design_constraints(1, 128, 10, M=0).window == 10
+        for pmax, L, M in ((0, 10, 0), (1, 0, 0), (1, 10, -1)):
+            with pytest.raises(ConstraintViolationError):
+                check_design_constraints(pmax, 128, L, M)
