@@ -8,8 +8,8 @@ The package covers the full sounding chain:
   raised-cosine pulse shaping, AWGN, and scenario synthesis.
 * ``estimator`` -- Toeplitz sounding matrices, matched filters, the joint
   (offset, taps) estimator, and segment analysis of full-period outputs.
-* ``metrics`` -- MSE, the estimator variance bound, frequency responses,
-  and synchronous vs asynchronous capacity.
+* ``metrics`` -- the estimator variance bound and the synchronous vs
+  asynchronous capacity report.
 * ``harness`` -- seeded Monte-Carlo experiments with CSV/record output.
 * ``cli`` -- the ``chirpsounder`` command-line front end.
 """
@@ -60,12 +60,9 @@ from .harness import (
 )
 from .metrics import (
     CapacityResult,
-    FrequencyGrid,
-    capacity,
     capacity_equivalence_report,
     crb,
     frequency_response,
-    mse,
 )
 from .waveform import (
     ConstraintReport,

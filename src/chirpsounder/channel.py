@@ -74,10 +74,8 @@ class PulseShape:
         return raised_cosine(t, self.rolloff, self.M)
 
 
-def build_pulse(kind="raised-cosine", rolloff=0.25, M=4):
-    """Construct the pulse-shaping filter used for fractional-offset models."""
-    if kind != "raised-cosine":
-        raise ConfigError(f"unsupported pulse kind {kind!r}")
+def build_pulse(rolloff=0.25, M=4):
+    """Construct the raised-cosine pulse-shaping filter of fractional-offset models."""
     if not 0.0 <= rolloff <= 1.0:
         raise ConfigError(f"rolloff must lie in [0, 1], got {rolloff}")
     if int(M) != M or M < 1:

@@ -40,8 +40,6 @@ class ScenarioConfig:
     """Validated, normalized experiment description."""
 
     name: str
-    mt: int
-    mr: int
     tx_node: tuple
     rx_node: tuple
     total_length: int
@@ -53,7 +51,6 @@ class ScenarioConfig:
     mu_values: tuple  # (mt, mr) grid, or None for uniform / non-fractional
     waveform_length: int
     chirp_rates: tuple
-    pulse_kind: str
     pulse_rolloff: float
     pulse_half_support: int
     snr_db: tuple
@@ -62,6 +59,14 @@ class ScenarioConfig:
     capacity_bins: int
     trials: int
     seed: int
+
+    @property
+    def mt(self):
+        return max(self.tx_node) + 1
+
+    @property
+    def mr(self):
+        return max(self.rx_node) + 1
 
     @property
     def nt(self):
@@ -111,7 +116,7 @@ class ScenarioConfig:
                 "chirp_rates": list(self.chirp_rates),
             },
             "pulse": {
-                "kind": self.pulse_kind,
+                "kind": "raised-cosine",
                 "rolloff": self.pulse_rolloff,
                 "half_support": self.pulse_half_support,
             },
@@ -384,8 +389,6 @@ def _from_dict(data):
 
     return ScenarioConfig(
         name=name,
-        mt=mt,
-        mr=mr,
         tx_node=tx_node,
         rx_node=rx_node,
         total_length=total_length,
@@ -397,7 +400,6 @@ def _from_dict(data):
         mu_values=mu_values,
         waveform_length=wf_length,
         chirp_rates=tuple(rates),
-        pulse_kind=pulse_kind,
         pulse_rolloff=rolloff,
         pulse_half_support=half_support,
         snr_db=snr,

@@ -59,9 +59,8 @@ class EstimateReport:
     h_hat: np.ndarray
     mu_hat: float  # None when undetermined (zero input)
     iterations: int  # secant polish steps taken
-    residual: float
+    residual: float  # relative: ||hF - G(mu_hat) h_hat||^2 / ||hF||^2, in [0, 1]
     converged: bool
-    mu_undetermined: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +203,8 @@ def joint_estimate(hF, pulse, L, M):
     Scans and polishes mu on the profile objective, then solves for h by
     least squares at that mu.  A polish that exhausts its step budget is
     flagged on the report (``converged`` false), never silent.  An all-zero
-    input returns h = 0 with the offset flagged undetermined.
+    input returns h = 0 with ``mu_hat`` None (undetermined).  The residual is
+    reported relative to ||hF||^2, so it does not depend on the input scale.
     """
     hF = np.asarray(hF, dtype=complex)
     if hF.shape != (_window(L, M),):
@@ -218,7 +218,6 @@ def joint_estimate(hF, pulse, L, M):
             iterations=0,
             residual=0.0,
             converged=True,
-            mu_undetermined=True,
         )
 
     # Power-of-two scaling is exact and keeps the squared residuals in range.
@@ -230,7 +229,7 @@ def joint_estimate(hF, pulse, L, M):
         h_hat=h * scale,
         mu_hat=mu,
         iterations=steps,
-        residual=float(np.sum(np.abs(hF - G @ h) ** 2) * scale * scale),
+        residual=float(np.sum(np.abs(hF - G @ h) ** 2) / np.sum(np.abs(hF) ** 2)),
         converged=converged,
     )
 

@@ -43,7 +43,7 @@ from .estimator import (
     matched_filter_integer,
     segmented_output,
 )
-from .metrics import FrequencyGrid, capacity_equivalence_report, crb
+from .metrics import capacity_equivalence_report, crb
 from .waveform import generate_chirp, papr
 
 
@@ -68,15 +68,6 @@ class AntennaResult:
     mse: float
     crb: float
     ratio: float
-
-
-@dataclass(frozen=True)
-class CapacityRow:
-    rho_db: float
-    c_syn: float
-    c_asyn: float
-    max_bin_gap: float
-    equal: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +141,7 @@ def run_mse_experiment(cfg):
     scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
     L = cfg.total_length
     M = cfg.pulse_half_support
-    pulse = build_pulse(cfg.pulse_kind, cfg.pulse_rolloff, M)
+    pulse = build_pulse(cfg.pulse_rolloff, M)
     matrices = [build_sounding_matrix(w, L, cfg.lead) for w in waveforms]
 
     sq_err = np.zeros((cfg.nt, cfg.nr))
@@ -219,21 +210,8 @@ def run_capacity_experiment(cfg):
     """Synchronous vs asynchronous capacity over the configured SNR sweep."""
     t0 = time.perf_counter()
     scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
-    grid = FrequencyGrid(cfg.capacity_bins)
-    rows = []
-    for rho_db in cfg.rho_db:
-        rho = 0.0 if rho_db == -np.inf else 10.0 ** (rho_db / 10.0)
-        rep = capacity_equivalence_report(scenario, grid, rho)
-        rows.append(
-            CapacityRow(
-                rho_db=float(rho_db),
-                c_syn=rep.c_syn,
-                c_asyn=rep.c_asyn,
-                max_bin_gap=rep.max_bin_gap,
-                equal=rep.equal,
-            )
-        )
-    return _result("capacity", cfg, t0, capacity=tuple(rows))
+    rows = capacity_equivalence_report(scenario, cfg.capacity_bins, cfg.rho_db)
+    return _result("capacity", cfg, t0, capacity=rows)
 
 
 def run_sounding(cfg):
@@ -246,7 +224,7 @@ def run_sounding(cfg):
     t0 = time.perf_counter()
     waveforms = _waveforms(cfg)
     scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
-    pulse = build_pulse(cfg.pulse_kind, cfg.pulse_rolloff, cfg.pulse_half_support)
+    pulse = build_pulse(cfg.pulse_rolloff, cfg.pulse_half_support)
     r0 = _received(cfg, scenario, waveforms, pulse)
     r = awgn(r0, scenario.sigma2, derive_rng(cfg.seed, 1, 0))
     traces = []

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from chirpsounder import (
-    FrequencyGrid,
     average_segments,
     awgn,
     build_pulse,
@@ -223,7 +222,7 @@ def test_criterion_7_capacity_equivalence():
     # same conclusion straight from the library surface
     cfg = preset("capacity-multi-lo")
     sc = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
-    rep = capacity_equivalence_report(sc, FrequencyGrid(256), 10.0)
+    (rep,) = capacity_equivalence_report(sc, 256, [10.0])
     assert not rep.equal and rep.max_bin_gap > 1e-3
     report(
         7,

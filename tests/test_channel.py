@@ -100,8 +100,6 @@ class TestRaisedCosine:
             build_pulse(rolloff=1.5, M=4)
         with pytest.raises(ConfigError):
             build_pulse(rolloff=0.25, M=0)
-        with pytest.raises(ConfigError):
-            build_pulse(kind="gaussian")
 
 
 class TestLinkChannel:

@@ -294,7 +294,7 @@ class TestJointEstimate:
     def test_zero_input_flagged(self):
         pulse = build_pulse(rolloff=0.25, M=4)
         rep = joint_estimate(np.zeros(22, dtype=complex), pulse, 15, 4)
-        assert rep.mu_undetermined and rep.mu_hat is None
+        assert rep.mu_hat is None
         assert not rep.h_hat.any() and rep.converged
 
     def test_nonconvergence_flagged_not_raised(self, monkeypatch):
@@ -315,7 +315,7 @@ class TestJointEstimate:
         hF = build_shaping_matrix(pulse, 0.3, 15, 4) @ random_taps(rng, 15)
         ref = joint_estimate(hF, pulse, 15, 4)
         rep = joint_estimate(hF * 1e-170, pulse, 15, 4)
-        assert not rep.mu_undetermined and rep.h_hat.any()
+        assert rep.mu_hat is not None and rep.h_hat.any()
         assert abs(rep.mu_hat - ref.mu_hat) < 1e-9
 
     def test_one_lstsq_per_polish_step(self, monkeypatch):

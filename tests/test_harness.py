@@ -100,6 +100,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="fixed offsets"):
             small_config(fractional={"enabled": True, "mu": 0.75})
 
+    def test_unsupported_pulse_kind_rejected(self):
+        with pytest.raises(ConfigError, match="pulse.kind: unsupported kind"):
+            small_config(pulse={"kind": "sinc", "rolloff": 0.25, "half_support": 4})
+
     def test_negative_infinity_rho_parses(self):
         cfg = small_config(capacity={"rho_db": [-np.inf, 10.0], "bins": 64})
         assert cfg.rho_db[0] == -np.inf
