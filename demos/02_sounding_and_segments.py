@@ -35,18 +35,19 @@ for i, w in enumerate(waveforms):
 
 print("\nfull-period output of tx 2 (p=4) at rx 0: 8 replicas, signs + - + - ...")
 w = waveforms[2]
-seg = segmented_output(w, r[0])
+segments = segmented_output(w, r[0])  # (2p, N/(2p)): one row per replica
+stride = segments.shape[1]
 taps = scenario.link(2, 0).taps
-for j in range(seg.segments.shape[0]):
+for j, segment in enumerate(segments):
     sign = "+" if j % 2 == 0 else "-"
     expected = taps if j % 2 == 0 else -taps
-    dev = np.max(np.abs(seg.segments[j][: len(taps)] - expected))
-    peak = np.max(np.abs(seg.segments[j]))
-    print(f"  segment {j} (lags {j * seg.stride:3d}..{(j + 1) * seg.stride - 1:3d}): "
+    dev = np.max(np.abs(segment[: len(taps)] - expected))
+    peak = np.max(np.abs(segment))
+    print(f"  segment {j} (lags {j * stride:3d}..{(j + 1) * stride - 1:3d}): "
           f"sign {sign}, peak {peak:.3f}, replica deviation {dev:.2e}")
 
 print("\ncoarse magnitude profile of the 128-length output (16 bins):")
-mags = np.abs(seg.full)
+mags = np.abs(segments.ravel())
 bins = mags.reshape(16, -1).max(axis=1)
 scalebar = max(bins)
 for k, v in enumerate(bins):

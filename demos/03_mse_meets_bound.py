@@ -46,9 +46,9 @@ err_single = err_avg = 0.0
 trials = 5000
 for _ in range(trials):
     r = awgn(r0[:1], scenario.sigma2[:1], gen)
-    seg = segmented_output(waveforms[2], r[0])
-    err_single += np.sum(np.abs(seg.segments[0][: len(taps)] - taps) ** 2)
-    err_avg += np.sum(np.abs(average_segments(seg)[: len(taps)] - taps) ** 2)
+    segments = segmented_output(waveforms[2], r[0])
+    err_single += np.sum(np.abs(segments[0][: len(taps)] - taps) ** 2)
+    err_avg += np.sum(np.abs(average_segments(segments)[: len(taps)] - taps) ** 2)
 print(f"\nsegment averaging over {trials} noisy trials (tx 2, p=4, 8 segments):")
 print(f"  single-segment MSE : {err_single / trials:.6e}")
 print(f"  averaged MSE       : {err_avg / trials:.6e}")

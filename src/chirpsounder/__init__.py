@@ -2,12 +2,13 @@
 
 The package covers the full sounding chain:
 
-* ``waveform`` -- the chirp waveform family, its periodic auto/cross
-  correlation identities, PAPR, and the per-scenario design constraints.
+* ``waveform`` -- the chirp waveform family, its FFT cyclic correlation
+  (every lag of the periodic auto/cross correlations), PAPR, and the
+  per-scenario design constraints.
 * ``channel`` -- multipath links with integer and fractional clock offsets,
   raised-cosine pulse shaping, AWGN, and scenario synthesis.
 * ``estimator`` -- Toeplitz sounding matrices, matched filters, the joint
-  (offset, taps) estimator, and segment analysis of full-period outputs.
+  (offset, taps) estimator, and the full-period output split into segments.
 * ``metrics`` -- the estimator variance bound and the synchronous vs
   asynchronous capacity report.
 * ``harness`` -- seeded Monte-Carlo experiments with CSV/record output.
@@ -22,7 +23,6 @@ from .channel import (
     build_pulse,
     draw_fractional_offsets,
     noise_variance_for_snr,
-    raised_cosine,
     receive_fractional,
     receive_integer,
     synthesize_channels,
@@ -40,7 +40,6 @@ from .errors import (
 )
 from .estimator import (
     EstimateReport,
-    SegmentedOutput,
     SoundingMatrix,
     average_segments,
     build_shaping_matrix,
@@ -72,8 +71,6 @@ from .waveform import (
     cyclic_correlation,
     generate_chirp,
     papr,
-    periodic_autocorrelation,
-    periodic_crosscorrelation,
 )
 
 __version__ = "0.1.0"

@@ -33,45 +33,38 @@ import numpy as np
 from .errors import ConfigError, ConstraintViolationError, DimensionMismatchError
 
 
-def raised_cosine(t, rolloff, half_support):
-    """Truncated raised-cosine Nyquist pulse, vectorized over ``t`` (units of T).
-
-    The removable singularity at t = T/(2*rolloff) is evaluated by its limit
-    (pi/4)*sinc(1/(2*rolloff)); outside [-half_support, half_support] the
-    pulse is identically zero.
-    """
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    inside = np.abs(t) <= half_support
-    x = t[inside]
-    if rolloff == 0.0:
-        val = np.sinc(x)
-    else:
-        denom = 1.0 - (2.0 * rolloff * x) ** 2
-        singular = np.abs(denom) < 1e-10
-        val = np.empty_like(x)
-        safe = ~singular
-        val[safe] = np.sinc(x[safe]) * np.cos(np.pi * rolloff * x[safe]) / denom[safe]
-        val[singular] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
-    out[inside] = val
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 @dataclass(frozen=True)
 class PulseShape:
-    """Sampled pulse-shaping filter with finite support [-M*T, M*T].
+    """Truncated raised-cosine pulse-shaping filter, zero outside [-M*T, M*T].
 
-    Calling the object evaluates g(t) for t in units of T.  The pulse is a
-    Nyquist pulse: g(0) = 1 and g(k*T) = 0 for integer k != 0.
+    Calling the object evaluates g(t), vectorized over t in units of T.  The
+    pulse is a Nyquist pulse: g(0) = 1 and g(k*T) = 0 for integer k != 0.
+    The removable singularity at t = T/(2*rolloff) is evaluated by its limit
+    (pi/4)*sinc(1/(2*rolloff)).
     """
 
     M: int
     rolloff: float
 
     def __call__(self, t):
-        return raised_cosine(t, self.rolloff, self.M)
+        rolloff = self.rolloff
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape)
+        inside = np.abs(t) <= self.M
+        x = t[inside]
+        if rolloff == 0.0:
+            val = np.sinc(x)
+        else:
+            denom = 1.0 - (2.0 * rolloff * x) ** 2
+            singular = np.abs(denom) < 1e-10
+            val = np.empty_like(x)
+            safe = ~singular
+            val[safe] = np.sinc(x[safe]) * np.cos(np.pi * rolloff * x[safe]) / denom[safe]
+            val[singular] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
+        out[inside] = val
+        if out.ndim == 0:
+            return float(out)
+        return out
 
 
 def build_pulse(rolloff=0.25, M=4):

@@ -63,15 +63,6 @@ class EstimateReport:
     converged: bool
 
 
-@dataclass(frozen=True, eq=False)
-class SegmentedOutput:
-    """Full-period matched filter output split into its 2p replica segments."""
-
-    full: np.ndarray
-    segments: np.ndarray  # (2p, N/(2p))
-    stride: int
-
-
 def build_sounding_matrix(w, L, M=0):
     """Build the N x D Toeplitz sounding matrix of waveform ``w``.
 
@@ -235,22 +226,19 @@ def joint_estimate(hF, pulse, L, M):
 
 
 def segmented_output(w, r, M=0):
-    """Full-period matched filter output and its 2p sign-alternating segments.
+    """Full-period matched filter output as its 2p sign-alternating segments.
 
-    ``full[k] = sum_n r[n] * conj(s[(n - k + M) mod N])`` for every lag k:
-    the matched filter over all N cyclic shifts of waveform ``w``, with the
-    lag origin moved back by the pulse half-support M (0 for integer
-    offsets).  It contains 2p replicas of the channel response at stride
-    N/(2p), with signs +, -, +, -, ...; segment j is ``segments[j]``.
+    Row j of the (2p, N/(2p)) result is segment j of ``full[k] = sum_n r[n] *
+    conj(s[(n - k + M) mod N])``, the matched filter over all N cyclic shifts
+    of waveform ``w`` with the lag origin moved back by the pulse half-support
+    M (0 for integer offsets).  Signs alternate +, -, +, -, ...; ``.ravel()``
+    is the full period and ``shape[1]`` the stride N/(2p).
     """
     out = cyclic_correlation(r, np.roll(w.samples, -M))
-    stride = w.N // (2 * w.p)
-    return SegmentedOutput(
-        full=out, segments=out.reshape(2 * w.p, stride), stride=stride
-    )
+    return out.reshape(2 * w.p, w.N // (2 * w.p))
 
 
-def average_segments(segmented):
+def average_segments(segments):
     """Sign-corrected mean of the replica segments (the known +,-,+,- pattern)."""
-    signs = np.where(np.arange(segmented.segments.shape[0]) % 2 == 0, 1.0, -1.0)
-    return (signs[:, None] * segmented.segments).mean(axis=0)
+    signs = np.where(np.arange(segments.shape[0]) % 2 == 0, 1.0, -1.0)
+    return (signs[:, None] * segments).mean(axis=0)

@@ -36,6 +36,7 @@ from .channel import (
     synthesize_channels,
     with_fractional_offsets,
 )
+from .errors import ConfigError
 from .estimator import (
     build_sounding_matrix,
     joint_estimate,
@@ -134,7 +135,10 @@ def run_mse_experiment(cfg):
     Each trial draws fresh noise (and, per config, fresh fractional offsets
     or fresh taps) from its own substream, estimates every link with the
     matched filter (plus the joint offset estimator in the fractional case),
-    and accumulates squared errors.
+    and accumulates squared errors.  An antenna's bound is 2*L*sigma2, its
+    trial mean when redrawn taps change sigma2.  An antenna with no noise
+    (no active taps into it, or an SNR whose noise level underflows) has no
+    bound, which is a ``ConfigError`` before any trial runs.
     """
     t0 = time.perf_counter()
     waveforms = _waveforms(cfg)
@@ -144,7 +148,12 @@ def run_mse_experiment(cfg):
     pulse = build_pulse(cfg.pulse_rolloff, M)
     matrices = [build_sounding_matrix(w, L, cfg.lead) for w in waveforms]
 
+    if not scenario.sigma2.all():
+        m = int(np.flatnonzero(scenario.sigma2 == 0)[0])
+        raise ConfigError(f"rx antenna {m} has zero noise variance; MSE/CRB is undefined")
+
     sq_err = np.zeros((cfg.nt, cfg.nr))
+    redrawn = []  # per-trial noise levels of redrawn channels
     nonconverged = 0
     redraw_mu = cfg.fractional and cfg.mu_values is None
     base = None if (cfg.redraw_per_trial or redraw_mu) else _received(
@@ -154,6 +163,7 @@ def run_mse_experiment(cfg):
     for t in range(cfg.trials):
         if cfg.redraw_per_trial:
             scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 3, t))
+            redrawn.append(scenario.sigma2)
         trial_scenario = scenario
         if redraw_mu:
             mu_pairs = draw_fractional_offsets(cfg, derive_rng(cfg.seed, 2, t))
@@ -175,11 +185,12 @@ def run_mse_experiment(cfg):
                     h_hat = matched_filter_integer(matrices[i], r[m])
                 sq_err[i, m] += float(np.sum(np.abs(h_hat - truth) ** 2))
     sq_err /= cfg.trials
+    sigma2 = np.mean(redrawn, axis=0) if redrawn else scenario.sigma2
 
     links = []
     antennas = []
     for m in range(cfg.nr):
-        bound = crb(L, scenario.sigma2[m])
+        bound = crb(L, sigma2[m])
         for i in range(cfg.nt):
             links.append(
                 LinkResult(
@@ -230,7 +241,7 @@ def run_sounding(cfg):
     traces = []
     for i, w in enumerate(waveforms):
         for m in range(cfg.nr):
-            out = segmented_output(w, r[m], cfg.lead).full
+            out = segmented_output(w, r[m], cfg.lead).ravel()
             traces.append((i, m, tuple(float(v) for v in np.abs(out))))
     return _result("sound", cfg, t0, waveforms, trials=1, traces=tuple(traces))
 

@@ -11,6 +11,7 @@ every lag, and the periodic autocorrelation is +-1 on a sparse comb of lags
 (multiples of N/(2p)) and zero elsewhere.  Those two facts are what make the
 family usable for sounding several transmit antennas at once through matched
 filters, even when the links carry large unknown integer delays.
+``cyclic_correlation`` computes both correlations at every lag at once.
 """
 
 from dataclasses import dataclass
@@ -94,9 +95,9 @@ def cyclic_correlation(a, b):
     """All N lags of c[k] = sum_n a[(n+k) mod N] * conj(b[n]), by FFT.
 
     With ``a`` a received period this is the matched filter over every
-    cyclic shift of ``b``.  The periodic correlation sum_n a[n] *
-    conj(b[(n+tau) mod N]) computed lag by lag below equals c[-tau mod N],
-    and also conj(cyclic_correlation(b, a))[tau].
+    cyclic shift of ``b``.  The periodic correlation of two waveforms at lag
+    tau, sum_n a[n] * conj(b[(n+tau) mod N]), is c[-tau mod N], and also
+    conj(cyclic_correlation(b, a))[tau].
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape or a.ndim != 1:
@@ -104,31 +105,6 @@ def cyclic_correlation(a, b):
             f"need two sequences of one length, got shapes {a.shape} and {b.shape}"
         )
     return np.fft.ifft(np.fft.fft(a) * np.conj(np.fft.fft(b)))
-
-
-def periodic_autocorrelation(w, tau):
-    """Cyclic autocorrelation R[tau] = sum_n s[n] * conj(s[(n+tau) mod N]).
-
-    Any integer lag is accepted; it is reduced mod N.
-    """
-    s = w.samples
-    return complex(np.sum(s * np.conj(np.roll(s, -int(tau)))))
-
-
-def periodic_crosscorrelation(wi, wv, tau):
-    """Cyclic cross-correlation C[tau] = sum_n s_i[n] * conj(s_v[(n+tau) mod N]).
-
-    The two waveforms must share the period N and use distinct chirp rates.
-    """
-    if wi.N != wv.N:
-        raise DimensionMismatchError(
-            f"waveforms must share the period length, got N={wi.N} and N={wv.N}"
-        )
-    if wi.p == wv.p:
-        raise ConstraintViolationError(
-            f"cross-correlation requires distinct chirp rates, both are p={wi.p}"
-        )
-    return complex(np.sum(wi.samples * np.conj(np.roll(wv.samples, -int(tau)))))
 
 
 def closed_form_autocorrelation(p, N, tau):

@@ -124,8 +124,8 @@ def test_criterion_5_segments_and_averaging():
         taps = np.zeros(15, dtype=complex)
         taps[5:] = block / np.linalg.norm(block)
         sc = single_link_scenario(taps, N=128)
-        out = segmented_output(w, receive_integer(sc, [w])[0]).full
-        segments = out.reshape(2 * p, 128 // (2 * p))
+        segments = segmented_output(w, receive_integer(sc, [w])[0])
+        assert segments.shape == (2 * p, 128 // (2 * p))
         for j in range(2 * p):
             sign = 1.0 if j % 2 == 0 else -1.0
             dev = np.max(np.abs(segments[j] - sign * segments[0]))
@@ -148,9 +148,9 @@ def test_criterion_5_segments_and_averaging():
     trials = 5000
     for _ in range(trials):
         r = awgn(r0, np.array([sigma2]), gen)
-        seg = segmented_output(w, r[0])
-        err_single += float(np.sum(np.abs(seg.segments[0][:15] - taps) ** 2))
-        err_avg += float(np.sum(np.abs(average_segments(seg)[:15] - taps) ** 2))
+        segments = segmented_output(w, r[0])
+        err_single += float(np.sum(np.abs(segments[0][:15] - taps) ** 2))
+        err_avg += float(np.sum(np.abs(average_segments(segments)[:15] - taps) ** 2))
     ratio = err_avg / err_single
     assert abs(ratio - 1.0) < 0.03
     assert ratio > 1.0 / (2 * p) + 0.5  # nowhere near a 1/(2p) reduction

@@ -16,7 +16,6 @@ from chirpsounder import (
     from_dict,
     generate_chirp,
     preset,
-    raised_cosine,
     receive_fractional,
     receive_integer,
     synthesize_channels,
@@ -81,7 +80,7 @@ class TestRaisedCosine:
     @pytest.mark.parametrize("rolloff", [0.0, 0.25, 0.35, 1.0])
     @pytest.mark.parametrize("t", [0.3, 0.5, 1.7, 2.5])
     def test_matches_spectrum_quadrature(self, rolloff, t):
-        direct = raised_cosine(t, rolloff, half_support=100)
+        direct = build_pulse(rolloff, M=100)(t)
         assert direct == pytest.approx(pulse_by_quadrature(t, rolloff), abs=1e-7)
 
     def test_removable_singularity(self):
@@ -89,9 +88,10 @@ class TestRaisedCosine:
         rolloff = 0.35
         t0 = 1.0 / (2 * rolloff)
         expected = (np.pi / 4) * np.sinc(1.0 / (2 * rolloff))
-        assert raised_cosine(t0, rolloff, 100) == pytest.approx(expected, rel=1e-12)
-        assert raised_cosine(t0 + 1e-9, rolloff, 100) == pytest.approx(expected, rel=1e-5)
-        assert raised_cosine(t0, rolloff, 100) == pytest.approx(
+        pulse = build_pulse(rolloff, M=100)
+        assert pulse(t0) == pytest.approx(expected, rel=1e-12)
+        assert pulse(t0 + 1e-9) == pytest.approx(expected, rel=1e-5)
+        assert pulse(t0) == pytest.approx(
             pulse_by_quadrature(t0, rolloff), abs=1e-7
         )
 

@@ -135,6 +135,26 @@ def test_constraint_violation_exits_2(tmp_path, capsys):
     assert "design constraint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides,rx",
+    [
+        # no link reaches rx 1, so its noise variance and its bound are 0
+        ({"channel": {"total_length": 8, "active_taps": [[5, 0], [5, 0]],
+                      "integer_offsets": 0}}, 1),
+        # 10**(-4000/10) underflows to 0, so the noise variance is 0
+        ({"snr_db": 4000}, 0),
+    ],
+    ids=["antenna-without-taps", "underflowing-noise"],
+)
+def test_mse_zero_noise_antenna_exits_2(tmp_path, capsys, overrides, rx):
+    path = small_config_file(tmp_path, **overrides)
+    out = str(tmp_path / "out")
+    assert main(["check", "--config", path]) == 0
+    assert main(["capacity", "--config", path, "--out", out]) == 0
+    assert main(["mse", "--config", path, "--out", out]) == 2
+    assert f"rx antenna {rx} has zero noise variance" in capsys.readouterr().err
+
+
 def test_io_failure_exits_4(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("x")

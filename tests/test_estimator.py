@@ -396,11 +396,11 @@ class TestSegments:
         taps = random_taps(rng, 12)
         w = generate_chirp(2, 128)
         r = receive_integer(single_link_scenario(taps, N=128, p=2), [w])
-        seg = segmented_output(w, r[0])
-        assert seg.segments.shape == (4, 32)
-        np.testing.assert_allclose(seg.segments[0], seg.segments[2], atol=1e-9)
-        np.testing.assert_allclose(seg.segments[1], -seg.segments[0], atol=1e-9)
-        np.testing.assert_allclose(seg.segments[3], -seg.segments[2], atol=1e-9)
+        segments = segmented_output(w, r[0])
+        assert segments.shape == (4, 32)
+        np.testing.assert_allclose(segments[0], segments[2], atol=1e-9)
+        np.testing.assert_allclose(segments[1], -segments[0], atol=1e-9)
+        np.testing.assert_allclose(segments[3], -segments[2], atol=1e-9)
 
     def test_segment_leading_entries_are_shaped_taps(self):
         rng = np.random.default_rng(22)
@@ -410,14 +410,14 @@ class TestSegments:
         w = generate_chirp(2, 256)
         pulse = build_pulse(rolloff=0.25, M=M)
         r = receive_fractional(single_link_scenario(taps, mu=mu, N=256), [w], pulse)
-        seg = segmented_output(w, r[0], M=M)
+        segments = segmented_output(w, r[0], M=M)
         G = build_shaping_matrix(pulse, mu, 10, M)
         shaped = G @ taps
         width = len(shaped)
         for j in range(4):
             sign = 1.0 if j % 2 == 0 else -1.0
-            np.testing.assert_allclose(seg.segments[j][:width], sign * shaped, atol=1e-9)
-            assert np.max(np.abs(seg.segments[j][width:])) < 1e-9
+            np.testing.assert_allclose(segments[j][:width], sign * shaped, atol=1e-9)
+            assert np.max(np.abs(segments[j][width:])) < 1e-9
 
     def test_noise_only_segment_correlation(self):
         # filtered noise is exactly anti-correlated at lag N/(2p) and
@@ -429,7 +429,7 @@ class TestSegments:
         acc_half, acc_full, acc_var = 0.0, 0.0, 0.0
         for _ in range(draws):
             z = awgn(np.zeros((1, 128), dtype=complex), np.array([sigma2]), rng)[0]
-            out = segmented_output(w, z).full
+            out = segmented_output(w, z).ravel()
             acc_var += np.mean(np.abs(out) ** 2)
             acc_half += np.mean((out * np.conj(np.roll(out, -32))).real)
             acc_full += np.mean((out * np.conj(np.roll(out, -64))).real)
@@ -451,9 +451,9 @@ class TestSegments:
         err_single, err_avg = 0.0, 0.0
         for _ in range(trials):
             r = awgn(r0, np.array([sigma2]), rng)
-            seg = segmented_output(w, r[0])
-            single = seg.segments[0][:12]
-            averaged = average_segments(seg)[:12]
+            segments = segmented_output(w, r[0])
+            single = segments[0][:12]
+            averaged = average_segments(segments)[:12]
             err_single += float(np.sum(np.abs(single - taps) ** 2))
             err_avg += float(np.sum(np.abs(averaged - taps) ** 2))
         assert err_avg / err_single == pytest.approx(1.0, abs=0.03)
@@ -466,7 +466,7 @@ class TestSegments:
         rng = np.random.default_rng(N + p + M)
         r = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         dense = w.samples[(M + np.arange(N)[:, None] - np.arange(N)[None, :]) % N]
-        out = segmented_output(w, r, M=M).full
+        out = segmented_output(w, r, M=M).ravel()
         np.testing.assert_allclose(out, dense.conj().T @ r, rtol=0, atol=1e-12)
 
     def test_period_mismatch_rejected(self):

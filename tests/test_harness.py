@@ -8,6 +8,8 @@ import pytest
 from chirpsounder import (
     ConfigError,
     ConstraintViolationError,
+    crb,
+    derive_rng,
     emit_results,
     from_dict,
     from_json,
@@ -15,6 +17,7 @@ from chirpsounder import (
     run_capacity_experiment,
     run_mse_experiment,
     run_sounding,
+    synthesize_channels,
 )
 
 
@@ -223,6 +226,31 @@ class TestMseExperiment:
         result = run_mse_experiment(cfg)
         for row in result.antennas:
             assert 0.7 < row.ratio < 1.4
+
+    def test_redraw_bound_is_trial_mean(self):
+        # unnormalized taps give every redraw its own sigma2; the bound is the
+        # trial mean of 2*L*sigma2_t, not the bound of the last draw
+        cfg = small_config(
+            trials=400,
+            channel={
+                "total_length": 8,
+                "active_taps": 5,
+                "integer_offsets": [[0, 0], [3, 3]],
+                "normalize_taps": False,
+                "redraw_per_trial": True,
+            },
+        )
+        result = run_mse_experiment(cfg)
+        sigma2 = np.mean(
+            [
+                synthesize_channels(cfg, derive_rng(cfg.seed, 3, t)).sigma2
+                for t in range(cfg.trials)
+            ],
+            axis=0,
+        )
+        for row in result.antennas:
+            assert row.crb == pytest.approx(crb(cfg.total_length, sigma2[row.rx]), rel=1e-12)
+            assert 0.9 < row.ratio < 1.1
 
 
 class TestCapacityExperiment:

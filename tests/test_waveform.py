@@ -12,26 +12,26 @@ from chirpsounder import (
     cyclic_correlation,
     generate_chirp,
     papr,
-    periodic_autocorrelation,
-    periodic_crosscorrelation,
 )
 
 
-def brute_autocorrelation(s, tau):
-    """Literal two-part periodic sum, independent of the library's cyclic form."""
-    N = len(s)
-    tau = tau % N
-    head = sum(s[n] * np.conj(s[n + tau]) for n in range(N - tau))
-    tail = sum(s[n] * np.conj(s[n + tau - N]) for n in range(N - tau, N))
-    return head + tail
+def brute_correlation(si, sv, tau):
+    """Literal two-part periodic sum sum_n si[n] * conj(sv[(n+tau) mod N]).
 
-
-def brute_crosscorrelation(si, sv, tau):
+    Written as defined, with two slices and no cyclic roll, so it does not
+    share the library's FFT form.
+    """
     N = len(si)
     tau = tau % N
-    head = sum(si[n] * np.conj(sv[n + tau]) for n in range(N - tau))
-    tail = sum(si[n] * np.conj(sv[n + tau - N]) for n in range(N - tau, N))
+    head = np.sum(si[: N - tau] * np.conj(sv[tau:]))
+    tail = np.sum(si[N - tau :] * np.conj(sv[:tau]))
     return head + tail
+
+
+def periodic_correlation(wa, wb):
+    """Periodic correlation of two waveforms at lags 0..N-1: c[-tau mod N]."""
+    c = cyclic_correlation(wa.samples, wb.samples)
+    return c[-np.arange(wa.N) % wa.N]
 
 
 class TestGenerateChirp:
@@ -64,17 +64,17 @@ class TestAutocorrelation:
     def test_zero_lag_is_unit_energy(self):
         for p in (1, 2, 4):
             w = generate_chirp(p, 128)
-            assert periodic_autocorrelation(w, 0) == pytest.approx(1.0, abs=1e-12)
+            assert periodic_correlation(w, w)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_half_period_peak_is_minus_one(self):
         w = generate_chirp(1, 128)
-        assert periodic_autocorrelation(w, 64) == pytest.approx(-1.0, abs=1e-12)
+        assert periodic_correlation(w, w)[64] == pytest.approx(-1.0, abs=1e-12)
 
     def test_off_comb_lag_is_zero(self):
         w = generate_chirp(2, 128)
-        value = periodic_autocorrelation(w, 17)
+        value = periodic_correlation(w, w)[17]
         assert abs(value) < 1e-12
-        assert abs(brute_autocorrelation(w.samples, 17)) < 1e-12
+        assert abs(brute_correlation(w.samples, w.samples, 17)) < 1e-12
         assert closed_form_autocorrelation(2, 128, 17) == 0
 
     @pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256, 512])
@@ -83,31 +83,34 @@ class TestAutocorrelation:
         p = 1
         while N > 2 * p:
             w = generate_chirp(p, N)
+            R = periodic_correlation(w, w)
             for tau in range(N):
                 predicted = closed_form_autocorrelation(p, N, tau)
-                assert abs(periodic_autocorrelation(w, tau) - predicted) < 1e-10
+                assert abs(R[tau] - predicted) < 1e-10
             p *= 2
 
     def test_brute_force_agrees_with_cyclic_sum(self):
         w = generate_chirp(2, 64)
+        R = periodic_correlation(w, w)
         for tau in range(64):
-            assert periodic_autocorrelation(w, tau) == pytest.approx(
-                brute_autocorrelation(w.samples, tau), abs=1e-12
+            assert R[tau] == pytest.approx(
+                brute_correlation(w.samples, w.samples, tau), abs=1e-12
             )
 
     def test_lag_reduces_mod_period(self):
+        # c[-tau mod N] holds for any integer lag, negative ones included
         w = generate_chirp(2, 128)
+        c = cyclic_correlation(w.samples, w.samples)
         for tau in (-5, 3, 77):
-            assert periodic_autocorrelation(w, tau) == pytest.approx(
-                periodic_autocorrelation(w, tau + 128), abs=1e-14
+            assert c[-tau % 128] == pytest.approx(
+                brute_correlation(w.samples, w.samples, tau + 128), abs=1e-14
             )
 
     def test_hermitian_symmetry(self):
         w = generate_chirp(4, 128)
+        c = cyclic_correlation(w.samples, w.samples)
         for tau in range(0, 128, 7):
-            assert periodic_autocorrelation(w, tau) == pytest.approx(
-                np.conj(periodic_autocorrelation(w, -tau)), abs=1e-13
-            )
+            assert c[-tau % 128] == pytest.approx(np.conj(c[tau % 128]), abs=1e-13)
 
 
 class TestClosedForm:
@@ -125,13 +128,14 @@ class TestClosedForm:
 class TestCrosscorrelation:
     def test_zero_at_zero_lag(self):
         w1, w2 = generate_chirp(1, 128), generate_chirp(2, 128)
-        assert abs(periodic_crosscorrelation(w1, w2, 0)) < 1e-12
+        assert abs(periodic_correlation(w1, w2)[0]) < 1e-12
 
     def test_zero_at_every_lag_with_brute_force(self):
         w1, w4 = generate_chirp(1, 128), generate_chirp(4, 128)
+        C = periodic_correlation(w1, w4)
         for tau in range(128):
-            assert abs(periodic_crosscorrelation(w1, w4, tau)) < 1e-12
-            assert abs(brute_crosscorrelation(w1.samples, w4.samples, tau)) < 1e-12
+            assert abs(C[tau]) < 1e-12
+            assert abs(brute_correlation(w1.samples, w4.samples, tau)) < 1e-12
 
     @pytest.mark.parametrize("pa,pb", [(1, 2), (1, 4), (1, 8), (2, 4), (2, 8), (4, 8)])
     @pytest.mark.parametrize("N", [64, 128])
@@ -139,35 +143,22 @@ class TestCrosscorrelation:
         if N <= 2 * max(pa, pb):
             pytest.skip("period too short for this pair")
         wa, wb = generate_chirp(pa, N), generate_chirp(pb, N)
-        worst = max(abs(periodic_crosscorrelation(wa, wb, tau)) for tau in range(N))
+        worst = np.max(np.abs(periodic_correlation(wa, wb)))
         assert worst < 1e-10
-
-    def test_same_rate_rejected(self):
-        w = generate_chirp(2, 128)
-        with pytest.raises(ConstraintViolationError):
-            periodic_crosscorrelation(w, w, 0)
-
-    def test_period_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            periodic_crosscorrelation(generate_chirp(1, 64), generate_chirp(2, 128), 0)
 
 
 class TestCyclicCorrelation:
     @pytest.mark.parametrize("N", [64, 128, 1024])
     def test_matches_per_lag_reference(self, N):
-        waveforms = [generate_chirp(p, N) for p in (1, 2, 4)]
+        samples = [generate_chirp(p, N).samples for p in (1, 2, 4)]
+        pairs = [(a, b) for a in range(3) for b in range(3)]
+        corr = {(a, b): cyclic_correlation(samples[a], samples[b]) for a, b in pairs}
         worst = 0.0
-        for wa in waveforms:
-            for wb in waveforms:
-                c = cyclic_correlation(wa.samples, wb.samples)
-                swapped = np.conj(cyclic_correlation(wb.samples, wa.samples))
-                for tau in range(N):
-                    ref = (
-                        periodic_autocorrelation(wa, tau)
-                        if wa is wb
-                        else periodic_crosscorrelation(wa, wb, tau)
-                    )
-                    worst = max(worst, abs(c[-tau % N] - ref), abs(swapped[tau] - ref))
+        for a, b in pairs:
+            c, swapped = corr[a, b], np.conj(corr[b, a])
+            for tau in range(N):
+                ref = brute_correlation(samples[a], samples[b], tau)
+                worst = max(worst, abs(c[-tau % N] - ref), abs(swapped[tau] - ref))
         assert worst < 1e-12
 
     def test_length_mismatch_rejected(self):
