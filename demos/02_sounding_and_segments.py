@@ -30,14 +30,14 @@ for i, w in enumerate(waveforms):
     S = build_sounding_matrix(w, cfg.total_length)
     for m in range(scenario.nr):
         h_hat = matched_filter_integer(S, r[m])
-        err = np.max(np.abs(h_hat - scenario.link(i, m).taps))
+        err = np.max(np.abs(h_hat - scenario.taps[i, m]))
         print(f"  tx {i} (p={w.p}) -> rx {m}: {err:.2e}")
 
 print("\nfull-period output of tx 2 (p=4) at rx 0: 8 replicas, signs + - + - ...")
 w = waveforms[2]
 segments = segmented_output(w, r[0])  # (2p, N/(2p)): one row per replica
 stride = segments.shape[1]
-taps = scenario.link(2, 0).taps
+taps = scenario.taps[2, 0]
 for j, segment in enumerate(segments):
     sign = "+" if j % 2 == 0 else "-"
     expected = taps if j % 2 == 0 else -taps

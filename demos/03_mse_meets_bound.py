@@ -40,7 +40,7 @@ for row in result.links:
 scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
 waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
 r0 = receive_integer(scenario, waveforms)  # noiseless; awgn adds the noise below
-taps = scenario.link(2, 0).taps
+taps = scenario.taps[2, 0]
 gen = derive_rng(cfg.seed, 1, 0)
 err_single = err_avg = 0.0
 trials = 5000

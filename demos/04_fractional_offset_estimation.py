@@ -11,7 +11,6 @@ degradation relative to the integer-offset bound.
 import numpy as np
 
 from chirpsounder import (
-    LinkChannel,
     build_pulse,
     build_shaping_matrix,
     build_sounding_matrix,
@@ -34,9 +33,8 @@ block = rng.standard_normal(10) + 1j * rng.standard_normal(10)
 taps[5:] = block / np.linalg.norm(block)
 
 w = generate_chirp(1, N)
-link = LinkChannel(taps=taps, d=5, mu=mu_true, active=10)
-sc = MimoScenario(
-    tx_node=(0,), rx_node=(0,), links=((link,),), sigma2=np.zeros(1), L=L
+sc = MimoScenario(  # one link: taps[0, 0], offset d + mu = 5 + mu_true
+    taps=taps[None, None], d=np.array([[5]]), mu=np.array([[mu_true]]), sigma2=np.zeros(1)
 )
 r = receive_fractional(sc, [w], pulse)
 S = build_sounding_matrix(w, L, M)

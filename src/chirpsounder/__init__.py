@@ -5,8 +5,9 @@ The package covers the full sounding chain:
 * ``waveform`` -- the chirp waveform family, its FFT cyclic correlation
   (every lag of the periodic auto/cross correlations), PAPR, and the
   per-scenario design constraints.
-* ``channel`` -- multipath links with integer and fractional clock offsets,
-  raised-cosine pulse shaping, AWGN, and scenario synthesis.
+* ``channel`` -- the scenario as arrays (taps ``(nt, nr, L)`` with integer
+  and fractional clock offsets ``d`` and ``mu`` per link), raised-cosine
+  pulse shaping, noiseless reception, AWGN, and scenario synthesis.
 * ``estimator`` -- Toeplitz sounding matrices, matched filters, the joint
   (offset, taps) estimator, and the full-period output split into segments.
 * ``metrics`` -- the estimator variance bound and the synchronous vs
@@ -16,7 +17,6 @@ The package covers the full sounding chain:
 """
 
 from .channel import (
-    LinkChannel,
     MimoScenario,
     PulseShape,
     awgn,
@@ -26,7 +26,6 @@ from .channel import (
     receive_fractional,
     receive_integer,
     synthesize_channels,
-    with_fractional_offsets,
 )
 from .config import PRESETS, ScenarioConfig, from_dict, from_json, load, preset
 from .errors import (

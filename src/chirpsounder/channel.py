@@ -4,7 +4,10 @@ Links are frequency selective with a clock mismatch between the transmit
 and receive local oscillators.  The mismatch, expressed in sampling
 intervals, splits into an integer part ``d`` (folded into the channel as
 leading zero taps) and a fractional part ``mu`` in (0, 1/2].  Antennas that
-belong to the same (transmit node, receive node) pair share both parts.
+belong to the same (transmit node, receive node) pair share both parts.  A
+``MimoScenario`` holds the channel as arrays indexed by (tx antenna i, rx
+antenna m): the taps ``taps[i, m]`` of shape (nt, nr, L), the offsets
+``d[i, m]`` and ``mu[i, m]``, and the noise level ``sigma2[m]``.
 
 Reception is cyclic: the sounding waveforms repeat with period N, so every
 signal index wraps mod N.  With only integer offsets the received stream at
@@ -26,7 +29,7 @@ The sampling interval T is normalized to 1 throughout; only ratios t/T enter
 any formula.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,67 +80,47 @@ def build_pulse(rolloff=0.25, M=4):
 
 
 @dataclass(frozen=True, eq=False)
-class LinkChannel:
-    """Multipath taps of one tx-antenna -> rx-antenna link.
+class MimoScenario:
+    """The channel of every link plus the noise level at each receive antenna.
 
-    ``taps`` has the full modeled length L with the integer clock offset
-    folded in as ``d`` leading zeros; ``active`` of them are (potentially)
-    nonzero starting at lag ``d``.  ``mu`` is the fractional clock offset in
-    (0, 1/2], or 0.0 for a link modeled without one.
+    ``taps[i, m]`` holds the L taps from tx antenna i to rx antenna m, with
+    the integer clock offset ``d[i, m]`` folded in as leading zeros;
+    ``mu[i, m]`` is the fractional clock offset in (0, 1/2], or 0.0 for a
+    link modeled without one.  ``sigma2[m]`` is the per-real-dimension noise
+    variance at rx antenna m (complex samples have variance 2*sigma2[m]).
     """
 
-    taps: np.ndarray
-    d: int
-    mu: float
-    active: int
+    taps: np.ndarray  # (nt, nr, L) complex; read-only when synthesized
+    d: np.ndarray  # (nt, nr) int
+    mu: np.ndarray  # (nt, nr) float
+    sigma2: np.ndarray  # (nr,)
 
     def __post_init__(self):
-        if self.d < 0:
-            raise ConfigError(f"integer offset must be >= 0, got {self.d}")
-        if not 0.0 <= self.mu <= 0.5:
-            raise ConfigError(f"fractional offset must lie in [0, 0.5], got {self.mu}")
-        if self.active < 0 or self.d + self.active > len(self.taps):
-            raise ConfigError(
-                f"active taps [{self.d}, {self.d + self.active}) exceed length {len(self.taps)}"
+        grid, L = self.taps.shape[:-1], self.taps.shape[-1]  # (nt, nr), L
+        shapes = (self.d.shape, self.mu.shape, self.sigma2.shape)
+        if len(grid) != 2 or shapes != (grid, grid, grid[1:]):
+            raise DimensionMismatchError(
+                f"taps of shape (nt, nr, L) = {self.taps.shape} need d and mu of shape "
+                f"(nt, nr) and sigma2 of shape (nr,), got {shapes}"
             )
-        if self.d and np.any(self.taps[: self.d] != 0):
+        if not np.all((self.d >= 0) & (self.d <= L)):
+            raise ConfigError(f"integer offsets must lie in [0, {L}], got {self.d.tolist()}")
+        if not np.all((self.mu >= 0.0) & (self.mu <= 0.5)):
+            raise ConfigError(f"fractional offsets must lie in [0, 0.5], got {self.mu.tolist()}")
+        if np.any(self.taps[np.arange(L) < self.d[..., None]]):
             raise ConfigError("taps below the integer offset must be zero")
 
     @property
-    def L(self):
-        return len(self.taps)
-
-    @property
-    def zeta(self):
-        """Total clock mismatch delay in sampling intervals."""
-        return self.d + self.mu
-
-
-@dataclass(frozen=True, eq=False)
-class MimoScenario:
-    """A full grid of links plus the noise level at each receive antenna.
-
-    ``links[i][m]`` is the channel from tx antenna i to rx antenna m;
-    ``sigma2[m]`` is the per-real-dimension noise variance at rx antenna m
-    (complex samples have variance 2*sigma2[m]).
-    """
-
-    tx_node: tuple
-    rx_node: tuple
-    links: tuple
-    sigma2: np.ndarray
-    L: int
-
-    @property
     def nt(self):
-        return len(self.tx_node)
+        return self.taps.shape[0]
 
     @property
     def nr(self):
-        return len(self.rx_node)
+        return self.taps.shape[1]
 
-    def link(self, i, m):
-        return self.links[i][m]
+    @property
+    def L(self):
+        return self.taps.shape[2]
 
 
 def noise_variance_for_snr(mean_power, snr_db):
@@ -164,7 +147,7 @@ def draw_fractional_offsets(cfg, rng):
 
 
 def synthesize_channels(cfg, rng):
-    """Realize the scenario's channel grid from a seeded generator.
+    """Realize the scenario's channel arrays from a seeded generator.
 
     Nonzero taps are i.i.d. unit-variance circular complex Gaussian placed at
     lags d .. d+active-1, optionally normalized to unit energy per link.
@@ -182,60 +165,31 @@ def synthesize_channels(cfg, rng):
             f"waveform design constraint violated: {report.condition}"
         )
     if not cfg.fractional:
-        mu_pairs = tuple(tuple([0.0] * cfg.mr) for _ in range(cfg.mt))
+        mu = np.zeros((cfg.nt, cfg.nr))
     elif cfg.mu_values is not None:
-        mu_pairs = cfg.mu_values
+        mu = cfg.per_link(cfg.mu_values)
     else:
-        mu_pairs = draw_fractional_offsets(cfg, rng)
+        mu = cfg.per_link(draw_fractional_offsets(cfg, rng))
 
-    L = cfg.total_length
-    links = []
-    power = np.zeros(cfg.nr)
+    d = cfg.per_link(cfg.integer_offsets)
+    taps = np.zeros((cfg.nt, cfg.nr, cfg.total_length), dtype=complex)
     for i in range(cfg.nt):
-        row = []
         for m in range(cfg.nr):
-            d = cfg.link_offset(i, m)
-            active = cfg.link_active(i, m)
-            taps = np.zeros(L, dtype=complex)
+            active = cfg.active_taps[i][m]
             if active:
                 draws = rng.standard_normal((2, active))
                 block = (draws[0] + 1j * draws[1]) / np.sqrt(2.0)
                 if cfg.normalize_taps:
                     block = block / np.linalg.norm(block)
-                taps[d : d + active] = block
-            taps.flags.writeable = False
-            mu = mu_pairs[cfg.tx_node[i]][cfg.rx_node[m]]
-            row.append(LinkChannel(taps=taps, d=d, mu=float(mu), active=active))
-            power[m] += float(np.sum(np.abs(taps) ** 2))
-        links.append(tuple(row))
+                taps[i, m, d[i, m] : d[i, m] + active] = block
+    taps.flags.writeable = False
 
-    power /= cfg.waveform_length
+    power = np.sum(np.abs(taps) ** 2, axis=2).sum(axis=0) / cfg.waveform_length
     sigma2 = np.array(
         [noise_variance_for_snr(power[m], cfg.snr_db[m]) for m in range(cfg.nr)]
     )
     sigma2.flags.writeable = False
-    return MimoScenario(
-        tx_node=cfg.tx_node,
-        rx_node=cfg.rx_node,
-        links=tuple(links),
-        sigma2=sigma2,
-        L=L,
-    )
-
-
-def with_fractional_offsets(scenario, mu_pairs):
-    """Copy of the scenario with new per-pair fractional offsets."""
-    links = tuple(
-        tuple(
-            replace(
-                scenario.link(i, m),
-                mu=float(mu_pairs[scenario.tx_node[i]][scenario.rx_node[m]]),
-            )
-            for m in range(scenario.nr)
-        )
-        for i in range(scenario.nt)
-    )
-    return replace(scenario, links=links)
+    return MimoScenario(taps=taps, d=d, mu=mu, sigma2=sigma2)
 
 
 def _check_reception_inputs(scenario, waveforms):
@@ -263,13 +217,13 @@ def awgn(r0, sigma2, rng):
 def _receive(scenario, waveforms, coeffs, lead):
     """Noiseless cyclic reception: antenna m sums c[k] * roll(s_i, k - lead) over links.
 
-    ``c = coeffs(link)`` is the link's effective filter, c[k] at lag k - lead.
+    ``c = coeffs(i, m)`` is the effective filter of link (i, m), c[k] at lag k - lead.
     """
     N = _check_reception_inputs(scenario, waveforms)
     r0 = np.zeros((scenario.nr, N), dtype=complex)
     for m in range(scenario.nr):
         for i in range(scenario.nt):
-            c = coeffs(scenario.link(i, m))
+            c = coeffs(i, m)
             s = waveforms[i].samples
             for k in np.nonzero(c)[0]:
                 r0[m] += c[k] * np.roll(s, k - lead)
@@ -283,7 +237,7 @@ def receive_integer(scenario, waveforms):
     adds the noise.  The effective filter is the taps alone: the pulse
     sampled at mu = 0 is not an exact delta.
     """
-    return _receive(scenario, waveforms, lambda link: link.taps, 0)
+    return _receive(scenario, waveforms, lambda i, m: scenario.taps[i, m], 0)
 
 
 def receive_fractional(scenario, waveforms, pulse):
@@ -297,7 +251,7 @@ def receive_fractional(scenario, waveforms, pulse):
     """
     lags = np.arange(-pulse.M, pulse.M + 1)
 
-    def coeffs(link):  # lags -M .. M+L-1
-        return np.convolve(pulse(lags + link.mu), link.taps)
+    def coeffs(i, m):  # lags -M .. M+L-1
+        return np.convolve(pulse(lags + scenario.mu[i, m]), scenario.taps[i, m])
 
     return _receive(scenario, waveforms, coeffs, pulse.M)

@@ -29,6 +29,8 @@ import json
 import math
 from dataclasses import dataclass, asdict
 
+import numpy as np
+
 from .errors import ConfigError
 from .waveform import check_design_constraints, _is_pow2
 
@@ -76,12 +78,9 @@ class ScenarioConfig:
     def nr(self):
         return len(self.rx_node)
 
-    def link_offset(self, i, m):
-        """Integer clock offset of the (tx antenna i, rx antenna m) link."""
-        return self.integer_offsets[self.tx_node[i]][self.rx_node[m]]
-
-    def link_active(self, i, m):
-        return self.active_taps[i][m]
+    def per_link(self, pairs):
+        """The (nt, nr) array of antenna links from an (mt, mr) grid of node pairs."""
+        return np.asarray(pairs)[np.ix_(self.tx_node, self.rx_node)]
 
     @property
     def lead(self):
@@ -420,8 +419,12 @@ def from_json(text):
 
 
 def load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
+    return from_json(text)
 
 
 def _preset_paper_sec5():

@@ -23,7 +23,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .channel import (
     receive_fractional,
     receive_integer,
     synthesize_channels,
-    with_fractional_offsets,
 )
 from .errors import ConfigError
 from .estimator import (
@@ -167,14 +166,14 @@ def run_mse_experiment(cfg):
         trial_scenario = scenario
         if redraw_mu:
             mu_pairs = draw_fractional_offsets(cfg, derive_rng(cfg.seed, 2, t))
-            trial_scenario = with_fractional_offsets(scenario, mu_pairs)
+            trial_scenario = replace(scenario, mu=cfg.per_link(mu_pairs))
         r0 = base if base is not None else _received(
             cfg, trial_scenario, waveforms, pulse
         )
         r = awgn(r0, trial_scenario.sigma2, derive_rng(cfg.seed, 1, t))
         for m in range(cfg.nr):
             for i in range(cfg.nt):
-                truth = trial_scenario.link(i, m).taps
+                truth = trial_scenario.taps[i, m]
                 if cfg.fractional:
                     hF = matched_filter_fractional(matrices[i], r[m])
                     rep = joint_estimate(hF, pulse, L, M)

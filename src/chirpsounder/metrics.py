@@ -43,14 +43,12 @@ def crb(L, sigma2):
     return 2.0 * L * float(sigma2)
 
 
-def frequency_response(link, K):
-    """Synchronous response of one link on K bins: the DFT of its delay-stripped taps."""
-    if K < link.L:
-        raise DimensionMismatchError(
-            f"grid with {K} bins cannot resolve {link.L} taps"
-        )
+def frequency_response(taps, d, K):
+    """Synchronous response of one link on K bins: the DFT of its delay-stripped taps[d:]."""
+    if K < len(taps):
+        raise DimensionMismatchError(f"grid with {K} bins cannot resolve {len(taps)} taps")
     stripped = np.zeros(K, dtype=complex)
-    stripped[: link.active] = link.taps[link.d : link.d + link.active]
+    stripped[: len(taps) - d] = taps[d:]
     return np.fft.fft(stripped)
 
 
@@ -77,11 +75,11 @@ def capacity_equivalence_report(scenario, K, rho_db):
     f = np.arange(K) / K
     Hs = np.empty((K, scenario.nr, scenario.nt), dtype=complex)
     Ha = np.empty((K, scenario.nr, scenario.nt), dtype=complex)
+    zeta = scenario.d + scenario.mu
     for i in range(scenario.nt):
         for m in range(scenario.nr):
-            link = scenario.link(i, m)
-            Hs[:, m, i] = frequency_response(link, K)
-            Ha[:, m, i] = Hs[:, m, i] * np.exp(-2j * np.pi * f * link.zeta)
+            Hs[:, m, i] = frequency_response(scenario.taps[i, m], scenario.d[i, m], K)
+            Ha[:, m, i] = Hs[:, m, i] * np.exp(-2j * np.pi * f * zeta[i, m])
     rows = []
     for db in rho_db:
         rho = 0.0 if db == -np.inf else 10.0 ** (db / 10.0)

@@ -26,7 +26,9 @@ from .errors import (
 
 
 def _is_pow2(value):
-    return isinstance(value, (int, np.integer)) and value >= 1 and (value & (value - 1)) == 0
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        return False  # a JSON true is not the rate 1
+    return value >= 1 and (value & (value - 1)) == 0
 
 
 @dataclass(frozen=True, eq=False)

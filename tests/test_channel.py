@@ -9,7 +9,6 @@ from chirpsounder import (
     ConfigError,
     ConstraintViolationError,
     DimensionMismatchError,
-    LinkChannel,
     awgn,
     build_pulse,
     derive_rng,
@@ -19,8 +18,8 @@ from chirpsounder import (
     receive_fractional,
     receive_integer,
     synthesize_channels,
-    with_fractional_offsets,
 )
+from chirpsounder.channel import MimoScenario
 
 
 def pulse_by_quadrature(t, rolloff, points=1 << 17):
@@ -102,25 +101,39 @@ class TestRaisedCosine:
             build_pulse(rolloff=0.25, M=0)
 
 
+def link_scenario(taps, d, mu=0.0):
+    """1x1 MimoScenario around one link's taps, offsets and no noise."""
+    return MimoScenario(
+        taps=np.asarray(taps, dtype=complex)[None, None],
+        d=np.array([[d]]),
+        mu=np.array([[mu]]),
+        sigma2=np.zeros(1),
+    )
+
+
 class TestLinkChannel:
+    """The per-link checks that MimoScenario applies to every (tx, rx) link."""
+
     def test_leading_zero_enforced(self):
-        taps = np.ones(6, dtype=complex)
         with pytest.raises(ConfigError):
-            LinkChannel(taps=taps, d=2, mu=0.0, active=4)
+            link_scenario(np.ones(6), d=2)
 
     def test_span_checked(self):
         with pytest.raises(ConfigError):
-            LinkChannel(taps=np.zeros(6, dtype=complex), d=3, mu=0.0, active=4)
+            link_scenario(np.zeros(6), d=7)
+        # d = L is a link with zero active taps
+        assert link_scenario(np.zeros(6), d=6).L == 6
+        with pytest.raises(DimensionMismatchError):  # d of a transposed grid
+            MimoScenario(
+                taps=np.zeros((2, 1, 6), dtype=complex),
+                d=np.zeros((1, 2), dtype=int),
+                mu=np.zeros((2, 1)),
+                sigma2=np.zeros(1),
+            )
 
     def test_mu_range_checked(self):
         with pytest.raises(ConfigError):
-            LinkChannel(taps=np.zeros(6, dtype=complex), d=0, mu=0.6, active=2)
-
-    def test_zeta(self):
-        link = LinkChannel(
-            taps=np.r_[0, 0, 1, 0].astype(complex), d=2, mu=0.25, active=1
-        )
-        assert link.zeta == pytest.approx(2.25)
+            link_scenario(np.zeros(6), d=0, mu=0.6)
 
 
 class TestSynthesis:
@@ -128,22 +141,21 @@ class TestSynthesis:
         cfg = sec5_config()
         sc = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
         assert sc.nt == 3 and sc.nr == 3
+        assert sc.taps.shape == (3, 3, 15) and not sc.taps.flags.writeable
         for i in range(3):
             for m in range(3):
-                link = sc.link(i, m)
+                taps = sc.taps[i, m]
                 expected_d = 0 if i < 2 else 5
-                assert link.d == expected_d
-                assert np.all(link.taps[:expected_d] == 0)
-                assert np.count_nonzero(link.taps) == 10
-                assert np.sum(np.abs(link.taps) ** 2) == pytest.approx(1.0)
+                assert sc.d[i, m] == expected_d
+                assert np.all(taps[:expected_d] == 0)
+                assert np.count_nonzero(taps) == 10
+                assert np.sum(np.abs(taps) ** 2) == pytest.approx(1.0)
 
     def test_deterministic_given_seed(self):
         cfg = sec5_config()
         a = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
         b = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
-        for i in range(3):
-            for m in range(3):
-                np.testing.assert_array_equal(a.link(i, m).taps, b.link(i, m).taps)
+        np.testing.assert_array_equal(a.taps, b.taps)
 
     def test_zero_active_taps(self):
         cfg = sec5_config(channel={
@@ -152,8 +164,8 @@ class TestSynthesis:
             "integer_offsets": [[0, 0, 0], [5, 5, 5]],
         })
         sc = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
-        assert not sc.link(0, 0).taps.any()
-        assert sc.link(0, 1).taps.any()
+        assert not sc.taps[0, 0].any()
+        assert sc.taps[0, 1].any()
 
     def test_inconsistent_config_lists_violations(self):
         with pytest.raises(ConfigError, match="exceeds total_length"):
@@ -171,9 +183,9 @@ class TestSynthesis:
         )
         sc = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
         for m in range(3):
-            assert sc.link(0, m).mu == sc.link(1, m).mu
-            assert sc.link(0, m).d == sc.link(1, m).d
-        assert 0.0 < sc.link(0, 0).mu <= 0.5
+            assert sc.mu[0, m] == sc.mu[1, m]
+            assert sc.d[0, m] == sc.d[1, m]
+        assert 0.0 < sc.mu[0, 0] <= 0.5
 
     def test_constraint_violation_aborts(self):
         cfg = sec5_config(channel={
@@ -185,24 +197,10 @@ class TestSynthesis:
             synthesize_channels(cfg, derive_rng(cfg.seed, 0))
 
 
-def single_link_scenario(taps, mu=0.0, N=128, p=1, sigma2=None):
+def single_link_scenario(taps, mu=0.0, N=128, p=1):
     """1x1 scenario with explicit taps, built without the config machinery."""
-    from chirpsounder.channel import MimoScenario
-
     taps = np.asarray(taps, dtype=complex)
-    d = 0
-    for v in taps:
-        if v != 0:
-            break
-        d += 1
-    if not taps.any():
-        d = 0
-    active = len(taps) - d
-    link = LinkChannel(taps=taps, d=d, mu=mu, active=active)
-    noise = np.zeros(1) if sigma2 is None else np.array([sigma2])
-    return MimoScenario(
-        tx_node=(0,), rx_node=(0,), links=((link,),), sigma2=noise, L=len(taps)
-    )
+    return link_scenario(taps, int(np.argmax(taps != 0)), mu)  # d: leading zeros
 
 
 class TestReceiveInteger:
@@ -330,13 +328,13 @@ class TestReceiveFractional:
         )
         np.testing.assert_array_equal(a, b)
 
-    def test_with_fractional_offsets_override(self):
+    def test_per_link_offsets_override(self):
         cfg = sec5_config(
             fractional={"enabled": True, "mu": 0.3},
             waveform={"length": 256, "chirp_rates": [1, 2, 4]},
         )
         sc = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
-        sc2 = with_fractional_offsets(sc, ((0.1, 0.2, 0.3), (0.4, 0.5, 0.25)))
-        assert sc2.link(0, 1).mu == 0.2
-        assert sc2.link(2, 2).mu == 0.25
-        np.testing.assert_array_equal(sc2.link(0, 1).taps, sc.link(0, 1).taps)
+        sc2 = replace(sc, mu=cfg.per_link(((0.1, 0.2, 0.3), (0.4, 0.5, 0.25))))
+        assert sc2.mu[0, 1] == 0.2
+        assert sc2.mu[2, 2] == 0.25
+        np.testing.assert_array_equal(sc2.taps[0, 1], sc.taps[0, 1])

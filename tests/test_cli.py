@@ -129,6 +129,13 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{bad")
+    assert main(["check", "--config", str(path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_constraint_violation_exits_2(tmp_path, capsys):
     path = small_config_file(tmp_path, waveform={"length": 32, "chirp_rates": [1, 2]})
     assert main(["mse", "--config", str(path)]) == 2

@@ -13,6 +13,7 @@ from chirpsounder import (
     emit_results,
     from_dict,
     from_json,
+    generate_chirp,
     preset,
     run_capacity_experiment,
     run_mse_experiment,
@@ -79,6 +80,13 @@ class TestConfig:
     def test_duplicate_rates_rejected(self):
         with pytest.raises(ConfigError, match="distinct"):
             small_config(waveform={"length": 128, "chirp_rates": [2, 2]})
+
+    def test_boolean_rate_rejected(self):
+        # a JSON true is not the chirp rate 1
+        with pytest.raises(ConfigError, match="power of 2"):
+            small_config(waveform={"length": 128, "chirp_rates": [True, 2]})
+        with pytest.raises(ConstraintViolationError):
+            generate_chirp(True, 128)
 
     def test_snr_length_checked(self):
         with pytest.raises(ConfigError, match="one value per rx antenna"):

@@ -5,7 +5,6 @@ import pytest
 
 from chirpsounder import (
     DimensionMismatchError,
-    LinkChannel,
     capacity_equivalence_report,
     crb,
     derive_rng,
@@ -21,23 +20,6 @@ from chirpsounder.metrics import _capacity_integrand
 def capacity(H, rho):
     """Band-average capacity of (K, Nr, Nt) matrices, as the report computes it."""
     return _capacity_integrand(H, rho).mean()
-
-
-def make_link(taps, d=0, mu=0.0):
-    taps = np.asarray(taps, dtype=complex)
-    return LinkChannel(taps=taps, d=d, mu=mu, active=len(taps) - d)
-
-
-def scenario_from_links(links_grid, L):
-    nt = len(links_grid)
-    nr = len(links_grid[0])
-    return MimoScenario(
-        tx_node=tuple(range(nt)),
-        rx_node=tuple(range(nr)),
-        links=tuple(tuple(row) for row in links_grid),
-        sigma2=np.zeros(nr),
-        L=L,
-    )
 
 
 class TestCrb:
@@ -62,33 +44,31 @@ class TestCrb:
 
 class TestFrequencyResponse:
     def test_flat_channel(self):
-        link = make_link([1] + [0] * 9)
-        np.testing.assert_allclose(frequency_response(link, 64), 1.0)
+        taps = np.r_[1.0, np.zeros(9)].astype(complex)
+        np.testing.assert_allclose(frequency_response(taps, 0, 64), 1.0)
 
     def test_async_has_same_magnitude(self):
         # stripping the delay changes only the phase of the response
         rng = np.random.default_rng(1)
         taps = np.r_[0, 0, 0, (rng.standard_normal(5) + 1j * rng.standard_normal(5))]
-        link = make_link(taps, d=3, mu=0.3)
         padded = np.zeros(128, dtype=complex)
-        padded[: link.L] = link.taps
-        sync = frequency_response(link, 128)
+        padded[: len(taps)] = taps
+        sync = frequency_response(taps, 3, 128)
         np.testing.assert_allclose(np.abs(np.fft.fft(padded)), np.abs(sync), atol=1e-12)
 
     def test_pure_delay_phase_ramp(self):
-        link = make_link(np.r_[np.zeros(5), 1.0], d=5)
-        sync = frequency_response(link, 64)
+        taps = np.r_[np.zeros(5), 1.0].astype(complex)
+        sync = frequency_response(taps, 5, 64)
         expected = np.exp(-2j * np.pi * np.arange(64) / 64 * 5)
         # integer-only offsets: the DFT of the taps left in place is the
         # synchronous response times the delay's phase ramp
         padded = np.zeros(64, dtype=complex)
-        padded[: link.L] = link.taps
+        padded[: len(taps)] = taps
         np.testing.assert_allclose(np.fft.fft(padded) / sync, expected, atol=1e-12)
 
     def test_grid_must_resolve_taps(self):
-        link = make_link(np.ones(10))
         with pytest.raises(DimensionMismatchError):
-            frequency_response(link, 8)
+            frequency_response(np.ones(10, dtype=complex), 0, 8)
 
 
 class TestCapacity:
@@ -129,18 +109,14 @@ class TestCapacity:
 
 class TestEquivalenceReport:
     def links_with_zeta(self, rng, zetas, La=3, L=11):
-        grid = []
-        for row in zetas:
-            links = []
-            for zeta in row:
-                d = int(zeta)
-                mu = zeta - d
-                taps = np.zeros(L, dtype=complex)
-                block = rng.standard_normal(La) + 1j * rng.standard_normal(La)
-                taps[d : d + La] = block / np.linalg.norm(block)
-                links.append(LinkChannel(taps=taps, d=d, mu=mu, active=La))
-            grid.append(links)
-        return scenario_from_links(grid, L)
+        """Scenario whose link (i, m) is La unit-energy taps at offset zetas[i][m]."""
+        zetas = np.asarray(zetas)
+        d = zetas.astype(int)
+        taps = np.zeros(zetas.shape + (L,), dtype=complex)
+        for (i, m), di in np.ndenumerate(d):
+            block = rng.standard_normal(La) + 1j * rng.standard_normal(La)
+            taps[i, m, di : di + La] = block / np.linalg.norm(block)
+        return MimoScenario(taps=taps, d=d, mu=zetas - d, sigma2=np.zeros(zetas.shape[1]))
 
     def test_shared_tx_side_is_equal(self):
         rng = np.random.default_rng(5)
