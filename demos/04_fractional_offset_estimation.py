@@ -45,7 +45,7 @@ print("matched filter output magnitude (length 2M+L-1 = 22):")
 print("  " + " ".join(f"{abs(v):.2f}" for v in hF))
 print("  (the taps leak into neighbouring lags through the pulse)")
 
-rep = joint_estimate(hF, pulse, L, M)
+rep = joint_estimate(hF, pulse, L)
 print(f"\njoint estimate: mu_hat = {rep.mu_hat:.8f} "
       f"(error {abs(rep.mu_hat - mu_true):.2e}), "
       f"{rep.iterations} polish steps, relative residual {rep.residual:.2e}")
@@ -59,10 +59,8 @@ best = min(
         np.sum(
             np.abs(
                 hF
-                - build_shaping_matrix(pulse, float(mu), L, M)
-                @ np.linalg.lstsq(
-                    build_shaping_matrix(pulse, float(mu), L, M), hF, rcond=None
-                )[0]
+                - build_shaping_matrix(pulse, float(mu), L)
+                @ np.linalg.lstsq(build_shaping_matrix(pulse, float(mu), L), hF, rcond=None)[0]
             )
             ** 2
         )

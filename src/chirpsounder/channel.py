@@ -22,7 +22,8 @@ pulse g shifted by its own mu:
 
     r[n] = sum_i sum_l sum_y s_i[(n - y) mod N] g((y + mu_im - l)T) h_im[l] + z[n],
 
-where y spans -M .. M+L-2 and g vanishes outside [-MT, MT].  The
+where y spans exactly the 2M+L-1 lags -M .. M+L-2 and g vanishes outside
+[-MT, MT]: r_m = sum_i S_i G(mu_im) h_im + z, the estimator's own model.  The
 ``receive_*`` functions return the noiseless sum; ``awgn`` alone adds z.
 
 The sampling interval T is normalized to 1 throughout; only ratios t/T enter
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConstraintViolationError, DimensionMismatchError
+from .waveform import _toeplitz, _window
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,11 @@ class PulseShape:
         if out.ndim == 0:
             return float(out)
         return out
+
+    def matrix(self, mu, L):
+        """Shaping matrices G(mu)[r, c] = g((r - M - c + mu)T), shape mu.shape + (2M+L-1, L)."""
+        lags = np.arange(_window(L, self.M))[:, None] - self.M - np.arange(L)
+        return self(lags + np.asarray(mu, dtype=float)[..., None, None])
 
 
 def build_pulse(rolloff=0.25, M=4):
@@ -132,18 +139,12 @@ def draw_fractional_offsets(cfg, rng):
     """Draw per-(tx node, rx node) fractional offsets in (0, 0.5].
 
     Respects the LO topology: a shared transmitter side means the offset
-    depends only on the receive node, and vice versa.  Returns an (Mt, Mr)
-    nested tuple.
+    depends only on the receive node, and vice versa.  Returns a read-only
+    (Mt, Mr) array broadcast from the one draw per independent offset.
     """
-    def draw():
-        return 0.5 * (1.0 - rng.random())  # uniform over (0, 0.5]
-
-    if cfg.lo_topology == "tx-shared":
-        per_rx = [draw() for _ in range(cfg.mr)]
-        return tuple(tuple(per_rx) for _ in range(cfg.mt))
-    if cfg.lo_topology == "rx-shared":
-        return tuple(tuple([draw()] * cfg.mr) for _ in range(cfg.mt))
-    return tuple(tuple(draw() for _ in range(cfg.mr)) for _ in range(cfg.mt))
+    shared = {"tx-shared": (1, cfg.mr), "rx-shared": (cfg.mt, 1)}
+    shape = shared.get(cfg.lo_topology, (cfg.mt, cfg.mr))
+    return np.broadcast_to(0.5 * (1.0 - rng.random(shape)), (cfg.mt, cfg.mr))
 
 
 def synthesize_channels(cfg, rng):
@@ -200,7 +201,6 @@ def _check_reception_inputs(scenario, waveforms):
     periods = {w.N for w in waveforms}
     if len(periods) != 1:
         raise DimensionMismatchError(f"waveforms must share one period, got {periods}")
-    return periods.pop()
 
 
 def awgn(r0, sigma2, rng):
@@ -214,44 +214,30 @@ def awgn(r0, sigma2, rng):
     return r0 + np.sqrt(sigma2)[:, None] * (draws[:, 0] + 1j * draws[:, 1])
 
 
-def _receive(scenario, waveforms, coeffs, lead):
-    """Noiseless cyclic reception: antenna m sums c[k] * roll(s_i, k - lead) over links.
+def _receive(scenario, waveforms, filters, M):
+    """Noiseless r_m = sum_i S_i filters[i, m], S_i the sounding matrix with lag origin M.
 
-    ``c = coeffs(i, m)`` is the effective filter of link (i, m), c[k] at lag k - lead.
+    Summed one waveform at a time, so no (nt, N, D) stack is built.
     """
-    N = _check_reception_inputs(scenario, waveforms)
-    r0 = np.zeros((scenario.nr, N), dtype=complex)
-    for m in range(scenario.nr):
-        for i in range(scenario.nt):
-            c = coeffs(i, m)
-            s = waveforms[i].samples
-            for k in np.nonzero(c)[0]:
-                r0[m] += c[k] * np.roll(s, k - lead)
-    return r0
+    _check_reception_inputs(scenario, waveforms)
+    return sum(filters[i] @ _toeplitz(w, scenario.L, M).T for i, w in enumerate(waveforms))
 
 
 def receive_integer(scenario, waveforms):
     """One noiseless period of received samples per antenna, integer offsets only.
 
-    Returns an (Nr, N) array whatever ``scenario.sigma2`` holds; ``awgn``
-    adds the noise.  The effective filter is the taps alone: the pulse
-    sampled at mu = 0 is not an exact delta.
+    Antenna m receives sum_i S_i h_im: the filter is the taps alone, since
+    the pulse sampled at mu = 0 is not an exact delta.  Returns an (Nr, N)
+    array whatever ``scenario.sigma2`` holds; ``awgn`` adds the noise.
     """
-    return _receive(scenario, waveforms, lambda i, m: scenario.taps[i, m], 0)
+    return _receive(scenario, waveforms, scenario.taps, 0)
 
 
 def receive_fractional(scenario, waveforms, pulse):
     """One noiseless period of received samples per antenna, fractional offsets.
 
-    Each link contributes through an effective cyclic filter: the discrete
-    convolution of its taps with the pulse sampled at integer lags shifted by
-    the link's own mu.  This equals the Toeplitz matrix form
-    S_i^F @ G(mu) @ h used on the estimation side.  Like ``receive_integer``
-    it ignores ``scenario.sigma2``; ``awgn`` adds the noise.
+    Antenna m receives sum_i S_i G(mu_im) h_im, the model that the estimator
+    inverts; like ``receive_integer`` it ignores ``scenario.sigma2``.
     """
-    lags = np.arange(-pulse.M, pulse.M + 1)
-
-    def coeffs(i, m):  # lags -M .. M+L-1
-        return np.convolve(pulse(lags + scenario.mu[i, m]), scenario.taps[i, m])
-
-    return _receive(scenario, waveforms, coeffs, pulse.M)
+    filters = np.einsum("imdl,iml->imd", pulse.matrix(scenario.mu, scenario.L), scenario.taps)
+    return _receive(scenario, waveforms, filters, pulse.M)

@@ -195,13 +195,21 @@ def _as_int(value, what, problems, minimum=0):
     return value
 
 
-def _as_number(value, what, problems):
-    """The finite number ``value``, or 0.0 if rejected, so that parsing goes on."""
+def _as_number(value, what, problems, db=0):
+    """The finite number ``value``, or 0.0 if rejected, so that parsing goes on.
+
+    With ``db`` = +1 or -1 it is a dB level whose 10**(db*value/10) must not overflow.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{what}: expected a number, got {value!r}")
         return 0.0
     if not math.isfinite(value):
         problems.append(f"{what}: expected a finite number, got {value!r}")
+        return 0.0
+    try:
+        10.0 ** (db * value / 10.0)
+    except OverflowError:
+        problems.append(f"{what}: {value} dB overflows as a power ratio")
         return 0.0
     return float(value)
 
@@ -329,9 +337,9 @@ def _from_dict(data):
         if len(snr_raw) != nr:
             problems.append(f"snr_db: expected one value per rx antenna ({nr})")
             snr_raw = [0.0] * nr
-        snr = tuple(_as_number(v, "snr_db", problems) for v in snr_raw)
+        snr = tuple(_as_number(v, "snr_db", problems, db=-1) for v in snr_raw)
     else:
-        snr = tuple([_as_number(snr_raw, "snr_db", problems)] * nr)
+        snr = tuple([_as_number(snr_raw, "snr_db", problems, db=-1)] * nr)
 
     topology = top.get("lo_topology", required=False, default="independent")
     if topology not in LO_TOPOLOGIES:
@@ -345,7 +353,7 @@ def _from_dict(data):
         problems.append("capacity.rho_db: expected a nonempty list")
         rho_raw = [0.0]
     rho = tuple(  # -Infinity dB is rho = 0
-        -math.inf if v == -math.inf else _as_number(v, "capacity.rho_db", problems)
+        -math.inf if v == -math.inf else _as_number(v, "capacity.rho_db", problems, db=1)
         for v in rho_raw
     )
     if bins < total_length:

@@ -30,7 +30,7 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
 )
-from .waveform import _window, cyclic_correlation
+from .waveform import _toeplitz, _window, cyclic_correlation
 
 _COND_LIMIT = 1e12  # on kappa(G); kappa(G^H G) is its square
 _SCAN_POINTS = 33
@@ -81,8 +81,7 @@ def build_sounding_matrix(w, L, M=0):
             f"waveform p={w.p}, N={w.N} cannot sound {cols} columns: "
             f"requires N > {2 * w.p * cols}"
         )
-    lags = M + np.arange(w.N)[:, None] - np.arange(cols)[None, :]
-    return SoundingMatrix(entries=w.samples[lags % w.N], M=M)
+    return SoundingMatrix(entries=_toeplitz(w, L, M), M=M)
 
 
 def _apply_matched_filter(S, r, fractional):
@@ -109,29 +108,27 @@ def matched_filter_fractional(S, r):
     return _apply_matched_filter(S, r, True)
 
 
-def build_shaping_matrix(pulse, mu, L, M):
-    """(2M+L-1) x L Toeplitz pulse matrix G(mu): G[r, c] = g((r - M - c + mu)T)."""
+def build_shaping_matrix(pulse, mu, L):
+    """(2M+L-1) x L Toeplitz pulse matrix G(mu): G[r, c] = g((r - M - c + mu)T), M = pulse.M."""
     if not 0.0 <= mu <= 0.5:
         raise ConstraintViolationError(f"mu must lie in [0, 0.5], got {mu}")
-    if L < 1 or M < 1:
-        raise DimensionMismatchError(f"need L >= 1 and M >= 1, got L={L}, M={M}")
-    r = np.arange(_window(L, M))[:, None]
-    c = np.arange(L)[None, :]
-    return pulse(r - M - c + mu)
+    if L < 1:
+        raise DimensionMismatchError(f"need L >= 1, got L={L}")
+    return pulse.matrix(mu, L)
 
 
 @lru_cache(maxsize=32)
-def _scan_grid(pulse, L, M):
+def _scan_grid(pulse, L):
     """Scan offsets and their stacked residual makers I - G(mu) pinv(G(mu))."""
     mus = np.linspace(0.0, 0.5, _SCAN_POINTS)
-    mats = np.stack([build_shaping_matrix(pulse, mu, L, M) for mu in mus])
-    makers = np.eye(_window(L, M)) - mats @ np.linalg.pinv(mats)
+    mats = np.stack([build_shaping_matrix(pulse, mu, L) for mu in mus])
+    makers = np.eye(_window(L, pulse.M)) - mats @ np.linalg.pinv(mats)
     return mus, makers
 
 
-def _solve_h(pulse, mu, L, M, hF):
+def _solve_h(pulse, mu, L, hF):
     """Least-squares h for fixed mu, via orthogonal factorization (SVD)."""
-    G = build_shaping_matrix(pulse, mu, L, M)
+    G = build_shaping_matrix(pulse, mu, L)
     h, _, rank, sv = np.linalg.lstsq(G, hF, rcond=None)
     if rank < L or sv[0] > _COND_LIMIT * sv[-1]:
         cond = np.inf if rank < L or sv[-1] == 0 else (sv[0] / sv[-1]) ** 2
@@ -139,7 +136,7 @@ def _solve_h(pulse, mu, L, M, hF):
     return G, h
 
 
-def _profile_derivative(pulse, mu, L, M, hF):
+def _profile_derivative(pulse, mu, L, hF):
     """Derivative of the projected residual ||hF - G(mu) h(mu)||^2 in mu.
 
     Because the residual is orthogonal to range(G), only the explicit G(mu)
@@ -147,15 +144,13 @@ def _profile_derivative(pulse, mu, L, M, hF):
     central difference of the pulse.
     """
     lo, hi = max(mu - _SLOPE_DELTA, 0.0), min(mu + _SLOPE_DELTA, 0.5)
-    G, h = _solve_h(pulse, mu, L, M, hF)
-    Gp = (
-        build_shaping_matrix(pulse, hi, L, M) - build_shaping_matrix(pulse, lo, L, M)
-    ) / (hi - lo)
+    G, h = _solve_h(pulse, mu, L, hF)
+    Gp = (build_shaping_matrix(pulse, hi, L) - build_shaping_matrix(pulse, lo, L)) / (hi - lo)
     resid = hF - G @ h
     return -2.0 * float(np.real(np.vdot(resid, Gp @ h)))
 
 
-def _mu_step(pulse, L, M, hF):
+def _mu_step(pulse, L, hF):
     """Global coarse scan of the profile objective, then a safeguarded secant.
 
     Each step evaluates the profile slope once, narrows a bracket [lo, hi]
@@ -165,7 +160,7 @@ def _mu_step(pulse, L, M, hF):
     ``converged`` is false only when ``_POLISH_STEPS`` steps did not bring the
     update below ``_POLISH_TOL``.
     """
-    mus, makers = _scan_grid(pulse, L, M)
+    mus, makers = _scan_grid(pulse, L)
     k = int(np.argmin(np.sum(np.abs(makers @ hF) ** 2, axis=1)))
     lo = mus[max(k - 1, 0)]
     hi = mus[min(k + 1, len(mus) - 1)]
@@ -173,7 +168,7 @@ def _mu_step(pulse, L, M, hF):
 
     mu0 = fp0 = None
     for steps in range(1, _POLISH_STEPS + 1):
-        fp = _profile_derivative(pulse, mu, L, M, hF)
+        fp = _profile_derivative(pulse, mu, L, hF)
         if fp > 0:
             hi = mu
         else:
@@ -188,19 +183,20 @@ def _mu_step(pulse, L, M, hF):
     return float(mu), _POLISH_STEPS, False
 
 
-def joint_estimate(hF, pulse, L, M):
+def joint_estimate(hF, pulse, L):
     """Jointly estimate the fractional offset and channel taps from ``hF``.
 
-    Scans and polishes mu on the profile objective, then solves for h by
-    least squares at that mu.  A polish that exhausts its step budget is
-    flagged on the report (``converged`` false), never silent.  An all-zero
-    input returns h = 0 with ``mu_hat`` None (undetermined).  The residual is
-    reported relative to ||hF||^2, so it does not depend on the input scale.
+    ``hF`` has 2M+L-1 lags, M = ``pulse.M``.  Scans and polishes mu on the
+    profile objective, then solves for h by least squares at that mu.  A
+    polish that exhausts its step budget is flagged on the report
+    (``converged`` false), never silent.  An all-zero input returns h = 0
+    with ``mu_hat`` None (undetermined).  The residual is reported relative
+    to ||hF||^2, so it does not depend on the input scale.
     """
     hF = np.asarray(hF, dtype=complex)
-    if hF.shape != (_window(L, M),):
+    if hF.shape != (_window(L, pulse.M),):
         raise DimensionMismatchError(
-            f"matched filter output must have length 2M+L-1 = {_window(L, M)}, got {hF.shape}"
+            f"matched filter output needs length 2M+L-1 = {_window(L, pulse.M)}, got {hF.shape}"
         )
     if not hF.any():
         return EstimateReport(
@@ -214,8 +210,8 @@ def joint_estimate(hF, pulse, L, M):
     # Power-of-two scaling is exact and keeps the squared residuals in range.
     scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(hF)))[1]))
     hF = hF / scale
-    mu, steps, converged = _mu_step(pulse, L, M, hF)
-    G, h = _solve_h(pulse, mu, L, M, hF)
+    mu, steps, converged = _mu_step(pulse, L, hF)
+    G, h = _solve_h(pulse, mu, L, hF)
     return EstimateReport(
         h_hat=h * scale,
         mu_hat=mu,

@@ -143,8 +143,7 @@ def run_mse_experiment(cfg):
     waveforms = _waveforms(cfg)
     scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
     L = cfg.total_length
-    M = cfg.pulse_half_support
-    pulse = build_pulse(cfg.pulse_rolloff, M)
+    pulse = build_pulse(cfg.pulse_rolloff, cfg.pulse_half_support)
     matrices = [build_sounding_matrix(w, L, cfg.lead) for w in waveforms]
 
     if not scenario.sigma2.all():
@@ -176,7 +175,7 @@ def run_mse_experiment(cfg):
                 truth = trial_scenario.taps[i, m]
                 if cfg.fractional:
                     hF = matched_filter_fractional(matrices[i], r[m])
-                    rep = joint_estimate(hF, pulse, L, M)
+                    rep = joint_estimate(hF, pulse, L)
                     if not rep.converged:
                         nonconverged += 1
                     h_hat = rep.h_hat

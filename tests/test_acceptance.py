@@ -169,7 +169,7 @@ def test_criterion_6_fractional_estimator():
     # grid-search oracle: exact h solve at every offset on a 1e-4 grid
     step = 1e-4
     mus = np.arange(0.0, 0.5 + step / 2, step)
-    mats = np.stack([build_shaping_matrix(pulse, float(m), L, M) for m in mus])
+    mats = np.stack([build_shaping_matrix(pulse, float(m), L) for m in mus])
     pinvs = np.stack([np.linalg.pinv(G) for G in mats])
 
     def oracle(hF):
@@ -183,8 +183,8 @@ def test_criterion_6_fractional_estimator():
         mu_true = 0.5 if trial == 0 else float(rng.uniform(1e-3, 0.5))
         taps = rng.standard_normal(L) + 1j * rng.standard_normal(L)
         taps /= np.linalg.norm(taps)
-        hF = build_shaping_matrix(pulse, mu_true, L, M) @ taps
-        rep = joint_estimate(hF, pulse, L, M)
+        hF = build_shaping_matrix(pulse, mu_true, L) @ taps
+        rep = joint_estimate(hF, pulse, L)
         assert rep.converged
         worst_mu = max(worst_mu, abs(rep.mu_hat - mu_true))
         worst_h = max(

@@ -1,6 +1,7 @@
 """Channel model: pulse shaping, synthesis, integer and fractional reception."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from chirpsounder import (
     awgn,
     build_pulse,
     derive_rng,
+    draw_fractional_offsets,
     from_dict,
     generate_chirp,
     preset,
@@ -186,6 +188,26 @@ class TestSynthesis:
             assert sc.mu[0, m] == sc.mu[1, m]
             assert sc.d[0, m] == sc.d[1, m]
         assert 0.0 < sc.mu[0, 0] <= 0.5
+
+    @pytest.mark.parametrize("topology", ["independent", "tx-shared", "rx-shared"])
+    def test_fractional_offset_draws(self, topology):
+        # one scalar draw per independent (tx node, rx node) offset, in row-major order
+        cfg = SimpleNamespace(lo_topology=topology, mt=2, mr=3)
+        mu = np.asarray(draw_fractional_offsets(cfg, derive_rng(5, 2, 0)))
+        rng = derive_rng(5, 2, 0)
+        count = {"independent": 6, "tx-shared": 3, "rx-shared": 2}[topology]
+        scalars = [0.5 * (1.0 - rng.random()) for _ in range(count)]
+        assert mu.shape == (2, 3) and np.all((mu > 0.0) & (mu <= 0.5))
+        if topology == "tx-shared":  # rows are equal: the offset depends on the rx node
+            assert np.all(mu == mu[0]) and mu[0].tolist() == scalars
+        elif topology == "rx-shared":  # rows are constant: it depends on the tx node
+            assert np.all(mu == mu[:, :1]) and mu[:, 0].tolist() == scalars
+        else:
+            assert mu.ravel().tolist() == scalars
+        # the draw leaves the substream where the scalar draws leave it
+        after = derive_rng(5, 2, 0)
+        draw_fractional_offsets(cfg, after)
+        assert after.random() == rng.random()
 
     def test_constraint_violation_aborts(self):
         cfg = sec5_config(channel={

@@ -162,6 +162,23 @@ def test_mse_zero_noise_antenna_exits_2(tmp_path, capsys, overrides, rx):
     assert f"rx antenna {rx} has zero noise variance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        # 10**(4000/10) overflows a float, so sigma^2 or rho cannot be formed
+        ({"snr_db": -4000}, "snr_db"),
+        ({"capacity": {"rho_db": [0.0, 4000], "bins": 64}}, "capacity.rho_db"),
+    ],
+    ids=["snr", "rho"],
+)
+def test_overflowing_db_exits_2(tmp_path, capsys, overrides, field):
+    path = small_config_file(tmp_path, **overrides)
+    for command in ("check", "capacity", "mse"):
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{field}: " in err and "dB overflows" in err
+
+
 def test_io_failure_exits_4(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("x")

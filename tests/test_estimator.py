@@ -25,12 +25,12 @@ from chirpsounder import (
 from tests.test_channel import single_link_scenario
 
 
-def grid_search_oracle(hF, pulse, L, M, step=1e-4):
+def grid_search_oracle(hF, pulse, L, step=1e-4):
     """Exhaustive profile search: exact h solve at every grid offset."""
     mus = np.arange(0.0, 0.5 + step / 2, step)
     best_mu, best_val = 0.0, np.inf
     for mu in mus:
-        G = build_shaping_matrix(pulse, mu, L, M)
+        G = build_shaping_matrix(pulse, mu, L)
         h, *_ = np.linalg.lstsq(G, hF, rcond=None)
         val = float(np.sum(np.abs(hF - G @ h) ** 2))
         if val < best_val:
@@ -186,7 +186,7 @@ class TestMatchedFilterFractional:
         r = receive_fractional(single_link_scenario(taps, mu=mu, N=256), [w], pulse)
         S = build_sounding_matrix(w, 15, M=4)
         hF = matched_filter_fractional(S, r[0])
-        G = build_shaping_matrix(pulse, mu, 15, 4)
+        G = build_shaping_matrix(pulse, mu, 15)
         assert np.max(np.abs(hF - G @ taps)) < 1e-9
 
     def test_zero_offset_embeds_taps(self):
@@ -253,47 +253,60 @@ def test_matched_filters_return_each_link(sc):
             h = matched_filter_integer(S, r_int[m])
             assert np.max(np.abs(h - sc.taps[i, m])) < 1e-12
             hF = matched_filter_fractional(SF, r_frac[m])
-            G = build_shaping_matrix(pulse, sc.mu[i, m], sc.L, M)
+            G = build_shaping_matrix(pulse, sc.mu[i, m], sc.L)
             assert np.max(np.abs(hF - G @ sc.taps[i, m])) < 1e-9
+    # reference reception: the channel model summed link by link with np.roll,
+    # s_i delayed by l (integer) or by y = -M .. M+L-2 through g(y + mu - l)
+    ref_int = np.zeros((sc.nr, N), dtype=complex)
+    ref_frac = np.zeros((sc.nr, N), dtype=complex)
+    y = np.arange(-M, M + sc.L - 1)
+    for i, w in enumerate(waveforms):
+        for m in range(sc.nr):
+            for l, h in enumerate(sc.taps[i, m]):
+                ref_int[m] += h * np.roll(w.samples, l)
+                for v, g in zip(y, pulse(y + sc.mu[i, m] - l)):
+                    ref_frac[m] += g * h * np.roll(w.samples, v)
+    for r, ref in ((r_int, ref_int), (r_frac, ref_frac)):
+        assert np.max(np.abs(r - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestShapingMatrix:
     def test_zero_offset_is_shifted_identity(self):
         pulse = build_pulse(rolloff=0.25, M=4)
-        G = build_shaping_matrix(pulse, 0.0, 10, 4)
+        G = build_shaping_matrix(pulse, 0.0, 10)
         expected = np.zeros((17, 10))
         expected[4:14] = np.eye(10)
         np.testing.assert_allclose(G, expected, atol=1e-15)
 
     def test_columns_are_shifted_copies(self):
         pulse = build_pulse(rolloff=0.25, M=4)
-        G = build_shaping_matrix(pulse, 0.3, 2, 4)
+        G = build_shaping_matrix(pulse, 0.3, 2)
         assert G.shape == (9, 2)
         np.testing.assert_allclose(G[1:, 1], G[:-1, 0], atol=1e-15)
 
     def test_gram_positive_definite_across_offsets(self):
         pulse = build_pulse(rolloff=0.25, M=4)
         for mu in np.linspace(0.0, 0.5, 26):
-            G = build_shaping_matrix(pulse, float(mu), 8, 4)
+            G = build_shaping_matrix(pulse, float(mu), 8)
             eigs = np.linalg.eigvalsh(G.T @ G)
             assert eigs.min() > 0
 
     def test_mu_out_of_range(self):
         pulse = build_pulse(rolloff=0.25, M=4)
         with pytest.raises(ConstraintViolationError):
-            build_shaping_matrix(pulse, 0.7, 8, 4)
+            build_shaping_matrix(pulse, 0.7, 8)
 
 
 class TestJointEstimate:
     def test_noiseless_recovery(self):
         pulse = build_pulse(rolloff=0.25, M=4)
         rng = np.random.default_rng(11)
-        L, M = 15, 4
+        L = 15
         for _ in range(10):
             mu_true = float(rng.uniform(0.01, 0.5))
             taps = random_taps(rng, L)
-            hF = build_shaping_matrix(pulse, mu_true, L, M) @ taps
-            rep = joint_estimate(hF, pulse, L, M)
+            hF = build_shaping_matrix(pulse, mu_true, L) @ taps
+            rep = joint_estimate(hF, pulse, L)
             assert rep.converged
             assert abs(rep.mu_hat - mu_true) < 1e-6
             assert np.linalg.norm(rep.h_hat - taps) / np.linalg.norm(taps) < 1e-6
@@ -302,25 +315,25 @@ class TestJointEstimate:
     def test_oracle_agreement(self):
         pulse = build_pulse(rolloff=0.25, M=3)
         rng = np.random.default_rng(12)
-        L, M = 6, 3
+        L = 6
         mu_true = 0.3
         taps = random_taps(rng, L)
-        hF = build_shaping_matrix(pulse, mu_true, L, M) @ taps
-        rep = joint_estimate(hF, pulse, L, M)
-        oracle = grid_search_oracle(hF, pulse, L, M, step=1e-3)
+        hF = build_shaping_matrix(pulse, mu_true, L) @ taps
+        rep = joint_estimate(hF, pulse, L)
+        oracle = grid_search_oracle(hF, pulse, L, step=1e-3)
         assert abs(rep.mu_hat - oracle) <= 1e-3
 
     def test_boundary_offset(self):
         pulse = build_pulse(rolloff=0.25, M=4)
         rng = np.random.default_rng(13)
         taps = random_taps(rng, 15)
-        hF = build_shaping_matrix(pulse, 0.5, 15, 4) @ taps
-        rep = joint_estimate(hF, pulse, 15, 4)
+        hF = build_shaping_matrix(pulse, 0.5, 15) @ taps
+        rep = joint_estimate(hF, pulse, 15)
         assert abs(rep.mu_hat - 0.5) < 1e-6
 
     def test_zero_input_flagged(self):
         pulse = build_pulse(rolloff=0.25, M=4)
-        rep = joint_estimate(np.zeros(22, dtype=complex), pulse, 15, 4)
+        rep = joint_estimate(np.zeros(22, dtype=complex), pulse, 15)
         assert rep.mu_hat is None
         assert not rep.h_hat.any() and rep.converged
 
@@ -331,17 +344,17 @@ class TestJointEstimate:
         pulse = build_pulse(rolloff=0.25, M=4)
         rng = np.random.default_rng(14)
         taps = random_taps(rng, 15)
-        hF = build_shaping_matrix(pulse, 0.37, 15, 4) @ taps
-        rep = joint_estimate(hF, pulse, 15, 4)
+        hF = build_shaping_matrix(pulse, 0.37, 15) @ taps
+        rep = joint_estimate(hF, pulse, 15)
         assert not rep.converged and rep.iterations == 1
 
     def test_tiny_input_not_undetermined(self):
         # |hF|^2 underflows to 0 below about 1e-162, hence a 1e-170 peak
         pulse = build_pulse(rolloff=0.25, M=4)
         rng = np.random.default_rng(17)
-        hF = build_shaping_matrix(pulse, 0.3, 15, 4) @ random_taps(rng, 15)
-        ref = joint_estimate(hF, pulse, 15, 4)
-        rep = joint_estimate(hF * 1e-170, pulse, 15, 4)
+        hF = build_shaping_matrix(pulse, 0.3, 15) @ random_taps(rng, 15)
+        ref = joint_estimate(hF, pulse, 15)
+        rep = joint_estimate(hF * 1e-170, pulse, 15)
         assert rep.mu_hat is not None and rep.h_hat.any()
         assert abs(rep.mu_hat - ref.mu_hat) < 1e-9
 
@@ -355,9 +368,9 @@ class TestJointEstimate:
 
         pulse = build_pulse(rolloff=0.25, M=4)
         rng = np.random.default_rng(18)
-        hF = build_shaping_matrix(pulse, 0.37, 15, 4) @ random_taps(rng, 15)
+        hF = build_shaping_matrix(pulse, 0.37, 15) @ random_taps(rng, 15)
         monkeypatch.setattr(np.linalg, "lstsq", counting)
-        rep = joint_estimate(hF, pulse, 15, 4)
+        rep = joint_estimate(hF, pulse, 15)
         assert rep.iterations > 1 and len(calls) == rep.iterations + 1
 
     @given(
@@ -369,10 +382,10 @@ class TestJointEstimate:
         from chirpsounder.estimator import _POLISH_STEPS
 
         pulse = build_pulse(rolloff=0.25, M=4)
-        L, M = 8, 4
+        L = 8
         taps = random_taps(np.random.default_rng(seed), L)
-        hF = build_shaping_matrix(pulse, mu, L, M) @ (taps * 2.0**k)
-        rep = joint_estimate(hF, pulse, L, M)
+        hF = build_shaping_matrix(pulse, mu, L) @ (taps * 2.0**k)
+        rep = joint_estimate(hF, pulse, L)
         assert rep.converged and rep.iterations < _POLISH_STEPS
         assert abs(rep.mu_hat - mu) < 1e-6
         # compared at unit scale: the norms of 2^k-scaled taps under/overflow
@@ -382,21 +395,21 @@ class TestJointEstimate:
     def test_wrong_length_rejected(self):
         pulse = build_pulse(rolloff=0.25, M=4)
         with pytest.raises(DimensionMismatchError):
-            joint_estimate(np.zeros(10, dtype=complex), pulse, 15, 4)
+            joint_estimate(np.zeros(10, dtype=complex), pulse, 15)
 
     def test_profile_derivative_small_at_interior_solution(self):
         from chirpsounder.estimator import _profile_derivative
 
         pulse = build_pulse(rolloff=0.25, M=4)
         rng = np.random.default_rng(15)
-        L, M = 12, 4
+        L = 12
         for _ in range(5):
             mu_true = float(rng.uniform(0.05, 0.45))
             taps = random_taps(rng, L)
-            hF = build_shaping_matrix(pulse, mu_true, L, M) @ taps
-            rep = joint_estimate(hF, pulse, L, M)
+            hF = build_shaping_matrix(pulse, mu_true, L) @ taps
+            rep = joint_estimate(hF, pulse, L)
             if 0.0 < rep.mu_hat < 0.5:
-                assert abs(_profile_derivative(pulse, rep.mu_hat, L, M, hF)) < 1e-6
+                assert abs(_profile_derivative(pulse, rep.mu_hat, L, hF)) < 1e-6
 
     def test_noisy_consistency_with_oracle(self):
         # at 40 dB SNR the estimate stays within one oracle grid step
@@ -409,10 +422,10 @@ class TestJointEstimate:
             mu_true = float(rng.uniform(0.05, 0.5))
             taps = random_taps(rng, L)
             taps /= np.linalg.norm(taps)
-            hF = build_shaping_matrix(pulse, mu_true, L, M) @ taps
+            hF = build_shaping_matrix(pulse, mu_true, L) @ taps
             hF = hF + sigma * (rng.standard_normal(G_dim) + 1j * rng.standard_normal(G_dim))
-            rep = joint_estimate(hF, pulse, L, M)
-            oracle = grid_search_oracle(hF, pulse, L, M, step=1e-3)
+            rep = joint_estimate(hF, pulse, L)
+            oracle = grid_search_oracle(hF, pulse, L, step=1e-3)
             assert abs(rep.mu_hat - oracle) <= 1e-3
 
 
@@ -437,7 +450,7 @@ class TestSegments:
         pulse = build_pulse(rolloff=0.25, M=M)
         r = receive_fractional(single_link_scenario(taps, mu=mu, N=256), [w], pulse)
         segments = segmented_output(w, r[0], M=M)
-        G = build_shaping_matrix(pulse, mu, 10, M)
+        G = build_shaping_matrix(pulse, mu, 10)
         shaped = G @ taps
         width = len(shaped)
         for j in range(4):
