@@ -53,19 +53,9 @@ print(f"tap error: {np.linalg.norm(rep.h_hat - taps):.2e}")
 
 # brute-force profile search as a cross-check
 mus = np.linspace(0.0, 0.5, 2001)
-best = min(
-    mus,
-    key=lambda mu: float(
-        np.sum(
-            np.abs(
-                hF
-                - build_shaping_matrix(pulse, float(mu), L)
-                @ np.linalg.lstsq(build_shaping_matrix(pulse, float(mu), L), hF, rcond=None)[0]
-            )
-            ** 2
-        )
-    ),
-)
+mats = build_shaping_matrix(pulse, mus, L)
+profile = [np.sum(np.abs(hF - G @ np.linalg.lstsq(G, hF, rcond=None)[0]) ** 2) for G in mats]
+best = mus[int(np.argmin(profile))]
 print(f"profile grid search picks mu = {best:.6f} (step 2.5e-4)")
 
 print("\nnoisy sweep: 100 trials at 25 dB, offsets redrawn per trial")

@@ -42,10 +42,10 @@ from .waveform import _toeplitz, _window
 class PulseShape:
     """Truncated raised-cosine pulse-shaping filter, zero outside [-M*T, M*T].
 
-    Calling the object evaluates g(t), vectorized over t in units of T.  The
-    pulse is a Nyquist pulse: g(0) = 1 and g(k*T) = 0 for integer k != 0.
-    The removable singularity at t = T/(2*rolloff) is evaluated by its limit
-    (pi/4)*sinc(1/(2*rolloff)).
+    Calling the object evaluates g(t) = sinc(t) cos(pi*rolloff*t) / (1 - (2*rolloff*t)^2)
+    over t in units of T (a float for a scalar t): a Nyquist pulse, g(0) = 1 and
+    g(k*T) = 0 for integer k != 0.  The removable singularity t = T/(2*rolloff)
+    takes its limit (pi/4)*sinc(1/(2*rolloff)); with rolloff 0 the denominator is 1.
     """
 
     M: int
@@ -54,22 +54,13 @@ class PulseShape:
     def __call__(self, t):
         rolloff = self.rolloff
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        inside = np.abs(t) <= self.M
-        x = t[inside]
-        if rolloff == 0.0:
-            val = np.sinc(x)
-        else:
-            denom = 1.0 - (2.0 * rolloff * x) ** 2
-            singular = np.abs(denom) < 1e-10
-            val = np.empty_like(x)
-            safe = ~singular
-            val[safe] = np.sinc(x[safe]) * np.cos(np.pi * rolloff * x[safe]) / denom[safe]
-            val[singular] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
-        out[inside] = val
-        if out.ndim == 0:
-            return float(out)
-        return out
+        denom = 1.0 - np.square(2.0 * rolloff * t)  # on a 0-d t, ** 2 would be C pow
+        singular = np.abs(denom) < 1e-10
+        val = np.sinc(t) * np.cos(np.pi * rolloff * t) / np.where(singular, 1.0, denom)
+        if singular.any():
+            val = np.where(singular, (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff)), val)
+        out = np.where(np.abs(t) <= self.M, val, 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def matrix(self, mu, L):
         """Shaping matrices G(mu)[r, c] = g((r - M - c + mu)T), shape mu.shape + (2M+L-1, L)."""

@@ -3,9 +3,9 @@
 Subcommands: generate, correlate, check, sound, mse, capacity.  Every
 command takes a scenario either from ``--config FILE`` or from a built-in
 ``--preset`` (default ``paper-sec5``).  The commands that run an experiment
-(sound, mse and capacity) also take ``--seed`` and ``--trials``, which
-override the corresponding config fields and are validated like them, and
-``--format`` (``csv`` or ``record``).
+(sound, mse and capacity) also take ``--seed`` and ``--format`` (``csv`` or
+``record``); mse, the only one that runs more than one trial, also takes
+``--trials``.  Overrides are validated like the config fields they replace.
 
 Exit codes: 0 success, 2 configuration or constraint error, 3 numerical
 failure (including flagged non-convergence), 4 I/O error.
@@ -159,10 +159,11 @@ def build_parser():
         _add_common(cmd)
         if name in _EMITTING:
             cmd.add_argument("--seed", type=int, help="override the config seed")
-            cmd.add_argument("--trials", type=int, help="override the trial count")
             cmd.add_argument(
                 "--format", choices=("csv", "record"), default="csv", help="output format"
             )
+        if name == "mse":
+            cmd.add_argument("--trials", type=int, help="override the trial count")
         cmd.set_defaults(func=func)
     return parser
 

@@ -26,7 +26,7 @@ mismatch, so per-link freedom would only invite inconsistent inputs.
 """
 
 import json
-import math
+import sys
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -203,7 +203,7 @@ def _as_number(value, what, problems, db=0):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         problems.append(f"{what}: expected a number, got {value!r}")
         return 0.0
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int past any float
         problems.append(f"{what}: expected a finite number, got {value!r}")
         return 0.0
     try:
@@ -230,7 +230,7 @@ def _as_nodes(value, count, what, problems):
 def _as_grid(value, rows, cols, what, problems, cast):
     """Accept a scalar (broadcast) or a rows x cols nested list.
 
-    With ``cast=int`` every entry must be an integer, with ``float`` a number.
+    With ``cast=int`` every entry must be an integer, with ``float`` a finite number.
     """
     zeros = tuple(tuple(cast(0) for _ in range(cols)) for _ in range(rows))
     if not isinstance(value, list):
@@ -240,8 +240,10 @@ def _as_grid(value, rows, cols, what, problems, cast):
     ):
         problems.append(f"{what}: expected a {rows}x{cols} grid")
         return zeros
-    kinds, noun = ((int,), "an integer") if cast is int else ((int, float), "a number")
-    if any(type(v) not in kinds for row in value for v in row):
+    kinds, noun = ((int,), "an integer") if cast is int else ((int, float), "a finite number")
+    if any(type(v) not in kinds for row in value for v in row) or (
+        cast is float and not all(abs(v) <= sys.float_info.max for row in value for v in row)
+    ):
         problems.append(f"{what}: expected {noun} or a {rows}x{cols} grid of them")
         return zeros
     return tuple(tuple(cast(v) for v in row) for row in value)
@@ -353,7 +355,7 @@ def _from_dict(data):
         problems.append("capacity.rho_db: expected a nonempty list")
         rho_raw = [0.0]
     rho = tuple(  # -Infinity dB is rho = 0
-        -math.inf if v == -math.inf else _as_number(v, "capacity.rho_db", problems, db=1)
+        -np.inf if v == -np.inf else _as_number(v, "capacity.rho_db", problems, db=1)
         for v in rho_raw
     )
     if bins < total_length:
@@ -421,7 +423,7 @@ def _from_dict(data):
 def from_json(text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return from_dict(data)
 

@@ -109,8 +109,12 @@ def matched_filter_fractional(S, r):
 
 
 def build_shaping_matrix(pulse, mu, L):
-    """(2M+L-1) x L Toeplitz pulse matrix G(mu): G[r, c] = g((r - M - c + mu)T), M = pulse.M."""
-    if not 0.0 <= mu <= 0.5:
+    """Toeplitz pulse matrices G(mu)[r, c] = g((r - M - c + mu)T), M = pulse.M.
+
+    One per offset of a scalar or array ``mu`` in [0, 1/2]: shape mu.shape + (2M+L-1, L).
+    """
+    mu = np.asarray(mu, dtype=float)
+    if not np.all((mu >= 0.0) & (mu <= 0.5)):
         raise ConstraintViolationError(f"mu must lie in [0, 0.5], got {mu}")
     if L < 1:
         raise DimensionMismatchError(f"need L >= 1, got L={L}")
@@ -121,31 +125,31 @@ def build_shaping_matrix(pulse, mu, L):
 def _scan_grid(pulse, L):
     """Scan offsets and their stacked residual makers I - G(mu) pinv(G(mu))."""
     mus = np.linspace(0.0, 0.5, _SCAN_POINTS)
-    mats = np.stack([build_shaping_matrix(pulse, mu, L) for mu in mus])
+    mats = build_shaping_matrix(pulse, mus, L)
     makers = np.eye(_window(L, pulse.M)) - mats @ np.linalg.pinv(mats)
     return mus, makers
 
 
-def _solve_h(pulse, mu, L, hF):
-    """Least-squares h for fixed mu, via orthogonal factorization (SVD)."""
-    G = build_shaping_matrix(pulse, mu, L)
+def _solve_h(G, hF):
+    """Least-squares h of hF = G h for the G given, via SVD; rejects an ill-conditioned G."""
     h, _, rank, sv = np.linalg.lstsq(G, hF, rcond=None)
-    if rank < L or sv[0] > _COND_LIMIT * sv[-1]:
-        cond = np.inf if rank < L or sv[-1] == 0 else (sv[0] / sv[-1]) ** 2
+    if rank < G.shape[1] or sv[0] > _COND_LIMIT * sv[-1]:
+        cond = np.inf if rank < G.shape[1] or sv[-1] == 0 else (sv[0] / sv[-1]) ** 2
         raise IllConditionedError("G^H G is numerically singular", cond)
-    return G, h
+    return h
 
 
 def _profile_derivative(pulse, mu, L, hF):
     """Derivative of the projected residual ||hF - G(mu) h(mu)||^2 in mu.
 
     Because the residual is orthogonal to range(G), only the explicit G(mu)
-    dependence contributes: phi'(mu) = -2 Re <hF - G h, G' h>.  G' uses a
-    central difference of the pulse.
+    dependence contributes: phi'(mu) = -2 Re <hF - G h, G' h>.  G' is a
+    central difference, built with G in one call.
     """
     lo, hi = max(mu - _SLOPE_DELTA, 0.0), min(mu + _SLOPE_DELTA, 0.5)
-    G, h = _solve_h(pulse, mu, L, hF)
-    Gp = (build_shaping_matrix(pulse, hi, L) - build_shaping_matrix(pulse, lo, L)) / (hi - lo)
+    G, G_lo, G_hi = build_shaping_matrix(pulse, (mu, lo, hi), L)
+    h = _solve_h(G, hF)
+    Gp = (G_hi - G_lo) / (hi - lo)
     resid = hF - G @ h
     return -2.0 * float(np.real(np.vdot(resid, Gp @ h)))
 
@@ -211,7 +215,8 @@ def joint_estimate(hF, pulse, L):
     scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(hF)))[1]))
     hF = hF / scale
     mu, steps, converged = _mu_step(pulse, L, hF)
-    G, h = _solve_h(pulse, mu, L, hF)
+    G = build_shaping_matrix(pulse, mu, L)
+    h = _solve_h(G, hF)
     return EstimateReport(
         h_hat=h * scale,
         mu_hat=mu,

@@ -220,7 +220,7 @@ def run_capacity_experiment(cfg):
     t0 = time.perf_counter()
     scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
     rows = capacity_equivalence_report(scenario, cfg.capacity_bins, cfg.rho_db)
-    return _result("capacity", cfg, t0, capacity=rows)
+    return _result("capacity", cfg, t0, trials=1, capacity=rows)
 
 
 def run_sounding(cfg):

@@ -169,8 +169,8 @@ def test_criterion_6_fractional_estimator():
     # grid-search oracle: exact h solve at every offset on a 1e-4 grid
     step = 1e-4
     mus = np.arange(0.0, 0.5 + step / 2, step)
-    mats = np.stack([build_shaping_matrix(pulse, float(m), L) for m in mus])
-    pinvs = np.stack([np.linalg.pinv(G) for G in mats])
+    mats = build_shaping_matrix(pulse, mus, L)
+    pinvs = np.linalg.pinv(mats)
 
     def oracle(hF):
         h = pinvs @ hF

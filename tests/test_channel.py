@@ -44,6 +44,31 @@ def pulse_by_quadrature(t, rolloff, points=1 << 17):
     return 2.0 * np.trapezoid(H * np.cos(2 * np.pi * f * t), f)
 
 
+def masked_pulse(pulse, t):
+    """The pulse by masked gathers: rolloff-0 sinc, the singular points apart.
+
+    Kept as the reference for ``PulseShape.__call__``, which evaluates one
+    closed form over the whole input with the same operations in the same
+    order, so the two agree bit for bit.
+    """
+    rolloff = pulse.rolloff
+    t = np.asarray(t, dtype=float)
+    out = np.zeros(t.shape)
+    inside = np.abs(t) <= pulse.M
+    x = t[inside]
+    if rolloff == 0.0:
+        val = np.sinc(x)
+    else:
+        denom = 1.0 - (2.0 * rolloff * x) ** 2
+        singular = np.abs(denom) < 1e-10
+        val = np.empty_like(x)
+        safe = ~singular
+        val[safe] = np.sinc(x[safe]) * np.cos(np.pi * rolloff * x[safe]) / denom[safe]
+        val[singular] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
+    out[inside] = val
+    return float(out) if out.ndim == 0 else out
+
+
 def sec5_config(**overrides):
     data = {
         "name": "sec5-test",
@@ -95,6 +120,22 @@ class TestRaisedCosine:
         assert pulse(t0) == pytest.approx(
             pulse_by_quadrature(t0, rolloff), abs=1e-7
         )
+
+    @pytest.mark.parametrize("rolloff", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("M", [1, 4])
+    def test_matches_masked_reference(self, rolloff, M):
+        pulse = build_pulse(rolloff, M)
+        edges = [M, np.nextafter(M, np.inf), M + 0.5]
+        points = [0.0, 0.5, 1.0] + edges + ([1.0 / (2 * rolloff)] if rolloff else [])
+        rng = np.random.default_rng(8)  # random points reach last-bit differences
+        t = np.concatenate([rng.uniform(-M - 1, M + 1, 2000), points, np.negative(points)])
+        np.testing.assert_array_equal(pulse(t), masked_pulse(pulse, t))
+        grid = t[:1000].reshape(40, 25)
+        np.testing.assert_array_equal(pulse(grid), masked_pulse(pulse, grid))
+        for x in t.tolist():  # scalars and 0-d arrays give floats, as before
+            for arg in (x, np.array(x)):
+                value = pulse(arg)
+                assert type(value) is float and value == masked_pulse(pulse, x)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigError):
@@ -240,8 +281,14 @@ class TestReceiveInteger:
 
     def test_waveform_count_checked(self):
         sc = single_link_scenario([1, 0, 0])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="one waveform per tx antenna"):
             receive_integer(sc, [generate_chirp(1, 128), generate_chirp(2, 128)])
+        two = MimoScenario(  # two tx antennas, one rx antenna
+            taps=np.ones((2, 1, 3), dtype=complex), d=np.zeros((2, 1), dtype=int),
+            mu=np.zeros((2, 1)), sigma2=np.zeros(1),
+        )
+        with pytest.raises(DimensionMismatchError, match="share one period"):
+            receive_integer(two, [generate_chirp(1, 128), generate_chirp(2, 256)])
 
     def test_linearity(self):
         w = generate_chirp(2, 128)

@@ -179,6 +179,12 @@ def test_overflowing_db_exits_2(tmp_path, capsys, overrides, field):
         assert f"{field}: " in err and "dB overflows" in err
 
 
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys):
+    path = small_config_file(tmp_path, snr_db=10**400)
+    assert main(["check", "--config", path]) == 2
+    assert "snr_db: expected a finite number" in capsys.readouterr().err
+
+
 def test_io_failure_exits_4(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("x")
@@ -258,7 +264,9 @@ _NO_EXPERIMENT = ("generate", "correlate", "check")
         pytest.param(c, [flag, "5"], id=f"{c}-{flag[2:]}")
         for c in _NO_EXPERIMENT
         for flag in ("--seed", "--trials")
-    ],
+    ]
+    # sound and capacity run one trial whatever the config says
+    + [pytest.param(c, ["--trials", "5"], id=f"{c}-trials") for c in ("sound", "capacity")],
 )
 def test_format_only_on_experiment_commands(tmp_path, capsys, command, flag):
     # --format, --seed and --trials would change nothing these commands write

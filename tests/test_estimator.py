@@ -293,8 +293,21 @@ class TestShapingMatrix:
 
     def test_mu_out_of_range(self):
         pulse = build_pulse(rolloff=0.25, M=4)
-        with pytest.raises(ConstraintViolationError):
-            build_shaping_matrix(pulse, 0.7, 8)
+        for mu in (0.7, -0.1, np.nan, [0.0, 0.5, 0.7], [0.2, np.nan], [[0.1], [-1e-9]]):
+            with pytest.raises(ConstraintViolationError):
+                build_shaping_matrix(pulse, mu, 8)
+
+    @pytest.mark.parametrize("rolloff", [0.0, 0.25, 1.0])
+    def test_stacked_build_matches_per_offset_builds(self, rolloff):
+        pulse = build_pulse(rolloff=rolloff, M=4)
+        mus = np.concatenate([[0.0, 0.5], np.random.default_rng(5).uniform(0.0, 0.5, 40)])
+        for L in (1, 15):
+            stack = build_shaping_matrix(pulse, mus, L)
+            assert stack.shape == (len(mus), 2 * 4 + L - 1, L)
+            for G, mu in zip(stack, mus.tolist()):
+                np.testing.assert_array_equal(G, build_shaping_matrix(pulse, mu, L))
+            grid = build_shaping_matrix(pulse, mus.reshape(6, 7), L)
+            np.testing.assert_array_equal(grid.reshape(stack.shape), stack)
 
 
 class TestJointEstimate:

@@ -49,6 +49,10 @@ class TestConfig:
         cfg = preset("paper-sec5")
         again = from_json(cfg.canonical_json())
         assert again == cfg
+        # a per-antenna snr_db stays a list; a constant one collapses to a scalar
+        cfg = small_config(snr_db=[20.0, 25.0])
+        assert cfg.to_dict()["snr_db"] == [20.0, 25.0]
+        assert from_json(cfg.canonical_json()) == cfg
 
     def test_round_trip_all_presets(self):
         for name in (
@@ -127,12 +131,98 @@ class TestConfig:
             {"snr_db": np.inf},
             {"capacity": {"rho_db": [np.nan], "bins": 64}},
             {"capacity": {"rho_db": [0.0, np.inf], "bins": 64}},
+            # JSON integers too large for a float
+            {"snr_db": 10**400},
+            {"pulse": {"rolloff": -(10**400), "half_support": 4}},
+            {"capacity": {"rho_db": [0.0, 10**400], "bins": 64}},
+            {"fractional": {"enabled": True, "mu": [[0.1, 0.1], [0.2, 10**400]]}},
         ],
-        ids=["snr-nan", "snr-neg-inf", "snr-inf", "rho-nan", "rho-inf"],
+        ids=[
+            "snr-nan", "snr-neg-inf", "snr-inf", "rho-nan", "rho-inf",
+            "snr-huge-int", "rolloff-huge-int", "rho-huge-int", "mu-huge-int",
+        ],
     )
     def test_non_finite_numbers_rejected(self, field):
         with pytest.raises(ConfigError, match="expected a finite number"):
             small_config(**field)
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"nodes": 3}, "nodes: expected an object"),
+            ({"name": 5}, "'name' must be a string"),
+            (
+                {"antennas": {"tx_node": [0, 0], "rx_node": [0, 1]}},
+                "antennas.tx_node: every node in [0, 2) needs an antenna",
+            ),
+            (
+                {"channel": {"total_length": 8, "active_taps": -1, "integer_offsets": 0}},
+                "channel.active_taps: counts must be >= 0",
+            ),
+            (
+                {"channel": {"total_length": 8, "active_taps": 5,
+                             "integer_offsets": [[0, 0], [-1, 3]]}},
+                "channel.integer_offsets: offsets must be >= 0",
+            ),
+            (
+                {"fractional": {"enabled": True, "mu": "fixed"}},
+                "fractional.mu: expected 'uniform', a number, or a per-pair grid",
+            ),
+            (
+                {"waveform": {"length": 96, "chirp_rates": [1, 2]}},
+                "waveform.length: must be a power of 2 exceeding twice the largest rate",
+            ),
+            (
+                {"waveform": {"length": 4, "chirp_rates": [1, 2]}},
+                "waveform.length: must be a power of 2 exceeding twice the largest rate",
+            ),
+            (
+                {"pulse": {"rolloff": 1.5, "half_support": 4}},
+                "pulse.rolloff: must lie in [0, 1]",
+            ),
+            ({"lo_topology": "star"}, "lo_topology: expected one of"),
+            (
+                {"capacity": {"rho_db": [0.0], "bins": 4}},
+                "capacity.bins: must be >= channel.total_length (8)",
+            ),
+            (
+                {"channel": {"total_length": 8, "active_taps": 5,
+                             "integer_offsets": [[0, 3], [0, 3]]},
+                 "fractional": {"enabled": True, "mu": [[0.1, 0.2], [0.3, 0.2]]},
+                 "lo_topology": "tx-shared"},
+                "tx-shared: fractional.mu rows must be identical",
+            ),
+            (
+                {"channel": {"total_length": 8, "active_taps": 5,
+                             "integer_offsets": [[0, 3], [3, 3]]},
+                 "lo_topology": "rx-shared"},
+                "rx-shared: each integer_offsets row must be constant",
+            ),
+            (
+                {"fractional": {"enabled": True, "mu": [[0.1, 0.2], [0.3, 0.3]]},
+                 "lo_topology": "rx-shared"},
+                "rx-shared: each fractional.mu row must be constant",
+            ),
+        ],
+        ids=[
+            "section-not-object", "name-not-string", "node-without-antenna",
+            "negative-active-taps", "negative-offsets", "mu-wrong-type",
+            "length-not-pow2", "length-too-short", "rolloff-range", "unknown-topology",
+            "bins-below-length", "tx-shared-mu-rows", "rx-shared-offset-rows",
+            "rx-shared-mu-rows",
+        ],
+    )
+    def test_field_checks_name_the_field(self, overrides, message):
+        with pytest.raises(ConfigError) as exc:
+            small_config(**overrides)
+        assert message in str(exc.value)
+
+    def test_unparseable_text_rejected(self):
+        with pytest.raises(ConfigError, match="config is not valid JSON"):
+            from_json("{'name': 'single quotes'}")
+        # an integer past the interpreter's digit limit fails inside the decoder
+        with pytest.raises(ConfigError, match="config is not valid JSON"):
+            from_json('{"seed": ' + "7" * 5000 + "}")
 
     def test_replace_validates(self):
         with pytest.raises(ConfigError, match="trials: must be >= 1"):
@@ -275,6 +365,7 @@ class TestCapacityExperiment:
     def test_zero_linear_snr(self):
         cfg = small_config(capacity={"rho_db": [-np.inf], "bins": 64})
         result = run_capacity_experiment(cfg)
+        assert result.trials == 1  # one channel draw, whatever cfg.trials says
         assert result.capacity[0].c_syn == 0.0
         assert result.capacity[0].c_asyn == 0.0
 
