@@ -23,11 +23,11 @@ from chirpsounder import (
 cfg = preset("paper-sec5")
 scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
 waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
-r = receive_integer(scenario, waveforms)  # noiseless, to expose the structure
+matrices = [build_sounding_matrix(w, cfg.total_length) for w in waveforms]
+r = receive_integer(scenario, matrices)  # noiseless, to expose the structure
 
 print("noiseless matched-filter recovery (worst tap error per link):")
-for i, w in enumerate(waveforms):
-    S = build_sounding_matrix(w, cfg.total_length)
+for i, (w, S) in enumerate(zip(waveforms, matrices)):
     for m in range(scenario.nr):
         h_hat = matched_filter_integer(S, r[m])
         err = np.max(np.abs(h_hat - scenario.taps[i, m]))

@@ -14,6 +14,7 @@ import numpy as np
 from chirpsounder import (
     average_segments,
     awgn,
+    build_sounding_matrix,
     derive_rng,
     generate_chirp,
     preset,
@@ -39,7 +40,8 @@ for row in result.links:
 # ---- averaging the replica segments does not reduce the MSE ----
 scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
 waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
-r0 = receive_integer(scenario, waveforms)  # noiseless; awgn adds the noise below
+matrices = [build_sounding_matrix(w, cfg.total_length) for w in waveforms]
+r0 = receive_integer(scenario, matrices)  # noiseless; awgn adds the noise below
 taps = scenario.taps[2, 0]
 gen = derive_rng(cfg.seed, 1, 0)
 err_single = err_avg = 0.0

@@ -36,8 +36,8 @@ w = generate_chirp(1, N)
 sc = MimoScenario(  # one link: taps[0, 0], offset d + mu = 5 + mu_true
     taps=taps[None, None], d=np.array([[5]]), mu=np.array([[mu_true]]), sigma2=np.zeros(1)
 )
-r = receive_fractional(sc, [w], pulse)
 S = build_sounding_matrix(w, L, M)
+r = receive_fractional(sc, [S], pulse)
 hF = matched_filter_fractional(S, r[0])
 
 print(f"true offset mu = {mu_true}, 10 active taps at lags 5..14")

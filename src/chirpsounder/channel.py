@@ -24,7 +24,8 @@ pulse g shifted by its own mu:
 
 where y spans exactly the 2M+L-1 lags -M .. M+L-2 and g vanishes outside
 [-MT, MT]: r_m = sum_i S_i G(mu_im) h_im + z, the estimator's own model.  The
-``receive_*`` functions return the noiseless sum; ``awgn`` alone adds z.
+``receive_*`` functions take the S_i that the matched filter applies and
+return the noiseless sum; ``awgn`` alone adds z.
 
 The sampling interval T is normalized to 1 throughout; only ratios t/T enter
 any formula.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConstraintViolationError, DimensionMismatchError
-from .waveform import _toeplitz, _window
+from .waveform import _window
 
 
 @dataclass(frozen=True)
@@ -184,14 +185,17 @@ def synthesize_channels(cfg, rng):
     return MimoScenario(taps=taps, d=d, mu=mu, sigma2=sigma2)
 
 
-def _check_reception_inputs(scenario, waveforms):
-    if len(waveforms) != scenario.nt:
+def _check_reception_inputs(scenario, matrices, M):
+    origins, shapes = [S.M for S in matrices], {S.entries.shape for S in matrices}
+    if len(matrices) != scenario.nt:
         raise DimensionMismatchError(
-            f"need one waveform per tx antenna ({scenario.nt}), got {len(waveforms)}"
+            f"need one sounding matrix per tx antenna ({scenario.nt}), got {len(matrices)}"
         )
-    periods = {w.N for w in waveforms}
-    if len(periods) != 1:
-        raise DimensionMismatchError(f"waveforms must share one period, got {periods}")
+    if origins != [M] * len(origins):
+        raise ConstraintViolationError(f"need sounding matrices with M={M}, got {origins}")
+    D = _window(scenario.L, M)
+    if len(shapes) != 1 or min(shapes)[0] != D:
+        raise DimensionMismatchError(f"need sounding matrices of one shape ({D}, N), got {shapes}")
 
 
 def awgn(r0, sigma2, rng):
@@ -205,30 +209,29 @@ def awgn(r0, sigma2, rng):
     return r0 + np.sqrt(sigma2)[:, None] * (draws[:, 0] + 1j * draws[:, 1])
 
 
-def _receive(scenario, waveforms, filters, M):
-    """Noiseless r_m = sum_i S_i filters[i, m], S_i the sounding matrix with lag origin M.
-
-    Summed one waveform at a time, so no (nt, N, D) stack is built.
-    """
-    _check_reception_inputs(scenario, waveforms)
-    return sum(filters[i] @ _toeplitz(w, scenario.L, M).T for i, w in enumerate(waveforms))
+def _receive(scenario, matrices, filters, M):
+    """Noiseless r_m = sum_i S_i filters[i, m], one (S_i F)^T = conj(conj(F)^T S_i^H) per i."""
+    _check_reception_inputs(scenario, matrices, M)
+    return sum(np.conj(np.conj(filters[i]) @ S.entries) for i, S in enumerate(matrices))
 
 
-def receive_integer(scenario, waveforms):
+def receive_integer(scenario, matrices):
     """One noiseless period of received samples per antenna, integer offsets only.
 
-    Antenna m receives sum_i S_i h_im: the filter is the taps alone, since
-    the pulse sampled at mu = 0 is not an exact delta.  Returns an (Nr, N)
-    array whatever ``scenario.sigma2`` holds; ``awgn`` adds the noise.
+    With one M = 0 sounding matrix S_i per tx antenna, antenna m receives
+    sum_i S_i h_im: the pulse sampled at mu = 0 is not an exact delta, so the
+    taps alone filter.  Returns an (Nr, N) array whatever ``scenario.sigma2``
+    holds; ``awgn`` adds the noise.
     """
-    return _receive(scenario, waveforms, scenario.taps, 0)
+    return _receive(scenario, matrices, scenario.taps, 0)
 
 
-def receive_fractional(scenario, waveforms, pulse):
+def receive_fractional(scenario, matrices, pulse):
     """One noiseless period of received samples per antenna, fractional offsets.
 
-    Antenna m receives sum_i S_i G(mu_im) h_im, the model that the estimator
-    inverts; like ``receive_integer`` it ignores ``scenario.sigma2``.
+    With one M = ``pulse.M`` sounding matrix S_i per tx antenna, antenna m
+    receives sum_i S_i G(mu_im) h_im, the model that the estimator inverts;
+    like ``receive_integer`` it ignores ``scenario.sigma2``.
     """
     filters = np.einsum("imdl,iml->imd", pulse.matrix(scenario.mu, scenario.L), scenario.taps)
-    return _receive(scenario, waveforms, filters, pulse.M)
+    return _receive(scenario, matrices, filters, pulse.M)

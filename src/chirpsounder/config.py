@@ -297,8 +297,9 @@ def _from_dict(data):
     if enabled:
         mu = frac.get("mu")
         if isinstance(mu, (int, float, list)) and not isinstance(mu, bool):
+            known = len(problems)  # a rejected grid comes back as zeros: skip the range check
             mu_values = _as_grid(mu, mt, mr, "fractional.mu", problems, float)
-            if any(not 0.0 < v <= 0.5 for row in mu_values for v in row):
+            if len(problems) == known and not all(0.0 < v <= 0.5 for r in mu_values for v in r):
                 problems.append("fractional.mu: fixed offsets must lie in (0, 0.5]")
         elif mu != "uniform":
             problems.append(

@@ -1,11 +1,13 @@
 """Matched-filter channel estimation and the joint fractional-offset solver.
 
-The sounding matrix of a waveform is the N x D Toeplitz matrix whose columns
-are cyclic shifts of the waveform samples; applying its Hermitian transpose
-to a received period is the matched filter.  Whenever the design constraints
-hold, same-waveform Gram matrices are identities and cross-waveform Gram
-matrices vanish, so the matched filter returns the channel taps directly
-(integer offsets) or the pulse-shaped taps G(mu) @ h (fractional offsets).
+The sounding matrix S of a waveform is the N x D Toeplitz matrix whose
+columns are cyclic shifts of the waveform samples.  It is built once per
+waveform and stored as the matched filter S^H, a contiguous D x N array that
+reception also uses; the filter is one product S^H r, whose bits do not
+depend on the BLAS thread count.  Whenever the design constraints hold,
+same-waveform Gram matrices are identities and cross-waveform Gram matrices
+vanish, so the matched filter returns the channel taps directly (integer
+offsets) or the pulse-shaped taps G(mu) @ h (fractional offsets).
 
 Recovering (mu, h) from the fractional output minimizes
 
@@ -30,7 +32,7 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
 )
-from .waveform import _toeplitz, _window, cyclic_correlation
+from .waveform import _window, cyclic_correlation
 
 _COND_LIMIT = 1e12  # on kappa(G); kappa(G^H G) is its square
 _SCAN_POINTS = 33
@@ -41,11 +43,11 @@ _POLISH_STEPS = 60
 
 @dataclass(frozen=True, eq=False)
 class SoundingMatrix:
-    """Toeplitz sounding matrix S of one waveform.
+    """Matched filter S^H of one waveform's Toeplitz sounding matrix S.
 
-    ``entries[r, c] = s[(M + r - c) mod N]``: N x L with lag origin M = 0 for
-    integer offsets, N x (2M+L-1) with the pulse half-support M for
-    fractional offsets.
+    ``entries[c, r] = conj(s[(M + r - c) mod N])``, a C-contiguous D x N
+    array: D = L with lag origin M = 0 for integer offsets, D = 2M+L-1 with
+    the pulse half-support M for fractional offsets.  S is ``entries.conj().T``.
     """
 
     entries: np.ndarray
@@ -64,7 +66,7 @@ class EstimateReport:
 
 
 def build_sounding_matrix(w, L, M=0):
-    """Build the N x D Toeplitz sounding matrix of waveform ``w``.
+    """Build the sounding matrix of waveform ``w`` for reception and the matched filter.
 
     D is the lag window of span L: L itself for integer offsets (M = 0),
     2M + L - 1 with a pulse of half-support M.  The single-waveform design
@@ -81,7 +83,8 @@ def build_sounding_matrix(w, L, M=0):
             f"waveform p={w.p}, N={w.N} cannot sound {cols} columns: "
             f"requires N > {2 * w.p * cols}"
         )
-    return SoundingMatrix(entries=_toeplitz(w, L, M), M=M)
+    lags = M + np.arange(w.N) - np.arange(cols)[:, None]
+    return SoundingMatrix(entries=np.conj(w.samples[lags % w.N]), M=M)
 
 
 def _apply_matched_filter(S, r, fractional):
@@ -91,11 +94,11 @@ def _apply_matched_filter(S, r, fractional):
             f"{'fractional' if fractional else 'integer'} matched filter"
         )
     r = np.asarray(r)
-    if r.shape != (S.entries.shape[0],):
+    if r.shape != (S.entries.shape[1],):
         raise DimensionMismatchError(
-            f"received vector of shape {r.shape} does not match period {S.entries.shape[0]}"
+            f"received vector of shape {r.shape} does not match period {S.entries.shape[1]}"
         )
-    return S.entries.conj().T @ r
+    return S.entries @ r
 
 
 def matched_filter_integer(S, r):

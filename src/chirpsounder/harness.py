@@ -154,9 +154,8 @@ def run_mse_experiment(cfg):
     redrawn = []  # per-trial noise levels of redrawn channels
     nonconverged = 0
     redraw_mu = cfg.fractional and cfg.mu_values is None
-    base = None if (cfg.redraw_per_trial or redraw_mu) else _received(
-        cfg, scenario, waveforms, pulse
-    )
+    fixed = not (cfg.redraw_per_trial or redraw_mu)  # then one reception serves every trial
+    base = _received(cfg, scenario, matrices, pulse) if fixed else None
 
     for t in range(cfg.trials):
         if cfg.redraw_per_trial:
@@ -166,9 +165,7 @@ def run_mse_experiment(cfg):
         if redraw_mu:
             mu_pairs = draw_fractional_offsets(cfg, derive_rng(cfg.seed, 2, t))
             trial_scenario = replace(scenario, mu=cfg.per_link(mu_pairs))
-        r0 = base if base is not None else _received(
-            cfg, trial_scenario, waveforms, pulse
-        )
+        r0 = base if fixed else _received(cfg, trial_scenario, matrices, pulse)
         r = awgn(r0, trial_scenario.sigma2, derive_rng(cfg.seed, 1, t))
         for m in range(cfg.nr):
             for i in range(cfg.nt):
@@ -209,10 +206,10 @@ def run_mse_experiment(cfg):
     )
 
 
-def _received(cfg, scenario, waveforms, pulse):
+def _received(cfg, scenario, matrices, pulse):
     if cfg.fractional:
-        return receive_fractional(scenario, waveforms, pulse)
-    return receive_integer(scenario, waveforms)
+        return receive_fractional(scenario, matrices, pulse)
+    return receive_integer(scenario, matrices)
 
 
 def run_capacity_experiment(cfg):
@@ -234,7 +231,8 @@ def run_sounding(cfg):
     waveforms = _waveforms(cfg)
     scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
     pulse = build_pulse(cfg.pulse_rolloff, cfg.pulse_half_support)
-    r0 = _received(cfg, scenario, waveforms, pulse)
+    matrices = [build_sounding_matrix(w, cfg.total_length, cfg.lead) for w in waveforms]
+    r0 = _received(cfg, scenario, matrices, pulse)
     r = awgn(r0, scenario.sigma2, derive_rng(cfg.seed, 1, 0))
     traces = []
     for i, w in enumerate(waveforms):

@@ -60,12 +60,6 @@ def _window(L, M=0):
     return 2 * M + L - 1 if M else L
 
 
-def _toeplitz(w, L, M=0):
-    """The N x _window(L, M) sounding matrix of ``w``: entry [r, c] = s[(M + r - c) mod N]."""
-    lags = M + np.arange(w.N)[:, None] - np.arange(_window(L, M))[None, :]
-    return w.samples[lags % w.N]
-
-
 @dataclass(frozen=True)
 class ConstraintReport:
     """Outcome of a design-constraint check (failure is a result, not an error)."""

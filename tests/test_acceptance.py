@@ -89,15 +89,15 @@ def test_criterion_3_gram_conditions():
     worst = 0.0
     for p, S in integer.items():
         worst = max(
-            worst, np.max(np.abs(S.entries.conj().T @ S.entries - np.eye(L)))
+            worst, np.max(np.abs(S.entries @ S.entries.conj().T - np.eye(L)))
         )
     for pa, pb in ((1, 2), (1, 4), (2, 4)):
-        block = integer[pa].entries.conj().T @ integer[pb].entries
+        block = integer[pa].entries @ integer[pb].entries.conj().T
         worst = max(worst, np.max(np.abs(block)))
     # the fractional window 2M+L-1 = 22 only fits rates up to pmax = 1 at N = 128
     SF = build_sounding_matrix(generate_chirp(1, N), L, M=M)
     dim = 2 * M + L - 1
-    worst = max(worst, np.max(np.abs(SF.entries.conj().T @ SF.entries - np.eye(dim))))
+    worst = max(worst, np.max(np.abs(SF.entries @ SF.entries.conj().T - np.eye(dim))))
     assert worst < 1e-10
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -124,7 +124,8 @@ def test_criterion_5_segments_and_averaging():
         taps = np.zeros(15, dtype=complex)
         taps[5:] = block / np.linalg.norm(block)
         sc = single_link_scenario(taps, N=128)
-        segments = segmented_output(w, receive_integer(sc, [w])[0])
+        S = build_sounding_matrix(w, 15)
+        segments = segmented_output(w, receive_integer(sc, [S])[0])
         assert segments.shape == (2 * p, 128 // (2 * p))
         for j in range(2 * p):
             sign = 1.0 if j % 2 == 0 else -1.0
@@ -141,7 +142,7 @@ def test_criterion_5_segments_and_averaging():
     block = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     taps[5:] = block / np.linalg.norm(block)
     sc = single_link_scenario(taps, N=128)
-    r0 = receive_integer(sc, [w])
+    r0 = receive_integer(sc, [build_sounding_matrix(w, 15)])
     sigma2 = 1e-3
     gen = derive_rng(4242, 1, 0)
     err_single = err_avg = 0.0

@@ -12,6 +12,7 @@ from chirpsounder import (
     DimensionMismatchError,
     awgn,
     build_pulse,
+    build_sounding_matrix,
     derive_rng,
     draw_fractional_offsets,
     from_dict,
@@ -260,6 +261,11 @@ class TestSynthesis:
             synthesize_channels(cfg, derive_rng(cfg.seed, 0))
 
 
+def sounding(waveforms, L, M=0):
+    """One sounding matrix per waveform: what reception takes."""
+    return [build_sounding_matrix(w, L, M) for w in waveforms]
+
+
 def single_link_scenario(taps, mu=0.0, N=128, p=1):
     """1x1 scenario with explicit taps, built without the config machinery."""
     taps = np.asarray(taps, dtype=complex)
@@ -270,34 +276,48 @@ class TestReceiveInteger:
     def test_identity_channel(self):
         w = generate_chirp(1, 128)
         sc = single_link_scenario([1] + [0] * 14)
-        r = receive_integer(sc, [w])
+        r = receive_integer(sc, sounding([w], 15))
         np.testing.assert_allclose(r[0], w.samples, atol=1e-15)
 
     def test_pure_delay_is_cyclic_shift(self):
         w = generate_chirp(1, 128)
         sc = single_link_scenario([0] * 5 + [1] + [0] * 9)
-        r = receive_integer(sc, [w])
+        r = receive_integer(sc, sounding([w], 15))
         np.testing.assert_allclose(r[0], np.roll(w.samples, 5), atol=1e-15)
 
     def test_waveform_count_checked(self):
         sc = single_link_scenario([1, 0, 0])
-        with pytest.raises(DimensionMismatchError, match="one waveform per tx antenna"):
-            receive_integer(sc, [generate_chirp(1, 128), generate_chirp(2, 128)])
+        with pytest.raises(DimensionMismatchError, match="one sounding matrix per tx antenna"):
+            receive_integer(sc, sounding([generate_chirp(1, 128), generate_chirp(2, 128)], 3))
         two = MimoScenario(  # two tx antennas, one rx antenna
             taps=np.ones((2, 1, 3), dtype=complex), d=np.zeros((2, 1), dtype=int),
             mu=np.zeros((2, 1)), sigma2=np.zeros(1),
         )
-        with pytest.raises(DimensionMismatchError, match="share one period"):
-            receive_integer(two, [generate_chirp(1, 128), generate_chirp(2, 256)])
+        with pytest.raises(DimensionMismatchError, match="of one shape"):
+            receive_integer(two, sounding([generate_chirp(1, 128), generate_chirp(2, 256)], 3))
+        with pytest.raises(DimensionMismatchError, match="of one shape"):
+            receive_integer(sc, sounding([generate_chirp(1, 128)], 4))  # built for L = 4
+
+    def test_lag_origin_checked(self):
+        # integer reception takes M = 0 matrices, fractional ones M = pulse.M
+        w = generate_chirp(1, 128)
+        sc = single_link_scenario([1, 0, 0])
+        with pytest.raises(ConstraintViolationError, match="M=0"):
+            receive_integer(sc, sounding([w], 3, M=4))
+        with pytest.raises(ConstraintViolationError, match="M=4"):
+            receive_fractional(sc, sounding([w], 3, M=2), build_pulse(rolloff=0.25, M=4))
+        with pytest.raises(ConstraintViolationError, match="M=4"):
+            receive_fractional(sc, sounding([w], 3), build_pulse(rolloff=0.25, M=4))
 
     def test_linearity(self):
         w = generate_chirp(2, 128)
         rng = np.random.default_rng(3)
         h1 = rng.standard_normal(15) + 1j * rng.standard_normal(15)
         h2 = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-        r1 = receive_integer(single_link_scenario(h1), [w])
-        r2 = receive_integer(single_link_scenario(h2), [w])
-        r12 = receive_integer(single_link_scenario(h1 + h2), [w])
+        S = sounding([w], 15)
+        r1 = receive_integer(single_link_scenario(h1), S)
+        r2 = receive_integer(single_link_scenario(h2), S)
+        r12 = receive_integer(single_link_scenario(h1 + h2), S)
         np.testing.assert_allclose(r12, r1 + r2, atol=1e-12)
 
     def test_noise_calibration(self):
@@ -329,14 +349,12 @@ class TestReceiveInteger:
         quiet = replace(sc, sigma2=np.zeros(sc.nr))
         waveforms = [generate_chirp(p, 256) for p in cfg.chirp_rates]
         pulse = build_pulse(rolloff=0.25, M=4)
+        S, SF = sounding(waveforms, sc.L), sounding(waveforms, sc.L, 4)
         assert np.all(sc.sigma2 > 0)
+        assert receive_integer(sc, S).tobytes() == receive_integer(quiet, S).tobytes()
         assert (
-            receive_integer(sc, waveforms).tobytes()
-            == receive_integer(quiet, waveforms).tobytes()
-        )
-        assert (
-            receive_fractional(sc, waveforms, pulse).tobytes()
-            == receive_fractional(quiet, waveforms, pulse).tobytes()
+            receive_fractional(sc, SF, pulse).tobytes()
+            == receive_fractional(quiet, SF, pulse).tobytes()
         )
 
 
@@ -356,7 +374,7 @@ class TestReceiveFractional:
         pulse = build_pulse(rolloff=0.25, M=2)
         taps = np.array([0.7 - 0.2j, 0, 0.4j, 0.1])
         sc = single_link_scenario(taps, mu=0.37, N=64)
-        r = receive_fractional(sc, [w], pulse)
+        r = receive_fractional(sc, sounding([w], 4, 2), pulse)
         expected = self.brute_fractional(w.samples, taps, 0.37, pulse)
         np.testing.assert_allclose(r[0], expected, atol=1e-12)
 
@@ -364,7 +382,7 @@ class TestReceiveFractional:
         w = generate_chirp(1, 128)
         pulse = build_pulse(rolloff=0.25, M=4)
         sc = single_link_scenario([1] + [0] * 9, mu=0.5)
-        r = receive_fractional(sc, [w], pulse)
+        r = receive_fractional(sc, sounding([w], 10, 4), pulse)
         y = np.arange(-4, 4 + 10 - 1)
         expected = sum(
             pulse(v + 0.5) * np.roll(w.samples, v) for v in y
@@ -377,8 +395,10 @@ class TestReceiveFractional:
         pulse = build_pulse(rolloff=0.25, M=4)
         rng = np.random.default_rng(5)
         taps = (rng.standard_normal(12) + 1j * rng.standard_normal(12)) / np.sqrt(2)
-        ri = receive_integer(single_link_scenario(taps), [w])
-        rf = receive_fractional(single_link_scenario(taps, mu=1e-6), [w], pulse)
+        ri = receive_integer(single_link_scenario(taps), sounding([w], 12))
+        rf = receive_fractional(
+            single_link_scenario(taps, mu=1e-6), sounding([w], 12, 4), pulse
+        )
         assert np.max(np.abs(rf - ri)) < 1e-4
 
     def test_seed_reproducibility(self):
@@ -389,12 +409,9 @@ class TestReceiveFractional:
         sc = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
         waveforms = [generate_chirp(p, 256) for p in cfg.chirp_rates]
         pulse = build_pulse(rolloff=0.25, M=4)
-        a = awgn(
-            receive_fractional(sc, waveforms, pulse), sc.sigma2, derive_rng(cfg.seed, 1, 0)
-        )
-        b = awgn(
-            receive_fractional(sc, waveforms, pulse), sc.sigma2, derive_rng(cfg.seed, 1, 0)
-        )
+        SF = sounding(waveforms, sc.L, 4)
+        a = awgn(receive_fractional(sc, SF, pulse), sc.sigma2, derive_rng(cfg.seed, 1, 0))
+        b = awgn(receive_fractional(sc, SF, pulse), sc.sigma2, derive_rng(cfg.seed, 1, 0))
         np.testing.assert_array_equal(a, b)
 
     def test_per_link_offsets_override(self):

@@ -22,7 +22,7 @@ from chirpsounder import (
     receive_integer,
     segmented_output,
 )
-from tests.test_channel import single_link_scenario
+from tests.test_channel import single_link_scenario, sounding
 
 
 def grid_search_oracle(hF, pulse, L, step=1e-4):
@@ -39,7 +39,10 @@ def grid_search_oracle(hF, pulse, L, step=1e-4):
 
 
 def toeplitz(w, L, M=0):
-    """The sounding-matrix layout s[(M + r - c) mod N], built with no design check."""
+    """The sounding matrix S[r, c] = s[(M + r - c) mod N], built with no design check.
+
+    ``SoundingMatrix.entries`` stores its Hermitian transpose, the matched filter.
+    """
     cols = 2 * M + L - 1 if M else L
     return w.samples[(M + np.arange(w.N)[:, None] - np.arange(cols)[None, :]) % w.N]
 
@@ -49,35 +52,37 @@ def random_taps(rng, L):
 
 
 class TestSoundingMatrix:
+    # entries hold the matched filter S^H: entries[c, r] = conj(S[r, c])
     def test_toeplitz_layout_integer(self):
         w = generate_chirp(1, 128)
         S = build_sounding_matrix(w, 15)
+        assert S.entries.shape == (15, 128) and S.entries.flags.c_contiguous
         for r in (0, 1, 14, 127):
             for c in (0, 7, 14):
-                assert S.entries[r, c] == w.samples[(r - c) % 128]
+                assert S.entries[c, r] == np.conj(w.samples[(r - c) % 128])
 
     def test_toeplitz_layout_fractional(self):
         w = generate_chirp(1, 128)
         S = build_sounding_matrix(w, 15, M=4)
-        assert S.entries.shape == (128, 22)
+        assert S.entries.shape == (22, 128) and S.entries.flags.c_contiguous
         for r in (0, 3, 127):
             for c in (0, 10, 21):
-                assert S.entries[r, c] == w.samples[(4 + r - c) % 128]
+                assert S.entries[c, r] == np.conj(w.samples[(4 + r - c) % 128])
 
     def test_gram_identity(self):
         S = build_sounding_matrix(generate_chirp(1, 128), 15)
-        gram = S.entries.conj().T @ S.entries
+        gram = S.entries @ S.entries.conj().T
         assert np.max(np.abs(gram - np.eye(15))) < 1e-10
 
     def test_cross_gram_zero(self):
         S1 = build_sounding_matrix(generate_chirp(1, 128), 15)
         S2 = build_sounding_matrix(generate_chirp(2, 128), 15)
-        assert np.max(np.abs(S1.entries.conj().T @ S2.entries)) < 1e-10
+        assert np.max(np.abs(S1.entries @ S2.entries.conj().T)) < 1e-10
 
     def test_single_column_is_waveform(self):
         w = generate_chirp(2, 64)
         S = build_sounding_matrix(w, 1)
-        np.testing.assert_array_equal(S.entries[:, 0], w.samples)
+        np.testing.assert_array_equal(S.entries[0], np.conj(w.samples))
 
     def test_dimension_errors(self):
         w = generate_chirp(1, 128)
@@ -96,7 +101,8 @@ class TestSoundingMatrix:
             build_sounding_matrix(w, 16)
         with pytest.raises(ConstraintViolationError):
             build_sounding_matrix(w, 9, M=4)
-        np.testing.assert_array_equal(toeplitz(w, 15), build_sounding_matrix(w, 15).entries)
+        S = build_sounding_matrix(w, 15)
+        np.testing.assert_array_equal(toeplitz(w, 15).conj().T, S.entries)
         S = toeplitz(w, 16)
         assert np.max(np.abs(S.conj().T @ S - np.eye(16))) < 1e-10
 
@@ -125,10 +131,10 @@ class TestSoundingMatrix:
             if not check_design_constraints(max(rates), N, L, M).passed:
                 continue
             mats = [build_sounding_matrix(generate_chirp(p, N), L, M) for p in rates]
-            D = mats[0].entries.shape[1]
+            D = mats[0].entries.shape[0]
             for a in range(len(mats)):
                 for b in range(len(mats)):
-                    block = mats[a].entries.conj().T @ mats[b].entries
+                    block = mats[a].entries @ mats[b].entries.conj().T
                     expected = np.eye(D) if a == b else 0.0
                     assert np.max(np.abs(block - expected)) < 1e-10
             checked += 1
@@ -140,8 +146,8 @@ class TestMatchedFilterInteger:
         rng = np.random.default_rng(0)
         taps = random_taps(rng, 15)
         w = generate_chirp(1, 128)
-        r = receive_integer(single_link_scenario(taps), [w])
         S = build_sounding_matrix(w, 15)
+        r = receive_integer(single_link_scenario(taps), [S])
         h = matched_filter_integer(S, r[0])
         assert np.max(np.abs(h - taps)) < 1e-10
 
@@ -155,9 +161,9 @@ class TestMatchedFilterInteger:
             mu=np.zeros((2, 1)), sigma2=np.zeros(1),
         )
         waveforms = [generate_chirp(1, 128), generate_chirp(2, 128)]
-        r = receive_integer(sc, waveforms)
-        for i, w in enumerate(waveforms):
-            S = build_sounding_matrix(w, 15)
+        matrices = sounding(waveforms, 15)
+        r = receive_integer(sc, matrices)
+        for i, S in enumerate(matrices):
             h = matched_filter_integer(S, r[0])
             assert np.max(np.abs(h - taps[i])) < 1e-10
 
@@ -183,8 +189,8 @@ class TestMatchedFilterFractional:
         mu = 0.3
         w = generate_chirp(1, 256)
         pulse = build_pulse(rolloff=0.25, M=4)
-        r = receive_fractional(single_link_scenario(taps, mu=mu, N=256), [w], pulse)
         S = build_sounding_matrix(w, 15, M=4)
+        r = receive_fractional(single_link_scenario(taps, mu=mu, N=256), [S], pulse)
         hF = matched_filter_fractional(S, r[0])
         G = build_shaping_matrix(pulse, mu, 15)
         assert np.max(np.abs(hF - G @ taps)) < 1e-9
@@ -194,8 +200,8 @@ class TestMatchedFilterFractional:
         taps = random_taps(rng, 10)
         w = generate_chirp(1, 128)
         pulse = build_pulse(rolloff=0.25, M=4)
-        r = receive_fractional(single_link_scenario(taps, mu=0.0), [w], pulse)
         S = build_sounding_matrix(w, 10, M=4)
+        r = receive_fractional(single_link_scenario(taps, mu=0.0), [S], pulse)
         hF = matched_filter_fractional(S, r[0])
         assert np.max(np.abs(hF[4:14] - taps)) < 1e-9
         assert np.max(np.abs(hF[:4])) < 1e-9 and np.max(np.abs(hF[14:])) < 1e-9
@@ -211,13 +217,14 @@ class TestMatchedFilterFractional:
         )
         waveforms = [generate_chirp(1, 256), generate_chirp(2, 256)]
         pulse = build_pulse(rolloff=0.25, M=4)
-        S1 = build_sounding_matrix(waveforms[0], 15, M=4)
+        matrices = sounding(waveforms, 15, M=4)
+        S1 = matrices[0]
         alone = MimoScenario(taps=sc.taps[:1], d=sc.d[:1], mu=sc.mu[:1], sigma2=sc.sigma2)
         hF_alone = matched_filter_fractional(
-            S1, receive_fractional(alone, waveforms[:1], pulse)[0]
+            S1, receive_fractional(alone, matrices[:1], pulse)[0]
         )
         hF_both = matched_filter_fractional(
-            S1, receive_fractional(sc, waveforms, pulse)[0]
+            S1, receive_fractional(sc, matrices, pulse)[0]
         )
         assert np.max(np.abs(hF_both - hF_alone)) < 1e-9
 
@@ -245,10 +252,10 @@ def test_matched_filters_return_each_link(sc):
     N, M = 256, 4
     waveforms = [generate_chirp(p, N) for p in (1, 2, 4)[: sc.nt]]
     pulse = build_pulse(rolloff=0.25, M=M)
-    r_int = receive_integer(sc, waveforms)
-    r_frac = receive_fractional(sc, waveforms, pulse)
-    for i, w in enumerate(waveforms):
-        S, SF = build_sounding_matrix(w, sc.L), build_sounding_matrix(w, sc.L, M)
+    matrices, fractional = sounding(waveforms, sc.L), sounding(waveforms, sc.L, M)
+    r_int = receive_integer(sc, matrices)
+    r_frac = receive_fractional(sc, fractional, pulse)
+    for i, (S, SF) in enumerate(zip(matrices, fractional)):
         for m in range(sc.nr):
             h = matched_filter_integer(S, r_int[m])
             assert np.max(np.abs(h - sc.taps[i, m])) < 1e-12
@@ -447,7 +454,7 @@ class TestSegments:
         rng = np.random.default_rng(21)
         taps = random_taps(rng, 12)
         w = generate_chirp(2, 128)
-        r = receive_integer(single_link_scenario(taps, N=128, p=2), [w])
+        r = receive_integer(single_link_scenario(taps, N=128, p=2), sounding([w], 12))
         segments = segmented_output(w, r[0])
         assert segments.shape == (4, 32)
         np.testing.assert_allclose(segments[0], segments[2], atol=1e-9)
@@ -461,7 +468,9 @@ class TestSegments:
         M = 4
         w = generate_chirp(2, 256)
         pulse = build_pulse(rolloff=0.25, M=M)
-        r = receive_fractional(single_link_scenario(taps, mu=mu, N=256), [w], pulse)
+        r = receive_fractional(
+            single_link_scenario(taps, mu=mu, N=256), sounding([w], 10, M), pulse
+        )
         segments = segmented_output(w, r[0], M=M)
         G = build_shaping_matrix(pulse, mu, 10)
         shaped = G @ taps
@@ -497,7 +506,7 @@ class TestSegments:
         taps /= np.linalg.norm(taps)
         w = generate_chirp(4, 128)
         sc = single_link_scenario(taps, N=128)
-        r0 = receive_integer(sc, [w])
+        r0 = receive_integer(sc, sounding([w], 12))
         rng = derive_rng(501, 1, 0)
         trials = 5000
         err_single, err_avg = 0.0, 0.0

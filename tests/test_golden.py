@@ -13,13 +13,22 @@ depends on the order in which reception sums its terms: it is one
 sounding-matrix product per waveform, so a different summation order moves
 the last bits of the received stream and, through the estimator, the last
 printed digits.  The ``generate``, ``correlate`` and ``capacity`` digests
-and ``config_echo.json`` do not pass through reception.
+and ``config_echo.json`` do not pass through reception.  The ``mse`` digests
+also depend on the matched filter's memory layout: it applies the stored S^H,
+a contiguous D x N array, which moved the ``paper-sec5-fractional`` CSVs and
+the ``paper-sec5`` record once, and made these bytes the same at every BLAS
+thread count tested (1 and 2).
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chirpsounder
 from chirpsounder.cli import main
 
 GOLDEN = {
@@ -28,8 +37,8 @@ GOLDEN = {
         "antenna_mse.csv": "d0c3f18193af0eb1373dcab001e07c5ce9869fdada3a8b0a50c486dfe4871527",
     },
     ("mse", "paper-sec5-fractional", 3): {
-        "mse.csv": "b6cbe2b1cb1e2827fa7002b9eeef545528cbbc6eadf000f0078f9d750df16d99",
-        "antenna_mse.csv": "791673823c1bc30048dd2fa4e15bf3a8897bd4bc838cea2689995228e15c963d",
+        "mse.csv": "ea2700429827287467ace39bcf2554ba52cdebf5bcfd0d014247a67138efa9a9",
+        "antenna_mse.csv": "5c54d3379c14de3a8f11990c3a0546d7906dec0b73da2d7b6f5621b22b4beff2",
     },
     ("capacity", "capacity-tx-shared", None): {
         "capacity.csv": "625be9a0ffea6157ddf94c71b308d1485a40fa392665c1fb6717eb0d4636173d",
@@ -41,7 +50,7 @@ GOLDEN = {
         "capacity.csv": "1e9cdeb1ef0098d8fb92fe9a9ee4ebaacaf1985a1b8dd785aa89d4dd63653f79",
     },
     ("mse", "paper-sec5", 20): {  # record format
-        "result.json": "144728ea6fbc75cf60e3cd095c41bdcefcfbda27dae928ab3d3733c773895d78",
+        "result.json": "c1c8ff181e1188aa8718e1ed7e27deb3fefd042bcd86e24b40fc32e4a2385690",
         "config_echo.json": "1cfc64d74ac686d224f3abb136bedbd5a39d4d0c9891f0b502ab9d552be51463",
     },
     ("sound", "paper-sec5", None): {
@@ -70,3 +79,36 @@ def test_output_digests(tmp_path, command, preset, trials):
     assert main(argv) == 0
     for name, digest in GOLDEN[command, preset, trials].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+THREADED = {  # N = 256 runs, where a BLAS product could split across threads
+    "mse-csv": ["mse", "--preset", "paper-sec5-fractional", "--trials", "3"],
+    "mse-record": [
+        "mse", "--preset", "paper-sec5-fractional", "--trials", "3", "--format", "record"
+    ],
+    "sound": ["sound", "--preset", "paper-sec5-fractional"],
+}
+
+
+@pytest.mark.parametrize("name", list(THREADED))
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, name):
+    # the thread count is read when numpy loads, so each run is its own process
+    src = str(Path(chirpsounder.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "PYTHONPATH": path,
+        }
+        argv = [sys.executable, "-m", "chirpsounder", *THREADED[name], "--out", str(out)]
+        subprocess.run(argv, env=env, check=True, capture_output=True, timeout=300)
+        outputs.append(
+            {f.name: f.read_bytes() for f in out.iterdir() if f.name != "run_meta.json"}
+        )
+    one, two = outputs
+    assert sorted(one) == sorted(two) and len(one) >= 2
+    assert [f for f in sorted(one) if one[f] != two[f]] == []

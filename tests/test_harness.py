@@ -217,6 +217,19 @@ class TestConfig:
             small_config(**overrides)
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "mu", [[[0.1, "a"], [0.2, 0.2]], [[0.1, float("nan")], [0.2, 0.2]]],
+        ids=["non-number", "nan"],
+    )
+    def test_rejected_mu_grid_reported_once(self, mu):
+        # a grid that fails parsing is not range-checked as well
+        with pytest.raises(ConfigError) as exc:
+            small_config(fractional={"enabled": True, "mu": mu})
+        lines = str(exc.value).splitlines()[1:]
+        assert [line for line in lines if "fractional.mu" in line] == [
+            "  fractional.mu: expected a finite number or a 2x2 grid of them"
+        ]
+
     def test_unparseable_text_rejected(self):
         with pytest.raises(ConfigError, match="config is not valid JSON"):
             from_json("{'name': 'single quotes'}")
