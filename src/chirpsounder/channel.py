@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConstraintViolationError, DimensionMismatchError
+from .estimator import build_shaping_matrix
 from .waveform import _window
 
 
@@ -62,11 +63,6 @@ class PulseShape:
             val = np.where(singular, (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff)), val)
         out = np.where(np.abs(t) <= self.M, val, 0.0)
         return float(out) if out.ndim == 0 else out
-
-    def matrix(self, mu, L):
-        """Shaping matrices G(mu)[r, c] = g((r - M - c + mu)T), shape mu.shape + (2M+L-1, L)."""
-        lags = np.arange(_window(L, self.M))[:, None] - self.M - np.arange(L)
-        return self(lags + np.asarray(mu, dtype=float)[..., None, None])
 
 
 def build_pulse(rolloff=0.25, M=4):
@@ -230,8 +226,8 @@ def receive_fractional(scenario, matrices, pulse):
     """One noiseless period of received samples per antenna, fractional offsets.
 
     With one M = ``pulse.M`` sounding matrix S_i per tx antenna, antenna m
-    receives sum_i S_i G(mu_im) h_im, the model that the estimator inverts;
-    like ``receive_integer`` it ignores ``scenario.sigma2``.
+    receives sum_i S_i G(mu_im) h_im, the model that the estimator inverts, built
+    by its ``build_shaping_matrix``; like ``receive_integer`` it ignores ``scenario.sigma2``.
     """
-    filters = np.einsum("imdl,iml->imd", pulse.matrix(scenario.mu, scenario.L), scenario.taps)
-    return _receive(scenario, matrices, filters, pulse.M)
+    G = build_shaping_matrix(pulse, scenario.mu, scenario.L)
+    return _receive(scenario, matrices, np.einsum("imdl,iml->imd", G, scenario.taps), pulse.M)

@@ -221,8 +221,7 @@ def _as_nodes(value, count, what, problems):
         return ()
     if not all(type(v) is int and 0 <= v < count for v in value):
         problems.append(f"{what}: node indices must lie in [0, {count})")
-        return tuple(0 for _ in value)
-    if set(value) != set(range(count)):
+    elif set(value) != set(range(count)):
         problems.append(f"{what}: every node in [0, {count}) needs an antenna")
     return tuple(value)
 
@@ -258,6 +257,9 @@ def _from_dict(data):
     """``from_dict``'s body; ``replace`` calls it, adding no public config call."""
     problems = []
     top = _Reader(data, "config", problems)
+
+    def passed(*fields):  # a rejected field holds a placeholder, not the user's value
+        return not any(line.split(":")[0] in fields for line in problems)
 
     name = top.get("name")
     if not isinstance(name, str):
@@ -297,9 +299,8 @@ def _from_dict(data):
     if enabled:
         mu = frac.get("mu")
         if isinstance(mu, (int, float, list)) and not isinstance(mu, bool):
-            known = len(problems)  # a rejected grid comes back as zeros: skip the range check
             mu_values = _as_grid(mu, mt, mr, "fractional.mu", problems, float)
-            if len(problems) == known and not all(0.0 < v <= 0.5 for r in mu_values for v in r):
+            if passed("fractional.mu") and not all(0.0 < v <= 0.5 for r in mu_values for v in r):
                 problems.append("fractional.mu: fixed offsets must lie in (0, 0.5]")
         elif mu != "uniform":
             problems.append(
@@ -313,12 +314,11 @@ def _from_dict(data):
     wf.finish()
     if not isinstance(rates, list) or len(rates) != nt:
         problems.append(f"waveform.chirp_rates: expected one rate per tx antenna ({nt})")
-        rates = [1] * nt
     elif any(not _is_pow2(v) for v in rates):
         problems.append("waveform.chirp_rates: every rate must be a power of 2")
     elif len(set(rates)) != len(rates):
         problems.append("waveform.chirp_rates: rates must be distinct")
-    elif not _is_pow2(wf_length) or wf_length <= 2 * max(rates):
+    elif passed("waveform.length") and (not _is_pow2(wf_length) or wf_length <= 2 * max(rates)):
         problems.append(
             "waveform.length: must be a power of 2 exceeding twice the largest rate"
         )
@@ -359,7 +359,7 @@ def _from_dict(data):
         -np.inf if v == -np.inf else _as_number(v, "capacity.rho_db", problems, db=1)
         for v in rho_raw
     )
-    if bins < total_length:
+    if bins < total_length and passed("capacity.bins", "channel.total_length"):
         problems.append(
             f"capacity.bins: must be >= channel.total_length ({total_length}), got {bins}"
         )
@@ -368,10 +368,11 @@ def _from_dict(data):
     seed = _as_int(top.get("seed"), "seed", problems, 0)
     top.finish()
 
-    # cross-field consistency
-    for i in range(len(tx_node)):
-        for m in range(len(rx_node)):
-            d = offsets[tx_node[i]][rx_node[m]] if tx_node and rx_node else 0
+    # cross-field consistency, read only from fields that passed their own checks
+    if passed("antennas.tx_node", "antennas.rx_node", "channel.total_length",
+              "channel.active_taps", "channel.integer_offsets"):
+        for i, m in np.ndindex(len(tx_node), len(rx_node)):
+            d = offsets[tx_node[i]][rx_node[m]]
             if active[i][m] + d > total_length:
                 problems.append(
                     f"link (tx {i}, rx {m}): active_taps + offset = "

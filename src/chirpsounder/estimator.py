@@ -114,14 +114,17 @@ def matched_filter_fractional(S, r):
 def build_shaping_matrix(pulse, mu, L):
     """Toeplitz pulse matrices G(mu)[r, c] = g((r - M - c + mu)T), M = pulse.M.
 
-    One per offset of a scalar or array ``mu`` in [0, 1/2]: shape mu.shape + (2M+L-1, L).
+    One per offset of a scalar or array ``mu`` in [0, 1/2]: shape mu.shape + (2M+L-1, L),
+    gathered at k = r - c + L - 1 from the pulse at the 2M+2L-2 lags k - (M+L-1) + mu.
     """
     mu = np.asarray(mu, dtype=float)
     if not np.all((mu >= 0.0) & (mu <= 0.5)):
         raise ConstraintViolationError(f"mu must lie in [0, 0.5], got {mu}")
     if L < 1:
         raise DimensionMismatchError(f"need L >= 1, got L={L}")
-    return pulse.matrix(mu, L)
+    span = pulse.M + L - 1
+    samples = pulse(np.arange(2 * span) - span + mu[..., None])
+    return samples[..., np.arange(_window(L, pulse.M))[:, None] - np.arange(L) + L - 1]
 
 
 @lru_cache(maxsize=32)

@@ -11,7 +11,7 @@ over K uniform frequency bins f_k = k/K.  The asynchronous response of a link
 differs from its aligned (synchronous) response only by the unimodular phase
 factor exp(-j*2*pi*f*zeta), so one-sided clock sharing leaves the capacity
 integrand untouched bin by bin.  ``capacity_equivalence_report``, the one
-capacity path, builds both responses once per channel draw.
+capacity path, takes every link's response from one FFT per channel draw.
 """
 
 from dataclasses import dataclass
@@ -44,12 +44,16 @@ def crb(L, sigma2):
 
 
 def frequency_response(taps, d, K):
-    """Synchronous response of one link on K bins: the DFT of its delay-stripped taps[d:]."""
-    if K < len(taps):
-        raise DimensionMismatchError(f"grid with {K} bins cannot resolve {len(taps)} taps")
-    stripped = np.zeros(K, dtype=complex)
-    stripped[: len(taps) - d] = taps[d:]
-    return np.fft.fft(stripped)
+    """Synchronous responses on K bins: the DFT of each link's delay-stripped taps[d:].
+
+    ``taps`` (..., L) and offsets ``d`` (...) stack links: one FFT gives (..., K).
+    """
+    taps, d = np.asarray(taps, dtype=complex), np.asarray(d)
+    L = taps.shape[-1]
+    if K < L:
+        raise DimensionMismatchError(f"grid with {K} bins cannot resolve {L} taps")
+    padded = np.concatenate([taps, np.zeros_like(taps)], axis=-1)  # lags past L read zeros
+    return np.fft.fft(np.take_along_axis(padded, np.arange(L) + d[..., None], axis=-1), n=K)
 
 
 def _capacity_integrand(H, rho):
@@ -72,14 +76,10 @@ def capacity_equivalence_report(scenario, K, rho_db):
     side of the system shares a single local oscillator (the per-bin phase
     matrix is then unitary diagonal).
     """
-    f = np.arange(K) / K
-    Hs = np.empty((K, scenario.nr, scenario.nt), dtype=complex)
-    Ha = np.empty((K, scenario.nr, scenario.nt), dtype=complex)
-    zeta = scenario.d + scenario.mu
-    for i in range(scenario.nt):
-        for m in range(scenario.nr):
-            Hs[:, m, i] = frequency_response(scenario.taps[i, m], scenario.d[i, m], K)
-            Ha[:, m, i] = Hs[:, m, i] * np.exp(-2j * np.pi * f * zeta[i, m])
+    sync = frequency_response(scenario.taps, scenario.d, K)  # (nt, nr, K)
+    zeta = (scenario.d + scenario.mu)[..., None]
+    asyn = sync * np.exp(-2j * np.pi * (np.arange(K) / K) * zeta)
+    Hs, Ha = (np.ascontiguousarray(H.transpose(2, 1, 0)) for H in (sync, asyn))
     rows = []
     for db in rho_db:
         rho = 0.0 if db == -np.inf else 10.0 ** (db / 10.0)

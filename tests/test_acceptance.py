@@ -123,7 +123,7 @@ def test_criterion_5_segments_and_averaging():
         block = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         taps = np.zeros(15, dtype=complex)
         taps[5:] = block / np.linalg.norm(block)
-        sc = single_link_scenario(taps, N=128)
+        sc = single_link_scenario(taps)
         S = build_sounding_matrix(w, 15)
         segments = segmented_output(w, receive_integer(sc, [S])[0])
         assert segments.shape == (2 * p, 128 // (2 * p))
@@ -141,7 +141,7 @@ def test_criterion_5_segments_and_averaging():
     taps = np.zeros(15, dtype=complex)
     block = rng.standard_normal(10) + 1j * rng.standard_normal(10)
     taps[5:] = block / np.linalg.norm(block)
-    sc = single_link_scenario(taps, N=128)
+    sc = single_link_scenario(taps)
     r0 = receive_integer(sc, [build_sounding_matrix(w, 15)])
     sigma2 = 1e-3
     gen = derive_rng(4242, 1, 0)

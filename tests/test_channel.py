@@ -266,7 +266,7 @@ def sounding(waveforms, L, M=0):
     return [build_sounding_matrix(w, L, M) for w in waveforms]
 
 
-def single_link_scenario(taps, mu=0.0, N=128, p=1):
+def single_link_scenario(taps, mu=0.0):
     """1x1 scenario with explicit taps, built without the config machinery."""
     taps = np.asarray(taps, dtype=complex)
     return link_scenario(taps, int(np.argmax(taps != 0)), mu)  # d: leading zeros
@@ -373,7 +373,7 @@ class TestReceiveFractional:
         w = generate_chirp(1, 64)
         pulse = build_pulse(rolloff=0.25, M=2)
         taps = np.array([0.7 - 0.2j, 0, 0.4j, 0.1])
-        sc = single_link_scenario(taps, mu=0.37, N=64)
+        sc = single_link_scenario(taps, mu=0.37)
         r = receive_fractional(sc, sounding([w], 4, 2), pulse)
         expected = self.brute_fractional(w.samples, taps, 0.37, pulse)
         np.testing.assert_allclose(r[0], expected, atol=1e-12)

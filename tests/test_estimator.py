@@ -18,10 +18,13 @@ from chirpsounder import (
     joint_estimate,
     matched_filter_fractional,
     matched_filter_integer,
+    preset,
     receive_fractional,
     receive_integer,
     segmented_output,
+    synthesize_channels,
 )
+from chirpsounder.channel import PulseShape
 from tests.test_channel import single_link_scenario, sounding
 
 
@@ -45,6 +48,17 @@ def toeplitz(w, L, M=0):
     """
     cols = 2 * M + L - 1 if M else L
     return w.samples[(M + np.arange(w.N)[:, None] - np.arange(cols)[None, :]) % w.N]
+
+
+def direct_shaping_matrix(pulse, mu, L):
+    """G(mu)[r, c] = g((r - M - c + mu)T), the pulse taken at all (2M+L-1) x L entries.
+
+    Kept as the reference for ``build_shaping_matrix``, which takes the pulse
+    once per distinct lag of the Toeplitz G and gathers, with the same sums
+    lag + mu, so the two agree bit for bit.
+    """
+    lags = np.arange(2 * pulse.M + L - 1)[:, None] - pulse.M - np.arange(L)
+    return pulse(lags + np.asarray(mu, dtype=float)[..., None, None])
 
 
 def random_taps(rng, L):
@@ -190,7 +204,7 @@ class TestMatchedFilterFractional:
         w = generate_chirp(1, 256)
         pulse = build_pulse(rolloff=0.25, M=4)
         S = build_sounding_matrix(w, 15, M=4)
-        r = receive_fractional(single_link_scenario(taps, mu=mu, N=256), [S], pulse)
+        r = receive_fractional(single_link_scenario(taps, mu=mu), [S], pulse)
         hF = matched_filter_fractional(S, r[0])
         G = build_shaping_matrix(pulse, mu, 15)
         assert np.max(np.abs(hF - G @ taps)) < 1e-9
@@ -315,6 +329,43 @@ class TestShapingMatrix:
                 np.testing.assert_array_equal(G, build_shaping_matrix(pulse, mu, L))
             grid = build_shaping_matrix(pulse, mus.reshape(6, 7), L)
             np.testing.assert_array_equal(grid.reshape(stack.shape), stack)
+
+    @pytest.mark.parametrize("rolloff", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("M", [1, 4])
+    @pytest.mark.parametrize("L", [1, 2, 15])
+    def test_gather_matches_direct_evaluation(self, rolloff, M, L):
+        pulse = build_pulse(rolloff=rolloff, M=M)
+        grid = np.linspace(0.0, 0.5, 101)  # holds 0 and 1/2 exactly
+        mus = np.concatenate([grid, np.random.default_rng(12).uniform(0.0, 0.5, 199)])
+        for mu in (mus, mus.reshape(20, 15), 0.0, 0.5, float(mus[-1]), np.array(0.25)):
+            G, expected = build_shaping_matrix(pulse, mu, L), direct_shaping_matrix(pulse, mu, L)
+            assert G.shape == expected.shape == np.shape(mu) + (2 * M + L - 1, L)
+            assert G.tobytes() == expected.tobytes()
+
+    def test_one_pulse_sample_per_distinct_lag(self, monkeypatch):
+        # G is Toeplitz: 2M+2L-2 = 36 distinct lags on paper-sec5-fractional, not
+        # its (2M+L-1)*L = 330 entries; reception builds its G the same way
+        points = []
+        original = PulseShape.__call__
+
+        def counting(pulse, t):
+            points.append(np.size(t))
+            return original(pulse, t)
+
+        monkeypatch.setattr(PulseShape, "__call__", counting)
+        cfg = preset("paper-sec5-fractional")
+        pulse = build_pulse(cfg.pulse_rolloff, cfg.pulse_half_support)
+        L = cfg.total_length
+        assert 2 * (pulse.M + L - 1) == 36
+        for mu in (0.3, (0.0, 0.2, 0.5), np.linspace(0.0, 0.5, 33).reshape(3, 11)):
+            points.clear()
+            build_shaping_matrix(pulse, mu, L)
+            assert points == [np.size(mu) * 36]
+        sc = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
+        waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
+        points.clear()
+        receive_fractional(sc, sounding(waveforms, L, pulse.M), pulse)
+        assert points == [sc.nt * sc.nr * 36]
 
 
 class TestJointEstimate:
@@ -454,7 +505,7 @@ class TestSegments:
         rng = np.random.default_rng(21)
         taps = random_taps(rng, 12)
         w = generate_chirp(2, 128)
-        r = receive_integer(single_link_scenario(taps, N=128, p=2), sounding([w], 12))
+        r = receive_integer(single_link_scenario(taps), sounding([w], 12))
         segments = segmented_output(w, r[0])
         assert segments.shape == (4, 32)
         np.testing.assert_allclose(segments[0], segments[2], atol=1e-9)
@@ -469,7 +520,7 @@ class TestSegments:
         w = generate_chirp(2, 256)
         pulse = build_pulse(rolloff=0.25, M=M)
         r = receive_fractional(
-            single_link_scenario(taps, mu=mu, N=256), sounding([w], 10, M), pulse
+            single_link_scenario(taps, mu=mu), sounding([w], 10, M), pulse
         )
         segments = segmented_output(w, r[0], M=M)
         G = build_shaping_matrix(pulse, mu, 10)
@@ -505,7 +556,7 @@ class TestSegments:
         taps = random_taps(rng_taps, 12)
         taps /= np.linalg.norm(taps)
         w = generate_chirp(4, 128)
-        sc = single_link_scenario(taps, N=128)
+        sc = single_link_scenario(taps)
         r0 = receive_integer(sc, sounding([w], 12))
         rng = derive_rng(501, 1, 0)
         trials = 5000

@@ -230,6 +230,48 @@ class TestConfig:
             "  fractional.mu: expected a finite number or a 2x2 grid of them"
         ]
 
+    @pytest.mark.parametrize(
+        "overrides,expected",
+        [
+            (
+                {"capacity": {"rho_db": [0.0], "bins": 0}},
+                ["capacity.bins: must be >= 1, got 0"],
+            ),
+            (
+                {"channel": {"total_length": 0, "active_taps": 5,
+                             "integer_offsets": [[0, 0], [3, 3]]}},
+                ["channel.total_length: must be >= 1, got 0"],
+            ),
+            (
+                {"waveform": {"length": 0, "chirp_rates": [1, 2]}},
+                ["waveform.length: must be >= 1, got 0"],
+            ),
+            (  # a rejected bins leaves the link checks running
+                {"capacity": {"rho_db": [0.0], "bins": 0},
+                 "channel": {"total_length": 8, "active_taps": 6,
+                             "integer_offsets": [[0, 0], [3, 3]]}},
+                [
+                    "capacity.bins: must be >= 1, got 0",
+                    "link (tx 1, rx 0): active_taps + offset = 6 + 3 exceeds total_length 8",
+                    "link (tx 1, rx 1): active_taps + offset = 6 + 3 exceeds total_length 8",
+                ],
+            ),
+            (  # the link checks never index offsets with a rejected node
+                {"antennas": {"tx_node": [0, 5], "rx_node": [0, 1]}},
+                ["antennas.tx_node: node indices must lie in [0, 2)"],
+            ),
+        ],
+        ids=[
+            "bins-zero", "total-length-zero", "length-zero", "bins-zero-and-links",
+            "node-out-of-range",
+        ],
+    )
+    def test_cross_field_checks_skip_rejected_fields(self, overrides, expected):
+        # a rejected field parses to a placeholder that no other check may report
+        with pytest.raises(ConfigError) as exc:
+            small_config(**overrides)
+        assert str(exc.value).splitlines()[1:] == ["  " + line for line in expected]
+
     def test_unparseable_text_rejected(self):
         with pytest.raises(ConfigError, match="config is not valid JSON"):
             from_json("{'name': 'single quotes'}")

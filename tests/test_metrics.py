@@ -22,6 +22,13 @@ def capacity(H, rho):
     return _capacity_integrand(H, rho).mean()
 
 
+def link_response(taps, d, K):
+    """One link's synchronous response by its own zero-padded DFT of taps[d:]."""
+    stripped = np.zeros(K, dtype=complex)
+    stripped[: len(taps) - d] = taps[d:]
+    return np.fft.fft(stripped)
+
+
 class TestCrb:
     def test_arithmetic(self):
         assert crb(10, 0.5) == pytest.approx(10.0)
@@ -69,6 +76,23 @@ class TestFrequencyResponse:
     def test_grid_must_resolve_taps(self):
         with pytest.raises(DimensionMismatchError):
             frequency_response(np.ones(10, dtype=complex), 0, 8)
+        with pytest.raises(DimensionMismatchError):
+            frequency_response(np.ones((2, 3, 10), dtype=complex), np.zeros((2, 3), int), 8)
+
+    def test_stacked_links_match_per_link_loop(self):
+        # nt != nr, every offset from 0 to L, and a link with d = L (no active taps);
+        # taps below d are nonzero on purpose: stripping drops them
+        rng = np.random.default_rng(11)
+        nt, nr, L, K = 2, 3, 6, 16
+        taps = rng.standard_normal((nt, nr, L)) + 1j * rng.standard_normal((nt, nr, L))
+        d = np.array([[0, 1, 2], [3, 5, L]])
+        taps[1, 2] = 0.0
+        stacked = frequency_response(taps, d, K)
+        assert stacked.shape == (nt, nr, K) and not stacked[1, 2].any()
+        for (i, m), di in np.ndenumerate(d):
+            expected = link_response(taps[i, m], di, K)
+            assert stacked[i, m].tobytes() == expected.tobytes()
+            assert frequency_response(taps[i, m], di, K).tobytes() == expected.tobytes()
 
 
 class TestCapacity:
@@ -158,6 +182,23 @@ class TestEquivalenceReport:
         assert rep.rho_db == -np.inf
         assert rep.c_syn == rep.c_asyn == 0.0
         assert rep.equal
+
+    def test_report_matches_per_link_responses(self):
+        # Hs[k, m, i] is link (i, m) at bin k, with nt != nr
+        rng = np.random.default_rng(12)
+        zetas = np.array([[2.1, 5.3, 0.45], [7.25, 3.45, 4.0]])
+        sc = self.links_with_zeta(rng, zetas)
+        K, f = 64, np.arange(64) / 64
+        Hs = np.empty((K, sc.nr, sc.nt), dtype=complex)
+        Ha = np.empty((K, sc.nr, sc.nt), dtype=complex)
+        for i, m in np.ndindex(sc.nt, sc.nr):
+            Hs[:, m, i] = link_response(sc.taps[i, m], sc.d[i, m], K)
+            Ha[:, m, i] = Hs[:, m, i] * np.exp(-2j * np.pi * f * (sc.d[i, m] + sc.mu[i, m]))
+        for db, row in zip((0.0, 10.0), capacity_equivalence_report(sc, K, (0.0, 10.0))):
+            rho = 10.0 ** (db / 10.0)
+            gs, ga = _capacity_integrand(Hs, rho), _capacity_integrand(Ha, rho)
+            assert (row.c_syn, row.c_asyn) == (gs.mean(), ga.mean())
+            assert row.max_bin_gap == np.max(np.abs(gs - ga))
 
     def test_sweep_matches_single_snr_reports(self):
         rng = np.random.default_rng(10)
