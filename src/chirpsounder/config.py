@@ -152,20 +152,26 @@ def _descalar(values):
 class _Reader:
     """Strict mapping reader that records every problem it sees."""
 
-    def __init__(self, data, context, problems):
+    def __init__(self, data, context, problems, missing=None):
         if not isinstance(data, dict):
             problems.append(f"{context}: expected an object")
             data = {}
         self.data = data
         self.context = context
         self.problems = problems
+        self.missing = set() if missing is None else missing  # absent required fields
         self.seen = set()
+
+    def child(self, key):
+        """Reader of the required object under ``key``."""
+        return _Reader(self.get(key, default={}) or {}, key, self.problems, self.missing)
 
     def get(self, key, required=True, default=None):
         self.seen.add(key)
         if key not in self.data:
             if required:
                 self.problems.append(f"{self.context}: missing key {key!r}")
+                self.missing.add(key if self.context == "config" else f"{self.context}.{key}")
             return default
         return self.data[key]
 
@@ -261,23 +267,23 @@ def _from_dict(data):
     def passed(*fields):  # a rejected field holds a placeholder, not the user's value
         return not any(line.split(":")[0] in fields for line in problems)
 
-    name = top.get("name")
+    name = top.get("name", default="")
     if not isinstance(name, str):
         problems.append("config: 'name' must be a string")
         name = ""
 
-    nodes = _Reader(top.get("nodes", default={}) or {}, "nodes", problems)
+    nodes = top.child("nodes")
     mt = _as_int(nodes.get("tx"), "nodes.tx", problems, minimum=1)
     mr = _as_int(nodes.get("rx"), "nodes.rx", problems, minimum=1)
     nodes.finish()
 
-    ants = _Reader(top.get("antennas", default={}) or {}, "antennas", problems)
+    ants = top.child("antennas")
     tx_node = _as_nodes(ants.get("tx_node"), mt, "antennas.tx_node", problems)
     rx_node = _as_nodes(ants.get("rx_node"), mr, "antennas.rx_node", problems)
     ants.finish()
     nt, nr = max(len(tx_node), 1), max(len(rx_node), 1)
 
-    chan = _Reader(top.get("channel", default={}) or {}, "channel", problems)
+    chan = top.child("channel")
     total_length = _as_int(chan.get("total_length"), "channel.total_length", problems, 1)
     active = _as_grid(
         chan.get("active_taps"), nt, nr, "channel.active_taps", problems, int
@@ -293,7 +299,7 @@ def _from_dict(data):
     if any(v < 0 for row in offsets for v in row):
         problems.append("channel.integer_offsets: offsets must be >= 0")
 
-    frac = _Reader(top.get("fractional", default={}) or {}, "fractional", problems)
+    frac = top.child("fractional")
     enabled = frac.flag("enabled", required=True)
     mu_values = None
     if enabled:
@@ -308,22 +314,22 @@ def _from_dict(data):
             )
     frac.finish()
 
-    wf = _Reader(top.get("waveform", default={}) or {}, "waveform", problems)
+    wf = top.child("waveform")
     wf_length = _as_int(wf.get("length"), "waveform.length", problems, 1)
     rates = wf.get("chirp_rates", default=[]) or []
     wf.finish()
-    if not isinstance(rates, list) or len(rates) != nt:
+    if not isinstance(rates, list) or (len(rates) != nt and passed("antennas.tx_node")):
         problems.append(f"waveform.chirp_rates: expected one rate per tx antenna ({nt})")
     elif any(not _is_pow2(v) for v in rates):
         problems.append("waveform.chirp_rates: every rate must be a power of 2")
     elif len(set(rates)) != len(rates):
         problems.append("waveform.chirp_rates: rates must be distinct")
-    elif passed("waveform.length") and (not _is_pow2(wf_length) or wf_length <= 2 * max(rates)):
-        problems.append(
-            "waveform.length: must be a power of 2 exceeding twice the largest rate"
-        )
+    elif passed("waveform.length") and (
+        not _is_pow2(wf_length) or wf_length <= 2 * max(rates, default=0)
+    ):
+        problems.append("waveform.length: must be a power of 2 exceeding twice the largest rate")
 
-    pulse = _Reader(top.get("pulse", default={}) or {}, "pulse", problems)
+    pulse = top.child("pulse")
     pulse_kind = pulse.get("kind", required=False, default="raised-cosine")
     rolloff = _as_number(pulse.get("rolloff", required=False, default=0.25),
                          "pulse.rolloff", problems)
@@ -348,7 +354,7 @@ def _from_dict(data):
     if topology not in LO_TOPOLOGIES:
         problems.append(f"lo_topology: expected one of {LO_TOPOLOGIES}, got {topology!r}")
 
-    cap = _Reader(top.get("capacity", default={}) or {}, "capacity", problems)
+    cap = top.child("capacity")
     rho_raw = cap.get("rho_db", default=[]) or []
     bins = _as_int(cap.get("bins", required=False, default=256), "capacity.bins", problems, 1)
     cap.finish()
@@ -395,8 +401,9 @@ def _from_dict(data):
                 "lo_topology rx-shared: each fractional.mu row must be constant"
             )
 
-    if problems:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+    if problems:  # a missing key is reported once, not again by its placeholder's checks
+        lines = [line for line in problems if line.split(":")[0] not in top.missing]
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(lines))
 
     return ScenarioConfig(
         name=name,

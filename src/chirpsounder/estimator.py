@@ -16,10 +16,10 @@ Recovering (mu, h) from the fractional output minimizes
 The mu step scores candidates by the projected residual (the h solve is
 embedded, so the scalar objective is the true profile of the joint problem
 and depends on h_F alone) and polishes the best grid candidate with a
-bracketed, bisection-safeguarded secant iteration on the profile slope; one
-least-squares h solve at that mu finishes the estimate.  Freezing h during
-the mu step, as a literal alternation would, contracts too slowly to be
-usable; see the convergence tests.
+bracketed, bisection-safeguarded secant iteration on the profile slope
+(parabolic start, last step's solve reused as the h estimate).  Freezing h
+during the mu step, as a literal alternation would, contracts too slowly to
+be usable; see the convergence tests.
 """
 
 from dataclasses import dataclass
@@ -146,7 +146,7 @@ def _solve_h(G, hF):
 
 
 def _profile_derivative(pulse, mu, L, hF):
-    """Derivative of the projected residual ||hF - G(mu) h(mu)||^2 in mu.
+    """Slope of the projected residual ||hF - G(mu) h(mu)||^2 in mu, with G(mu) and h(mu).
 
     Because the residual is orthogonal to range(G), only the explicit G(mu)
     dependence contributes: phi'(mu) = -2 Re <hF - G h, G' h>.  G' is a
@@ -157,48 +157,53 @@ def _profile_derivative(pulse, mu, L, hF):
     h = _solve_h(G, hF)
     Gp = (G_hi - G_lo) / (hi - lo)
     resid = hF - G @ h
-    return -2.0 * float(np.real(np.vdot(resid, Gp @ h)))
+    return -2.0 * float(np.real(np.vdot(resid, Gp @ h))), G, h
 
 
 def _mu_step(pulse, L, hF):
     """Global coarse scan of the profile objective, then a safeguarded secant.
 
-    Each step evaluates the profile slope once, narrows a bracket [lo, hi]
-    around the minimizer by its sign and takes a secant step from the previous
-    slope; the first step, and a secant step that leaves the bracket or meets a
-    non-increasing slope, bisect instead.  Returns ``(mu, steps, converged)``:
-    ``converged`` is false only when ``_POLISH_STEPS`` steps did not bring the
-    update below ``_POLISH_TOL``.
+    Parabolic start, last step's solve reused: at an interior scan minimum of
+    positive curvature the polish starts at the parabola's vertex, with that
+    curvature as its first secant slope (else it bisects first).  Each step
+    evaluates the profile slope once, narrows a bracket [lo, hi] around the
+    minimizer by its sign and takes a secant step, bisecting when that leaves
+    the bracket or meets a non-increasing slope.  Returns ``(mu, steps,
+    converged, G, h)`` with G and h at mu; ``converged`` is false only when
+    ``_POLISH_STEPS`` steps did not bring the update below ``_POLISH_TOL``.
     """
     mus, makers = _scan_grid(pulse, L)
-    k = int(np.argmin(np.sum(np.abs(makers @ hF) ** 2, axis=1)))
-    lo = mus[max(k - 1, 0)]
-    hi = mus[min(k + 1, len(mus) - 1)]
-    mu = float(mus[k])
+    phi = np.sum(np.abs(makers @ hF) ** 2, axis=1)
+    k = int(np.argmin(phi))
+    lo, hi = mus[max(k - 1, 0)], mus[min(k + 1, len(mus) - 1)]
+    mu, slope = float(mus[k]), 0.0
+    curv = phi[k + 1] - 2 * phi[k] + phi[k - 1] if 0 < k < len(mus) - 1 else 0.0
+    if curv > 0:
+        spacing = mus[1] - mus[0]
+        mu -= float(spacing * (phi[k + 1] - phi[k - 1]) / (2 * curv))
+        slope = curv / spacing**2
 
-    mu0 = fp0 = None
     for steps in range(1, _POLISH_STEPS + 1):
-        fp = _profile_derivative(pulse, mu, L, hF)
-        if fp > 0:
-            hi = mu
-        else:
-            lo = mu
-        slope = 0.0 if mu0 is None else (fp - fp0) / (mu - mu0)
+        fp, G, h = _profile_derivative(pulse, mu, L, hF)
+        lo, hi = (lo, mu) if fp > 0 else (mu, hi)
+        if steps > 1:
+            slope = (fp - fp0) / (mu - mu0)
         nxt = mu - fp / slope if slope > 0 else np.inf
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - mu) < _POLISH_TOL:
-            return float(nxt), steps, True
+            return float(mu), steps, True, G, h
         mu0, fp0, mu = mu, fp, nxt
-    return float(mu), _POLISH_STEPS, False
+    G = build_shaping_matrix(pulse, mu, L)
+    return float(mu), _POLISH_STEPS, False, G, _solve_h(G, hF)
 
 
 def joint_estimate(hF, pulse, L):
     """Jointly estimate the fractional offset and channel taps from ``hF``.
 
     ``hF`` has 2M+L-1 lags, M = ``pulse.M``.  Scans and polishes mu on the
-    profile objective, then solves for h by least squares at that mu.  A
-    polish that exhausts its step budget is flagged on the report
+    profile objective; h is the least-squares solve of the polish's last
+    step.  A polish that exhausts its step budget is flagged on the report
     (``converged`` false), never silent.  An all-zero input returns h = 0
     with ``mu_hat`` None (undetermined).  The residual is reported relative
     to ||hF||^2, so it does not depend on the input scale.
@@ -209,20 +214,13 @@ def joint_estimate(hF, pulse, L):
             f"matched filter output needs length 2M+L-1 = {_window(L, pulse.M)}, got {hF.shape}"
         )
     if not hF.any():
-        return EstimateReport(
-            h_hat=np.zeros(L, dtype=complex),
-            mu_hat=None,
-            iterations=0,
-            residual=0.0,
-            converged=True,
-        )
+        zero = np.zeros(L, dtype=complex)
+        return EstimateReport(h_hat=zero, mu_hat=None, iterations=0, residual=0.0, converged=True)
 
     # Power-of-two scaling is exact and keeps the squared residuals in range.
     scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(hF)))[1]))
     hF = hF / scale
-    mu, steps, converged = _mu_step(pulse, L, hF)
-    G = build_shaping_matrix(pulse, mu, L)
-    h = _solve_h(G, hF)
+    mu, steps, converged, G, h = _mu_step(pulse, L, hF)
     return EstimateReport(
         h_hat=h * scale,
         mu_hat=mu,

@@ -167,31 +167,24 @@ def run_mse_experiment(cfg):
             trial_scenario = replace(scenario, mu=cfg.per_link(mu_pairs))
         r0 = base if fixed else _received(cfg, trial_scenario, matrices, pulse)
         r = awgn(r0, trial_scenario.sigma2, derive_rng(cfg.seed, 1, t))
+        h_hat = np.empty_like(trial_scenario.taps)
         for m in range(cfg.nr):
             for i in range(cfg.nt):
-                truth = trial_scenario.taps[i, m]
                 if cfg.fractional:
                     hF = matched_filter_fractional(matrices[i], r[m])
                     rep = joint_estimate(hF, pulse, L)
-                    if not rep.converged:
-                        nonconverged += 1
-                    h_hat = rep.h_hat
+                    nonconverged += not rep.converged
+                    h_hat[i, m] = rep.h_hat
                 else:
-                    h_hat = matched_filter_integer(matrices[i], r[m])
-                sq_err[i, m] += float(np.sum(np.abs(h_hat - truth) ** 2))
+                    h_hat[i, m] = matched_filter_integer(matrices[i], r[m])
+        sq_err += np.sum(np.abs(h_hat - trial_scenario.taps) ** 2, axis=2)
     sq_err /= cfg.trials
     sigma2 = np.mean(redrawn, axis=0) if redrawn else scenario.sigma2
 
-    links = []
-    antennas = []
+    links, antennas = [], []
     for m in range(cfg.nr):
         bound = crb(L, sigma2[m])
-        for i in range(cfg.nt):
-            links.append(
-                LinkResult(
-                    tx=i, rx=m, mse=sq_err[i, m], crb=bound, ratio=sq_err[i, m] / bound
-                )
-            )
+        links += [LinkResult(i, m, e, bound, e / bound) for i, e in enumerate(sq_err[:, m])]
         agg = float(sq_err[:, m].mean())
         antennas.append(AntennaResult(rx=m, mse=agg, crb=bound, ratio=agg / bound))
 

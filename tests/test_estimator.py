@@ -61,6 +61,48 @@ def direct_shaping_matrix(pulse, mu, L):
     return pulse(lags + np.asarray(mu, dtype=float)[..., None, None])
 
 
+def reference_polish(pulse, L, hF):
+    """The polish before its parabolic start: returns ``(mu, steps, converged)``.
+
+    It starts at the best scan point, bisects first and returns the last
+    update, at which ``reference_estimate`` solves for h once more.  Kept as
+    the reference for ``_mu_step``, whose parabolic start and reused last
+    solve must land on the same estimate within the polish tolerance.
+    """
+    from chirpsounder import estimator
+
+    mus, makers = estimator._scan_grid(pulse, L)
+    k = int(np.argmin(np.sum(np.abs(makers @ hF) ** 2, axis=1)))
+    lo = mus[max(k - 1, 0)]
+    hi = mus[min(k + 1, len(mus) - 1)]
+    mu = float(mus[k])
+    mu0 = fp0 = None
+    for steps in range(1, estimator._POLISH_STEPS + 1):
+        fp = estimator._profile_derivative(pulse, mu, L, hF)[0]
+        if fp > 0:
+            hi = mu
+        else:
+            lo = mu
+        slope = 0.0 if mu0 is None else (fp - fp0) / (mu - mu0)
+        nxt = mu - fp / slope if slope > 0 else np.inf
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - mu) < estimator._POLISH_TOL:
+            return float(nxt), steps, True
+        mu0, fp0, mu = mu, fp, nxt
+    return float(mu), estimator._POLISH_STEPS, False
+
+
+def reference_estimate(hF, pulse, L):
+    """``(mu_hat, h_hat, steps, converged)`` of ``reference_polish`` and a final solve."""
+    from chirpsounder.estimator import _solve_h
+
+    scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(hF)))[1]))
+    mu, steps, converged = reference_polish(pulse, L, hF / scale)
+    h = _solve_h(build_shaping_matrix(pulse, mu, L), hF / scale)
+    return mu, h * scale, steps, converged
+
+
 def random_taps(rng, L):
     return (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2)
 
@@ -442,7 +484,67 @@ class TestJointEstimate:
         hF = build_shaping_matrix(pulse, 0.37, 15) @ random_taps(rng, 15)
         monkeypatch.setattr(np.linalg, "lstsq", counting)
         rep = joint_estimate(hF, pulse, 15)
-        assert rep.iterations > 1 and len(calls) == rep.iterations + 1
+        assert rep.iterations > 1 and len(calls) == rep.iterations
+
+    def test_matches_reference_polish(self):
+        # 240 noisy inputs at 0, 10, 25 and 40 dB: the parabolic start and the
+        # reused last solve move the estimate by less than the polish tolerance
+        pulse = build_pulse(rolloff=0.25, M=4)
+        rng = np.random.default_rng(19)
+        L = 15
+        D = 2 * pulse.M + L - 1
+        for n in range(240):
+            sigma = np.sqrt(10 ** (-(0, 10, 25, 40)[n % 4] / 10) / 2)
+            hF = build_shaping_matrix(pulse, rng.uniform(0.0, 0.5), L) @ random_taps(rng, L)
+            hF = hF + sigma * (rng.standard_normal(D) + 1j * rng.standard_normal(D))
+            mu, h, steps, converged = reference_estimate(hF, pulse, L)
+            rep = joint_estimate(hF, pulse, L)
+            assert abs(rep.mu_hat - mu) < 1e-9
+            assert np.linalg.norm(rep.h_hat - h) <= 1e-9 * np.linalg.norm(h)
+            assert rep.converged == converged
+            assert rep.iterations <= steps
+
+    def test_solve_h_rejects_rank_deficient_matrix(self):
+        from chirpsounder import IllConditionedError
+        from chirpsounder.estimator import _solve_h
+
+        rng = np.random.default_rng(21)
+        G = rng.standard_normal((22, 15)) + 1j * rng.standard_normal((22, 15))
+        G[:, 3] = G[:, 7]
+        with pytest.raises(IllConditionedError) as exc:
+            _solve_h(G, G @ random_taps(rng, 15))
+        assert exc.value.condition_estimate == np.inf
+
+    def test_solve_h_rejects_condition_above_limit(self):
+        from chirpsounder import IllConditionedError
+        from chirpsounder.estimator import _solve_h
+
+        G = np.zeros((4, 2), dtype=complex)
+        G[0, 0], G[1, 1] = 1.0, 1e-13  # kappa(G) = 1e13 > 1e12
+        with pytest.raises(IllConditionedError) as exc:
+            _solve_h(G, np.ones(4, dtype=complex))
+        assert exc.value.condition_estimate == pytest.approx(1e26)
+        G[1, 1] = 1e-11  # kappa(G) = 1e11 passes
+        assert np.allclose(_solve_h(G, G @ np.array([1.0, 2.0])), [1.0, 2.0])
+
+    def test_ill_conditioned_shaping_matrix_raises(self, monkeypatch):
+        from chirpsounder import IllConditionedError, estimator
+
+        pulse = build_pulse(rolloff=0.25, M=4)
+        rng = np.random.default_rng(20)
+        hF = build_shaping_matrix(pulse, 0.3, 15) @ random_taps(rng, 15)
+        estimator._scan_grid(pulse, 15)  # the scan's cached matrices stay well posed
+        build = estimator.build_shaping_matrix
+
+        def repeated_column(pulse, mu, L):
+            G = build(pulse, mu, L).copy()
+            G[..., 1] = G[..., 0]
+            return G
+
+        monkeypatch.setattr(estimator, "build_shaping_matrix", repeated_column)
+        with pytest.raises(IllConditionedError) as exc:
+            joint_estimate(hF, pulse, 15)
+        assert exc.value.condition_estimate == np.inf
 
     @given(
         mu=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
@@ -480,7 +582,7 @@ class TestJointEstimate:
             hF = build_shaping_matrix(pulse, mu_true, L) @ taps
             rep = joint_estimate(hF, pulse, L)
             if 0.0 < rep.mu_hat < 0.5:
-                assert abs(_profile_derivative(pulse, rep.mu_hat, L, hF)) < 1e-6
+                assert abs(_profile_derivative(pulse, rep.mu_hat, L, hF)[0]) < 1e-6
 
     def test_noisy_consistency_with_oracle(self):
         # at 40 dB SNR the estimate stays within one oracle grid step

@@ -7,7 +7,8 @@ These sha256 digests were taken with numpy 2.4.6 on x86-64; a change that
 alters the bytes fails here and has to say why in CHANGES.md.  The
 ``paper-sec5-fractional`` digests depend on the estimator's polish
 iteration, which stops within 1e-10 of the minimizer, so a different
-iteration moves the last printed digits.  Every digest downstream of
+iteration moves the last printed digits; its parabolic start and the reuse
+of its last step's solve moved them once.  Every digest downstream of
 reception (the ``mse`` files, ``result.json`` and the ``sound`` traces) also
 depends on the order in which reception sums its terms: it is one
 sounding-matrix product per waveform, so a different summation order moves
@@ -37,8 +38,8 @@ GOLDEN = {
         "antenna_mse.csv": "d0c3f18193af0eb1373dcab001e07c5ce9869fdada3a8b0a50c486dfe4871527",
     },
     ("mse", "paper-sec5-fractional", 3): {
-        "mse.csv": "ea2700429827287467ace39bcf2554ba52cdebf5bcfd0d014247a67138efa9a9",
-        "antenna_mse.csv": "5c54d3379c14de3a8f11990c3a0546d7906dec0b73da2d7b6f5621b22b4beff2",
+        "mse.csv": "62f51999025c1771c169f2d3d34555dc0eb60f96a8238c74f2e1436e8463718e",
+        "antenna_mse.csv": "cdeea2c5bb2fb29b3d9e16be9836bc35e55858cb94bebf490deb076c64ca36e9",
     },
     ("capacity", "capacity-tx-shared", None): {
         "capacity.csv": "625be9a0ffea6157ddf94c71b308d1485a40fa392665c1fb6717eb0d4636173d",

@@ -272,6 +272,29 @@ class TestConfig:
             small_config(**overrides)
         assert str(exc.value).splitlines()[1:] == ["  " + line for line in expected]
 
+    @pytest.mark.parametrize(
+        "edit,expected",
+        [
+            (lambda d: d.pop("seed"), ["config: missing key 'seed'"]),
+            (lambda d: d.pop("name"), ["config: missing key 'name'"]),
+            (lambda d: d.pop("waveform"), ["config: missing key 'waveform'"]),
+            (lambda d: d["waveform"].pop("chirp_rates"), ["waveform: missing key 'chirp_rates'"]),
+            (lambda d: d["antennas"].pop("tx_node"), ["antennas: missing key 'tx_node'"]),
+            (
+                lambda d: d["antennas"].update(tx_node=[]),
+                ["antennas.tx_node: expected a nonempty list"],
+            ),
+        ],
+        ids=["no-seed", "no-name", "no-waveform", "no-rates", "no-tx-node", "empty-tx-node"],
+    )
+    def test_one_problem_line_per_fault(self, edit, expected):
+        # a missing key's placeholder and a rejected antenna count raise nothing more
+        data = json.loads(preset("paper-sec5").canonical_json())
+        edit(data)
+        with pytest.raises(ConfigError) as exc:
+            from_dict(data)
+        assert str(exc.value).splitlines()[1:] == ["  " + line for line in expected]
+
     def test_unparseable_text_rejected(self):
         with pytest.raises(ConfigError, match="config is not valid JSON"):
             from_json("{'name': 'single quotes'}")
