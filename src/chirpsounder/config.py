@@ -221,13 +221,13 @@ def _as_number(value, what, problems, db=0):
 
 
 def _as_nodes(value, count, what, problems):
-    """Node index of each antenna: a nonempty list covering [0, count)."""
+    """Node index of each antenna: a nonempty list covering [0, count), if count is known."""
     if not isinstance(value, list) or not value:
         problems.append(f"{what}: expected a nonempty list")
         return ()
-    if not all(type(v) is int and 0 <= v < count for v in value):
+    if count is not None and not all(type(v) is int and 0 <= v < count for v in value):
         problems.append(f"{what}: node indices must lie in [0, {count})")
-    elif set(value) != set(range(count)):
+    elif count is not None and set(value) != set(range(count)):
         problems.append(f"{what}: every node in [0, {count}) needs an antenna")
     return tuple(value)
 
@@ -237,6 +237,8 @@ def _as_grid(value, rows, cols, what, problems, cast):
 
     With ``cast=int`` every entry must be an integer, with ``float`` a finite number.
     """
+    if rows is None:  # node counts unknown: no shape to read the grid against
+        return ()
     zeros = tuple(tuple(cast(0) for _ in range(cols)) for _ in range(rows))
     if not isinstance(value, list):
         value = [[value] * cols for _ in range(rows)]
@@ -276,6 +278,8 @@ def _from_dict(data):
     mt = _as_int(nodes.get("tx"), "nodes.tx", problems, minimum=1)
     mr = _as_int(nodes.get("rx"), "nodes.rx", problems, minimum=1)
     nodes.finish()
+    if not passed("nodes.tx", "nodes.rx"):  # the indices and grids below need node counts
+        mt = mr = None
 
     ants = top.child("antennas")
     tx_node = _as_nodes(ants.get("tx_node"), mt, "antennas.tx_node", problems)
@@ -375,8 +379,8 @@ def _from_dict(data):
     top.finish()
 
     # cross-field consistency, read only from fields that passed their own checks
-    if passed("antennas.tx_node", "antennas.rx_node", "channel.total_length",
-              "channel.active_taps", "channel.integer_offsets"):
+    if passed("nodes.tx", "nodes.rx", "antennas.tx_node", "antennas.rx_node",
+              "channel.total_length", "channel.active_taps", "channel.integer_offsets"):
         for i, m in np.ndindex(len(tx_node), len(rx_node)):
             d = offsets[tx_node[i]][rx_node[m]]
             if active[i][m] + d > total_length:

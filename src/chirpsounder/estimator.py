@@ -13,13 +13,13 @@ Recovering (mu, h) from the fractional output minimizes
 
     || h_F - G(mu) h ||^2      over mu in [0, 1/2], h in C^L.
 
-The mu step scores candidates by the projected residual (the h solve is
-embedded, so the scalar objective is the true profile of the joint problem
-and depends on h_F alone) and polishes the best grid candidate with a
-bracketed, bisection-safeguarded secant iteration on the profile slope
-(parabolic start, last step's solve reused as the h estimate).  Freezing h
-during the mu step, as a literal alternation would, contracts too slowly to
-be usable; see the convergence tests.
+G(mu) is real, so the mu step runs in real arithmetic on the D x 2 array of
+h_F's real and imaginary parts.  It scores a 65-point grid by the projected
+residual (the h solve is embedded, so the objective is the joint problem's
+true profile), starts at the minimum of the Hermite cubic through the grid's
+exact slopes (cached slope makers) and polishes with a bracketed, bisection-
+safeguarded secant on the profile slope, reusing the last solve as the h
+estimate.  Freezing h, as a literal alternation would, contracts too slowly.
 """
 
 from dataclasses import dataclass
@@ -35,7 +35,7 @@ from .errors import (
 from .waveform import _window, cyclic_correlation
 
 _COND_LIMIT = 1e12  # on kappa(G); kappa(G^H G) is its square
-_SCAN_POINTS = 33
+_SCAN_POINTS = 65
 _SLOPE_DELTA = 1e-6  # half-width of the central difference of the pulse
 _POLISH_TOL = 1e-10  # on the secant update of mu
 _POLISH_STEPS = 60
@@ -122,18 +122,26 @@ def build_shaping_matrix(pulse, mu, L):
         raise ConstraintViolationError(f"mu must lie in [0, 0.5], got {mu}")
     if L < 1:
         raise DimensionMismatchError(f"need L >= 1, got L={L}")
-    span = pulse.M + L - 1
-    samples = pulse(np.arange(2 * span) - span + mu[..., None])
-    return samples[..., np.arange(_window(L, pulse.M))[:, None] - np.arange(L) + L - 1]
+    lags, gather = _shaping_layout(pulse.M, L)
+    return pulse(lags + mu[..., None])[..., gather]
+
+
+@lru_cache(maxsize=32)
+def _shaping_layout(M, L):
+    """The 2M+2L-2 distinct lags of G and the Toeplitz index that gathers G from them."""
+    span = M + L - 1
+    return np.arange(2 * span) - span, np.arange(_window(L, M))[:, None] - np.arange(L) + L - 1
 
 
 @lru_cache(maxsize=32)
 def _scan_grid(pulse, L):
-    """Scan offsets and their stacked residual makers I - G(mu) pinv(G(mu))."""
+    """Scan offsets, residual makers I - G pinv(G), slope makers G' pinv(G) (G' of the polish)."""
     mus = np.linspace(0.0, 0.5, _SCAN_POINTS)
-    mats = build_shaping_matrix(pulse, mus, L)
-    makers = np.eye(_window(L, pulse.M)) - mats @ np.linalg.pinv(mats)
-    return mus, makers
+    lo, hi = np.maximum(mus - _SLOPE_DELTA, 0.0), np.minimum(mus + _SLOPE_DELTA, 0.5)
+    G, G_lo, G_hi = build_shaping_matrix(pulse, np.stack([mus, lo, hi]), L)
+    pinv = np.linalg.pinv(G)
+    makers = np.eye(_window(L, pulse.M)) - G @ pinv
+    return mus, makers, ((G_hi - G_lo) / (hi - lo)[:, None, None]) @ pinv
 
 
 def _solve_h(G, hF):
@@ -145,46 +153,50 @@ def _solve_h(G, hF):
     return h
 
 
-def _profile_derivative(pulse, mu, L, hF):
-    """Slope of the projected residual ||hF - G(mu) h(mu)||^2 in mu, with G(mu) and h(mu).
+def _profile_derivative(pulse, mu, L, Y):
+    """Slope of the projected residual ||Y - G(mu) h(mu)||^2 in mu, with G(mu) and h(mu).
 
     Because the residual is orthogonal to range(G), only the explicit G(mu)
-    dependence contributes: phi'(mu) = -2 Re <hF - G h, G' h>.  G' is a
-    central difference, built with G in one call.
+    dependence contributes: phi'(mu) = -2 sum((Y - G h) * (G' h)), Y = [Re hF, Im hF].
+    G' is a central difference, built with G in one call.
     """
     lo, hi = max(mu - _SLOPE_DELTA, 0.0), min(mu + _SLOPE_DELTA, 0.5)
     G, G_lo, G_hi = build_shaping_matrix(pulse, (mu, lo, hi), L)
-    h = _solve_h(G, hF)
+    h = _solve_h(G, Y)
     Gp = (G_hi - G_lo) / (hi - lo)
-    resid = hF - G @ h
-    return -2.0 * float(np.real(np.vdot(resid, Gp @ h))), G, h
+    return -2.0 * float(np.sum((Y - G @ h) * (Gp @ h))), G, h
 
 
-def _mu_step(pulse, L, hF):
-    """Global coarse scan of the profile objective, then a safeguarded secant.
+def _mu_step(pulse, L, Y):
+    """Global scan of the profile objective in real arithmetic, then a safeguarded secant.
 
-    Parabolic start, last step's solve reused: at an interior scan minimum of
-    positive curvature the polish starts at the parabola's vertex, with that
-    curvature as its first secant slope (else it bisects first).  Each step
-    evaluates the profile slope once, narrows a bracket [lo, hi] around the
-    minimizer by its sign and takes a secant step, bisecting when that leaves
-    the bracket or meets a non-increasing slope.  Returns ``(mu, steps,
-    converged, G, h)`` with G and h at mu; ``converged`` is false only when
+    Hermite start, last solve reused: where the exact slopes at an interior scan minimum
+    and its neighbours turn from - to + on [A, B], the polish starts at the minimum of
+    the Hermite cubic through the values and slopes at A and B, its curvature the first
+    secant slope (else at the scan minimum, bisecting first).  Each step takes the
+    profile slope once, narrows a bracket [lo, hi] by its sign and takes a secant step,
+    bisecting when that leaves the bracket or meets a non-increasing slope.  Returns
+    ``(mu, steps, converged, G, h)``, G and h at mu; ``converged`` is false only when
     ``_POLISH_STEPS`` steps did not bring the update below ``_POLISH_TOL``.
     """
-    mus, makers = _scan_grid(pulse, L)
-    phi = np.sum(np.abs(makers @ hF) ** 2, axis=1)
+    mus, makers, slopers = _scan_grid(pulse, L)
+    resid = makers @ Y
+    phi = np.sum(np.square(resid), axis=(1, 2))
     k = int(np.argmin(phi))
     lo, hi = mus[max(k - 1, 0)], mus[min(k + 1, len(mus) - 1)]
     mu, slope = float(mus[k]), 0.0
-    curv = phi[k + 1] - 2 * phi[k] + phi[k - 1] if 0 < k < len(mus) - 1 else 0.0
-    if curv > 0:
-        spacing = mus[1] - mus[0]
-        mu -= float(spacing * (phi[k + 1] - phi[k - 1]) / (2 * curv))
-        slope = curv / spacing**2
+    if 0 < k < len(mus) - 1:
+        s = -2.0 * np.sum(resid[k - 1 : k + 2] * (slopers[k - 1 : k + 2] @ Y), axis=(1, 2))
+        A, dx = k - 1 + int(s[1] < 0), mus[1] - mus[0]
+        a, b = dx * s[A - k + 1 : A - k + 3]  # slopes at A and B = A + 1, in grid steps
+        if a < 0 < b:
+            c3, c2 = 2 * (phi[A] - phi[A + 1]) + a + b, 3 * (phi[A + 1] - phi[A]) - 2 * a - b
+            root = np.sqrt(max(c2 * c2 - 3 * c3 * a, 0.0))
+            lo, hi, slope = mus[A], mus[A + 1], 2 * root / dx**2
+            mu = float(lo - dx * a / max(c2 + root, -a))  # the max keeps mu <= hi
 
     for steps in range(1, _POLISH_STEPS + 1):
-        fp, G, h = _profile_derivative(pulse, mu, L, hF)
+        fp, G, h = _profile_derivative(pulse, mu, L, Y)
         lo, hi = (lo, mu) if fp > 0 else (mu, hi)
         if steps > 1:
             slope = (fp - fp0) / (mu - mu0)
@@ -194,8 +206,7 @@ def _mu_step(pulse, L, hF):
         if abs(nxt - mu) < _POLISH_TOL:
             return float(mu), steps, True, G, h
         mu0, fp0, mu = mu, fp, nxt
-    G = build_shaping_matrix(pulse, mu, L)
-    return float(mu), _POLISH_STEPS, False, G, _solve_h(G, hF)
+    return float(mu), _POLISH_STEPS, False, *_profile_derivative(pulse, mu, L, Y)[1:]
 
 
 def joint_estimate(hF, pulse, L):
@@ -219,13 +230,13 @@ def joint_estimate(hF, pulse, L):
 
     # Power-of-two scaling is exact and keeps the squared residuals in range.
     scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(hF)))[1]))
-    hF = hF / scale
-    mu, steps, converged, G, h = _mu_step(pulse, L, hF)
+    Y = (hF / scale).view(np.float64).reshape(-1, 2)  # real and imaginary parts as columns
+    mu, steps, converged, G, h = _mu_step(pulse, L, Y)
     return EstimateReport(
-        h_hat=h * scale,
+        h_hat=(h[:, 0] + 1j * h[:, 1]) * scale,
         mu_hat=mu,
         iterations=steps,
-        residual=float(np.sum(np.abs(hF - G @ h) ** 2) / np.sum(np.abs(hF) ** 2)),
+        residual=float(np.sum(np.square(Y - G @ h)) / np.sum(np.square(Y))),
         converged=converged,
     )
 

@@ -8,7 +8,8 @@ alters the bytes fails here and has to say why in CHANGES.md.  The
 ``paper-sec5-fractional`` digests depend on the estimator's polish
 iteration, which stops within 1e-10 of the minimizer, so a different
 iteration moves the last printed digits; its parabolic start and the reuse
-of its last step's solve moved them once.  Every digest downstream of
+of its last step's solve moved them once, and its real arithmetic, 65-point
+scan and Hermite start once more.  Every digest downstream of
 reception (the ``mse`` files, ``result.json`` and the ``sound`` traces) also
 depends on the order in which reception sums its terms: it is one
 sounding-matrix product per waveform, so a different summation order moves
@@ -38,8 +39,8 @@ GOLDEN = {
         "antenna_mse.csv": "d0c3f18193af0eb1373dcab001e07c5ce9869fdada3a8b0a50c486dfe4871527",
     },
     ("mse", "paper-sec5-fractional", 3): {
-        "mse.csv": "62f51999025c1771c169f2d3d34555dc0eb60f96a8238c74f2e1436e8463718e",
-        "antenna_mse.csv": "cdeea2c5bb2fb29b3d9e16be9836bc35e55858cb94bebf490deb076c64ca36e9",
+        "mse.csv": "d7aa466889e3b7d9a18fd7b245458502c582e8fce1712c223ebb357db132d6b3",
+        "antenna_mse.csv": "9ead51a0d6ddc55e310f4dc494351b69fc534781a7186a7f2f23caaee5082f63",
     },
     ("capacity", "capacity-tx-shared", None): {
         "capacity.csv": "625be9a0ffea6157ddf94c71b308d1485a40fa392665c1fb6717eb0d4636173d",

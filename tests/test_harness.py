@@ -284,11 +284,22 @@ class TestConfig:
                 lambda d: d["antennas"].update(tx_node=[]),
                 ["antennas.tx_node: expected a nonempty list"],
             ),
+            # without node counts, node indices and per-pair grids are not checked
+            (lambda d: d.pop("nodes"), ["config: missing key 'nodes'"]),
+            (lambda d: d["nodes"].update(tx="2"), ["nodes.tx: expected an integer, got '2'"]),
+            (
+                lambda d: (d.pop("nodes"), d["channel"].update(integer_offsets=[[1, 2]]),
+                           d["antennas"].update(rx_node=[0, 0, "a"])),
+                ["config: missing key 'nodes'"],
+            ),
         ],
-        ids=["no-seed", "no-name", "no-waveform", "no-rates", "no-tx-node", "empty-tx-node"],
+        ids=[
+            "no-seed", "no-name", "no-waveform", "no-rates", "no-tx-node", "empty-tx-node",
+            "no-nodes", "rejected-node-count", "no-nodes-any-grid",
+        ],
     )
     def test_one_problem_line_per_fault(self, edit, expected):
-        # a missing key's placeholder and a rejected antenna count raise nothing more
+        # a missing key's placeholder and a rejected antenna or node count raise nothing more
         data = json.loads(preset("paper-sec5").canonical_json())
         edit(data)
         with pytest.raises(ConfigError) as exc:
