@@ -19,6 +19,10 @@ unless noted; unknown keys anywhere are rejected):
     capacity           {"rho_db": [...], "bins": K}
     trials, seed       integers
 
+Validation reports each fault it finds once, all in one ConfigError: a section that
+is not an object (null and [] included) is one fault, and a check that needs a
+rejected field is skipped.
+
 Integer clock offsets (and fractional ones, when fixed) are specified per
 (transmit node, receive node) pair, not per antenna link: antennas on the
 same pair of nodes share local oscillators and therefore share the clock
@@ -150,110 +154,166 @@ def _descalar(values):
 
 
 class _Reader:
-    """Strict mapping reader that records every problem it sees."""
+    """Strict reader of one JSON object, or of None if that object is missing or rejected."""
 
-    def __init__(self, data, context, problems, missing=None):
-        if not isinstance(data, dict):
-            problems.append(f"{context}: expected an object")
-            data = {}
+    def __init__(self, data, context, problems):
         self.data = data
         self.context = context
         self.problems = problems
-        self.missing = set() if missing is None else missing  # absent required fields
         self.seen = set()
 
     def child(self, key):
         """Reader of the required object under ``key``."""
-        return _Reader(self.get(key, default={}) or {}, key, self.problems, self.missing)
+        return _Reader(self.field(key, _as_object), key, self.problems)
 
-    def get(self, key, required=True, default=None):
+    def field(self, key, parse, *args, default=None):
+        """``parse(value, what, problems, *args)`` of the value under ``key``.
+
+        A field reads as its valid value or as None, and None means that a problem
+        line is already written: its own, its object's or that of a count it needs.
+        A key without a default is required.
+        """
         self.seen.add(key)
+        if self.data is None:
+            return None
         if key not in self.data:
-            if required:
+            if default is None:
                 self.problems.append(f"{self.context}: missing key {key!r}")
-                self.missing.add(key if self.context == "config" else f"{self.context}.{key}")
             return default
-        return self.data[key]
-
-    def flag(self, key, required=False, default=False):
-        value = self.get(key, required, default)
-        if type(value) is not bool:
-            self.problems.append(
-                f"{self.context}.{key}: expected true or false, got {value!r}"
-            )
-            return False
-        return value
+        what = key if self.context == "config" else f"{self.context}.{key}"
+        return parse(self.data[key], what, self.problems, *args)
 
     def finish(self):
-        unknown = sorted(set(self.data) - self.seen)
-        for key in unknown:
+        for key in sorted(set(self.data or ()) - self.seen):
             self.problems.append(f"{self.context}: unknown key {key!r}")
 
 
+def _reject(problems, line):
+    """Write a rejected field's one problem line; the field then reads as None."""
+    problems.append(line)
+    return None
+
+
+def _checked(valid, fault):
+    """A parser of the values ``valid`` accepts; ``fault`` formats a rejected one's line."""
+    def parse(value, what, problems):
+        return value if valid(value) else _reject(problems, fault.format(what=what, value=value))
+    return parse
+
+
+# Each parser returns the valid value, or _reject's None after one problem line.
+_as_object = _checked(lambda v: isinstance(v, dict), "{what}: expected an object")
+_as_name = _checked(lambda v: isinstance(v, str), "config: {what!r} must be a string")
+_as_flag = _checked(lambda v: type(v) is bool, "{what}: expected true or false, got {value!r}")
+_as_topology = _checked(
+    lambda v: v in LO_TOPOLOGIES, f"{{what}}: expected one of {LO_TOPOLOGIES}, got {{value!r}}"
+)
+_as_pulse_kind = _checked(lambda v: v == "raised-cosine", "{what}: unsupported kind {value!r}")
+
+
 def _as_int(value, what, problems, minimum=0):
-    """The integer ``value``, or ``minimum`` if rejected, so that parsing goes on."""
+    """An integer of at least ``minimum``."""
     if not isinstance(value, int) or isinstance(value, bool):
-        problems.append(f"{what}: expected an integer, got {value!r}")
-        return minimum
+        return _reject(problems, f"{what}: expected an integer, got {value!r}")
     if value < minimum:
-        problems.append(f"{what}: must be >= {minimum}, got {value}")
-        return minimum
+        return _reject(problems, f"{what}: must be >= {minimum}, got {value}")
     return value
 
 
-def _as_number(value, what, problems, db=0):
-    """The finite number ``value``, or 0.0 if rejected, so that parsing goes on.
+def _as_number(value, what, problems, span=None, db=0):
+    """A finite number, as a float, inside the closed interval ``span`` if one is given.
 
     With ``db`` = +1 or -1 it is a dB level whose 10**(db*value/10) must not overflow.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        problems.append(f"{what}: expected a number, got {value!r}")
-        return 0.0
+        return _reject(problems, f"{what}: expected a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int past any float
-        problems.append(f"{what}: expected a finite number, got {value!r}")
-        return 0.0
+        return _reject(problems, f"{what}: expected a finite number, got {value!r}")
     try:
         10.0 ** (db * value / 10.0)
     except OverflowError:
-        problems.append(f"{what}: {value} dB overflows as a power ratio")
-        return 0.0
+        return _reject(problems, f"{what}: {value} dB overflows as a power ratio")
+    if span is not None and not span[0] <= value <= span[1]:
+        return _reject(problems, f"{what}: must lie in [{span[0]}, {span[1]}], got {float(value)}")
     return float(value)
 
 
-def _as_nodes(value, count, what, problems):
+def _as_levels(value, what, problems, db):
+    """A nonempty list of dB levels (see ``_as_number``), -Infinity included where ``db`` = +1."""
+    if not isinstance(value, list) or not value:
+        return _reject(problems, f"{what}: expected a nonempty list")
+    for v in value:  # the first rejected entry is the field's one problem line
+        if not (db > 0 and v == -np.inf) and _as_number(v, what, problems, db=db) is None:
+            return None
+    return tuple(map(float, value))
+
+
+def _as_snr(value, what, problems, count):
+    """SNR in dB at each of ``count`` rx antennas: a scalar, or one value per antenna."""
+    if not isinstance(value, list):
+        level = _as_number(value, what, problems, db=-1)
+        return None if None in (level, count) else (level,) * count
+    if count is not None and len(value) != count:
+        return _reject(problems, f"{what}: expected one value per rx antenna ({count})")
+    return _as_levels(value, what, problems, -1)
+
+
+def _as_nodes(value, what, problems, count):
     """Node index of each antenna: a nonempty list covering [0, count), if count is known."""
     if not isinstance(value, list) or not value:
-        problems.append(f"{what}: expected a nonempty list")
-        return ()
+        return _reject(problems, f"{what}: expected a nonempty list")
     if count is not None and not all(type(v) is int and 0 <= v < count for v in value):
-        problems.append(f"{what}: node indices must lie in [0, {count})")
-    elif count is not None and set(value) != set(range(count)):
-        problems.append(f"{what}: every node in [0, {count}) needs an antenna")
+        return _reject(problems, f"{what}: node indices must lie in [0, {count})")
+    if count is not None and len(set(value)) != count:  # indices lie in [0, count)
+        return _reject(problems, f"{what}: every node in [0, {count}) needs an antenna")
     return tuple(value)
 
 
-def _as_grid(value, rows, cols, what, problems, cast):
-    """Accept a scalar (broadcast) or a rows x cols nested list.
+def _as_rates(value, what, problems, count):
+    """Distinct power-of-2 chirp rates, one per tx antenna if ``count`` is known."""
+    if not isinstance(value, list) or not value:
+        return _reject(problems, f"{what}: expected a nonempty list")
+    if count is not None and len(value) != count:
+        return _reject(problems, f"{what}: expected one rate per tx antenna ({count})")
+    if not all(_is_pow2(v) for v in value):
+        return _reject(problems, f"{what}: every rate must be a power of 2")
+    if len(set(value)) != len(value):
+        return _reject(problems, f"{what}: rates must be distinct")
+    return tuple(value)
 
-    With ``cast=int`` every entry must be an integer, with ``float`` a finite number.
+
+def _as_grid(value, what, problems, rows, cols, cast, valid, rule):
+    """A scalar (broadcast) or a rows x cols nested list whose entries are all ``valid``.
+
+    With ``cast=int`` every entry must be an integer, with ``float`` a finite
+    number; ``rule`` names what ``valid`` asks. Without a shape the grid is not read.
     """
-    if rows is None:  # node counts unknown: no shape to read the grid against
-        return ()
-    zeros = tuple(tuple(cast(0) for _ in range(cols)) for _ in range(rows))
+    if None in (rows, cols):
+        return None
     if not isinstance(value, list):
         value = [[value] * cols for _ in range(rows)]
     elif len(value) != rows or any(
         not isinstance(r, list) or len(r) != cols for r in value
     ):
-        problems.append(f"{what}: expected a {rows}x{cols} grid")
-        return zeros
+        return _reject(problems, f"{what}: expected a {rows}x{cols} grid")
     kinds, noun = ((int,), "an integer") if cast is int else ((int, float), "a finite number")
     if any(type(v) not in kinds for row in value for v in row) or (
         cast is float and not all(abs(v) <= sys.float_info.max for row in value for v in row)
     ):
-        problems.append(f"{what}: expected {noun} or a {rows}x{cols} grid of them")
-        return zeros
+        return _reject(problems, f"{what}: expected {noun} or a {rows}x{cols} grid of them")
+    if not all(valid(v) for row in value for v in row):
+        return _reject(problems, f"{what}: {rule}")
     return tuple(tuple(cast(v) for v in row) for row in value)
+
+
+def _as_mu(value, what, problems, rows, cols):
+    """'uniform', or fixed fractional offsets in (0, 0.5]: a number or a per-pair grid."""
+    if value == "uniform":
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float, list)):
+        return _reject(problems, f"{what}: expected 'uniform', a number, or a per-pair grid")
+    return _as_grid(value, what, problems, rows, cols, float,
+                    lambda v: 0.0 < v <= 0.5, "fixed offsets must lie in (0, 0.5]")
 
 
 def from_dict(data):
@@ -264,150 +324,89 @@ def from_dict(data):
 def _from_dict(data):
     """``from_dict``'s body; ``replace`` calls it, adding no public config call."""
     problems = []
-    top = _Reader(data, "config", problems)
-
-    def passed(*fields):  # a rejected field holds a placeholder, not the user's value
-        return not any(line.split(":")[0] in fields for line in problems)
-
-    name = top.get("name", default="")
-    if not isinstance(name, str):
-        problems.append("config: 'name' must be a string")
-        name = ""
+    top = _Reader(_as_object(data, "config", problems), "config", problems)
+    name = top.field("name", _as_name)
 
     nodes = top.child("nodes")
-    mt = _as_int(nodes.get("tx"), "nodes.tx", problems, minimum=1)
-    mr = _as_int(nodes.get("rx"), "nodes.rx", problems, minimum=1)
+    mt = nodes.field("tx", _as_int, 1)
+    mr = nodes.field("rx", _as_int, 1)
     nodes.finish()
-    if not passed("nodes.tx", "nodes.rx"):  # the indices and grids below need node counts
-        mt = mr = None
 
     ants = top.child("antennas")
-    tx_node = _as_nodes(ants.get("tx_node"), mt, "antennas.tx_node", problems)
-    rx_node = _as_nodes(ants.get("rx_node"), mr, "antennas.rx_node", problems)
+    tx_node = ants.field("tx_node", _as_nodes, mt)
+    rx_node = ants.field("rx_node", _as_nodes, mr)
     ants.finish()
-    nt, nr = max(len(tx_node), 1), max(len(rx_node), 1)
+    nt, nr = tx_node and len(tx_node), rx_node and len(rx_node)  # None when rejected
+    mt, mr = tx_node and mt, rx_node and mr  # grids are sized only by counts antennas cover
 
     chan = top.child("channel")
-    total_length = _as_int(chan.get("total_length"), "channel.total_length", problems, 1)
-    active = _as_grid(
-        chan.get("active_taps"), nt, nr, "channel.active_taps", problems, int
+    total_length = chan.field("total_length", _as_int, 1)
+    active = chan.field(
+        "active_taps", _as_grid, nt, nr, int, lambda v: v >= 0, "counts must be >= 0"
     )
-    offsets = _as_grid(
-        chan.get("integer_offsets"), mt, mr, "channel.integer_offsets", problems, int
+    offsets = chan.field(
+        "integer_offsets", _as_grid, mt, mr, int, lambda v: v >= 0, "offsets must be >= 0"
     )
-    normalize = chan.flag("normalize_taps", default=True)
-    redraw = chan.flag("redraw_per_trial")
+    normalize = chan.field("normalize_taps", _as_flag, default=True)
+    redraw = chan.field("redraw_per_trial", _as_flag, default=False)
     chan.finish()
-    if any(v < 0 for row in active for v in row):
-        problems.append("channel.active_taps: counts must be >= 0")
-    if any(v < 0 for row in offsets for v in row):
-        problems.append("channel.integer_offsets: offsets must be >= 0")
 
     frac = top.child("fractional")
-    enabled = frac.flag("enabled", required=True)
-    mu_values = None
+    enabled = frac.field("enabled", _as_flag)
+    mu_values = None  # uniform, or not fractional
     if enabled:
-        mu = frac.get("mu")
-        if isinstance(mu, (int, float, list)) and not isinstance(mu, bool):
-            mu_values = _as_grid(mu, mt, mr, "fractional.mu", problems, float)
-            if passed("fractional.mu") and not all(0.0 < v <= 0.5 for r in mu_values for v in r):
-                problems.append("fractional.mu: fixed offsets must lie in (0, 0.5]")
-        elif mu != "uniform":
-            problems.append(
-                "fractional.mu: expected 'uniform', a number, or a per-pair grid"
-            )
+        mu = frac.field("mu", _as_mu, mt, mr)
+        mu_values = None if mu == "uniform" else mu
+    elif enabled is None:  # whether mu belongs here hangs on the rejected flag
+        frac.seen.add("mu")
     frac.finish()
 
     wf = top.child("waveform")
-    wf_length = _as_int(wf.get("length"), "waveform.length", problems, 1)
-    rates = wf.get("chirp_rates", default=[]) or []
+    wf_length = wf.field("length", _as_int, 1)
+    rates = wf.field("chirp_rates", _as_rates, nt)
     wf.finish()
-    if not isinstance(rates, list) or (len(rates) != nt and passed("antennas.tx_node")):
-        problems.append(f"waveform.chirp_rates: expected one rate per tx antenna ({nt})")
-    elif any(not _is_pow2(v) for v in rates):
-        problems.append("waveform.chirp_rates: every rate must be a power of 2")
-    elif len(set(rates)) != len(rates):
-        problems.append("waveform.chirp_rates: rates must be distinct")
-    elif passed("waveform.length") and (
-        not _is_pow2(wf_length) or wf_length <= 2 * max(rates, default=0)
-    ):
+    if None not in (wf_length, rates) and not (_is_pow2(wf_length) and wf_length > 2 * max(rates)):
         problems.append("waveform.length: must be a power of 2 exceeding twice the largest rate")
 
     pulse = top.child("pulse")
-    pulse_kind = pulse.get("kind", required=False, default="raised-cosine")
-    rolloff = _as_number(pulse.get("rolloff", required=False, default=0.25),
-                         "pulse.rolloff", problems)
-    half_support = _as_int(pulse.get("half_support", required=False, default=4),
-                           "pulse.half_support", problems, 1)
+    pulse.field("kind", _as_pulse_kind, default="raised-cosine")
+    rolloff = pulse.field("rolloff", _as_number, (0, 1), default=0.25)
+    half_support = pulse.field("half_support", _as_int, 1, default=4)
     pulse.finish()
-    if pulse_kind != "raised-cosine":
-        problems.append(f"pulse.kind: unsupported kind {pulse_kind!r}")
-    if not 0.0 <= rolloff <= 1.0:
-        problems.append(f"pulse.rolloff: must lie in [0, 1], got {rolloff}")
 
-    snr_raw = top.get("snr_db")
-    if isinstance(snr_raw, list):
-        if len(snr_raw) != nr:
-            problems.append(f"snr_db: expected one value per rx antenna ({nr})")
-            snr_raw = [0.0] * nr
-        snr = tuple(_as_number(v, "snr_db", problems, db=-1) for v in snr_raw)
-    else:
-        snr = tuple([_as_number(snr_raw, "snr_db", problems, db=-1)] * nr)
-
-    topology = top.get("lo_topology", required=False, default="independent")
-    if topology not in LO_TOPOLOGIES:
-        problems.append(f"lo_topology: expected one of {LO_TOPOLOGIES}, got {topology!r}")
+    snr = top.field("snr_db", _as_snr, nr)
+    topology = top.field("lo_topology", _as_topology, default="independent")
 
     cap = top.child("capacity")
-    rho_raw = cap.get("rho_db", default=[]) or []
-    bins = _as_int(cap.get("bins", required=False, default=256), "capacity.bins", problems, 1)
+    rho = cap.field("rho_db", _as_levels, 1)
+    bins = cap.field("bins", _as_int, 1, default=256)
     cap.finish()
-    if not isinstance(rho_raw, list) or not rho_raw:
-        problems.append("capacity.rho_db: expected a nonempty list")
-        rho_raw = [0.0]
-    rho = tuple(  # -Infinity dB is rho = 0
-        -np.inf if v == -np.inf else _as_number(v, "capacity.rho_db", problems, db=1)
-        for v in rho_raw
-    )
-    if bins < total_length and passed("capacity.bins", "channel.total_length"):
+    if None not in (bins, total_length) and bins < total_length:
         problems.append(
             f"capacity.bins: must be >= channel.total_length ({total_length}), got {bins}"
         )
 
-    trials = _as_int(top.get("trials"), "trials", problems, 1)
-    seed = _as_int(top.get("seed"), "seed", problems, 0)
+    trials = top.field("trials", _as_int, 1)
+    seed = top.field("seed", _as_int, 0)
     top.finish()
 
-    # cross-field consistency, read only from fields that passed their own checks
-    if passed("nodes.tx", "nodes.rx", "antennas.tx_node", "antennas.rx_node",
-              "channel.total_length", "channel.active_taps", "channel.integer_offsets"):
-        for i, m in np.ndindex(len(tx_node), len(rx_node)):
+    # cross-field consistency, read only from fields that are all valid
+    if None not in (tx_node, rx_node, total_length, active, offsets):
+        for i, m in np.ndindex(nt, nr):
             d = offsets[tx_node[i]][rx_node[m]]
             if active[i][m] + d > total_length:
                 problems.append(
                     f"link (tx {i}, rx {m}): active_taps + offset = "
                     f"{active[i][m]} + {d} exceeds total_length {total_length}"
                 )
-    if topology == "tx-shared":
-        if any(tuple(row) != tuple(offsets[0]) for row in offsets):
-            problems.append(
-                "lo_topology tx-shared: integer_offsets rows must be identical"
-            )
-        if mu_values is not None and any(row != mu_values[0] for row in mu_values):
-            problems.append("lo_topology tx-shared: fractional.mu rows must be identical")
-    if topology == "rx-shared":
-        if any(len(set(row)) != 1 for row in offsets):
-            problems.append(
-                "lo_topology rx-shared: each integer_offsets row must be constant"
-            )
-        if mu_values is not None and any(len(set(row)) != 1 for row in mu_values):
-            problems.append(
-                "lo_topology rx-shared: each fractional.mu row must be constant"
-            )
+    for grid, label in ((offsets, "integer_offsets"), (mu_values, "fractional.mu")):
+        if topology == "tx-shared" and grid and any(row != grid[0] for row in grid):
+            problems.append(f"lo_topology tx-shared: {label} rows must be identical")
+        if topology == "rx-shared" and grid and any(len(set(row)) != 1 for row in grid):
+            problems.append(f"lo_topology rx-shared: each {label} row must be constant")
 
-    if problems:  # a missing key is reported once, not again by its placeholder's checks
-        lines = [line for line in problems if line.split(":")[0] not in top.missing]
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(lines))
+    if problems:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
 
     return ScenarioConfig(
         name=name,
@@ -421,7 +420,7 @@ def _from_dict(data):
         fractional=enabled,
         mu_values=mu_values,
         waveform_length=wf_length,
-        chirp_rates=tuple(rates),
+        chirp_rates=rates,
         pulse_rolloff=rolloff,
         pulse_half_support=half_support,
         snr_db=snr,

@@ -267,7 +267,7 @@ class TestConfig:
         ],
     )
     def test_cross_field_checks_skip_rejected_fields(self, overrides, expected):
-        # a rejected field parses to a placeholder that no other check may report
+        # a rejected field reads as None, and no check across fields reads it
         with pytest.raises(ConfigError) as exc:
             small_config(**overrides)
         assert str(exc.value).splitlines()[1:] == ["  " + line for line in expected]
@@ -292,14 +292,33 @@ class TestConfig:
                            d["antennas"].update(rx_node=[0, 0, "a"])),
                 ["config: missing key 'nodes'"],
             ),
+            # a section that is not an object is one fault, not its keys' faults or defaults
+            (lambda d: d.update(nodes=3), ["nodes: expected an object"]),
+            (lambda d: d.update(pulse=None), ["pulse: expected an object"]),
+            (lambda d: d.update(pulse=[]), ["pulse: expected an object"]),
+            (lambda d: d.update(capacity=[]), ["capacity: expected an object"]),
+            (  # as in paper-sec5-fractional: mu is not unknown while enabled is rejected
+                lambda d: d.update(fractional={"enabled": None, "mu": "uniform"}),
+                ["fractional.enabled: expected true or false, got None"],
+            ),
+            (
+                lambda d: d["waveform"].update(chirp_rates=3),
+                ["waveform.chirp_rates: expected a nonempty list"],
+            ),
+            (  # a count no antenna list covers sizes no per-pair grid
+                lambda d: d["nodes"].update(tx=10**12),
+                ["antennas.tx_node: every node in [0, 1000000000000) needs an antenna"],
+            ),
         ],
         ids=[
             "no-seed", "no-name", "no-waveform", "no-rates", "no-tx-node", "empty-tx-node",
-            "no-nodes", "rejected-node-count", "no-nodes-any-grid",
+            "no-nodes", "rejected-node-count", "no-nodes-any-grid", "nodes-not-object",
+            "pulse-null", "pulse-list", "capacity-list", "enabled-null", "rates-not-list",
+            "huge-node-count",
         ],
     )
     def test_one_problem_line_per_fault(self, edit, expected):
-        # a missing key's placeholder and a rejected antenna or node count raise nothing more
+        # a missing key and a rejected field or section read as None, which no check reads
         data = json.loads(preset("paper-sec5").canonical_json())
         edit(data)
         with pytest.raises(ConfigError) as exc:
