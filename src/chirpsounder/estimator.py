@@ -20,8 +20,13 @@ true profile), starts at the minimum of the Hermite cubic through the grid's
 exact slopes (cached slope makers) and polishes with a bracketed, bisection-
 safeguarded secant on the profile slope, reusing the last solve as the h
 estimate.  Freezing h, as a literal alternation would, contracts too slowly.
+The profile slope is the variable-projection derivative (Golub & Pereyra
+1973) -2 <r, G'(mu) h>: each polish step evaluates the pulse and its
+closed-form derivative once, at one offset, for G and G' together, and makes
+one least-squares solve.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +41,7 @@ from .waveform import _window, cyclic_correlation
 
 _COND_LIMIT = 1e12  # on kappa(G); kappa(G^H G) is its square
 _SCAN_POINTS = 65
-_SLOPE_DELTA = 1e-6  # half-width of the central difference of the pulse
+_SERIES_BELOW = 5e-3  # below it, the pulse slope's cancelling quotients take their series
 _POLISH_TOL = 1e-10  # on the secant update of mu
 _POLISH_STEPS = 60
 
@@ -134,14 +139,75 @@ def _shaping_layout(M, L):
 
 
 @lru_cache(maxsize=32)
+def _support(M, L):
+    """Lags k = -M .. M-1 of the pulse support, for ``_shaping_and_slope``.
+
+    Returns k as floats, k with its 0 set to 1 (a divisor at mu = 0), the
+    signs (-1)^k and (-1)^k / pi, and the index that takes G and dG/dmu from
+    the two rows of the pulse and its slope at the 2M+2L-2 lags of G.
+    """
+    k = np.arange(-M, M)
+    sign = np.where(k % 2, -1.0, 1.0)
+    gather = 2 * (M + L - 1) * np.arange(2)[:, None, None] + _shaping_layout(M, L)[1]
+    return k.astype(float), (k + (k == 0)).astype(float), sign, sign / np.pi, gather
+
+
+def _shaping_and_slope(pulse, mu, L):
+    """G(mu) and its exact slope dG/dmu at one offset mu in [0, 1/2], each (2M+L-1, L).
+
+    The pulse g(t) = sinc(t) q(t), q(t) = cos(pi b t) / (1 - (2bt)^2), is taken
+    with its derivative at the support lags t = k + mu, k = -M .. M-1, and is 0
+    elsewhere, which at mu = 0 gives the right-sided slope.  As sin pi(k + mu) =
+    (-1)^k sin(pi mu), sinc and its slope (cos(pi t) - sinc(t)) / t cost two
+    scalar trig calls.  q is the pulse's own arithmetic, with its limit where
+    |1 - (2bt)^2| < 1e-10: near that removable singularity the quotient
+    amplifies rounding, and a rewritten q would part from ``build_shaping_matrix``
+    there by up to 1e-12; this G stays within an ulp or two of it.  Where a
+    slope quotient cancels (|t| or |1 - (2bt)^2| below ``_SERIES_BELOW``) the
+    slope takes its Taylor series, so it is within a few 1e-12 of exact.
+    """
+    M, b = pulse.M, pulse.rolloff
+    k, k_div, sign, sign_pi, gather = _support(M, L)
+    s, c = math.sin(math.pi * mu), math.cos(math.pi * mu)
+    t = k + mu
+    t_div = t if mu else k_div
+    sinc = s * sign_pi / t_div
+    dsinc = (c * sign - sinc) / t_div
+    if mu < _SERIES_BELOW:  # the centre lag, t = mu
+        sinc[M] = s / (math.pi * mu) if mu else 1.0
+        dsinc[M] = math.pi**2 * mu * ((math.pi * mu) ** 2 / 30 - 1 / 3)
+    bt = 2.0 * b * t
+    d = 1.0 - np.square(bt)
+    near = np.abs(d) < _SERIES_BELOW
+    some_near = near.any()
+    if some_near:
+        singular = np.abs(d) < 1e-10
+        d[singular] = 1.0
+    arg = np.pi * b * t
+    q = np.cos(arg) / d
+    dq = (4.0 * b * bt * q - np.pi * b * np.sin(arg)) / d
+    out = np.zeros((2, 2 * (M + L - 1)))  # the pulse and its slope at the lags of G
+    g, dg = out[:, L - 1 : L - 1 + 2 * M]
+    np.multiply(sinc, q, out=g)
+    np.add(dsinc * q, sinc * dq, out=dg)
+    if some_near:  # q = (pi/2) sinc(v/2) / (2 - v), v = 1 - 2b|t|, as a series in v
+        v = 1.0 - np.abs(bt[near])
+        w = np.square(np.pi * v)
+        qn = (np.pi / 2) * (1.0 - w / 24 + w * w / 1920) / (2.0 - v)
+        dqn = -2.0 * b * np.sign(t[near]) * (np.pi**3 * v * (w / 960 - 1 / 24) + qn) / (2.0 - v)
+        dg[near] = dsinc[near] * qn + sinc[near] * dqn
+        g[singular] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * b))
+    return out.take(gather)
+
+
+@lru_cache(maxsize=32)
 def _scan_grid(pulse, L):
-    """Scan offsets, residual makers I - G pinv(G), slope makers G' pinv(G) (G' of the polish)."""
-    mus = np.linspace(0.0, 0.5, _SCAN_POINTS)
-    lo, hi = np.maximum(mus - _SLOPE_DELTA, 0.0), np.minimum(mus + _SLOPE_DELTA, 0.5)
-    G, G_lo, G_hi = build_shaping_matrix(pulse, np.stack([mus, lo, hi]), L)
+    """Scan offsets; residual makers I - G pinv(G) and slope makers G' pinv(G), flat (65 D, D)."""
+    mus = np.linspace(0.0, 0.5, _SCAN_POINTS).tolist()
+    G, Gp = np.stack([_shaping_and_slope(pulse, mu, L) for mu in mus], axis=1)
     pinv = np.linalg.pinv(G)
-    makers = np.eye(_window(L, pulse.M)) - G @ pinv
-    return mus, makers, ((G_hi - G_lo) / (hi - lo)[:, None, None]) @ pinv
+    makers = np.eye(G.shape[1]) - G @ pinv
+    return mus, makers.reshape(-1, G.shape[1]), (Gp @ pinv).reshape(-1, G.shape[1])
 
 
 def _solve_h(G, hF):
@@ -154,59 +220,63 @@ def _solve_h(G, hF):
 
 
 def _profile_derivative(pulse, mu, L, Y):
-    """Slope of the projected residual ||Y - G(mu) h(mu)||^2 in mu, with G(mu) and h(mu).
+    """Slope of the projected residual ||Y - G(mu) h(mu)||^2 in mu, with h(mu) and the residual.
 
     Because the residual is orthogonal to range(G), only the explicit G(mu)
-    dependence contributes: phi'(mu) = -2 sum((Y - G h) * (G' h)), Y = [Re hF, Im hF].
-    G' is a central difference, built with G in one call.
+    dependence contributes: phi'(mu) = -2 <Y - G h, G' h>, Y = [Re hF, Im hF],
+    with G and G' from one evaluation of the pulse and its exact slope.
     """
-    lo, hi = max(mu - _SLOPE_DELTA, 0.0), min(mu + _SLOPE_DELTA, 0.5)
-    G, G_lo, G_hi = build_shaping_matrix(pulse, (mu, lo, hi), L)
+    G, Gp = _shaping_and_slope(pulse, mu, L)
     h = _solve_h(G, Y)
-    Gp = (G_hi - G_lo) / (hi - lo)
-    return -2.0 * float(np.sum((Y - G @ h) * (Gp @ h))), G, h
+    r = Y - G @ h
+    return -2.0 * float(np.vdot(r, Gp @ h)), h, r
 
 
 def _mu_step(pulse, L, Y):
     """Global scan of the profile objective in real arithmetic, then a safeguarded secant.
 
+    The scan is one product of the flat residual makers with Y, scored by row dots.
     Hermite start, last solve reused: where the exact slopes at an interior scan minimum
     and its neighbours turn from - to + on [A, B], the polish starts at the minimum of
     the Hermite cubic through the values and slopes at A and B, its curvature the first
-    secant slope (else at the scan minimum, bisecting first).  Each step takes the
-    profile slope once, narrows a bracket [lo, hi] by its sign and takes a secant step,
-    bisecting when that leaves the bracket or meets a non-increasing slope.  Returns
-    ``(mu, steps, converged, G, h)``, G and h at mu; ``converged`` is false only when
-    ``_POLISH_STEPS`` steps did not bring the update below ``_POLISH_TOL``.
+    secant slope (else at the scan minimum, bisecting first).  Each step takes G, the
+    exact G' and one solve at one offset, narrows a bracket [lo, hi] by the slope's sign
+    and takes a secant step, bisecting when that leaves the bracket or meets a
+    non-increasing slope.  Returns ``(mu, steps, converged, h, r)``, the solve and
+    residual at mu; ``converged`` is false only when ``_POLISH_STEPS`` steps did not
+    bring the update below ``_POLISH_TOL``.
     """
     mus, makers, slopers = _scan_grid(pulse, L)
-    resid = makers @ Y
-    phi = np.sum(np.square(resid), axis=(1, 2))
+    n, D = len(mus), Y.shape[0]
+    resid = (makers @ Y).reshape(n, 2 * D)
+    phi = np.einsum("ij,ij->i", resid, resid)
     k = int(np.argmin(phi))
-    lo, hi = mus[max(k - 1, 0)], mus[min(k + 1, len(mus) - 1)]
-    mu, slope = float(mus[k]), 0.0
-    if 0 < k < len(mus) - 1:
-        s = -2.0 * np.sum(resid[k - 1 : k + 2] * (slopers[k - 1 : k + 2] @ Y), axis=(1, 2))
+    lo, hi = mus[max(k - 1, 0)], mus[min(k + 1, n - 1)]
+    mu, slope = mus[k], 0.0
+    if 0 < k < n - 1:
+        grad = (slopers[(k - 1) * D : (k + 2) * D] @ Y).reshape(3, 2 * D)
+        s = (-2.0 * np.einsum("ij,ij->i", resid[k - 1 : k + 2], grad)).tolist()
         A, dx = k - 1 + int(s[1] < 0), mus[1] - mus[0]
-        a, b = dx * s[A - k + 1 : A - k + 3]  # slopes at A and B = A + 1, in grid steps
+        a, b = dx * s[A - k + 1], dx * s[A - k + 2]  # slopes at A and B = A + 1, in grid steps
         if a < 0 < b:
-            c3, c2 = 2 * (phi[A] - phi[A + 1]) + a + b, 3 * (phi[A + 1] - phi[A]) - 2 * a - b
-            root = np.sqrt(max(c2 * c2 - 3 * c3 * a, 0.0))
+            pa, pb = float(phi[A]), float(phi[A + 1])
+            c3, c2 = 2 * (pa - pb) + a + b, 3 * (pb - pa) - 2 * a - b
+            root = math.sqrt(max(c2 * c2 - 3 * c3 * a, 0.0))
             lo, hi, slope = mus[A], mus[A + 1], 2 * root / dx**2
-            mu = float(lo - dx * a / max(c2 + root, -a))  # the max keeps mu <= hi
+            mu = lo - dx * a / max(c2 + root, -a)  # the max keeps mu <= hi
 
     for steps in range(1, _POLISH_STEPS + 1):
-        fp, G, h = _profile_derivative(pulse, mu, L, Y)
+        fp, h, r = _profile_derivative(pulse, mu, L, Y)
         lo, hi = (lo, mu) if fp > 0 else (mu, hi)
         if steps > 1:
             slope = (fp - fp0) / (mu - mu0)
-        nxt = mu - fp / slope if slope > 0 else np.inf
+        nxt = mu - fp / slope if slope > 0 else math.inf
         if not lo <= nxt <= hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - mu) < _POLISH_TOL:
-            return float(mu), steps, True, G, h
+            return mu, steps, True, h, r
         mu0, fp0, mu = mu, fp, nxt
-    return float(mu), _POLISH_STEPS, False, *_profile_derivative(pulse, mu, L, Y)[1:]
+    return mu, _POLISH_STEPS, False, *_profile_derivative(pulse, mu, L, Y)[1:]
 
 
 def joint_estimate(hF, pulse, L):
@@ -229,14 +299,14 @@ def joint_estimate(hF, pulse, L):
         return EstimateReport(h_hat=zero, mu_hat=None, iterations=0, residual=0.0, converged=True)
 
     # Power-of-two scaling is exact and keeps the squared residuals in range.
-    scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(hF)))[1]))
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(hF).max()))[1])
     Y = (hF / scale).view(np.float64).reshape(-1, 2)  # real and imaginary parts as columns
-    mu, steps, converged, G, h = _mu_step(pulse, L, Y)
+    mu, steps, converged, h, r = _mu_step(pulse, L, Y)
     return EstimateReport(
         h_hat=(h[:, 0] + 1j * h[:, 1]) * scale,
         mu_hat=mu,
         iterations=steps,
-        residual=float(np.sum(np.square(Y - G @ h)) / np.sum(np.square(Y))),
+        residual=float(np.vdot(r, r) / np.vdot(Y, Y)),
         converged=converged,
     )
 

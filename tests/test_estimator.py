@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from chirpsounder import (
     ConstraintViolationError,
@@ -62,14 +62,45 @@ def direct_shaping_matrix(pulse, mu, L):
     return pulse(lags + np.asarray(mu, dtype=float)[..., None, None])
 
 
+def stable_shaping_matrix(pulse, mu, L):
+    """G(mu) from the raised cosine written without its removable singularity.
+
+    cos(pi b t) / (1 - (2 b t)^2) = (pi/2) sinc(v/2) / (2 - v) with v = 1 - 2b|t|, so
+    the quotient that the pulse forms near 2b|t| = 1 from two nearly cancelling terms
+    is a sinc here, and differences of this G keep their accuracy there.
+    """
+    t = np.arange(2 * pulse.M + L - 1)[:, None] - pulse.M - np.arange(L) + mu
+    v = 1.0 - 2.0 * pulse.rolloff * np.abs(t)
+    g = np.sinc(t) * (np.pi / 2) * np.sinc(v / 2) / (2.0 - v)
+    return np.where(np.abs(t) <= pulse.M, g, 0.0)
+
+
+def slope_by_differences(pulse, mu, L):
+    """dG/dmu by differences of ``stable_shaping_matrix`` at steps of 1e-6, to second order.
+
+    One-sided at 0 and 1/2, where the offset range ends (right-sided at 0, as the
+    support cuts the lag M off for mu > 0), central elsewhere.
+    """
+    delta = 1e-6
+
+    def G(m):
+        return stable_shaping_matrix(pulse, m, L)
+
+    if mu - delta < 0.0:
+        return (-3 * G(mu) + 4 * G(mu + delta) - G(mu + 2 * delta)) / (2 * delta)
+    if mu + delta > 0.5:
+        return (3 * G(mu) - 4 * G(mu - delta) + G(mu - 2 * delta)) / (2 * delta)
+    return (G(mu + delta) - G(mu - delta)) / (2 * delta)
+
+
 def reference_slope(pulse, mu, L, hF):
     """Profile slope -2 Re <hF - G h, G' h> in complex arithmetic, h by complex least squares.
 
-    G' is the estimator's central difference, half-width ``_SLOPE_DELTA``, cut at 0 and 1/2.
+    G' is a central difference of ``build_shaping_matrix``, half-width 1e-6, cut at 0
+    and 1/2: a reference independent of the estimator's closed-form slope.
     """
-    from chirpsounder.estimator import _SLOPE_DELTA
-
-    lo, hi = max(mu - _SLOPE_DELTA, 0.0), min(mu + _SLOPE_DELTA, 0.5)
+    delta = 1e-6
+    lo, hi = max(mu - delta, 0.0), min(mu + delta, 0.5)
     G = build_shaping_matrix(pulse, mu, L)
     h = np.linalg.lstsq(G.astype(complex), hF, rcond=None)[0]
     Gp = (build_shaping_matrix(pulse, hi, L) - build_shaping_matrix(pulse, lo, L)) / (hi - lo)
@@ -402,6 +433,27 @@ class TestShapingMatrix:
             assert G.shape == expected.shape == np.shape(mu) + (2 * M + L - 1, L)
             assert G.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("rolloff", [0.0, 0.25, 0.3, 1.0])
+    @pytest.mark.parametrize("M", [1, 4])
+    @pytest.mark.parametrize("L", [1, 15])
+    def test_shaping_and_slope_matches_build_and_differences(self, rolloff, M, L):
+        # the polish's G(mu) and closed-form dG/dmu: G against the pulse's own
+        # arithmetic, dG/dmu against a difference of a cancellation-free pulse
+        from chirpsounder.estimator import _shaping_and_slope
+
+        pulse = build_pulse(rolloff=rolloff, M=M)
+        singular = [] if rolloff == 0 else [
+            sign / (2 * rolloff) - k for sign in (1, -1) for k in range(-M, M)
+        ]
+        singular = [mu for mu in singular if 0.0 <= mu <= 0.5]  # a lag on 1 = (2 b t)^2
+        assert len(singular) == {0.0: 0, 0.25: 2 * (M == 4), 0.3: M == 4, 1.0: 2}[rolloff]
+        rng = np.random.default_rng(31)
+        for mu in [0.0, 5e-324, 0.5, *singular, *rng.uniform(0.0, 0.5, 20).tolist()]:
+            G, Gp = _shaping_and_slope(pulse, mu, L)
+            assert G.shape == Gp.shape == (2 * M + L - 1, L)
+            assert np.max(np.abs(G - build_shaping_matrix(pulse, mu, L))) <= 1e-15
+            assert np.max(np.abs(Gp - slope_by_differences(pulse, mu, L))) <= 1e-8
+
     def test_one_pulse_sample_per_distinct_lag(self, monkeypatch):
         # G is Toeplitz: 2M+2L-2 = 36 distinct lags on paper-sec5-fractional, not
         # its (2M+L-1)*L = 330 entries; reception builds its G the same way
@@ -595,27 +647,33 @@ class TestJointEstimate:
         rng = np.random.default_rng(20)
         hF = build_shaping_matrix(pulse, 0.3, 15) @ random_taps(rng, 15)
         estimator._scan_grid(pulse, 15)  # the scan's cached matrices stay well posed
-        build = estimator.build_shaping_matrix
+        evaluate = estimator._shaping_and_slope
 
         def repeated_column(pulse, mu, L):
-            G = build(pulse, mu, L).copy()
-            G[..., 1] = G[..., 0]
-            return G
+            G, Gp = evaluate(pulse, mu, L)
+            G[:, 1] = G[:, 0]
+            return G, Gp
 
-        monkeypatch.setattr(estimator, "build_shaping_matrix", repeated_column)
+        monkeypatch.setattr(estimator, "_shaping_and_slope", repeated_column)
         with pytest.raises(IllConditionedError) as exc:
             joint_estimate(hF, pulse, 15)
         assert exc.value.condition_estimate == np.inf
 
     @given(
-        mu=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+        # 1/3 puts a lag on the removable singularity at rolloff 0.3; 5e-324 is the
+        # least offset above 0
+        mu=st.one_of(st.sampled_from([0.0, 0.5, 1 / 3, 5e-324]), st.floats(0.0, 0.5)),
+        rolloff=st.sampled_from([0.25, 0.3, 1.0]),
         seed=st.integers(0, 2**32 - 1),
         k=st.integers(-600, 600),
     )
-    def test_noiseless_recovery_property(self, mu, seed, k):
+    @example(mu=1 / 3, rolloff=0.3, seed=0, k=0)
+    @example(mu=5e-324, rolloff=0.25, seed=1, k=0)
+    @example(mu=0.5, rolloff=1.0, seed=2, k=0)
+    def test_noiseless_recovery_property(self, mu, rolloff, seed, k):
         from chirpsounder.estimator import _POLISH_STEPS
 
-        pulse = build_pulse(rolloff=0.25, M=4)
+        pulse = build_pulse(rolloff=rolloff, M=4)
         L = 8
         taps = random_taps(np.random.default_rng(seed), L)
         hF = build_shaping_matrix(pulse, mu, L) @ (taps * 2.0**k)
@@ -644,7 +702,11 @@ class TestJointEstimate:
             rep = joint_estimate(hF, pulse, L)
             if 0.0 < rep.mu_hat < 0.5:
                 Y = hF.view(np.float64).reshape(-1, 2)  # real and imaginary columns
-                assert abs(_profile_derivative(pulse, rep.mu_hat, L, Y)[0]) < 1e-6
+                slope, h, r = _profile_derivative(pulse, rep.mu_hat, L, Y)
+                assert abs(slope) < 1e-6
+                np.testing.assert_allclose(h[:, 0] + 1j * h[:, 1], rep.h_hat, rtol=1e-9)
+                G = build_shaping_matrix(pulse, rep.mu_hat, L)
+                np.testing.assert_allclose(r, Y - G @ h, rtol=0, atol=1e-12)
 
     def test_noisy_consistency_with_oracle(self):
         # at 40 dB SNR the estimate stays within one oracle grid step

@@ -8,13 +8,15 @@ alters the bytes fails here and has to say why in CHANGES.md.  The
 ``paper-sec5-fractional`` digests depend on the estimator's polish
 iteration, which stops within 1e-10 of the minimizer, so a different
 iteration moves the last printed digits; its parabolic start and the reuse
-of its last step's solve moved them once, and its real arithmetic, 65-point
-scan and Hermite start once more.  Every digest downstream of
-reception (the ``mse`` files, ``result.json`` and the ``sound`` traces) also
-depends on the order in which reception sums its terms: it is one
-sounding-matrix product per waveform, so a different summation order moves
-the last bits of the received stream and, through the estimator, the last
-printed digits.  The ``generate``, ``correlate`` and ``capacity`` digests
+of its last step's solve moved them once, its real arithmetic, 65-point
+scan and Hermite start once more, and its closed-form slope of G(mu) once
+more: that slope has no difference step, so mu_hat moves within the polish
+tolerance (the ``sound`` trace stops at reception and held).  Every digest
+downstream of reception (the ``mse`` files, ``result.json`` and the ``sound``
+traces) also depends on the order in which reception sums its terms: it is
+one sounding-matrix product per waveform, so a different summation order
+moves the last bits of the received stream and, through the estimator, the
+last printed digits.  The ``generate``, ``correlate`` and ``capacity`` digests
 and ``config_echo.json`` do not pass through reception.  The ``mse`` digests
 also depend on the matched filter's memory layout: it applies the stored S^H,
 a contiguous D x N array, which moved the ``paper-sec5-fractional`` CSVs and
@@ -39,8 +41,8 @@ GOLDEN = {
         "antenna_mse.csv": "d0c3f18193af0eb1373dcab001e07c5ce9869fdada3a8b0a50c486dfe4871527",
     },
     ("mse", "paper-sec5-fractional", 3): {
-        "mse.csv": "d7aa466889e3b7d9a18fd7b245458502c582e8fce1712c223ebb357db132d6b3",
-        "antenna_mse.csv": "9ead51a0d6ddc55e310f4dc494351b69fc534781a7186a7f2f23caaee5082f63",
+        "mse.csv": "01855bd73193cc39bac7bd78cffb0780e21c89ac9cf64f3a30ed0cad3864ac31",
+        "antenna_mse.csv": "fedcb37cde66b6df61c73c758ed8f8ff34a6d334b463c4506f7bbd6904806715",
     },
     ("capacity", "capacity-tx-shared", None): {
         "capacity.csv": "625be9a0ffea6157ddf94c71b308d1485a40fa392665c1fb6717eb0d4636173d",
