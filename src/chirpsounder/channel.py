@@ -22,8 +22,9 @@ pulse g shifted by its own mu:
 
     r[n] = sum_i sum_l sum_y s_i[(n - y) mod N] g((y + mu_im - l)T) h_im[l] + z[n],
 
-where y spans exactly the 2M+L-1 lags -M .. M+L-2 and g vanishes outside
-[-MT, MT]: r_m = sum_i S_i G(mu_im) h_im + z, the estimator's own model.  The
+where y spans exactly the 2M+L-1 lags -M .. M+L-2 and g, the ``PulseShape``
+that also gives the estimator g and g', vanishes outside [-MT, MT]:
+r_m = sum_i S_i G(mu_im) h_im + z, the estimator's own model.  The
 ``receive_*`` functions take the S_i that the matched filter applies and
 return the noiseless sum; ``awgn`` alone adds z.
 
@@ -32,6 +33,7 @@ any formula.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,37 +42,71 @@ from .estimator import build_shaping_matrix
 from .waveform import _window
 
 
+_SERIES_BELOW = 5e-3  # below it, sinc and its slope take their Taylor series
+_SHIFTS = np.array([[0.0], [-0.5], [0.5]])  # of the sinc arguments t, rolloff*t -/+ 1/2
+
+
+@lru_cache(maxsize=8)
+def _pulse_scales(rolloff):
+    """Scales of the sinc arguments, and of q and q' over their sums of sincs."""
+    return np.array([[1.0], [rolloff], [rolloff]]), np.array([[1.0], [rolloff]]) * (np.pi / 4)
+
+
 @dataclass(frozen=True)
 class PulseShape:
     """Truncated raised-cosine pulse-shaping filter, zero outside [-M*T, M*T].
 
-    Calling the object evaluates g(t) = sinc(t) cos(pi*rolloff*t) / (1 - (2*rolloff*t)^2)
-    over t in units of T (a float for a scalar t): a Nyquist pulse, g(0) = 1 and
-    g(k*T) = 0 for integer k != 0.  The removable singularity t = T/(2*rolloff)
-    takes its limit (pi/4)*sinc(1/(2*rolloff)); with rolloff 0 the denominator is 1.
+    g(t) = sinc(t) cos(pi*rolloff*t) / (1 - (2*rolloff*t)^2), t in units of T, is a
+    Nyquist pulse (g(0) = 1, g(kT) = 0 for integer k != 0), taken as sinc(t) q with
+    q = (pi/4) (sinc(rolloff*t - 1/2) + sinc(rolloff*t + 1/2)), the partial fractions
+    of (pi/2) sinc(v/2) / (2 - v), v = 1 - 2*rolloff*|t|: neither form has a 0/0 at
+    the removable singularity t = T/(2*rolloff), where v = 0.
     """
 
     M: int
     rolloff: float
 
     def __call__(self, t):
-        rolloff = self.rolloff
+        """g(t), taken where |t| <= M and 0 elsewhere (a float for a scalar t)."""
         t = np.asarray(t, dtype=float)
-        denom = 1.0 - np.square(2.0 * rolloff * t)  # on a 0-d t, ** 2 would be C pow
-        singular = np.abs(denom) < 1e-10
-        val = np.sinc(t) * np.cos(np.pi * rolloff * t) / np.where(singular, 1.0, denom)
-        if singular.any():
-            val = np.where(singular, (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff)), val)
-        out = np.where(np.abs(t) <= self.M, val, 0.0)
+        out = np.zeros(t.shape)
+        inside = np.abs(t) <= self.M
+        out[inside] = self.with_slope(t[inside])[0]
         return float(out) if out.ndim == 0 else out
+
+    def with_slope(self, t):
+        """g(t) and g'(t) over a 1-d t, stacked as shape (2, t.size), unmasked.
+
+        g' = sinc'(t) q + sinc(t) q' with q' = rolloff (pi/4) (sinc'(rolloff*t - 1/2) +
+        sinc'(rolloff*t + 1/2)), from sinc and sinc'(x) = (cos(pi x) - sinc(x)) / x at the
+        three arguments together, one Taylor rule serving all where |x| < ``_SERIES_BELOW``.
+        """
+        scale, factor = _pulse_scales(self.rolloff)
+        x = t * scale + _SHIFTS
+        small = np.abs(x) < _SERIES_BELOW
+        series = np.count_nonzero(small)
+        xs = np.where(small, 0.5, x) if series else x  # no 0/0 where the series goes
+        px = np.pi * xs
+        f = np.empty((3, 2, x.shape[1]))  # sinc and sinc' at each argument
+        np.divide(np.sin(px), px, out=f[:, 0])
+        np.divide(np.cos(px) - f[:, 0], xs, out=f[:, 1])
+        if series:
+            p = np.pi * x[small]
+            w = p * p
+            f[:, 0][small] = 1.0 + w * (w * (1 / 120 - w / 5040) - 1 / 6)
+            f[:, 1][small] = np.pi * p * (w * (1 / 30 - w / 840) - 1 / 3)
+        q = (f[1] + f[2]) * factor  # q and q'
+        out = f[0] * q[0]
+        out[1] += f[0, 0] * q[1]
+        return out
 
 
 def build_pulse(rolloff=0.25, M=4):
     """Construct the raised-cosine pulse-shaping filter of fractional-offset models."""
-    if not 0.0 <= rolloff <= 1.0:
-        raise ConfigError(f"rolloff must lie in [0, 1], got {rolloff}")
-    if int(M) != M or M < 1:
-        raise ConfigError(f"half-support M must be a positive integer, got {M}")
+    if isinstance(rolloff, bool) or not 0.0 <= rolloff <= 1.0:
+        raise ConfigError(f"rolloff must be a number in [0, 1], got {rolloff!r}")
+    if isinstance(M, bool) or int(M) != M or M < 1:
+        raise ConfigError(f"half-support M must be a positive integer, got {M!r}")
     return PulseShape(M=int(M), rolloff=float(rolloff))
 
 

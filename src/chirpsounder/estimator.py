@@ -21,9 +21,9 @@ exact slopes (cached slope makers) and polishes with a bracketed, bisection-
 safeguarded secant on the profile slope, reusing the last solve as the h
 estimate.  Freezing h, as a literal alternation would, contracts too slowly.
 The profile slope is the variable-projection derivative (Golub & Pereyra
-1973) -2 <r, G'(mu) h>: each polish step evaluates the pulse and its
-closed-form derivative once, at one offset, for G and G' together, and makes
-one least-squares solve.
+1973) -2 <r, G'(mu) h>: each polish step takes the pulse and its
+closed-form derivative from ``PulseShape.with_slope`` once, at one offset,
+for G and G' together, and makes one least-squares solve.
 """
 
 import math
@@ -41,7 +41,6 @@ from .waveform import _window, cyclic_correlation
 
 _COND_LIMIT = 1e12  # on kappa(G); kappa(G^H G) is its square
 _SCAN_POINTS = 65
-_SERIES_BELOW = 5e-3  # below it, the pulse slope's cancelling quotients take their series
 _POLISH_TOL = 1e-10  # on the secant update of mu
 _POLISH_STEPS = 60
 
@@ -135,69 +134,22 @@ def build_shaping_matrix(pulse, mu, L):
 def _shaping_layout(M, L):
     """The 2M+2L-2 distinct lags of G and the Toeplitz index that gathers G from them."""
     span = M + L - 1
-    return np.arange(2 * span) - span, np.arange(_window(L, M))[:, None] - np.arange(L) + L - 1
-
-
-@lru_cache(maxsize=32)
-def _support(M, L):
-    """Lags k = -M .. M-1 of the pulse support, for ``_shaping_and_slope``.
-
-    Returns k as floats, k with its 0 set to 1 (a divisor at mu = 0), the
-    signs (-1)^k and (-1)^k / pi, and the index that takes G and dG/dmu from
-    the two rows of the pulse and its slope at the 2M+2L-2 lags of G.
-    """
-    k = np.arange(-M, M)
-    sign = np.where(k % 2, -1.0, 1.0)
-    gather = 2 * (M + L - 1) * np.arange(2)[:, None, None] + _shaping_layout(M, L)[1]
-    return k.astype(float), (k + (k == 0)).astype(float), sign, sign / np.pi, gather
+    lags = np.arange(-span, span, dtype=float)
+    return lags, np.arange(_window(L, M))[:, None] - np.arange(L) + L - 1
 
 
 def _shaping_and_slope(pulse, mu, L):
     """G(mu) and its exact slope dG/dmu at one offset mu in [0, 1/2], each (2M+L-1, L).
 
-    The pulse g(t) = sinc(t) q(t), q(t) = cos(pi b t) / (1 - (2bt)^2), is taken
-    with its derivative at the support lags t = k + mu, k = -M .. M-1, and is 0
-    elsewhere, which at mu = 0 gives the right-sided slope.  As sin pi(k + mu) =
-    (-1)^k sin(pi mu), sinc and its slope (cos(pi t) - sinc(t)) / t cost two
-    scalar trig calls.  q is the pulse's own arithmetic, with its limit where
-    |1 - (2bt)^2| < 1e-10: near that removable singularity the quotient
-    amplifies rounding, and a rewritten q would part from ``build_shaping_matrix``
-    there by up to 1e-12; this G stays within an ulp or two of it.  Where a
-    slope quotient cancels (|t| or |1 - (2bt)^2| below ``_SERIES_BELOW``) the
-    slope takes its Taylor series, so it is within a few 1e-12 of exact.
+    The pulse and its derivative come from ``pulse.with_slope`` at the 2M support
+    lags t = k + mu, k = -M .. M-1, and are 0 elsewhere, which at mu = 0 gives
+    the right-sided slope; one ``take`` gathers G and G' from them.
     """
-    M, b = pulse.M, pulse.rolloff
-    k, k_div, sign, sign_pi, gather = _support(M, L)
-    s, c = math.sin(math.pi * mu), math.cos(math.pi * mu)
-    t = k + mu
-    t_div = t if mu else k_div
-    sinc = s * sign_pi / t_div
-    dsinc = (c * sign - sinc) / t_div
-    if mu < _SERIES_BELOW:  # the centre lag, t = mu
-        sinc[M] = s / (math.pi * mu) if mu else 1.0
-        dsinc[M] = math.pi**2 * mu * ((math.pi * mu) ** 2 / 30 - 1 / 3)
-    bt = 2.0 * b * t
-    d = 1.0 - np.square(bt)
-    near = np.abs(d) < _SERIES_BELOW
-    some_near = near.any()
-    if some_near:
-        singular = np.abs(d) < 1e-10
-        d[singular] = 1.0
-    arg = np.pi * b * t
-    q = np.cos(arg) / d
-    dq = (4.0 * b * bt * q - np.pi * b * np.sin(arg)) / d
-    out = np.zeros((2, 2 * (M + L - 1)))  # the pulse and its slope at the lags of G
-    g, dg = out[:, L - 1 : L - 1 + 2 * M]
-    np.multiply(sinc, q, out=g)
-    np.add(dsinc * q, sinc * dq, out=dg)
-    if some_near:  # q = (pi/2) sinc(v/2) / (2 - v), v = 1 - 2b|t|, as a series in v
-        v = 1.0 - np.abs(bt[near])
-        w = np.square(np.pi * v)
-        qn = (np.pi / 2) * (1.0 - w / 24 + w * w / 1920) / (2.0 - v)
-        dqn = -2.0 * b * np.sign(t[near]) * (np.pi**3 * v * (w / 960 - 1 / 24) + qn) / (2.0 - v)
-        dg[near] = dsinc[near] * qn + sinc[near] * dqn
-        g[singular] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * b))
-    return out.take(gather)
+    lags, gather = _shaping_layout(pulse.M, L)
+    support = slice(L - 1, L - 1 + 2 * pulse.M)  # the lags k = -M .. M-1
+    out = np.zeros((2, lags.size))  # the pulse and its slope at the lags of G
+    out[:, support] = pulse.with_slope(lags[support] + mu)
+    return out.take(gather, axis=1)
 
 
 @lru_cache(maxsize=32)
@@ -286,24 +238,31 @@ def joint_estimate(hF, pulse, L):
     profile objective; h is the least-squares solve of the polish's last
     step.  A polish that exhausts its step budget is flagged on the report
     (``converged`` false), never silent.  An all-zero input returns h = 0
-    with ``mu_hat`` None (undetermined).  The residual is reported relative
-    to ||hF||^2, so it does not depend on the input scale.
+    with ``mu_hat`` None (undetermined); a NaN or infinite input is rejected.
+    The residual is reported relative to ||hF||^2, so it does not depend on
+    the input scale.
     """
-    hF = np.asarray(hF, dtype=complex)
+    if L < 1:
+        raise DimensionMismatchError(f"need L >= 1, got L={L}")
+    hF = np.ascontiguousarray(hF, dtype=complex)
     if hF.shape != (_window(L, pulse.M),):
         raise DimensionMismatchError(
             f"matched filter output needs length 2M+L-1 = {_window(L, pulse.M)}, got {hF.shape}"
         )
-    if not hF.any():
+    parts = hF.view(np.float64)  # real and imaginary parts, interleaved
+    peak = float(np.abs(parts).max())
+    if not math.isfinite(peak):
+        raise ConstraintViolationError("matched filter output must be finite")
+    if peak == 0.0:
         zero = np.zeros(L, dtype=complex)
         return EstimateReport(h_hat=zero, mu_hat=None, iterations=0, residual=0.0, converged=True)
 
     # Power-of-two scaling is exact and keeps the squared residuals in range.
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(hF).max()))[1])
-    Y = (hF / scale).view(np.float64).reshape(-1, 2)  # real and imaginary parts as columns
+    exponent = math.frexp(peak)[1]
+    Y = np.ldexp(parts, -exponent).reshape(-1, 2)  # real and imaginary parts as columns
     mu, steps, converged, h, r = _mu_step(pulse, L, Y)
     return EstimateReport(
-        h_hat=(h[:, 0] + 1j * h[:, 1]) * scale,
+        h_hat=np.ldexp(h, exponent).view(complex)[:, 0],
         mu_hat=mu,
         iterations=steps,
         residual=float(np.vdot(r, r) / np.vdot(Y, Y)),

@@ -70,7 +70,10 @@ def capacity_equivalence_report(scenario, K, rho_db):
 
     The asynchronous response multiplies the synchronous one by
     exp(-j*2*pi*f*zeta) with zeta = d + mu sampling intervals, which for
-    integer-only offsets is the DFT of the taps left in place.  ``rho_db``
+    integer-only offsets is the DFT of the taps left in place.  That is an
+    ideal delay, not the sampled-pulse channel G(mu) h that reception
+    simulates: for mu > 0 the sampled channel also loses gain near the band
+    edge, which this report does not model.  ``rho_db``
     lists the SNRs in dB; -inf dB is rho = 0.  ``equal`` holds when the
     per-bin integrands agree to within 1e-9, which is the case whenever one
     side of the system shares a single local oscillator (the per-bin phase

@@ -45,28 +45,32 @@ def pulse_by_quadrature(t, rolloff, points=1 << 17):
     return 2.0 * np.trapezoid(H * np.cos(2 * np.pi * f * t), f)
 
 
-def masked_pulse(pulse, t):
-    """The pulse by masked gathers: rolloff-0 sinc, the singular points apart.
+def masked_sinc(x):
+    """sin(pi x) / (pi x) on a 1-d array, its Taylor series where |x| < 5e-3."""
+    out = np.empty(x.shape)
+    series = np.abs(x) < 5e-3
+    p = np.pi * x[~series]
+    out[~series] = np.sin(p) / p
+    w = np.square(np.pi * x[series])
+    out[series] = 1.0 + w * (w * (1 / 120 - w / 5040) - 1 / 6)
+    return out
 
-    Kept as the reference for ``PulseShape.__call__``, which evaluates one
-    closed form over the whole input with the same operations in the same
-    order, so the two agree bit for bit.
+
+def masked_pulse(pulse, t):
+    """The pulse by masked gathers: the support first, the series points apart.
+
+    g(t) = sinc(t) q with q = (pi/4) (sinc(bt - 1/2) + sinc(bt + 1/2)), b the
+    rolloff.  Kept as the reference for ``PulseShape.__call__``, which takes the
+    same form with its slope, in the same operations and order, so the two
+    agree bit for bit.
     """
-    rolloff = pulse.rolloff
     t = np.asarray(t, dtype=float)
     out = np.zeros(t.shape)
     inside = np.abs(t) <= pulse.M
     x = t[inside]
-    if rolloff == 0.0:
-        val = np.sinc(x)
-    else:
-        denom = 1.0 - (2.0 * rolloff * x) ** 2
-        singular = np.abs(denom) < 1e-10
-        val = np.empty_like(x)
-        safe = ~singular
-        val[safe] = np.sinc(x[safe]) * np.cos(np.pi * rolloff * x[safe]) / denom[safe]
-        val[singular] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
-    out[inside] = val
+    bx = x * pulse.rolloff
+    q = (masked_sinc(bx - 0.5) + masked_sinc(bx + 0.5)) * (np.pi / 4)
+    out[inside] = masked_sinc(x) * q
     return float(out) if out.ndim == 0 else out
 
 
@@ -138,11 +142,35 @@ class TestRaisedCosine:
                 value = pulse(arg)
                 assert type(value) is float and value == masked_pulse(pulse, x)
 
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-9])
+    def test_accurate_next_to_the_removable_singularity(self, delta):
+        # cos(pi b t) / (1 - (2bt)^2) cancels there; the reference is the
+        # cancellation-free form (pi/2) sinc(v/2) / (2 - v) in extended precision
+        rolloff = 0.3
+        t0 = 1.0 / (2 * rolloff)
+        t = np.array([t0 + delta, t0 - delta, -t0 + delta, -t0 - delta])
+        pi = 4 * np.arctan(np.longdouble(1))
+        x = t.astype(np.longdouble)
+        v = 1 - 2 * np.longdouble(rolloff) * np.abs(x)
+
+        def sinc(y):
+            return np.sin(pi * y) / (pi * y)
+
+        reference = sinc(x) * (pi / 2) * sinc(v / 2) / (2 - v)
+        error = np.abs(build_pulse(rolloff, M=4)(t) - reference)
+        assert float(error.max()) <= 1e-15
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigError):
             build_pulse(rolloff=1.5, M=4)
         with pytest.raises(ConfigError):
             build_pulse(rolloff=0.25, M=0)
+
+    @pytest.mark.parametrize("rolloff,M", [(True, 4), (False, 4), (0.25, True), (True, True)])
+    def test_bools_rejected(self, rolloff, M):
+        # True is not the rolloff 1.0 or the half-support 1
+        with pytest.raises(ConfigError):
+            build_pulse(rolloff, M)
 
 
 def link_scenario(taps, d, mu=0.0):

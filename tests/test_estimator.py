@@ -62,21 +62,8 @@ def direct_shaping_matrix(pulse, mu, L):
     return pulse(lags + np.asarray(mu, dtype=float)[..., None, None])
 
 
-def stable_shaping_matrix(pulse, mu, L):
-    """G(mu) from the raised cosine written without its removable singularity.
-
-    cos(pi b t) / (1 - (2 b t)^2) = (pi/2) sinc(v/2) / (2 - v) with v = 1 - 2b|t|, so
-    the quotient that the pulse forms near 2b|t| = 1 from two nearly cancelling terms
-    is a sinc here, and differences of this G keep their accuracy there.
-    """
-    t = np.arange(2 * pulse.M + L - 1)[:, None] - pulse.M - np.arange(L) + mu
-    v = 1.0 - 2.0 * pulse.rolloff * np.abs(t)
-    g = np.sinc(t) * (np.pi / 2) * np.sinc(v / 2) / (2.0 - v)
-    return np.where(np.abs(t) <= pulse.M, g, 0.0)
-
-
 def slope_by_differences(pulse, mu, L):
-    """dG/dmu by differences of ``stable_shaping_matrix`` at steps of 1e-6, to second order.
+    """dG/dmu by differences of ``build_shaping_matrix`` at steps of 1e-6, to second order.
 
     One-sided at 0 and 1/2, where the offset range ends (right-sided at 0, as the
     support cuts the lag M off for mu > 0), central elsewhere.
@@ -84,7 +71,7 @@ def slope_by_differences(pulse, mu, L):
     delta = 1e-6
 
     def G(m):
-        return stable_shaping_matrix(pulse, m, L)
+        return build_shaping_matrix(pulse, m, L)
 
     if mu - delta < 0.0:
         return (-3 * G(mu) + 4 * G(mu + delta) - G(mu + 2 * delta)) / (2 * delta)
@@ -437,8 +424,8 @@ class TestShapingMatrix:
     @pytest.mark.parametrize("M", [1, 4])
     @pytest.mark.parametrize("L", [1, 15])
     def test_shaping_and_slope_matches_build_and_differences(self, rolloff, M, L):
-        # the polish's G(mu) and closed-form dG/dmu: G against the pulse's own
-        # arithmetic, dG/dmu against a difference of a cancellation-free pulse
+        # the polish's G(mu) and closed-form dG/dmu: G against reception's
+        # builder, dG/dmu against a difference of it
         from chirpsounder.estimator import _shaping_and_slope
 
         pulse = build_pulse(rolloff=rolloff, M=M)
@@ -451,7 +438,11 @@ class TestShapingMatrix:
         for mu in [0.0, 5e-324, 0.5, *singular, *rng.uniform(0.0, 0.5, 20).tolist()]:
             G, Gp = _shaping_and_slope(pulse, mu, L)
             assert G.shape == Gp.shape == (2 * M + L - 1, L)
-            assert np.max(np.abs(G - build_shaping_matrix(pulse, mu, L))) <= 1e-15
+            expected = build_shaping_matrix(pulse, mu, L)
+            if M + mu > M:  # the same pulse samples, bit for bit
+                assert G.tobytes() == expected.tobytes()
+            else:  # the support cuts the lag M + mu = M, where the pulse is ~1e-17
+                assert np.max(np.abs(G - expected)) <= 1e-15
             assert np.max(np.abs(Gp - slope_by_differences(pulse, mu, L))) <= 1e-8
 
     def test_one_pulse_sample_per_distinct_lag(self, monkeypatch):
@@ -540,6 +531,41 @@ class TestJointEstimate:
         rep = joint_estimate(hF * 1e-170, pulse, 15)
         assert rep.mu_hat is not None and rep.h_hat.any()
         assert abs(rep.mu_hat - ref.mu_hat) < 1e-9
+
+    @pytest.mark.parametrize("exponent", [-900, 0, 1023])
+    def test_scale_invariant_up_to_the_largest_binade(self, exponent):
+        # power-of-two scaling is exact, so the estimate scales with hF bit for bit,
+        # also with its largest part in [2^1023, 2^1024), where 2^1024 overflows
+        pulse = build_pulse(rolloff=0.25, M=4)
+        rng = np.random.default_rng(23)
+        hF = build_shaping_matrix(pulse, 0.3, 15) @ random_taps(rng, 15)
+        hF = hF + 0.01 * (rng.standard_normal(22) + 1j * rng.standard_normal(22))
+        shift = exponent + 1 - np.frexp(np.abs(hF.view(float)).max())[1]
+        scaled = np.ldexp(hF.view(float), shift).view(complex)
+        assert np.frexp(np.abs(scaled.view(float)).max())[1] == exponent + 1  # in the binade
+        ref, rep = joint_estimate(hF, pulse, 15), joint_estimate(scaled, pulse, 15)
+        expected = np.ldexp(ref.h_hat.view(float), shift).view(complex)
+        assert np.isfinite(expected).all()
+        assert rep.h_hat.tobytes() == expected.tobytes()
+        assert (rep.mu_hat, rep.iterations, rep.residual, rep.converged) == (
+            ref.mu_hat, ref.iterations, ref.residual, ref.converged
+        )
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(0.0, -np.inf)]
+    )
+    def test_non_finite_input_rejected(self, bad):
+        pulse = build_pulse(rolloff=0.25, M=4)
+        hF = build_shaping_matrix(pulse, 0.3, 15) @ random_taps(np.random.default_rng(24), 15)
+        hF[5] = bad
+        with pytest.raises(ConstraintViolationError):  # a ValueError, as every input fault
+            joint_estimate(hF, pulse, 15)
+
+    @pytest.mark.parametrize("L", [0, -1])
+    def test_channel_length_below_one_rejected(self, L):
+        pulse = build_pulse(rolloff=0.25, M=4)
+        with pytest.raises(DimensionMismatchError):
+            joint_estimate(np.ones(2 * pulse.M + L - 1, dtype=complex), pulse, L)
 
     def test_one_lstsq_per_polish_step(self, monkeypatch):
         calls = []

@@ -4,24 +4,26 @@ Identical config and seed must give byte-identical ``mse.csv``,
 ``antenna_mse.csv``, ``capacity.csv`` and ``result.json``; the trace,
 waveform and correlation tables and ``config_echo.json`` are pinned too.
 These sha256 digests were taken with numpy 2.4.6 on x86-64; a change that
-alters the bytes fails here and has to say why in CHANGES.md.  The
-``paper-sec5-fractional`` digests depend on the estimator's polish
-iteration, which stops within 1e-10 of the minimizer, so a different
-iteration moves the last printed digits; its parabolic start and the reuse
-of its last step's solve moved them once, its real arithmetic, 65-point
-scan and Hermite start once more, and its closed-form slope of G(mu) once
-more: that slope has no difference step, so mu_hat moves within the polish
-tolerance (the ``sound`` trace stops at reception and held).  Every digest
-downstream of reception (the ``mse`` files, ``result.json`` and the ``sound``
-traces) also depends on the order in which reception sums its terms: it is
-one sounding-matrix product per waveform, so a different summation order
-moves the last bits of the received stream and, through the estimator, the
-last printed digits.  The ``generate``, ``correlate`` and ``capacity`` digests
-and ``config_echo.json`` do not pass through reception.  The ``mse`` digests
-also depend on the matched filter's memory layout: it applies the stored S^H,
-a contiguous D x N array, which moved the ``paper-sec5-fractional`` CSVs and
-the ``paper-sec5`` record once, and made these bytes the same at every BLAS
-thread count tested (1 and 2).
+alters the bytes fails here and has to say why in CHANGES.md.  What each
+digest depends on:
+
+* pulse arithmetic: the ``paper-sec5-fractional`` digests (the ``mse`` CSVs
+  and the ``sound`` trace) pass through the raised cosine that reception
+  samples and the estimator inverts, so a different evaluation of it moves
+  their last printed digits;
+* polish tolerance: the ``paper-sec5-fractional`` ``mse`` CSVs also hold
+  estimates that the polish stops within 1e-10 of the minimizer, so a
+  different iteration moves their last printed digits;
+* reception summation order: every digest downstream of reception (the
+  ``mse`` files, ``result.json`` and the ``sound`` traces) depends on the
+  order in which reception sums its terms, one sounding-matrix product per
+  waveform;
+* matched-filter layout: the ``mse`` digests depend on the stored S^H, a
+  contiguous D x N array, which makes these bytes the same at every BLAS
+  thread count tested (1 and 2).
+
+The ``generate``, ``correlate`` and ``capacity`` digests and
+``config_echo.json`` do not pass through reception.
 """
 
 import hashlib
@@ -41,8 +43,8 @@ GOLDEN = {
         "antenna_mse.csv": "d0c3f18193af0eb1373dcab001e07c5ce9869fdada3a8b0a50c486dfe4871527",
     },
     ("mse", "paper-sec5-fractional", 3): {
-        "mse.csv": "01855bd73193cc39bac7bd78cffb0780e21c89ac9cf64f3a30ed0cad3864ac31",
-        "antenna_mse.csv": "fedcb37cde66b6df61c73c758ed8f8ff34a6d334b463c4506f7bbd6904806715",
+        "mse.csv": "fad9970fd067786667fc8f7f645bac6d49b267c1521fbc93c9b6c81fadc1218c",
+        "antenna_mse.csv": "1030819931c5939bd98aaec2e2cba5b5d290664bc3032d1ce9bf7b5fa1df36e6",
     },
     ("capacity", "capacity-tx-shared", None): {
         "capacity.csv": "625be9a0ffea6157ddf94c71b308d1485a40fa392665c1fb6717eb0d4636173d",
