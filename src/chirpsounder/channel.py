@@ -22,9 +22,9 @@ pulse g shifted by its own mu:
 
     r[n] = sum_i sum_l sum_y s_i[(n - y) mod N] g((y + mu_im - l)T) h_im[l] + z[n],
 
-where y spans exactly the 2M+L-1 lags -M .. M+L-2 and g, the ``PulseShape``
-that also gives the estimator g and g', vanishes outside [-MT, MT]:
-r_m = sum_i S_i G(mu_im) h_im + z, the estimator's own model.  The
+where y spans exactly the 2M+L-1 lags -M .. M+L-2 and g, the ``PulseShape``,
+is taken at the 2M support lags y - l = -M .. M-1 and is 0 at every other lag:
+r_m = sum_i S_i G(mu_im) h_im + z, the estimator's own model and G(mu).  The
 ``receive_*`` functions take the S_i that the matched filter applies and
 return the noiseless sum; ``awgn`` alone adds z.
 
@@ -32,6 +32,8 @@ The sampling interval T is normalized to 1 throughout; only ratios t/T enter
 any formula.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -101,11 +103,16 @@ class PulseShape:
         return out
 
 
+def _is_real(value):
+    """A real number, numpy's included, that is not a bool (numpy's bools are not numbers.Real)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def build_pulse(rolloff=0.25, M=4):
     """Construct the raised-cosine pulse-shaping filter of fractional-offset models."""
-    if isinstance(rolloff, bool) or not 0.0 <= rolloff <= 1.0:
+    if not _is_real(rolloff) or not 0.0 <= rolloff <= 1.0:
         raise ConfigError(f"rolloff must be a number in [0, 1], got {rolloff!r}")
-    if isinstance(M, bool) or int(M) != M or M < 1:
+    if not _is_real(M) or not 1 <= M < math.inf or int(M) != M:
         raise ConfigError(f"half-support M must be a positive integer, got {M!r}")
     return PulseShape(M=int(M), rolloff=float(rolloff))
 
@@ -235,8 +242,12 @@ def awgn(r0, sigma2, rng):
 
     Row m of ``r0`` receives noise scaled by sqrt(sigma2[m]); draws are
     consumed in antenna order (real parts, then imaginary parts) even where
-    sigma2 is zero, so substreams stay aligned across configurations.
+    sigma2 is zero, so substreams stay aligned across configurations.  A negative
+    or NaN variance is rejected with ``ValueError``.
     """
+    sigma2 = np.asarray(sigma2, dtype=float)
+    if not sigma2.min() >= 0.0:  # NaN propagates through min
+        raise ValueError(f"noise variances must be >= 0, got {sigma2.tolist()}")
     draws = rng.standard_normal((r0.shape[0], 2, r0.shape[1]))
     return r0 + np.sqrt(sigma2)[:, None] * (draws[:, 0] + 1j * draws[:, 1])
 

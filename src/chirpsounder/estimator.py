@@ -119,47 +119,47 @@ def build_shaping_matrix(pulse, mu, L):
     """Toeplitz pulse matrices G(mu)[r, c] = g((r - M - c + mu)T), M = pulse.M.
 
     One per offset of a scalar or array ``mu`` in [0, 1/2]: shape mu.shape + (2M+L-1, L),
-    gathered at k = r - c + L - 1 from the pulse at the 2M+2L-2 lags k - (M+L-1) + mu.
+    the G of ``_shaping_and_slope``, which the estimator takes too.
     """
     mu = np.asarray(mu, dtype=float)
     if not np.all((mu >= 0.0) & (mu <= 0.5)):
         raise ConstraintViolationError(f"mu must lie in [0, 0.5], got {mu}")
     if L < 1:
         raise DimensionMismatchError(f"need L >= 1, got L={L}")
-    lags, gather = _shaping_layout(pulse.M, L)
-    return pulse(lags + mu[..., None])[..., gather]
+    return _shaping_and_slope(pulse, mu, L)[0]
 
 
 @lru_cache(maxsize=32)
 def _shaping_layout(M, L):
-    """The 2M+2L-2 distinct lags of G and the Toeplitz index that gathers G from them."""
-    span = M + L - 1
-    lags = np.arange(-span, span, dtype=float)
-    return lags, np.arange(_window(L, M))[:, None] - np.arange(L) + L - 1
+    """The 2M support lags -M .. M-1 of the pulse and the Toeplitz index of G into their samples.
+
+    Entry (r, c), at lag k = r - M - c, reads sample k + M, or off the support the appended 0.
+    """
+    k = np.arange(_window(L, M))[:, None] - M - np.arange(L)
+    return np.arange(-M, M, dtype=float), np.where((k >= -M) & (k < M), k + M, 2 * M)
 
 
 def _shaping_and_slope(pulse, mu, L):
-    """G(mu) and its exact slope dG/dmu at one offset mu in [0, 1/2], each (2M+L-1, L).
+    """G(mu) and its exact slope dG/dmu, shape (2,) + mu.shape + (2M+L-1, L), mu in [0, 1/2].
 
-    The pulse and its derivative come from ``pulse.with_slope`` at the 2M support
-    lags t = k + mu, k = -M .. M-1, and are 0 elsewhere, which at mu = 0 gives
-    the right-sided slope; one ``take`` gathers G and G' from them.
+    The one sampler of the pulse for G: ``pulse.with_slope`` once at the support lags k + mu,
+    0 elsewhere (at mu = 0, the right-sided slope and g(M) = 0), then one ``take``.
     """
     lags, gather = _shaping_layout(pulse.M, L)
-    support = slice(L - 1, L - 1 + 2 * pulse.M)  # the lags k = -M .. M-1
-    out = np.zeros((2, lags.size))  # the pulse and its slope at the lags of G
-    out[:, support] = pulse.with_slope(lags[support] + mu)
-    return out.take(gather, axis=1)
+    mu = np.asarray(mu, dtype=float)
+    samples = np.zeros((2,) + mu.shape + (lags.size + 1,))  # index 2M stays 0
+    samples[..., :-1] = pulse.with_slope(np.add.outer(mu, lags).ravel()).reshape(2, *mu.shape, -1)
+    return samples.take(gather, axis=-1)
 
 
 @lru_cache(maxsize=32)
 def _scan_grid(pulse, L):
     """Scan offsets; residual makers I - G pinv(G) and slope makers G' pinv(G), flat (65 D, D)."""
-    mus = np.linspace(0.0, 0.5, _SCAN_POINTS).tolist()
-    G, Gp = np.stack([_shaping_and_slope(pulse, mu, L) for mu in mus], axis=1)
+    mus = np.linspace(0.0, 0.5, _SCAN_POINTS)
+    G, Gp = _shaping_and_slope(pulse, mus, L)
     pinv = np.linalg.pinv(G)
     makers = np.eye(G.shape[1]) - G @ pinv
-    return mus, makers.reshape(-1, G.shape[1]), (Gp @ pinv).reshape(-1, G.shape[1])
+    return mus.tolist(), makers.reshape(-1, G.shape[1]), (Gp @ pinv).reshape(-1, G.shape[1])
 
 
 def _solve_h(G, hF):

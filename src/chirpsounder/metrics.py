@@ -38,7 +38,7 @@ def crb(L, sigma2):
     """Estimator variance bound 2*L*sigma^2 for an L-tap complex channel."""
     if L < 1:
         raise ValueError(f"channel length must be >= 1, got {L}")
-    if sigma2 < 0:
+    if not sigma2 >= 0:  # false for NaN too
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     return 2.0 * L * float(sigma2)
 
@@ -46,10 +46,13 @@ def crb(L, sigma2):
 def frequency_response(taps, d, K):
     """Synchronous responses on K bins: the DFT of each link's delay-stripped taps[d:].
 
-    ``taps`` (..., L) and offsets ``d`` (...) stack links: one FFT gives (..., K).
+    ``taps`` (..., L) and integer offsets ``d`` (...) in [0, L] stack links: one FFT
+    gives (..., K).
     """
     taps, d = np.asarray(taps, dtype=complex), np.asarray(d)
     L = taps.shape[-1]
+    if d.dtype.kind not in "iu" or not np.all((d >= 0) & (d <= L)):
+        raise DimensionMismatchError(f"offsets must be integers in [0, {L}], got {d.tolist()}")
     if K < L:
         raise DimensionMismatchError(f"grid with {K} bins cannot resolve {L} taps")
     padded = np.concatenate([taps, np.zeros_like(taps)], axis=-1)  # lags past L read zeros

@@ -161,14 +161,18 @@ class TestRaisedCosine:
         assert float(error.max()) <= 1e-15
 
     def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigError):
-            build_pulse(rolloff=1.5, M=4)
-        with pytest.raises(ConfigError):
-            build_pulse(rolloff=0.25, M=0)
+        # non-finite and non-numeric values too, not a bare OverflowError or TypeError
+        for rolloff, M in [(1.5, 4), (0.25, 0), (0.25, np.inf), (0.25, np.nan), (np.nan, 4),
+                           ("0.3", 4), (0.25, "4")]:
+            with pytest.raises(ConfigError):
+                build_pulse(rolloff=rolloff, M=M)
 
-    @pytest.mark.parametrize("rolloff,M", [(True, 4), (False, 4), (0.25, True), (True, True)])
+    @pytest.mark.parametrize(
+        "rolloff,M",
+        [(True, 4), (False, 4), (0.25, True), (True, True), (np.True_, 4), (0.25, np.True_)],
+    )
     def test_bools_rejected(self, rolloff, M):
-        # True is not the rolloff 1.0 or the half-support 1
+        # True, numpy's too, is not the rolloff 1.0 or the half-support 1
         with pytest.raises(ConfigError):
             build_pulse(rolloff, M)
 
@@ -354,6 +358,12 @@ class TestReceiveInteger:
         z = awgn(r0, np.array([sigma2]), derive_rng(99, 1, 0))
         measured = np.mean(np.abs(z) ** 2)
         assert measured == pytest.approx(2 * sigma2, rel=0.02)
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan])
+    def test_noise_variance_below_zero_or_nan_rejected(self, bad):
+        # a ValueError, not NaN samples behind a RuntimeWarning (warnings are errors here)
+        with pytest.raises(ValueError):
+            awgn(np.zeros((2, 8), dtype=complex), np.array([0.3, bad]), derive_rng(1, 1, 0))
 
     def test_noise_matches_per_antenna_draws(self):
         # reference: one (2, N) draw per antenna, in antenna order

@@ -55,8 +55,9 @@ def direct_shaping_matrix(pulse, mu, L):
     """G(mu)[r, c] = g((r - M - c + mu)T), the pulse taken at all (2M+L-1) x L entries.
 
     Kept as the reference for ``build_shaping_matrix``, which takes the pulse
-    once per distinct lag of the Toeplitz G and gathers, with the same sums
-    lag + mu, so the two agree bit for bit.
+    once per support lag of the Toeplitz G and gathers, with the same sums
+    lag + mu, so the two agree bit for bit but where lag + mu = M: there
+    ``__call__`` holds sinc's rounding and the builder's support an exact 0.
     """
     lags = np.arange(2 * pulse.M + L - 1)[:, None] - pulse.M - np.arange(L)
     return pulse(lags + np.asarray(mu, dtype=float)[..., None, None])
@@ -415,17 +416,22 @@ class TestShapingMatrix:
         pulse = build_pulse(rolloff=rolloff, M=M)
         grid = np.linspace(0.0, 0.5, 101)  # holds 0 and 1/2 exactly
         mus = np.concatenate([grid, np.random.default_rng(12).uniform(0.0, 0.5, 199)])
+        lags = np.arange(2 * M + L - 1)[:, None] - M - np.arange(L)
         for mu in (mus, mus.reshape(20, 15), 0.0, 0.5, float(mus[-1]), np.array(0.25)):
             G, expected = build_shaping_matrix(pulse, mu, L), direct_shaping_matrix(pulse, mu, L)
             assert G.shape == expected.shape == np.shape(mu) + (2 * M + L - 1, L)
-            assert G.tobytes() == expected.tobytes()
+            # at mu = 0 the lag +M (in G when L > 1) is off the support: exactly
+            # g(M) = 0, where the direct evaluation holds sinc's rounding, ~1e-17
+            edge = np.asarray(mu)[..., None, None] + lags == M
+            assert edge.any() == (0.0 in np.ravel(mu) and L > 1) and not G[edge].any()
+            assert G[~edge].tobytes() == expected[~edge].tobytes()
 
     @pytest.mark.parametrize("rolloff", [0.0, 0.25, 0.3, 1.0])
     @pytest.mark.parametrize("M", [1, 4])
     @pytest.mark.parametrize("L", [1, 15])
     def test_shaping_and_slope_matches_build_and_differences(self, rolloff, M, L):
-        # the polish's G(mu) and closed-form dG/dmu: G against reception's
-        # builder, dG/dmu against a difference of it
+        # the polish's G(mu) and closed-form dG/dmu: G is reception's, dG/dmu
+        # matches a difference of it
         from chirpsounder.estimator import _shaping_and_slope
 
         pulse = build_pulse(rolloff=rolloff, M=M)
@@ -438,37 +444,54 @@ class TestShapingMatrix:
         for mu in [0.0, 5e-324, 0.5, *singular, *rng.uniform(0.0, 0.5, 20).tolist()]:
             G, Gp = _shaping_and_slope(pulse, mu, L)
             assert G.shape == Gp.shape == (2 * M + L - 1, L)
-            expected = build_shaping_matrix(pulse, mu, L)
-            if M + mu > M:  # the same pulse samples, bit for bit
-                assert G.tobytes() == expected.tobytes()
-            else:  # the support cuts the lag M + mu = M, where the pulse is ~1e-17
-                assert np.max(np.abs(G - expected)) <= 1e-15
+            assert G.tobytes() == build_shaping_matrix(pulse, mu, L).tobytes()
             assert np.max(np.abs(Gp - slope_by_differences(pulse, mu, L))) <= 1e-8
 
+    @pytest.mark.parametrize("rolloff,M,L", [(0.25, 4, 15), (0.0, 1, 1), (1.0, 2, 3)])
+    def test_shaping_and_slope_takes_any_shape_of_offsets(self, rolloff, M, L):
+        # one call over an array of offsets is the stack of its scalar calls, bit for bit
+        from chirpsounder.estimator import _shaping_and_slope
+
+        pulse = build_pulse(rolloff=rolloff, M=M)
+        grid = np.linspace(0.0, 0.5, 65)  # the scan's offsets, 0 and 1/2 among them
+        rng = np.random.default_rng(7)
+        for mu in (np.array(0.3), grid, np.r_[0.0, 0.5, rng.uniform(0.0, 0.5, 7)].reshape(3, 3)):
+            out = _shaping_and_slope(pulse, mu, L)
+            assert out.shape == (2,) + mu.shape + (2 * M + L - 1, L)
+            scalar = [_shaping_and_slope(pulse, m, L) for m in mu.ravel().tolist()]
+            stacked = np.stack(scalar, axis=1).reshape(out.shape)
+            assert out.tobytes() == stacked.tobytes()
+
     def test_one_pulse_sample_per_distinct_lag(self, monkeypatch):
-        # G is Toeplitz: 2M+2L-2 = 36 distinct lags on paper-sec5-fractional, not
-        # its (2M+L-1)*L = 330 entries; reception builds its G the same way
+        # G and G' take the pulse at its 2M = 8 support lags per offset on
+        # paper-sec5-fractional, in one with_slope call however many offsets,
+        # not at G's (2M+L-1)*L = 330 entries; reception and the scan alike
+        from chirpsounder.estimator import _scan_grid
+
         points = []
-        original = PulseShape.__call__
+        original = PulseShape.with_slope
 
         def counting(pulse, t):
             points.append(np.size(t))
             return original(pulse, t)
 
-        monkeypatch.setattr(PulseShape, "__call__", counting)
+        monkeypatch.setattr(PulseShape, "with_slope", counting)
         cfg = preset("paper-sec5-fractional")
         pulse = build_pulse(cfg.pulse_rolloff, cfg.pulse_half_support)
         L = cfg.total_length
-        assert 2 * (pulse.M + L - 1) == 36
+        assert 2 * pulse.M == 8
         for mu in (0.3, (0.0, 0.2, 0.5), np.linspace(0.0, 0.5, 33).reshape(3, 11)):
             points.clear()
             build_shaping_matrix(pulse, mu, L)
-            assert points == [np.size(mu) * 36]
+            assert points == [np.size(mu) * 8]
         sc = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
         waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
         points.clear()
         receive_fractional(sc, sounding(waveforms, L, pulse.M), pulse)
-        assert points == [sc.nt * sc.nr * 36]
+        assert points == [sc.nt * sc.nr * 8] == [9 * 8]
+        points.clear()
+        _scan_grid.__wrapped__(pulse, L)  # past its cache
+        assert points == [65 * 8]
 
 
 class TestJointEstimate:

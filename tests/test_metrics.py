@@ -47,6 +47,8 @@ class TestCrb:
             crb(0, 0.1)
         with pytest.raises(ValueError):
             crb(3, -1.0)
+        with pytest.raises(ValueError):
+            crb(15, np.nan)
 
 
 class TestFrequencyResponse:
@@ -78,6 +80,13 @@ class TestFrequencyResponse:
             frequency_response(np.ones(10, dtype=complex), 0, 8)
         with pytest.raises(DimensionMismatchError):
             frequency_response(np.ones((2, 3, 10), dtype=complex), np.zeros((2, 3), int), 8)
+
+    @pytest.mark.parametrize("d", [-1, 11, 2.0, 0.5, [[0, 1], [3, -1]], [[0, 1], [3, 11]]])
+    def test_offset_outside_taps_or_not_integer_rejected(self, d):
+        # d = -1 would read the DFT of [0, h0, h1, ...]; d > L and floats are no tap index
+        taps = np.ones(np.shape(d) + (10,), dtype=complex)
+        with pytest.raises(DimensionMismatchError):
+            frequency_response(taps, d, 16)
 
     def test_stacked_links_match_per_link_loop(self):
         # nt != nr, every offset from 0 to L, and a link with d = L (no active taps);
