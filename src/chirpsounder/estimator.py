@@ -23,7 +23,12 @@ estimate.  Freezing h, as a literal alternation would, contracts too slowly.
 The profile slope is the variable-projection derivative (Golub & Pereyra
 1973) -2 <r, G'(mu) h>: each polish step takes the pulse and its
 closed-form derivative from ``PulseShape.with_slope`` once, at one offset,
-for G and G' together, and makes one least-squares solve.
+for G and G' together, and makes one h solve.  That solve is the L x L
+normal equations G^T G h = G^T Y when Weyl's inequality, applied to the
+nearest scan matrix's cached extreme singular values, certifies kappa(G) <=
+``_GRAM_LIMIT`` (their error, about kappa^2 eps, then stays below 1e-10;
+Golub & Van Loan, *Matrix Computations*, sec. 5.3), else an SVD least-squares
+solve, the only path that rejects an ill-conditioned G.
 """
 
 import math
@@ -43,6 +48,7 @@ _COND_LIMIT = 1e12  # on kappa(G); kappa(G^H G) is its square
 _SCAN_POINTS = 65
 _POLISH_TOL = 1e-10  # on the secant update of mu
 _POLISH_STEPS = 60
+_GRAM_LIMIT = 1e3  # on the certified kappa(G): the normal equations lose about kappa^2 eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,16 +160,33 @@ def _shaping_and_slope(pulse, mu, L):
 
 @lru_cache(maxsize=32)
 def _scan_grid(pulse, L):
-    """Scan offsets; residual makers I - G pinv(G) and slope makers G' pinv(G), flat (65 D, D)."""
+    """Scan offsets; residual makers I - G pinv(G) and slope makers G' pinv(G), flat (65 D, D);
+    the 65 G, and each one's largest and smallest singular value for the polish's certificate."""
     mus = np.linspace(0.0, 0.5, _SCAN_POINTS)
     G, Gp = _shaping_and_slope(pulse, mus, L)
     pinv = np.linalg.pinv(G)
-    makers = np.eye(G.shape[1]) - G @ pinv
-    return mus.tolist(), makers.reshape(-1, G.shape[1]), (Gp @ pinv).reshape(-1, G.shape[1])
+    D = G.shape[1]
+    makers = np.eye(D) - G @ pinv
+    extremes = np.linalg.svd(G, compute_uv=False)[:, [0, -1]].tolist()
+    return mus.tolist(), makers.reshape(-1, D), (Gp @ pinv).reshape(-1, D), G, extremes
+
+
+def _kappa_bound(G, near, big, small):
+    """Upper bound on kappa(G) from a matrix ``near`` whose singular values lie in [small, big].
+
+    Weyl's inequality: no singular value moves by more than ||G - near||_2 <= ||G - near||_F.
+    """
+    d = (G - near).ravel()
+    e = math.sqrt(d @ d)
+    return (big + e) / (small - e) if small > e else math.inf
 
 
 def _solve_h(G, hF):
-    """Least-squares h of hF = G h for the G given, via SVD; rejects an ill-conditioned G."""
+    """Least-squares h of hF = G h for the G given, via SVD; rejects an ill-conditioned G.
+
+    The polish's fallback where the normal equations are not certified, and so the one
+    place that raises ``IllConditionedError`` (kappa(G) above ``_COND_LIMIT``, or rank-deficient).
+    """
     h, _, rank, sv = np.linalg.lstsq(G, hF, rcond=None)
     if rank < G.shape[1] or sv[0] > _COND_LIMIT * sv[-1]:
         cond = np.inf if rank < G.shape[1] or sv[-1] == 0 else (sv[0] / sv[-1]) ** 2
@@ -176,10 +199,18 @@ def _profile_derivative(pulse, mu, L, Y):
 
     Because the residual is orthogonal to range(G), only the explicit G(mu)
     dependence contributes: phi'(mu) = -2 <Y - G h, G' h>, Y = [Re hF, Im hF],
-    with G and G' from one evaluation of the pulse and its exact slope.
+    with G and G' from one evaluation of the pulse and its exact slope.  h solves the
+    normal equations when the scan matrix G_j nearest mu certifies them: Weyl's inequality
+    puts the singular values of G within e = ||G - G_j||_F of G_j's cached [s_j, S_j], so
+    kappa(G) <= (S_j + e) / (s_j - e) <= ``_GRAM_LIMIT``; else ``_solve_h``'s SVD.
     """
     G, Gp = _shaping_and_slope(pulse, mu, L)
-    h = _solve_h(G, Y)
+    mus, _, _, grid, extremes = _scan_grid(pulse, L)
+    j = round(mu / mus[1])
+    if _kappa_bound(G, grid[j], *extremes[j]) <= _GRAM_LIMIT:
+        h = np.linalg.solve(G.T @ G, G.T @ Y)
+    else:
+        h = _solve_h(G, Y)
     r = Y - G @ h
     return -2.0 * float(np.vdot(r, Gp @ h)), h, r
 
@@ -198,7 +229,7 @@ def _mu_step(pulse, L, Y):
     residual at mu; ``converged`` is false only when ``_POLISH_STEPS`` steps did not
     bring the update below ``_POLISH_TOL``.
     """
-    mus, makers, slopers = _scan_grid(pulse, L)
+    mus, makers, slopers, _, _ = _scan_grid(pulse, L)
     n, D = len(mus), Y.shape[0]
     resid = (makers @ Y).reshape(n, 2 * D)
     phi = np.einsum("ij,ij->i", resid, resid)

@@ -17,6 +17,7 @@ Every CSV table, the CLI's included, is written by ``write_table`` with
 fixed 12-significant-digit decimal formatting; wall-clock time and
 timestamps live only in the ``run_meta.json`` sidecar so repeated runs with
 the same config and seed produce byte-identical CSV and record payloads.
+The sidecar also records the numpy version and the BLAS thread settings.
 """
 
 import hashlib
@@ -265,7 +266,8 @@ def emit_results(result, outdir, fmt="csv"):
     """Write a run's outputs under ``outdir``; returns the created paths.
 
     CSV and record payloads contain only deterministic data; the run id
-    sidecar holds the timestamp and wall-clock.  The ``record`` format
+    sidecar holds the timestamp, wall-clock, numpy version and the BLAS
+    thread variables (null when unset).  The ``record`` format
     writes ``RunResult.to_dict()`` as JSON.
     """
     if fmt not in ("csv", "record"):
@@ -281,6 +283,10 @@ def emit_results(result, outdir, fmt="csv"):
         "kind": result.kind,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "wall_clock_s": result.wall_clock_s,
+        "numpy": np.__version__,
+        "blas_threads": {
+            k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        },
     }
     paths.append(
         _write(os.path.join(outdir, "run_meta.json"), json.dumps(meta, indent=2) + "\n")

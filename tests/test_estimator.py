@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chirpsounder import (
     ConstraintViolationError,
@@ -142,6 +142,19 @@ def reference_estimate(hF, pulse, L):
 
 def random_taps(rng, L):
     return (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2)
+
+
+def record_solves(monkeypatch):
+    """Record ``(name, a.dtype, b.dtype)`` of every ``np.linalg.solve`` and ``lstsq`` call."""
+    calls = []
+    for name in ("solve", "lstsq"):
+
+        def recording(a, b, *args, _name=name, _run=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.asarray(a).dtype, np.asarray(b).dtype))
+            return _run(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls
 
 
 class TestSoundingMatrix:
@@ -590,39 +603,93 @@ class TestJointEstimate:
         with pytest.raises(DimensionMismatchError):
             joint_estimate(np.ones(2 * pulse.M + L - 1, dtype=complex), pulse, L)
 
-    def test_one_lstsq_per_polish_step(self, monkeypatch):
-        calls = []
-        lstsq = np.linalg.lstsq
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return lstsq(*args, **kwargs)
-
+    def test_one_solve_per_polish_step(self, monkeypatch):
+        calls = record_solves(monkeypatch)
         pulse = build_pulse(rolloff=0.25, M=4)
         rng = np.random.default_rng(18)
         hF = build_shaping_matrix(pulse, 0.37, 15) @ random_taps(rng, 15)
-        monkeypatch.setattr(np.linalg, "lstsq", counting)
         rep = joint_estimate(hF, pulse, 15)
         assert rep.iterations > 1 and len(calls) == rep.iterations
+        assert [name for name, *_ in calls] == ["solve"] * rep.iterations  # certified: no SVD
+        assert {(a, b) for _, a, b in calls} == {(np.dtype(np.float64),) * 2}
 
     def test_every_solve_is_real(self, monkeypatch):
         # G(mu) is real: hF enters the solves as real and imaginary columns, so no
-        # lstsq runs a complex SVD
-        dtypes = []
-        lstsq = np.linalg.lstsq
-
-        def recording(a, b, *args, **kwargs):
-            dtypes.append((np.asarray(a).dtype, np.asarray(b).dtype))
-            return lstsq(a, b, *args, **kwargs)
-
+        # solve runs in complex arithmetic
+        calls = record_solves(monkeypatch)
         pulse = build_pulse(rolloff=0.25, M=4)
         rng = np.random.default_rng(24)
         hF = build_shaping_matrix(pulse, 0.21, 15) @ random_taps(rng, 15)
         hF = hF + 0.05 * (rng.standard_normal(22) + 1j * rng.standard_normal(22))
-        monkeypatch.setattr(np.linalg, "lstsq", recording)
         rep = joint_estimate(hF, pulse, 15)
-        assert rep.iterations >= 1 and len(dtypes) == rep.iterations
-        assert set(dtypes) == {(np.dtype(np.float64), np.dtype(np.float64))}
+        assert rep.iterations >= 1 and len(calls) == rep.iterations
+        assert [name for name, *_ in calls] == ["solve"] * rep.iterations
+        assert {(a, b) for _, a, b in calls} == {(np.dtype(np.float64),) * 2}
+
+    @settings(max_examples=30)
+    @given(
+        rolloff=st.sampled_from([0.0, 0.25, 1.0]),
+        M=st.sampled_from([1, 4, 16]),
+        L=st.sampled_from([1, 15, 256]),
+        mu=st.one_of(
+            st.sampled_from([0.0, 0.5]),
+            st.integers(0, 64).map(lambda j: j / 128),  # the scan's offsets
+            st.integers(0, 63).map(lambda j: (j + 0.5) / 128),  # midway between them
+            st.floats(0.0, 0.5),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rolloff=1.0, M=1, L=256, mu=0.5, seed=0)  # kappa(G) = 164, the largest surveyed
+    @example(rolloff=1.0, M=1, L=256, mu=63.5 / 128, seed=1)  # not certified: the SVD solves
+    def test_gram_certificate_is_sound(self, rolloff, M, L, mu, seed):
+        # Weyl's bound from the nearest scan matrix is never below the exact
+        # kappa(G(mu)), and where it admits the normal equations their h is
+        # lstsq's to 1e-12; the scan caches that matrix and its extreme
+        # singular values (checked where its cache is small)
+        from chirpsounder import estimator
+
+        pulse = build_pulse(rolloff=rolloff, M=M)
+        j = round(mu * 128)
+        G, near = estimator._shaping_and_slope(pulse, np.array([mu, j / 128]), L)[0]
+        big, small = np.linalg.svd(near, compute_uv=False)[[0, -1]].tolist()
+        bound = estimator._kappa_bound(G, near, big, small)
+        sv = np.linalg.svd(G, compute_uv=False)
+        assert bound >= sv[0] / sv[-1]
+        Y = np.random.default_rng(seed).standard_normal((G.shape[0], 2))
+        h = np.linalg.lstsq(G, Y, rcond=None)[0]
+        if bound <= estimator._GRAM_LIMIT:
+            gram = np.linalg.solve(G.T @ G, G.T @ Y)
+            assert np.linalg.norm(gram - h) <= 1e-12 * np.linalg.norm(h)
+        if L <= 15:
+            mus, _, _, grid, extremes = estimator._scan_grid(pulse, L)
+            assert mus[j] == j / 128 and grid[j].tobytes() == near.tobytes()
+            assert extremes[j] == [big, small]
+            got = estimator._profile_derivative(pulse, mu, L, Y)[1]
+            expected = gram if bound <= estimator._GRAM_LIMIT else h
+            assert got.tobytes() == expected.tobytes()
+
+    def test_uncertified_matrix_falls_back_to_svd(self, monkeypatch):
+        # a repeated column moves G(mu) farther from every scan matrix than
+        # their least singular value, so no Gram solve is certified: the SVD
+        # runs and rejects the rank-deficient G
+        from chirpsounder import IllConditionedError, estimator
+
+        pulse = build_pulse(rolloff=0.25, M=4)
+        hF = build_shaping_matrix(pulse, 0.3, 15) @ random_taps(np.random.default_rng(20), 15)
+        estimator._scan_grid(pulse, 15)
+        evaluate = estimator._shaping_and_slope
+
+        def repeated_column(pulse, mu, L):
+            G, Gp = evaluate(pulse, mu, L)
+            G[:, 1] = G[:, 0]
+            return G, Gp
+
+        monkeypatch.setattr(estimator, "_shaping_and_slope", repeated_column)
+        calls = record_solves(monkeypatch)
+        with pytest.raises(IllConditionedError) as exc:
+            joint_estimate(hF, pulse, 15)
+        assert exc.value.condition_estimate == np.inf
+        assert [name for name, *_ in calls] == ["lstsq"]
 
     def test_matches_reference_polish(self):
         # 240 noisy inputs at 0, 10, 25 and 40 dB: real arithmetic, the Hermite

@@ -14,6 +14,10 @@ digest depends on:
 * polish tolerance: the ``paper-sec5-fractional`` ``mse`` CSVs also hold
   estimates that the polish stops within 1e-10 of the minimizer, so a
   different iteration moves their last printed digits;
+* the polish's ``h`` solve: each polish step solves for ``h`` by the normal
+  equations where the scan certifies ``G(mu)`` well conditioned, else by an
+  SVD, and the ``paper-sec5-fractional`` ``mse`` CSVs hold the estimates of
+  the last step, so a different solver moves their last printed digits;
 * reception summation order: every digest downstream of reception (the
   ``mse`` files, ``result.json`` and the ``sound`` traces) depends on the
   order in which reception sums its terms, one sounding-matrix product per
@@ -43,8 +47,8 @@ GOLDEN = {
         "antenna_mse.csv": "d0c3f18193af0eb1373dcab001e07c5ce9869fdada3a8b0a50c486dfe4871527",
     },
     ("mse", "paper-sec5-fractional", 3): {
-        "mse.csv": "fad9970fd067786667fc8f7f645bac6d49b267c1521fbc93c9b6c81fadc1218c",
-        "antenna_mse.csv": "1030819931c5939bd98aaec2e2cba5b5d290664bc3032d1ce9bf7b5fa1df36e6",
+        "mse.csv": "9b0d5d752b0713166529369f8af1894c0fe0d29af62386032d0afe2b365fe276",
+        "antenna_mse.csv": "4319395e8356bfce8961f13fd562947ae277ab601418fbf6803f40bbe5ca2f0e",
     },
     ("capacity", "capacity-tx-shared", None): {
         "capacity.csv": "625be9a0ffea6157ddf94c71b308d1485a40fa392665c1fb6717eb0d4636173d",

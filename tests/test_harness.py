@@ -534,6 +534,14 @@ class TestEmit:
         meta = json.loads((tmp_path / "a" / "run_meta.json").read_text())
         assert "wall_clock_s" in meta and b"wall_clock_s" not in record
 
+    def test_run_meta_records_numpy_and_blas_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        emit_results(run_mse_experiment(small_config(trials=2)), tmp_path)
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert meta["numpy"] == np.__version__
+        assert meta["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+
     def test_sound_traces(self, tmp_path):
         cfg = small_config(trials=1)
         result = run_sounding(cfg)
