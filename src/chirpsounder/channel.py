@@ -26,7 +26,8 @@ where y spans exactly the 2M+L-1 lags -M .. M+L-2 and g, the ``PulseShape``,
 is taken at the 2M support lags y - l = -M .. M-1 and is 0 at every other lag:
 r_m = sum_i S_i G(mu_im) h_im + z, the estimator's own model and G(mu).  The
 ``receive_*`` functions take the S_i that the matched filter applies and
-return the noiseless sum; ``awgn`` alone adds z.
+return the noiseless sum, formed by the estimator beside its matched filter;
+``awgn`` alone adds z.
 
 The sampling interval T is normalized to 1 throughout; only ratios t/T enter
 any formula.
@@ -40,8 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ConstraintViolationError, DimensionMismatchError
-from .estimator import build_shaping_matrix
-from .waveform import _window
+from .estimator import _sound, build_shaping_matrix
 
 
 _SERIES_BELOW = 5e-3  # below it, sinc and its slope take their Taylor series
@@ -224,19 +224,6 @@ def synthesize_channels(cfg, rng):
     return MimoScenario(taps=taps, d=d, mu=mu, sigma2=sigma2)
 
 
-def _check_reception_inputs(scenario, matrices, M):
-    origins, shapes = [S.M for S in matrices], {S.entries.shape for S in matrices}
-    if len(matrices) != scenario.nt:
-        raise DimensionMismatchError(
-            f"need one sounding matrix per tx antenna ({scenario.nt}), got {len(matrices)}"
-        )
-    if origins != [M] * len(origins):
-        raise ConstraintViolationError(f"need sounding matrices with M={M}, got {origins}")
-    D = _window(scenario.L, M)
-    if len(shapes) != 1 or min(shapes)[0] != D:
-        raise DimensionMismatchError(f"need sounding matrices of one shape ({D}, N), got {shapes}")
-
-
 def awgn(r0, sigma2, rng):
     """Add circular complex Gaussian noise, variance 2*sigma2[m] per sample.
 
@@ -252,12 +239,6 @@ def awgn(r0, sigma2, rng):
     return r0 + np.sqrt(sigma2)[:, None] * (draws[:, 0] + 1j * draws[:, 1])
 
 
-def _receive(scenario, matrices, filters, M):
-    """Noiseless r_m = sum_i S_i filters[i, m], one (S_i F)^T = conj(conj(F)^T S_i^H) per i."""
-    _check_reception_inputs(scenario, matrices, M)
-    return sum(np.conj(np.conj(filters[i]) @ S.entries) for i, S in enumerate(matrices))
-
-
 def receive_integer(scenario, matrices):
     """One noiseless period of received samples per antenna, integer offsets only.
 
@@ -266,7 +247,7 @@ def receive_integer(scenario, matrices):
     taps alone filter.  Returns an (Nr, N) array whatever ``scenario.sigma2``
     holds; ``awgn`` adds the noise.
     """
-    return _receive(scenario, matrices, scenario.taps, 0)
+    return _sound(matrices, scenario.taps, 0)
 
 
 def receive_fractional(scenario, matrices, pulse):
@@ -277,4 +258,4 @@ def receive_fractional(scenario, matrices, pulse):
     by its ``build_shaping_matrix``; like ``receive_integer`` it ignores ``scenario.sigma2``.
     """
     G = build_shaping_matrix(pulse, scenario.mu, scenario.L)
-    return _receive(scenario, matrices, np.einsum("imdl,iml->imd", G, scenario.taps), pulse.M)
+    return _sound(matrices, np.einsum("imdl,iml->imd", G, scenario.taps), pulse.M)

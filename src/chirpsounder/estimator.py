@@ -2,9 +2,10 @@
 
 The sounding matrix S of a waveform is the N x D Toeplitz matrix whose
 columns are cyclic shifts of the waveform samples.  It is built once per
-waveform and stored as the matched filter S^H, a contiguous D x N array that
-reception also uses; the filter is one product S^H r, whose bits do not
-depend on the BLAS thread count.  Whenever the design constraints hold,
+waveform and stored as the matched filter S^H, a contiguous D x N array.
+Both directions of the operator live here: the filter is one product S^H r,
+whose bits do not depend on the BLAS thread count, and ``_sound`` forms
+reception's noiseless sum_i S_i F_i.  Whenever the design constraints hold,
 same-waveform Gram matrices are identities and cross-waveform Gram matrices
 vanish, so the matched filter returns the channel taps directly (integer
 offsets) or the pulse-shaped taps G(mu) @ h (fractional offsets).
@@ -42,7 +43,7 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
 )
-from .waveform import _window, cyclic_correlation
+from .waveform import _window, check_design_constraints, cyclic_correlation
 
 _COND_LIMIT = 1e12  # on kappa(G); kappa(G^H G) is its square
 _SCAN_POINTS = 65
@@ -78,22 +79,21 @@ class EstimateReport:
 def build_sounding_matrix(w, L, M=0):
     """Build the sounding matrix of waveform ``w`` for reception and the matched filter.
 
-    D is the lag window of span L: L itself for integer offsets (M = 0),
-    2M + L - 1 with a pulse of half-support M.  The single-waveform design
-    bound N > 2*p*D is enforced (the family-level bound with p_max is the
-    harness's job).
+    D is the lag window of span L: L itself for integer offsets (M = 0), 2M + L - 1 with
+    a pulse of half-support M.  ``check_design_constraints`` at ``w``'s own rate gives D
+    and must pass (the family-level check with p_max is the harness's job).
     """
     if L < 1 or M < 0:
         raise DimensionMismatchError(f"need L >= 1 and M >= 0, got L={L}, M={M}")
     if w.N < L:
         raise DimensionMismatchError(f"period {w.N} shorter than channel length {L}")
-    cols = _window(L, M)
-    if w.N <= 2 * w.p * cols:
+    report = check_design_constraints(w.p, w.N, L, M)
+    if not report.passed:
         raise ConstraintViolationError(
-            f"waveform p={w.p}, N={w.N} cannot sound {cols} columns: "
-            f"requires N > {2 * w.p * cols}"
+            f"waveform p={w.p}, N={w.N} cannot sound {report.window} columns: "
+            f"requires N > {report.bound}"
         )
-    lags = M + np.arange(w.N) - np.arange(cols)[:, None]
+    lags = M + np.arange(w.N) - np.arange(report.window)[:, None]
     return SoundingMatrix(entries=np.conj(w.samples[lags % w.N]), M=M)
 
 
@@ -109,6 +109,21 @@ def _apply_matched_filter(S, r, fractional):
             f"received vector of shape {r.shape} does not match period {S.entries.shape[1]}"
         )
     return S.entries @ r
+
+
+def _sound(matrices, filters, M):
+    """Reception's r_m = sum_i S_i filters[i, m], one (S_i F)^T = conj(conj(F)^T S_i^H) per i."""
+    origins, shapes = [S.M for S in matrices], {S.entries.shape for S in matrices}
+    if len(matrices) != len(filters):
+        raise DimensionMismatchError(
+            f"need one sounding matrix per tx antenna ({len(filters)}), got {len(matrices)}"
+        )
+    if origins != [M] * len(origins):
+        raise ConstraintViolationError(f"need sounding matrices with M={M}, got {origins}")
+    D = filters.shape[-1]
+    if len(shapes) != 1 or min(shapes)[0] != D:
+        raise DimensionMismatchError(f"need sounding matrices of one shape ({D}, N), got {shapes}")
+    return sum(np.conj(np.conj(filters[i]) @ S.entries) for i, S in enumerate(matrices))
 
 
 def matched_filter_integer(S, r):

@@ -141,6 +141,8 @@ def check_design_constraints(pmax, N, L, M=0):
     fractional offset with pulse half-support ``M`` widens the window to
     ``N > 2*pmax*(2M + L - 1)``.  Returns a :class:`ConstraintReport` with the
     slack ``N - bound``; a failed check is a valid report, not an exception.
+    The one statement of the bound, it is one column conservative: the Gram blocks
+    (S^H S = I, and 0 across distinct rates) are exact already at ``N = bound``.
     """
     if pmax < 1 or L < 1 or M < 0:
         raise ConstraintViolationError(

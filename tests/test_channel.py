@@ -329,6 +329,13 @@ class TestReceiveInteger:
             receive_integer(two, sounding([generate_chirp(1, 128), generate_chirp(2, 256)], 3))
         with pytest.raises(DimensionMismatchError, match="of one shape"):
             receive_integer(sc, sounding([generate_chirp(1, 128)], 4))  # built for L = 4
+        # the fractional path checks the same operands against its (2M+L-1)-lag filters
+        pulse = build_pulse(rolloff=0.25, M=4)
+        pair = [generate_chirp(1, 128), generate_chirp(2, 128)]
+        with pytest.raises(DimensionMismatchError, match="one sounding matrix per tx antenna"):
+            receive_fractional(sc, sounding(pair, 3, 4), pulse)
+        with pytest.raises(DimensionMismatchError, match=r"of one shape \(10, N\)"):
+            receive_fractional(sc, sounding(pair[:1], 4, 4), pulse)  # built for L = 4
 
     def test_lag_origin_checked(self):
         # integer reception takes M = 0 matrices, fractional ones M = pulse.M

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chirpsounder import (
     ConstraintViolationError,
@@ -222,6 +222,29 @@ class TestSoundingMatrix:
             assert np.max(np.abs(Sa.conj().T @ Sa - np.eye(D))) < 1e-10
             assert np.max(np.abs(Sb.conj().T @ Sb - np.eye(D))) < 1e-10
             assert np.max(np.abs(Sa.conj().T @ Sb)) < 1e-10
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 6), st.integers(0, 6), st.integers(2, 9), st.sampled_from([0, 1, 2, 4]),
+        st.integers(-2, 2) | st.integers(-64, 64),
+    )
+    @example(2, 0, 7, 0, 0)  # N = 128, rate 4, L = 16: on the bound
+    @example(2, 1, 8, 4, 0)  # N = 256, rate 4, L = 25 at M = 4: on the bound
+    @example(2, 1, 8, 4, 1)  # one column past it
+    def test_gram_identity_exactly_from_the_bound(self, a, b, n, M, step):
+        # S^H S = I iff N >= 2pD; the strict check asks for one column more
+        p, q, N = 2**a, 2**b, 2**n
+        assume(N > 2 * p)
+        D = max(N // (2 * p) + step, 2 * M, 1)  # columns near the bound, 2M + L - 1 if M
+        L = D - 2 * M + 1 if M else D
+        Sp = toeplitz(generate_chirp(p, N), L, M)
+        exact = np.max(np.abs(Sp.conj().T @ Sp - np.eye(D))) <= 1e-9
+        report = check_design_constraints(p, N, L, M)
+        assert exact == (N >= 2 * p * D) == (report.slack >= 0)
+        assert report.passed == (report.slack > 0)
+        if q != p and N > 2 * q:  # zero cross-correlation at every lag, so at every D
+            Sq = toeplitz(generate_chirp(q, N), L, M)
+            assert np.max(np.abs(Sp.conj().T @ Sq)) <= 1e-9
 
     def test_passing_constraints_imply_gram_identities(self):
         # whenever the family-level check passes, the Gram blocks are exact

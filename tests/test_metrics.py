@@ -5,6 +5,8 @@ import pytest
 
 from chirpsounder import (
     DimensionMismatchError,
+    build_pulse,
+    build_shaping_matrix,
     capacity_equivalence_report,
     crb,
     derive_rng,
@@ -138,6 +140,35 @@ class TestCapacity:
         rotated = H.copy()
         rotated[:, 1, :] *= np.exp(1j * 0.7)
         assert capacity(rotated, 5.0) == pytest.approx(capacity(H, 5.0), abs=1e-12)
+
+
+class TestSampledChannel:
+    """The channel that reception simulates, G(mu) h, against the report's ideal delay.
+
+    The report models an offset as exp(-j 2 pi f (d + mu)), of gain 1 at every f.  The
+    sampled pulse shifted by mu has, at the band edge f = 1/2, the gain
+    |sum_k (-1)^k g(k + mu)|: the two aliases of the raised cosine, each 1/2 there, add
+    to cos(pi mu) up to the truncation at |t| <= M.
+    """
+
+    @staticmethod
+    def band_edge_gain(M, mu):
+        G = build_shaping_matrix(build_pulse(rolloff=0.25, M=M), mu, 1)
+        return np.abs(G[..., 0] @ (-1.0) ** np.arange(G.shape[-2]))
+
+    @pytest.mark.parametrize("M, gap", [(4, 8.42e-3), (16, 1.04e-4), (64, 1.61e-6)])
+    def test_band_edge_gain_is_cos_pi_mu(self, M, gap):
+        mu = np.array([0.15, 0.3, 0.45])
+        worst = np.max(np.abs(self.band_edge_gain(M, mu) - np.cos(np.pi * mu)))
+        assert worst == pytest.approx(gap, rel=0.01)  # the truncation error, pinned
+
+    @pytest.mark.parametrize("M", [4, 16, 64])
+    def test_band_edge_gain_at_the_offset_range_ends(self, M):
+        G = build_shaping_matrix(build_pulse(rolloff=0.25, M=M), 0.0, 1)
+        assert G[M, 0] == 1.0  # g(0); the other support lags hold sinc rounding only
+        assert np.max(np.abs(np.delete(G[:, 0], M))) < 1e-16
+        assert self.band_edge_gain(M, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert self.band_edge_gain(M, 0.5) < 1e-15  # g(k + 1/2) pairs cancel
 
 
 class TestEquivalenceReport:
