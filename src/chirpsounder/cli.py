@@ -6,12 +6,14 @@ command takes a scenario either from ``--config FILE`` or from a built-in
 (sound, mse and capacity) also take ``--seed`` and ``--format`` (``csv`` or
 ``record``); mse, the only one that runs more than one trial, also takes
 ``--trials``.  Overrides are validated like the config fields they replace.
+The argument parser is built once per process and reused by every ``main`` call.
 
 Exit codes: 0 success, 2 configuration or constraint error, 3 numerical
 failure (including flagged non-convergence), 4 I/O error.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -148,7 +150,9 @@ _COMMANDS = {
 _EMITTING = ("sound", "mse", "capacity")  # commands that run an experiment
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, reused by ``main``: ``parse_args`` keeps no state."""
     parser = argparse.ArgumentParser(
         prog="chirpsounder",
         description="Chirp channel sounding for asynchronous multi-user MIMO",

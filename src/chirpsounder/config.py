@@ -31,7 +31,7 @@ mismatch, so per-link freedom would only invite inconsistent inputs.
 
 import json
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,7 +136,7 @@ class ScenarioConfig:
 
     def replace(self, **kwargs):
         """This configuration with ``kwargs`` fields changed, validated anew."""
-        return _from_dict(ScenarioConfig(**{**asdict(self), **kwargs}).to_dict())
+        return _from_dict(ScenarioConfig(**{**vars(self), **kwargs}).to_dict())
 
 
 def _degrid(grid):

@@ -13,10 +13,11 @@ on execution order and are byte-reproducible:
 Reception (``channel.receive_*``) is noiseless; each run adds the noise of
 trial t with ``awgn`` from stream (1, t).
 
-Every CSV table, the CLI's included, is written by ``write_table`` with
-fixed 12-significant-digit decimal formatting; wall-clock time and
-timestamps live only in the ``run_meta.json`` sidecar so repeated runs with
-the same config and seed produce byte-identical CSV and record payloads.
+Every CSV table, the CLI's included, is written by ``write_table``:
+integers as is, every other number as ``%.12e`` (13 significant digits).
+Wall-clock time and timestamps live only in the ``run_meta.json`` sidecar,
+so repeated runs with the same config and seed produce byte-identical CSV
+and record payloads.
 The sidecar also records the numpy version and the BLAS thread settings.
 """
 
@@ -232,14 +233,8 @@ def run_sounding(cfg):
     for i, w in enumerate(waveforms):
         for m in range(cfg.nr):
             out = segmented_output(w, r[m], cfg.lead).ravel()
-            traces.append((i, m, tuple(float(v) for v in np.abs(out))))
+            traces.append((i, m, tuple(np.abs(out).tolist())))
     return _result("sound", cfg, t0, waveforms, trials=1, traces=tuple(traces))
-
-
-def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(value)
-    return f"{float(value):.12e}"
 
 
 def _write(path, text):
@@ -255,10 +250,19 @@ def write_table(path, header, rows):
     """Write one CSV table and return its path.
 
     ``header`` is the comma-separated column line; each row is a sequence of
-    integers (written as is) and reals (12-significant-digit scientific).
+    integers (``int`` or ``np.integer``, bools included: written as is) and
+    other reals (``%.12e``: 13 significant digits).  A row is written with one
+    %-format, built once per pattern of value types.
     """
+    formats = {}
     lines = [header]
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    for row in rows:
+        key = (*map(type, row),)  # not tuple(map(...)): its resized keys pile up in the free list
+        if key not in formats:
+            formats[key] = ",".join(
+                "%s" if issubclass(t, (int, np.integer)) else "%.12e" for t in key
+            )
+        lines.append(formats[key] % tuple(row))
     return _write(path, "\n".join(lines) + "\n")
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from chirpsounder import preset
-from chirpsounder.cli import main
+from chirpsounder.cli import build_parser, main
 
 
 def small_config_file(tmp_path, **overrides):
@@ -275,3 +275,24 @@ def test_format_only_on_experiment_commands(tmp_path, capsys, command, flag):
         main(argv + flag)
     assert exc.value.code == 2
     assert flag[0] in capsys.readouterr().err
+
+
+def test_reused_parser_carries_no_state(tmp_path, capsys):
+    # main builds the parser once per process; each call must see only its own argv
+    assert build_parser() is build_parser()
+    path = small_config_file(tmp_path)
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ["mse", "--config", path, "--format", "record"]
+    assert main(argv + ["--out", str(first), "--trials", "3", "--seed", "5"]) == 0
+    assert main(["mse", "--config", path, "--out", str(second)]) == 0
+    echo = json.loads((second / "config_echo.json").read_text())
+    assert (echo["seed"], echo["trials"]) == (11, 20)
+    assert (second / "mse.csv").exists()  # --format fell back to its default
+    capsys.readouterr()
+    for bad in (["check", "--bogus"], ["check", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad + ["--preset", "paper-sec5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: chirpsounder ")
+        assert f"unrecognized arguments: {bad[1]}" in err

@@ -1,9 +1,11 @@
 """Experiment orchestration: configs, determinism, output formats."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from chirpsounder import (
     ConfigError,
@@ -20,6 +22,7 @@ from chirpsounder import (
     run_sounding,
     synthesize_channels,
 )
+from chirpsounder.harness import write_table
 
 
 def small_config(**overrides):
@@ -489,7 +492,7 @@ class TestEmit:
         assert len(lines) == 1 + 4
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
-        assert "e" in first[2]  # 12-significant-digit scientific notation
+        assert "e" in first[2]  # %.12e: 13 significant digits
 
     def test_capacity_csv_schema(self, tmp_path):
         result = run_capacity_experiment(preset("capacity-multi-lo"))
@@ -556,3 +559,35 @@ class TestEmit:
         result = run_sounding(small_config(trials=1))
         with pytest.raises(OSError):
             emit_results(result, blocker / "sub")
+
+
+def _reference_fmt(value):
+    # reference: the per-value rule that write_table must reproduce byte for byte
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return f"{float(value):.12e}"
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1.7976931348623157e308)
+_CELLS = st.one_of(
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from(_EDGE_FLOATS),
+)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.lists(_CELLS, max_size=5).map(tuple), max_size=8))
+@example(rows=[(1, 2.0), (1.0, 2), (True, np.float32(0.1)), (np.int64(-3), -0.0), (1, 2.0)])
+@example(rows=[(np.uint8(7), np.float64(math.nan)), [2, math.inf], (), (5e-324,)])
+def test_write_table_matches_per_value_rule(tmp_path, rows):
+    # one %-format per row, whatever the types of its values and of the rows before it
+    path = write_table(str(tmp_path / "t.csv"), "h", rows)
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    want = "".join(",".join(map(_reference_fmt, row)) + "\n" for row in rows)
+    assert text == "h\n" + want
