@@ -482,12 +482,7 @@ def _preset_paper_sec5_fractional():
     return cfg
 
 
-def _preset_capacity(name, offsets, mu):
-    topology = {
-        "capacity-tx-shared": "tx-shared",
-        "capacity-rx-shared": "rx-shared",
-        "capacity-multi-lo": "independent",
-    }[name]
+def _preset_capacity(name, topology, offsets, mu):
     return {
         "name": name,
         "nodes": {"tx": 2, "rx": 2},
@@ -514,13 +509,13 @@ PRESETS = {
     "paper-sec5": _preset_paper_sec5,
     "paper-sec5-fractional": _preset_paper_sec5_fractional,
     "capacity-tx-shared": lambda: _preset_capacity(
-        "capacity-tx-shared", [[3, 7], [3, 7]], [[0.3, 0.15], [0.3, 0.15]]
+        "capacity-tx-shared", "tx-shared", [[3, 7], [3, 7]], [[0.3, 0.15], [0.3, 0.15]]
     ),
     "capacity-rx-shared": lambda: _preset_capacity(
-        "capacity-rx-shared", [[3, 3], [7, 7]], [[0.2, 0.2], [0.45, 0.45]]
+        "capacity-rx-shared", "rx-shared", [[3, 3], [7, 7]], [[0.2, 0.2], [0.45, 0.45]]
     ),
     "capacity-multi-lo": lambda: _preset_capacity(
-        "capacity-multi-lo", [[2, 5], [7, 3]], [[0.1, 0.3], [0.25, 0.45]]
+        "capacity-multi-lo", "independent", [[2, 5], [7, 3]], [[0.1, 0.3], [0.25, 0.45]]
     ),
 }
 

@@ -70,7 +70,7 @@ class EstimateReport:
     """Result of joint (mu, h) estimation from a fractional matched filter output."""
 
     h_hat: np.ndarray
-    mu_hat: float  # None when undetermined (zero input)
+    mu_hat: float | None  # None when undetermined (zero input)
     iterations: int  # secant polish steps taken
     residual: float  # relative: ||hF - G(mu_hat) h_hat||^2 / ||hF||^2, in [0, 1]
     converged: bool

@@ -11,13 +11,15 @@ on execution order and are byte-reproducible:
                        ``redraw_per_trial``)
 
 Reception (``channel.receive_*``) is noiseless; each run adds the noise of
-trial t with ``awgn`` from stream (1, t).
+trial t with ``awgn`` from stream (1, t).  ``mse`` and ``sound`` share one
+setup: the waveforms, the stream-(0,) channel, the pulse and the matrices.
 
 Every CSV table, the CLI's included, is written by ``write_table``:
 integers as is, every other number as ``%.12e`` (13 significant digits).
-Wall-clock time and timestamps live only in the ``run_meta.json`` sidecar,
-so repeated runs with the same config and seed produce byte-identical CSV
-and record payloads.
+The record (``RunResult.to_dict``) is every ``RunResult`` field except
+``wall_clock_s``: wall-clock time and timestamps live only in the
+``run_meta.json`` sidecar, so repeated runs with the same config and seed
+produce byte-identical CSV and record payloads.
 The sidecar also records the numpy version and the BLAS thread settings.
 """
 
@@ -25,7 +27,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -91,24 +93,17 @@ class RunResult:
 
     def to_dict(self):
         """The deterministic payload: every field except ``wall_clock_s``."""
-        return {
-            "kind": self.kind,
-            "run_id": self.run_id,
-            "config_echo": self.config_echo,
-            "seed": self.seed,
-            "trials": self.trials,
-            "papr": [{"chirp_rate": p, "papr": v} for p, v in self.papr],
-            "links": [vars(l) for l in self.links],
-            "antennas": [vars(a) for a in self.antennas],
-            "capacity": [vars(c) for c in self.capacity],
-            "traces": [
-                {"tx": i, "rx": m, "magnitude": list(mag)} for i, m, mag in self.traces
-            ],
-            "nonconverged": self.nonconverged,
-        }
+        record = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_clock_s"}
+        for key in ("links", "antennas", "capacity"):
+            record[key] = [vars(row) for row in record[key]]
+        record["papr"] = [{"chirp_rate": p, "papr": v} for p, v in self.papr]
+        record["traces"] = [
+            {"tx": i, "rx": m, "magnitude": list(mag)} for i, m, mag in self.traces
+        ]
+        return record
 
 
-def _result(kind, cfg, t0, waveforms=(), trials=None, **fields):
+def _result(kind, cfg, t0, waveforms=(), trials=None, **payload):
     """The ``kind`` RunResult of ``cfg``, a run that started at ``t0``.
 
     ``papr`` lists the ``waveforms``; ``trials`` defaults to ``cfg.trials``.
@@ -122,12 +117,17 @@ def _result(kind, cfg, t0, waveforms=(), trials=None, **fields):
         trials=cfg.trials if trials is None else trials,
         papr=tuple((w.p, papr(w.samples)) for w in waveforms),
         wall_clock_s=time.perf_counter() - t0,
-        **fields,
+        **payload,
     )
 
 
-def _waveforms(cfg):
-    return [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
+def _setup(cfg):
+    """The waveforms, the stream-(0,) channel, the pulse and each waveform's sounding matrix."""
+    waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
+    scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
+    pulse = build_pulse(cfg.pulse_rolloff, cfg.pulse_half_support)
+    matrices = [build_sounding_matrix(w, cfg.total_length, cfg.lead) for w in waveforms]
+    return waveforms, scenario, pulse, matrices
 
 
 def run_mse_experiment(cfg):
@@ -142,11 +142,8 @@ def run_mse_experiment(cfg):
     bound, which is a ``ConfigError`` before any trial runs.
     """
     t0 = time.perf_counter()
-    waveforms = _waveforms(cfg)
-    scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
+    waveforms, scenario, pulse, matrices = _setup(cfg)
     L = cfg.total_length
-    pulse = build_pulse(cfg.pulse_rolloff, cfg.pulse_half_support)
-    matrices = [build_sounding_matrix(w, L, cfg.lead) for w in waveforms]
 
     if not scenario.sigma2.all():
         m = int(np.flatnonzero(scenario.sigma2 == 0)[0])
@@ -223,10 +220,7 @@ def run_sounding(cfg):
     the channel response.
     """
     t0 = time.perf_counter()
-    waveforms = _waveforms(cfg)
-    scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
-    pulse = build_pulse(cfg.pulse_rolloff, cfg.pulse_half_support)
-    matrices = [build_sounding_matrix(w, cfg.total_length, cfg.lead) for w in waveforms]
+    waveforms, scenario, pulse, matrices = _setup(cfg)
     r0 = _received(cfg, scenario, matrices, pulse)
     r = awgn(r0, scenario.sigma2, derive_rng(cfg.seed, 1, 0))
     traces = []

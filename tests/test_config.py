@@ -1,12 +1,19 @@
-"""Scenario configuration: each invalid field or section is one problem line.
+"""Scenario configuration, and the properties every small valid config holds.
 
-The other config tests are ``TestConfig`` in ``test_harness.py``.
+Each invalid field or section is one problem line, whether its value has the
+wrong JSON type or is out of range.  Over ``small_scenarios`` the canonical
+dict reads back, ``check`` agrees with synthesis, noiseless sounding returns
+the taps (and mu, where the taps span the whole window), and reruns write the
+same bytes.  The other config tests are ``TestConfig`` in ``test_harness.py``.
 """
 
 import contextlib
 import io
 import json
+import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -15,10 +22,21 @@ from chirpsounder import (
     ConfigError,
     ConstraintViolationError,
     derive_rng,
+    draw_fractional_offsets,
+    emit_results,
     from_dict,
+    joint_estimate,
+    matched_filter_fractional,
+    matched_filter_integer,
+    preset,
+    receive_fractional,
+    run_capacity_experiment,
+    run_mse_experiment,
+    run_sounding,
     synthesize_channels,
 )
 from chirpsounder.cli import main
+from chirpsounder.harness import _received, _setup
 
 
 @pytest.mark.parametrize("data", [[], None, "?", 3.5], ids=["list", "null", "string", "number"])
@@ -33,6 +51,15 @@ WRONG_TYPED = [None, "?", {}, [], True, 3.5]
 
 def _json_type(value):
     return "number" if type(value) in (int, float) else type(value)
+
+
+def _problem_lines(data):
+    """The problem lines of ``from_dict(data)``: none if it accepts ``data``."""
+    try:
+        from_dict(data)
+    except ConfigError as exc:
+        return str(exc).splitlines()[1:]
+    return []
 
 
 def test_one_line_per_wrong_typed_field():
@@ -51,15 +78,66 @@ def test_one_line_per_wrong_typed_field():
                     continue
                 parent[path[-1]] = value
                 cases += 1
-                try:
-                    from_dict(data)
-                    lines = []  # accepted without a word
-                except ConfigError as exc:
-                    lines = str(exc).splitlines()[1:]
+                lines = _problem_lines(data)
                 if len(lines) != 1 or path[-1] not in lines[0]:
                     failures.append((name, path, value, lines))
     assert cases == 745
     assert failures == []
+
+
+# values of the right JSON type that each field rejects; a key a preset lacks is not probed
+OUT_OF_RANGE = {
+    ("nodes", "tx"): [0, -1],
+    ("nodes", "rx"): [0, -1],
+    ("channel", "total_length"): [0, -1],
+    ("channel", "active_taps"): [-1],
+    ("channel", "integer_offsets"): [-1],
+    ("fractional", "mu"): [0.0, 0.75, -1e9, 1e9],
+    ("waveform", "length"): [0, -1, 96],
+    ("waveform", "chirp_rates"): [  # of the preset's rates: one not a power of 2, a
+        lambda rates: [3, *rates[1:]],  # repeated one, one too many
+        lambda rates: rates[:1] * len(rates),
+        lambda rates: [*rates, 2 * max(rates)],
+    ],
+    ("pulse", "rolloff"): [-0.5, 1.5, -1e9, 1e9],
+    ("pulse", "half_support"): [0, -1],
+    ("snr_db",): [-1e9],  # a noise power past any float
+    ("capacity", "rho_db"): [[0.0, 1e9]],
+    ("capacity", "bins"): [0, -1, 8],  # 8 is below every preset's total_length
+    ("trials",): [0, -1],
+    ("seed",): [-1],
+}
+
+
+def test_one_line_per_out_of_range_field():
+    # every rejected value is one fault: exactly one problem line, and it names the key
+    cases, failures = 0, []
+    for name, make in PRESETS.items():
+        for path, values in OUT_OF_RANGE.items():
+            for value in values:
+                data = make()
+                parent = data if len(path) == 1 else data[path[0]]
+                if path[-1] not in parent:
+                    continue
+                parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
+                cases += 1
+                lines = _problem_lines(data)
+                if len(lines) != 1 or path[-1] not in lines[0]:
+                    failures.append((name, path, value, lines))
+    assert cases == 156
+    assert failures == []
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_edge_values_that_config_accepts(name):
+    # no seed and no active tap are valid configs; an SNR whose noise level underflows
+    # passes config too, and mse, which needs a noise level for its bound, rejects it
+    data = PRESETS[name]()
+    assert _problem_lines({**data, "seed": 0}) == []
+    assert _problem_lines({**data, "channel": {**data["channel"], "active_taps": 0}}) == []
+    cfg = from_dict({**data, "snr_db": 1e9})
+    with pytest.raises(ConfigError, match="zero noise variance"):
+        run_mse_experiment(cfg)
 
 
 def scenario(tx_node, rx_node, rates, N, L, active, offsets, *, mu=None, topology="independent",
@@ -152,3 +230,89 @@ def test_small_valid_configs(data, tmp_path_factory):
     except ConstraintViolationError:
         synthesized = False
     assert out.getvalue().startswith("PASS") == synthesized
+
+
+def _soundable(data, fractional=None):
+    """The config of ``data``, with ``fractional`` as its fractional section if given, and its
+    period doubled until the design bound holds (as drawn, where it already does)."""
+    cfg = from_dict({**data, "fractional": fractional or data["fractional"]})
+    while not cfg.design_report().passed:
+        cfg = cfg.replace(waveform_length=2 * cfg.waveform_length)
+    return cfg
+
+
+def _noiseless(cfg):
+    """The stream-(0,) channel, pulse and matrices of ``cfg``, and its noiseless reception."""
+    _, channel, pulse, matrices = _setup(cfg)
+    return channel, pulse, matrices, _received(cfg, channel, matrices, pulse)
+
+
+@settings(max_examples=60)
+@given(data=small_scenarios())
+def test_noiseless_integer_sounding_returns_the_taps(data):
+    cfg = _soundable(data, {"enabled": False})
+    channel, _, matrices, r = _noiseless(cfg)
+    for i, m in np.ndindex(cfg.nt, cfg.nr):
+        h = matched_filter_integer(matrices[i], r[m])
+        assert np.abs(h - channel.taps[i, m]).max() <= 1e-12
+
+
+@settings(max_examples=60)
+@given(data=small_scenarios())
+def test_noiseless_joint_estimate_recovers_mu_over_a_full_span(data):
+    # a link whose taps leave lag 0 or lag L-1 zero has spare lags in which a shifted
+    # pulse can absorb the offset, so mu is identifiable only where its nonzero taps
+    # span lags 0 .. L-1 (see test_noiseless_estimate_finds_the_global_minimum)
+    uniform = {"enabled": True, "mu": "uniform"}
+    cfg = _soundable(data, data["fractional"] if data["fractional"]["enabled"] else uniform)
+    channel, pulse, matrices, r = _noiseless(cfg)
+    for i, m in np.ndindex(cfg.nt, cfg.nr):
+        if channel.taps[i, m, 0] and channel.taps[i, m, -1]:
+            hF = matched_filter_fractional(matrices[i], r[m])
+            rep = joint_estimate(hF, pulse, cfg.total_length)
+            assert abs(rep.mu_hat - channel.mu[i, m]) <= 1e-6
+
+
+def test_noiseless_paper_sec5_fractional_recovers_mu():
+    # the preset's links leave five zero lags at one end of the span, yet each offset
+    # redrawn from the trial streams is recovered
+    cfg = preset("paper-sec5-fractional")
+    channel, pulse, matrices, _ = _noiseless(cfg)
+    for t in range(20):
+        mu = cfg.per_link(draw_fractional_offsets(cfg, derive_rng(cfg.seed, 2, t)))
+        r = receive_fractional(replace(channel, mu=mu), matrices, pulse)
+        for i, m in np.ndindex(cfg.nt, cfg.nr):
+            hF = matched_filter_fractional(matrices[i], r[m])
+            assert abs(joint_estimate(hF, pulse, cfg.total_length).mu_hat - mu[i, m]) <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="the 65-point scan misses a basin narrower than a step")
+def test_noiseless_estimate_finds_the_global_minimum():
+    # one tap at lag 1 of L = 4, M = 2, rolloff 1: the true mu 0.48654 leaves a relative
+    # residual of about 1e-30, but the 65-point scan scores the grid point nearest it at 2e-5
+    # and mu = 0.0078 at 2.5e-7, and the polish stops at mu = 0.00598, residual 1.9e-8,
+    # flagged converged
+    cfg = from_dict(scenario([0], [0, 1, 1], [1], 16, 4, [[0, 0, 1]], [[0, 1]], mu="uniform",
+                             M=2, rolloff=1.0, flags=(False, False), snr_db=0.0))
+    channel, pulse, matrices, r = _noiseless(cfg)
+    rep = joint_estimate(matched_filter_fractional(matrices[0], r[2]), pulse, cfg.total_length)
+    assert abs(rep.mu_hat - channel.mu[0, 2]) <= 1e-6
+    assert rep.residual <= 1e-10
+
+
+@settings(max_examples=10)
+@given(data=small_scenarios())
+def test_reruns_are_byte_identical(data, tmp_path_factory):
+    cfg = _soundable(data)
+    runs = [run_sounding, run_capacity_experiment]
+    if all(any(row[m] for row in cfg.active_taps) for m in range(cfg.nr)):
+        runs.append(run_mse_experiment)  # every rx antenna has noise, so a bound
+    root = tmp_path_factory.mktemp("reruns")
+    for run in runs:
+        for fmt in ("csv", "record"):
+            a, b = (root / f"{run.__name__}-{fmt}-{k}" for k in "ab")
+            names = [os.path.basename(p) for p in emit_results(run(cfg), a, fmt)]
+            emit_results(run(cfg), b, fmt)
+            names.remove("run_meta.json")  # the one file that holds the time
+            assert len(names) >= 2
+            assert [n for n in names if (a / n).read_bytes() != (b / n).read_bytes()] == []

@@ -19,15 +19,16 @@ digest depends on:
   SVD, and the ``paper-sec5-fractional`` ``mse`` CSVs hold the estimates of
   the last step, so a different solver moves their last printed digits;
 * reception summation order: every digest downstream of reception (the
-  ``mse`` files, ``result.json`` and the ``sound`` traces) depends on the
-  order in which reception sums its terms, one sounding-matrix product per
-  waveform;
+  ``mse`` and ``sound`` files, records included) depends on the order in
+  which reception sums its terms, one sounding-matrix product per waveform;
 * matched-filter layout: the ``mse`` digests depend on the stored S^H, a
   contiguous D x N array, which makes these bytes the same at every BLAS
   thread count tested (1 and 2).
 
 The ``generate``, ``correlate`` and ``capacity`` digests and
-``config_echo.json`` do not pass through reception.
+``config_echo.json`` do not pass through reception.  Each of the three run
+kinds (``mse``, ``sound``, ``capacity``) has its record ``result.json``
+pinned, since one ``RunResult.to_dict`` writes them all.
 """
 
 import hashlib
@@ -42,52 +43,62 @@ import chirpsounder
 from chirpsounder.cli import main
 
 GOLDEN = {
-    ("mse", "paper-sec5", 200): {
+    ("mse", "paper-sec5", 200, "csv"): {
         "mse.csv": "df2d215151b878a0e4b090cfae057bccedcc5f5fb3261f33ebe8003af689de42",
         "antenna_mse.csv": "d0c3f18193af0eb1373dcab001e07c5ce9869fdada3a8b0a50c486dfe4871527",
     },
-    ("mse", "paper-sec5-fractional", 3): {
+    ("mse", "paper-sec5-fractional", 3, "csv"): {
         "mse.csv": "9b0d5d752b0713166529369f8af1894c0fe0d29af62386032d0afe2b365fe276",
         "antenna_mse.csv": "4319395e8356bfce8961f13fd562947ae277ab601418fbf6803f40bbe5ca2f0e",
     },
-    ("capacity", "capacity-tx-shared", None): {
+    ("capacity", "capacity-tx-shared", None, "csv"): {
         "capacity.csv": "625be9a0ffea6157ddf94c71b308d1485a40fa392665c1fb6717eb0d4636173d",
     },
-    ("capacity", "capacity-rx-shared", None): {
+    ("capacity", "capacity-rx-shared", None, "csv"): {
         "capacity.csv": "47ddb236870c31b98745d264c2628cf08cd0317bee6cf211a440594362a2aa9e",
     },
-    ("capacity", "capacity-multi-lo", None): {
+    ("capacity", "capacity-multi-lo", None, "csv"): {
         "capacity.csv": "1e9cdeb1ef0098d8fb92fe9a9ee4ebaacaf1985a1b8dd785aa89d4dd63653f79",
     },
-    ("mse", "paper-sec5", 20): {  # record format
+    ("capacity", "capacity-multi-lo", None, "record"): {
+        "result.json": "ded9961dbe4b477d51b5c10d585cd6522a1f140c5b73acb8c9e10e15a93e11e5",
+    },
+    ("mse", "paper-sec5", 20, "record"): {
         "result.json": "c1c8ff181e1188aa8718e1ed7e27deb3fefd042bcd86e24b40fc32e4a2385690",
         "config_echo.json": "1cfc64d74ac686d224f3abb136bedbd5a39d4d0c9891f0b502ab9d552be51463",
     },
-    ("sound", "paper-sec5", None): {
+    ("sound", "paper-sec5", None, "csv"): {
         "trace_tx2_rx0.csv": "960241b98ea1f352a48d6857ffac010a64cf2d20a9d2c30ea0d7672cfe6d68b7",
     },
-    ("sound", "paper-sec5-fractional", None): {
+    ("sound", "paper-sec5", None, "record"): {
+        "result.json": "21b76d7168ff2d398d0ddcf82d75ac631b52fa1c920ae2084bd40cf8f75d42ff",
+    },
+    ("sound", "paper-sec5-fractional", None, "csv"): {
         "trace_tx2_rx0.csv": "21737aadd85b47ae2f3d260375f95dc2efc8148687710107f5a4bc1859d65187",
     },
-    ("generate", "paper-sec5", None): {
+    ("generate", "paper-sec5", None, "csv"): {
         "waveform_p4_N128.csv": "2fc8ea996d22ea56b8ce2334ca408966c467d46278437f269d8a8860add7ba4b",
     },
-    ("correlate", "paper-sec5", None): {
+    ("correlate", "paper-sec5", None, "csv"): {
         "autocorrelation.csv": "a560e67784eb5d644c1a85c593e687ac185f542bc250b1ab0718f080914e972b",
         "crosscorrelation.csv": "2fb71ebbb89b5e7e5eb4d6bdfb5326496cecf6d473c9e602fb0858db70fbda04",
     },
 }
 
 
-@pytest.mark.parametrize("command,preset,trials", list(GOLDEN))
-def test_output_digests(tmp_path, command, preset, trials):
+@pytest.mark.parametrize(
+    "command,preset,trials,fmt",
+    list(GOLDEN),
+    ids=["-".join(str(v) for v in key if v != "csv") for key in GOLDEN],  # csv is the default
+)
+def test_output_digests(tmp_path, command, preset, trials, fmt):
     argv = [command, "--preset", preset, "--out", str(tmp_path)]
     if trials is not None:
         argv += ["--trials", str(trials)]
-    if "result.json" in GOLDEN[command, preset, trials]:  # only records write it
-        argv += ["--format", "record"]
+    if fmt != "csv":  # generate and correlate take no --format
+        argv += ["--format", fmt]
     assert main(argv) == 0
-    for name, digest in GOLDEN[command, preset, trials].items():
+    for name, digest in GOLDEN[command, preset, trials, fmt].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
