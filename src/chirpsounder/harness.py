@@ -4,11 +4,14 @@ Randomness is derived from the configured seed through a counter-based
 generator (Philox) with explicit stream splitting, so results do not depend
 on execution order and are byte-reproducible:
 
-    stream (0,)        channel synthesis (taps, initial fractional offsets)
+    stream (0,)        channel synthesis (uniform fractional offsets, then taps)
     stream (1, t)      receiver noise of trial t
     stream (2, t)      fractional offsets redrawn for trial t
-    stream (3, t)      channel taps redrawn for trial t (only with
-                       ``redraw_per_trial``)
+    stream (3, t)      channel synthesis redrawn for trial t (only with
+                       ``redraw_per_trial``; stream (2, t) replaces its offsets)
+
+A synthesis stream yields the uniform offsets, then all active taps in one draw,
+link by link in (tx, rx) order, real parts before imaginary parts.
 
 Reception (``channel.receive_*``) is noiseless; each run adds the noise of
 trial t with ``awgn`` from stream (1, t).  ``mse`` and ``sound`` share one

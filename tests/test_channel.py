@@ -211,6 +211,22 @@ class TestLinkChannel:
         with pytest.raises(ConfigError):
             link_scenario(np.zeros(6), d=0, mu=0.6)
 
+    @pytest.mark.parametrize("d,mu", [(0, np.nan), (-1, 0.0), (7, 0.0)],
+                             ids=["nan-mu", "negative-d", "d-past-L"])
+    def test_out_of_range_offsets_rejected(self, d, mu):
+        with pytest.raises(ConfigError, match="offsets must lie in"):
+            link_scenario(np.zeros(6), d=d, mu=mu)
+
+    @pytest.mark.parametrize("link", list(np.ndindex(2, 3)))
+    def test_leading_zero_enforced_on_every_link_of_a_grid(self, link):
+        d = np.array([[1, 2, 3], [4, 5, 6]])  # d = L = 6: no active tap
+        taps = np.where(np.arange(6) >= d[..., None], 1.0 + 1.0j, 0.0)
+        grid = {"d": d, "mu": np.zeros((2, 3)), "sigma2": np.zeros(3)}
+        MimoScenario(taps=taps, **grid)  # every tap at or past its offset
+        taps[link + (d[link] - 1,)] = 1.0  # one just below it
+        with pytest.raises(ConfigError, match="below the integer offset"):
+            MimoScenario(taps=taps, **grid)
+
 
 class TestSynthesis:
     def test_sec5_structure(self):

@@ -1,9 +1,14 @@
 """Command line interface: commands, flags, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chirpsounder
 from chirpsounder import preset
 from chirpsounder.cli import build_parser, main
 
@@ -296,3 +301,31 @@ def test_reused_parser_carries_no_state(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage: chirpsounder ")
         assert f"unrecognized arguments: {bad[1]}" in err
+
+
+LAZY_IMPORT_PROBE = """
+import sys
+from chirpsounder.cli import main
+for argv in (
+    ["check", "--preset", "paper-sec5"],
+    ["generate", "--preset", "paper-sec5"],
+    ["correlate", "--preset", "paper-sec5"],
+    ["sound", "--preset", "paper-sec5-fractional"],
+    ["capacity", "--preset", "capacity-multi-lo"],
+    ["mse", "--preset", "paper-sec5", "--trials", "2"],
+    ["mse", "--preset", "paper-sec5-fractional", "--trials", "1"],
+):
+    assert main([*argv, "--out", sys.argv[1]]) == 0, argv
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    # numpy imports numpy.ma on first use (np.unique is one user); every run would pay its
+    # import time and resident memory, so no command may reach it
+    src = str(Path(chirpsounder.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-c", LAZY_IMPORT_PROBE, str(tmp_path)]
+    done = subprocess.run(argv, env=env, check=True, capture_output=True, text=True, timeout=300)
+    assert done.stdout.splitlines()[-1] == "[]"

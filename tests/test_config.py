@@ -2,9 +2,10 @@
 
 Each invalid field or section is one problem line, whether its value has the
 wrong JSON type or is out of range.  Over ``small_scenarios`` the canonical
-dict reads back, ``check`` agrees with synthesis, noiseless sounding returns
-the taps (and mu, where the taps span the whole window), and reruns write the
-same bytes.  The other config tests are ``TestConfig`` in ``test_harness.py``.
+dict reads back, ``check`` agrees with synthesis, synthesis draws bit for bit
+what a loop over the links draws, noiseless sounding returns the taps (and mu,
+where the taps span the whole window), and reruns write the same bytes.  The
+other config tests are ``TestConfig`` in ``test_harness.py``.
 """
 
 import contextlib
@@ -28,6 +29,7 @@ from chirpsounder import (
     joint_estimate,
     matched_filter_fractional,
     matched_filter_integer,
+    noise_variance_for_snr,
     preset,
     receive_fractional,
     run_capacity_experiment,
@@ -245,6 +247,44 @@ def _noiseless(cfg):
     """The stream-(0,) channel, pulse and matrices of ``cfg``, and its noiseless reception."""
     _, channel, pulse, matrices = _setup(cfg)
     return channel, pulse, matrices, _received(cfg, channel, matrices, pulse)
+
+
+def _synthesized_link_by_link(cfg, rng):
+    """The taps and noise levels of ``synthesize_channels``, one draw per link: each
+    link with active taps takes its real parts, then its imaginary parts, in (tx, rx)
+    order, after the uniform offsets.  Design-bound and ``MimoScenario`` checks aside."""
+    if cfg.fractional and cfg.mu_values is None:
+        draw_fractional_offsets(cfg, rng)
+    d = cfg.per_link(cfg.integer_offsets)
+    taps = np.zeros((cfg.nt, cfg.nr, cfg.total_length), dtype=complex)
+    for i in range(cfg.nt):
+        for m in range(cfg.nr):
+            active = cfg.active_taps[i][m]
+            if active:
+                draws = rng.standard_normal((2, active))
+                block = (draws[0] + 1j * draws[1]) / np.sqrt(2.0)
+                if cfg.normalize_taps:
+                    block = block / np.linalg.norm(block)
+                taps[i, m, d[i, m] : d[i, m] + active] = block
+    power = np.sum(np.abs(taps) ** 2, axis=2).sum(axis=0) / cfg.waveform_length
+    return taps, np.array([noise_variance_for_snr(p, s) for p, s in zip(power, cfg.snr_db)])
+
+
+@settings(max_examples=60)
+@given(data=small_scenarios())
+@example(data=scenario([0, 1], [0, 1], [1, 2], 64, 8, 0, [[0, 5], [0, 5]]))  # no active tap
+@example(data=scenario([0, 1, 1], [0, 0, 1], [1, 2, 4], 256, 8, [[8, 3, 0], [3, 8, 1], [1, 0, 3]],
+                       [[0, 0], [0, 5]], mu="uniform"))  # active counts 0, 1, 3 and 8
+def test_synthesis_equals_the_link_by_link_draws(data):
+    # bit for bit, taps and sigma2 alike, and the stream ends where the per-link draws end
+    for normalize in (False, True):
+        cfg = _soundable(data).replace(normalize_taps=normalize)
+        ours, oracle = derive_rng(cfg.seed, 0), derive_rng(cfg.seed, 0)
+        channel = synthesize_channels(cfg, ours)
+        taps, sigma2 = _synthesized_link_by_link(cfg, oracle)
+        assert channel.taps.tobytes() == taps.tobytes()
+        assert channel.sigma2.tobytes() == sigma2.tobytes()
+        assert ours.random() == oracle.random()
 
 
 @settings(max_examples=60)

@@ -23,7 +23,12 @@ digest depends on:
   which reception sums its terms, one sounding-matrix product per waveform;
 * matched-filter layout: the ``mse`` digests depend on the stored S^H, a
   contiguous D x N array, which makes these bytes the same at every BLAS
-  thread count tested (1 and 2).
+  thread count tested (1 and 2);
+* synthesis draw layout: every digest downstream of synthesis depends on the
+  order in which it takes its draws (uniform offsets, then all active taps
+  link by link, real parts before imaginary ones), and the redrawn-taps
+  digests (``paper-sec5`` with ``redraw_per_trial``) take it through every
+  trial stream (3, t) as well as stream (0,).
 
 The ``generate``, ``correlate`` and ``capacity`` digests and
 ``config_echo.json`` do not pass through reception.  Each of the three run
@@ -32,6 +37,7 @@ pinned, since one ``RunResult.to_dict`` writes them all.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +46,7 @@ from pathlib import Path
 import pytest
 
 import chirpsounder
+from chirpsounder import PRESETS
 from chirpsounder.cli import main
 
 GOLDEN = {
@@ -100,6 +107,23 @@ def test_output_digests(tmp_path, command, preset, trials, fmt):
     assert main(argv) == 0
     for name, digest in GOLDEN[command, preset, trials, fmt].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+REDRAWN = {  # paper-sec5 with redraw_per_trial, 20 trials
+    "mse.csv": "2ad2368a5c5ff2ea3cfbb0bb86cecf7243ac62a2488a5c419fa7d75a94e5062f",
+    "antenna_mse.csv": "accdd4c0613ed6102be451c46f866f19ec6b38c24cded8e23d9ec7b44c1dd69f",
+}
+
+
+def test_redrawn_taps_digests(tmp_path):
+    data = PRESETS["paper-sec5"]()
+    data["channel"]["redraw_per_trial"] = True
+    config = tmp_path / "redraw.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["mse", "--config", str(config), "--trials", "20", "--out", str(out)]) == 0
+    for name, digest in REDRAWN.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 THREADED = {  # N = 256 runs, where a BLAS product could split across threads
