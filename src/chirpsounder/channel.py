@@ -205,7 +205,9 @@ def synthesize_channels(cfg, rng):
     Fractional offsets come from the config (fixed grid) or are drawn here
     (uniform policy).  The golden digests pin the order of ``rng``'s draws: the
     uniform offsets, then all active taps in one link-major draw, link by link in
-    (tx, rx) order, each link's real parts before its imaginary parts.
+    (tx, rx) order, each link's real parts before its imaginary parts.  The harness
+    passes stream (0,) for the base channel and stream (2, t) for trial t's redraw,
+    whose offsets are then those of ``draw_fractional_offsets`` on that stream.
 
     The per-antenna noise level is calibrated from the configured SNR against
     the noiseless received power sum_i ||h_im||^2 / N, which equals the

@@ -6,12 +6,12 @@ on execution order and are byte-reproducible:
 
     stream (0,)        channel synthesis (uniform fractional offsets, then taps)
     stream (1, t)      receiver noise of trial t
-    stream (2, t)      fractional offsets redrawn for trial t
-    stream (3, t)      channel synthesis redrawn for trial t (only with
-                       ``redraw_per_trial``; stream (2, t) replaces its offsets)
+    stream (2, t)      the channel redrawn for trial t: its uniform fractional
+                       offsets, then (only with ``redraw_per_trial``) its taps
 
 A synthesis stream yields the uniform offsets, then all active taps in one draw,
-link by link in (tx, rx) order, real parts before imaginary parts.
+link by link in (tx, rx) order, real parts before imaginary parts.  So trial t
+takes the same offsets and noise whether or not its taps are redrawn.
 
 Reception (``channel.receive_*``) is noiseless; each run adds the noise of
 trial t with ``awgn`` from stream (1, t).  ``mse`` and ``sound`` share one
@@ -136,13 +136,14 @@ def _setup(cfg):
 def run_mse_experiment(cfg):
     """Monte-Carlo channel sounding MSE against the variance bound.
 
-    Each trial draws fresh noise (and, per config, fresh fractional offsets
-    or fresh taps) from its own substream, estimates every link with the
-    matched filter (plus the joint offset estimator in the fractional case),
-    and accumulates squared errors.  An antenna's bound is 2*L*sigma2, its
-    trial mean when redrawn taps change sigma2.  An antenna with no noise
-    (no active taps into it, or an SNR whose noise level underflows) has no
-    bound, which is a ``ConfigError`` before any trial runs.
+    Trial t draws its noise from stream (1, t) and, per config, its uniform
+    fractional offsets and then its taps from stream (2, t), as stream (0,) draws
+    the base channel.  It estimates every link with the matched filter (plus the
+    joint offset estimator in the fractional case) and accumulates squared errors.
+    An antenna's bound is 2*L*sigma2, its trial mean when redrawn taps change
+    sigma2.  An antenna with no noise (no active taps into it, or an SNR whose
+    noise level underflows) has no bound, which is a ``ConfigError`` before any
+    trial runs.
     """
     t0 = time.perf_counter()
     waveforms, scenario, pulse, matrices = _setup(cfg)
@@ -155,21 +156,20 @@ def run_mse_experiment(cfg):
     sq_err = np.zeros((cfg.nt, cfg.nr))
     redrawn = []  # per-trial noise levels of redrawn channels
     nonconverged = 0
-    redraw_mu = cfg.fractional and cfg.mu_values is None
-    fixed = not (cfg.redraw_per_trial or redraw_mu)  # then one reception serves every trial
-    base = _received(cfg, scenario, matrices, pulse) if fixed else None
+    redraw = cfg.redraw_per_trial or (cfg.fractional and cfg.mu_values is None)
+    r0 = None if redraw else _received(cfg, scenario, matrices, pulse)  # serves every trial
 
     for t in range(cfg.trials):
-        if cfg.redraw_per_trial:
-            scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 3, t))
-            redrawn.append(scenario.sigma2)
-        trial_scenario = scenario
-        if redraw_mu:
-            mu_pairs = draw_fractional_offsets(cfg, derive_rng(cfg.seed, 2, t))
-            trial_scenario = replace(scenario, mu=cfg.per_link(mu_pairs))
-        r0 = base if fixed else _received(cfg, trial_scenario, matrices, pulse)
-        r = awgn(r0, trial_scenario.sigma2, derive_rng(cfg.seed, 1, t))
-        h_hat = np.empty_like(trial_scenario.taps)
+        if redraw:
+            rng = derive_rng(cfg.seed, 2, t)
+            if cfg.redraw_per_trial:
+                scenario = synthesize_channels(cfg, rng)
+                redrawn.append(scenario.sigma2)
+            else:
+                scenario = replace(scenario, mu=cfg.per_link(draw_fractional_offsets(cfg, rng)))
+            r0 = _received(cfg, scenario, matrices, pulse)
+        r = awgn(r0, scenario.sigma2, derive_rng(cfg.seed, 1, t))
+        h_hat = np.empty_like(scenario.taps)
         for m in range(cfg.nr):
             for i in range(cfg.nt):
                 if cfg.fractional:
@@ -179,7 +179,7 @@ def run_mse_experiment(cfg):
                     h_hat[i, m] = rep.h_hat
                 else:
                     h_hat[i, m] = matched_filter_integer(matrices[i], r[m])
-        sq_err += np.sum(np.abs(h_hat - trial_scenario.taps) ** 2, axis=2)
+        sq_err += np.sum(np.abs(h_hat - scenario.taps) ** 2, axis=2)
     sq_err /= cfg.trials
     sigma2 = np.mean(redrawn, axis=0) if redrawn else scenario.sigma2
 

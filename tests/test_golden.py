@@ -26,9 +26,12 @@ digest depends on:
   thread count tested (1 and 2);
 * synthesis draw layout: every digest downstream of synthesis depends on the
   order in which it takes its draws (uniform offsets, then all active taps
-  link by link, real parts before imaginary ones), and the redrawn-taps
-  digests (``paper-sec5`` with ``redraw_per_trial``) take it through every
-  trial stream (3, t) as well as stream (0,).
+  link by link, real parts before imaginary ones).  The redraw digests take it
+  through every trial stream (2, t) as well as stream (0,), but ``REDRAWN``
+  (normalized taps, integer offsets) cannot see the taps: its error is
+  S^H z whatever they are, and its sigma2 is the same to the printed digits.
+  The ``REDRAWN_TAPS`` digests can: unnormalized taps set sigma2 and so the
+  ``crb`` column, and fractional offsets feed the taps through the estimator.
 
 The ``generate``, ``correlate`` and ``capacity`` digests and
 ``config_echo.json`` do not pass through reception.  Each of the three run
@@ -124,6 +127,32 @@ def test_redrawn_taps_digests(tmp_path):
     assert main(["mse", "--config", str(config), "--trials", "20", "--out", str(out)]) == 0
     for name, digest in REDRAWN.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+REDRAWN_TAPS = {  # redraw_per_trial runs whose outputs depend on the drawn taps
+    ("paper-sec5", 20, False): {
+        "mse.csv": "462b7897fef008597963724aad1769627b5cf4c050b14440b530c4b7b9f98b98",
+        "antenna_mse.csv": "733a5100d6bbba0b16d79b65744ef35f59a1c3e5125a3aec4a781f4c3f8215e7",
+    },
+    ("paper-sec5-fractional", 3, True): {
+        "mse.csv": "fbfa8b478b7ef946b4a3b1573350c8f0269b535ffb36ccab00e78965084b6ec1",
+        "antenna_mse.csv": "81938a7f928e129e933b8b6b047f2c0bceb86803dc00404acad7c051dfc26489",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name,trials,normalize", list(REDRAWN_TAPS), ids=[key[0] for key in REDRAWN_TAPS]
+)
+def test_redrawn_taps_stream_digests(tmp_path, name, trials, normalize):
+    data = PRESETS[name]()
+    data["channel"].update(redraw_per_trial=True, normalize_taps=normalize)
+    config = tmp_path / "redraw.json"
+    config.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["mse", "--config", str(config), "--trials", str(trials), "--out", str(out)]) == 0
+    for file, digest in REDRAWN_TAPS[name, trials, normalize].items():
+        assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest, file
 
 
 THREADED = {  # N = 256 runs, where a BLAS product could split across threads

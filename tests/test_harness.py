@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from chirpsounder import (
+    PRESETS,
     ConfigError,
     ConstraintViolationError,
     crb,
@@ -22,6 +23,7 @@ from chirpsounder import (
     run_sounding,
     synthesize_channels,
 )
+from chirpsounder import harness
 from chirpsounder.harness import write_table
 
 
@@ -452,7 +454,7 @@ class TestMseExperiment:
         result = run_mse_experiment(cfg)
         sigma2 = np.mean(
             [
-                synthesize_channels(cfg, derive_rng(cfg.seed, 3, t)).sigma2
+                synthesize_channels(cfg, derive_rng(cfg.seed, 2, t)).sigma2
                 for t in range(cfg.trials)
             ],
             axis=0,
@@ -460,6 +462,33 @@ class TestMseExperiment:
         for row in result.antennas:
             assert row.crb == pytest.approx(crb(cfg.total_length, sigma2[row.rx]), rel=1e-12)
             assert 0.9 < row.ratio < 1.1
+
+    def test_redrawn_taps_keep_each_trials_offsets_and_noise(self, monkeypatch):
+        # common random numbers: trial t hands reception the same offsets and awgn
+        # the same noise stream whether or not its taps are redrawn
+        runs = []
+        received, add_noise = harness._received, harness.awgn
+
+        def spy_received(cfg, scenario, *args):
+            runs[-1].append((scenario.mu.tobytes(), scenario.taps.tobytes()))
+            return received(cfg, scenario, *args)
+
+        def spy_awgn(r0, sigma2, rng):
+            runs[-1][-1] += (json.dumps(rng.bit_generator.state, default=np.ndarray.tolist),)
+            return add_noise(r0, sigma2, rng)
+
+        monkeypatch.setattr(harness, "_received", spy_received)
+        monkeypatch.setattr(harness, "awgn", spy_awgn)
+        for redraw in (False, True):
+            data = PRESETS["paper-sec5-fractional"]()
+            data["channel"]["redraw_per_trial"] = redraw
+            runs.append([])
+            run_mse_experiment(from_dict({**data, "trials": 5}))
+        fixed, redrawn = runs
+        assert len(fixed) == len(redrawn) == 5
+        for (mu, taps, noise), (mu_r, taps_r, noise_r) in zip(fixed, redrawn):
+            assert mu == mu_r and noise == noise_r
+            assert taps != taps_r  # the taps were redrawn
 
 
 class TestCapacityExperiment:

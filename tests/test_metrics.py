@@ -2,26 +2,54 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chirpsounder import (
+    PRESETS,
     DimensionMismatchError,
     build_pulse,
     build_shaping_matrix,
     capacity_equivalence_report,
     crb,
     derive_rng,
+    from_dict,
     frequency_response,
     noise_variance_for_snr,
     preset,
+    run_capacity_experiment,
     synthesize_channels,
 )
 from chirpsounder.channel import MimoScenario
 from chirpsounder.metrics import _capacity_integrand
 
 
+def gram(H):
+    """Per-bin H^H H of (K, Nr, Nt) matrices, as the report forms it."""
+    return np.einsum("kji,kjl->kil", H.conj(), H)
+
+
 def capacity(H, rho):
     """Band-average capacity of (K, Nr, Nt) matrices, as the report computes it."""
-    return _capacity_integrand(H, rho).mean()
+    return _capacity_integrand(gram(H), rho).mean()
+
+
+RHO_DB = (-np.inf, 0.0, 10.0, 30.0)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def separable_zetas(draw):
+    """zeta[i, m] = a[tx node of i] + b[rx node of m] over 1-3 nodes a side, 1-2 antennas
+    a node; each of a and b is an integer in [0, 3] plus a fraction in [0, 1/4]."""
+    sides = []
+    for _ in range(2):
+        nodes = draw(st.integers(1, 3))
+        node_of = [n for n in range(nodes) for _ in range(draw(st.integers(1, 2)))]
+        parts = st.tuples(st.integers(0, 3), st.floats(0.0, 0.25))
+        offsets = draw(st.lists(parts, min_size=nodes, max_size=nodes))
+        sides.append(np.array([d + f for d, f in offsets])[node_of])
+    a, b = sides
+    return a[:, None] + b
 
 
 def link_response(taps, d, K):
@@ -236,7 +264,7 @@ class TestEquivalenceReport:
             Ha[:, m, i] = Hs[:, m, i] * np.exp(-2j * np.pi * f * (sc.d[i, m] + sc.mu[i, m]))
         for db, row in zip((0.0, 10.0), capacity_equivalence_report(sc, K, (0.0, 10.0))):
             rho = 10.0 ** (db / 10.0)
-            gs, ga = _capacity_integrand(Hs, rho), _capacity_integrand(Ha, rho)
+            gs, ga = _capacity_integrand(gram(Hs), rho), _capacity_integrand(gram(Ha), rho)
             assert (row.c_syn, row.c_asyn) == (gs.mean(), ga.mean())
             assert row.max_bin_gap == np.max(np.abs(gs - ga))
 
@@ -248,3 +276,53 @@ class TestEquivalenceReport:
         assert [row.rho_db for row in rows] == list(sweep)
         for db, row in zip(sweep, rows):
             assert (row,) == capacity_equivalence_report(sc, 256, [db])
+
+    # The paper's "certain conditions" for equal capacity regions: a separable offset
+    # zeta[i, m] = a_i + b_m makes the per-bin phases diag(rx) H diag(tx), which leaves
+    # every log det(I + rho/Nt H^H H) as it is; a generic zeta does not.
+
+    @given(zetas=separable_zetas(), seed=SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_separable_offsets_are_equal_at_every_snr(self, zetas, seed):
+        sc = self.links_with_zeta(np.random.default_rng(seed), zetas)
+        rows = capacity_equivalence_report(sc, 64, RHO_DB)
+        assert all(row.equal for row in rows), [row.max_bin_gap for row in rows]
+
+    @given(
+        shape=st.tuples(st.integers(2, 3), st.integers(2, 3)),
+        d=st.lists(st.integers(0, 3), min_size=9, max_size=9),
+        mu=st.lists(st.floats(0.0, 0.5), min_size=9, max_size=9),
+        seed=SEEDS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_generic_offsets_differ(self, shape, d, mu, seed):
+        n = shape[0] * shape[1]
+        zetas = (np.array(d[:n]) + np.array(mu[:n])).reshape(shape)
+        assume(abs(zetas[0, 0] + zetas[1, 1] - zetas[0, 1] - zetas[1, 0]) > 0.05)  # not separable
+        sc = self.links_with_zeta(np.random.default_rng(seed), zetas)
+        (row,) = capacity_equivalence_report(sc, 64, [10.0])
+        assert not row.equal and row.max_bin_gap > 1e-6
+
+    @pytest.mark.parametrize(
+        "topology, offsets, mu",
+        [
+            ("tx-shared", [[3, 7]] * 3, [[0.3, 0.15]] * 3),
+            ("rx-shared", [[3, 3], [5, 5], [7, 7]], [[0.2, 0.2], [0.35, 0.35], [0.45, 0.45]]),
+            ("independent", [[2, 5], [7, 3], [4, 1]], [[0.1, 0.3], [0.25, 0.45], [0.4, 0.05]]),
+        ],
+    )
+    def test_three_tx_nodes(self, topology, offsets, mu):
+        # every preset has 2 tx nodes; this config has 3, one antenna each
+        data = PRESETS["capacity-multi-lo"]()
+        data.update(nodes={"tx": 3, "rx": 2}, lo_topology=topology)
+        data["antennas"]["tx_node"] = [0, 1, 2]
+        data["channel"]["integer_offsets"] = offsets
+        data["fractional"]["mu"] = mu
+        data["waveform"] = {"length": 256, "chirp_rates": [1, 2, 4]}  # N > 2*4*(2M + L - 1)
+        data["capacity"]["rho_db"] = list(RHO_DB)
+        rows = run_capacity_experiment(from_dict(data)).capacity
+        if topology == "independent":
+            assert rows[0].equal and not any(row.equal for row in rows[1:])
+            assert rows[2].max_bin_gap > 1e-6
+        else:
+            assert all(row.equal for row in rows)
