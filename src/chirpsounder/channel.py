@@ -59,7 +59,8 @@ class PulseShape:
     """Truncated raised-cosine pulse-shaping filter, zero outside [-M*T, M*T].
 
     g(t) = sinc(t) cos(pi*rolloff*t) / (1 - (2*rolloff*t)^2), t in units of T, is a
-    Nyquist pulse (g(0) = 1, g(kT) = 0 for integer k != 0), taken as sinc(t) q with
+    Nyquist pulse (g(0) = 1, and g(kT) = 0 for integer k != 0 only up to rounding: the
+    float sin(pi k) is not 0, so ``with_slope`` gives about 4e-17 there), taken as sinc(t) q with
     q = (pi/4) (sinc(rolloff*t - 1/2) + sinc(rolloff*t + 1/2)), the partial fractions
     of (pi/2) sinc(v/2) / (2 - v), v = 1 - 2*rolloff*|t|: neither form has a 0/0 at
     the removable singularity t = T/(2*rolloff), where v = 0.

@@ -25,11 +25,11 @@ The profile slope is the variable-projection derivative (Golub & Pereyra
 1973) -2 <r, G'(mu) h>: each polish step takes the pulse and its
 closed-form derivative from ``PulseShape.with_slope`` once, at one offset,
 for G and G' together, and makes one h solve.  That solve is the L x L
-normal equations G^T G h = G^T Y when Weyl's inequality, applied to the
-nearest scan matrix's cached extreme singular values, certifies kappa(G) <=
-``_GRAM_LIMIT`` (their error, about kappa^2 eps, then stays below 1e-10;
-Golub & Van Loan, *Matrix Computations*, sec. 5.3), else an SVD least-squares
-solve, the only path that rejects an ill-conditioned G.
+normal equations G^T G h = G^T Y where the scan certified kappa(G) <=
+``_GRAM_LIMIT`` within half a step of the nearest scan offset (their error,
+about kappa^2 eps, then stays below 1e-10; Golub & Van Loan, *Matrix
+Computations*, sec. 5.3), else an SVD least-squares solve, the only path that
+rejects an ill-conditioned G.
 """
 
 import math
@@ -83,8 +83,7 @@ def build_sounding_matrix(w, L, M=0):
     a pulse of half-support M.  ``check_design_constraints`` at ``w``'s own rate gives D
     and must pass (the family-level check with p_max is the harness's job).
     """
-    if L < 1 or M < 0:
-        raise DimensionMismatchError(f"need L >= 1 and M >= 0, got L={L}, M={M}")
+    _check_span(L, M)
     if w.N < L:
         raise DimensionMismatchError(f"period {w.N} shorter than channel length {L}")
     report = check_design_constraints(w.p, w.N, L, M)
@@ -95,6 +94,13 @@ def build_sounding_matrix(w, L, M=0):
         )
     lags = M + np.arange(w.N) - np.arange(report.window)[:, None]
     return SoundingMatrix(entries=np.conj(w.samples[lags % w.N]), M=M)
+
+
+def _check_span(L, M=0):
+    """Reject a span L < 1 or origin M < 0, or a non-integer one: a bool is not a count."""
+    integral = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (L, M))
+    if not integral or L < 1 or M < 0:
+        raise DimensionMismatchError(f"need integers L >= 1 and M >= 0, got L={L!r}, M={M!r}")
 
 
 def _apply_matched_filter(S, r, fractional):
@@ -145,8 +151,7 @@ def build_shaping_matrix(pulse, mu, L):
     mu = np.asarray(mu, dtype=float)
     if not np.all((mu >= 0.0) & (mu <= 0.5)):
         raise ConstraintViolationError(f"mu must lie in [0, 0.5], got {mu}")
-    if L < 1:
-        raise DimensionMismatchError(f"need L >= 1, got L={L}")
+    _check_span(L)
     return _shaping_and_slope(pulse, mu, L)[0]
 
 
@@ -175,25 +180,28 @@ def _shaping_and_slope(pulse, mu, L):
 
 @lru_cache(maxsize=32)
 def _scan_grid(pulse, L):
-    """Scan offsets; residual makers I - G pinv(G) and slope makers G' pinv(G), flat (65 D, D);
-    the 65 G, and each one's largest and smallest singular value for the polish's certificate."""
+    """Offsets, makers I - G pinv(G) and G' pinv(G) (flat (65 D, D)), and ``_certified`` flags."""
     mus = np.linspace(0.0, 0.5, _SCAN_POINTS)
     G, Gp = _shaping_and_slope(pulse, mus, L)
-    pinv = np.linalg.pinv(G)
-    D = G.shape[1]
-    makers = np.eye(D) - G @ pinv
-    extremes = np.linalg.svd(G, compute_uv=False)[:, [0, -1]].tolist()
-    return mus.tolist(), makers.reshape(-1, D), (Gp @ pinv).reshape(-1, D), G, extremes
+    pinv, D = np.linalg.pinv(G), G.shape[1]
+    makers = (np.eye(D) - G @ pinv).reshape(-1, D)
+    return mus.tolist(), makers, (Gp @ pinv).reshape(-1, D), _certified(pulse, G, Gp).tolist()
 
 
-def _kappa_bound(G, near, big, small):
-    """Upper bound on kappa(G) from a matrix ``near`` whose singular values lie in [small, big].
+def _certified(pulse, G, Gp):
+    """Whether kappa(G(mu)) <= lim = ``_GRAM_LIMIT`` for all |mu - mu_j| <= d, per G_j and G'_j.
 
-    Weyl's inequality: no singular value moves by more than ||G - near||_2 <= ||G - near||_F.
+    For d half a scan step, Taylor gives ||G(mu) - G_j||_F <= e_j = d ||G'_j||_F + d^2 B/2, with
+    B = sqrt(2ML) (pi (1 + rolloff))^2 >= ||G''||_F, as G'' holds 2M samples of g'' per column and
+    Bernstein's inequality gives |g''| <= (pi (1 + rolloff))^2 sup|g|, and sup|g| = g(0) = 1 as
+    g is band-limited to |f| <= (1 + rolloff)/2 with a nonnegative spectrum.  For G_j's singular
+    values in [s_j, S_j], Weyl's inequality certifies if s_j > e_j and S_j + e_j <= lim (s_j - e_j).
     """
-    d = (G - near).ravel()
-    e = math.sqrt(d @ d)
-    return (big + e) / (small - e) if small > e else math.inf
+    d = 0.25 / (_SCAN_POINTS - 1)  # half a scan step
+    B = math.sqrt(2 * pulse.M * G.shape[-1]) * (math.pi * (1 + pulse.rolloff)) ** 2
+    e = d * np.linalg.norm(Gp, axis=(-2, -1)) + d * d * B / 2
+    small, big = np.linalg.svd(G, compute_uv=False)[..., [-1, 0]].T
+    return (small > e) & (big + e <= _GRAM_LIMIT * (small - e))
 
 
 def _solve_h(G, hF):
@@ -214,15 +222,13 @@ def _profile_derivative(pulse, mu, L, Y):
 
     Because the residual is orthogonal to range(G), only the explicit G(mu)
     dependence contributes: phi'(mu) = -2 <Y - G h, G' h>, Y = [Re hF, Im hF],
-    with G and G' from one evaluation of the pulse and its exact slope.  h solves the
-    normal equations when the scan matrix G_j nearest mu certifies them: Weyl's inequality
-    puts the singular values of G within e = ||G - G_j||_F of G_j's cached [s_j, S_j], so
-    kappa(G) <= (S_j + e) / (s_j - e) <= ``_GRAM_LIMIT``; else ``_solve_h``'s SVD.
+    with G and G' from one evaluation of the pulse and its exact slope, and h from the normal
+    equations where the nearest scan offset's flag certifies them (``_certified``: Taylor, with
+    ||G''||_F <= B by Bernstein's inequality, then Weyl's), else from ``_solve_h``'s SVD.
     """
     G, Gp = _shaping_and_slope(pulse, mu, L)
-    mus, _, _, grid, extremes = _scan_grid(pulse, L)
-    j = round(mu / mus[1])
-    if _kappa_bound(G, grid[j], *extremes[j]) <= _GRAM_LIMIT:
+    mus, _, _, flags = _scan_grid(pulse, L)
+    if flags[round(mu / mus[1])]:
         h = np.linalg.solve(G.T @ G, G.T @ Y)
     else:
         h = _solve_h(G, Y)
@@ -244,7 +250,7 @@ def _mu_step(pulse, L, Y):
     residual at mu; ``converged`` is false only when ``_POLISH_STEPS`` steps did not
     bring the update below ``_POLISH_TOL``.
     """
-    mus, makers, slopers, _, _ = _scan_grid(pulse, L)
+    mus, makers, slopers, _ = _scan_grid(pulse, L)
     n, D = len(mus), Y.shape[0]
     resid = (makers @ Y).reshape(n, 2 * D)
     phi = np.einsum("ij,ij->i", resid, resid)
@@ -288,8 +294,7 @@ def joint_estimate(hF, pulse, L):
     The residual is reported relative to ||hF||^2, so it does not depend on
     the input scale.
     """
-    if L < 1:
-        raise DimensionMismatchError(f"need L >= 1, got L={L}")
+    _check_span(L)
     hF = np.ascontiguousarray(hF, dtype=complex)
     if hF.shape != (_window(L, pulse.M),):
         raise DimensionMismatchError(

@@ -144,6 +144,23 @@ def random_taps(rng, L):
     return (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / np.sqrt(2)
 
 
+@pytest.fixture
+def fresh_caches():
+    """Empty the scan and shaping-layout caches before and after a test.
+
+    ``lru_cache`` outlives ``monkeypatch``: a scan built from a patched G, or a
+    layout cached under a bad key, would otherwise serve every later test.
+    """
+    from chirpsounder import estimator
+
+    caches = (estimator._scan_grid, estimator._shaping_layout)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 def record_solves(monkeypatch):
     """Record ``(name, a.dtype, b.dtype)`` of every ``np.linalg.solve`` and ``lstsq`` call."""
     calls = []
@@ -665,46 +682,84 @@ class TestJointEstimate:
     @example(rolloff=1.0, M=1, L=256, mu=0.5, seed=0)  # kappa(G) = 164, the largest surveyed
     @example(rolloff=1.0, M=1, L=256, mu=63.5 / 128, seed=1)  # not certified: the SVD solves
     def test_gram_certificate_is_sound(self, rolloff, M, L, mu, seed):
-        # Weyl's bound from the nearest scan matrix is never below the exact
-        # kappa(G(mu)), and where it admits the normal equations their h is
-        # lstsq's to 1e-12; the scan caches that matrix and its extreme
-        # singular values (checked where its cache is small)
+        # the flag of the scan offset j/128 nearest mu covers |mu - j/128| <= 1/256,
+        # whose ends, the midpoints, are the bound's worst case: where it holds, the
+        # exact kappa(G(mu)) is within _GRAM_LIMIT and the normal equations' h is
+        # lstsq's to 1e-12, and the polish takes the path the flag names.  The scan
+        # applies _certified to its 65 G_j; here it takes the one G_j (the scan's
+        # own flags and the polish are checked where its cache is small)
         from chirpsounder import estimator
 
         pulse = build_pulse(rolloff=rolloff, M=M)
         j = round(mu * 128)
-        G, near = estimator._shaping_and_slope(pulse, np.array([mu, j / 128]), L)[0]
-        big, small = np.linalg.svd(near, compute_uv=False)[[0, -1]].tolist()
-        bound = estimator._kappa_bound(G, near, big, small)
-        sv = np.linalg.svd(G, compute_uv=False)
-        assert bound >= sv[0] / sv[-1]
+        (G, near), (_, slope) = estimator._shaping_and_slope(pulse, np.array([mu, j / 128]), L)
+        certified = bool(estimator._certified(pulse, near, slope))
         Y = np.random.default_rng(seed).standard_normal((G.shape[0], 2))
         h = np.linalg.lstsq(G, Y, rcond=None)[0]
-        if bound <= estimator._GRAM_LIMIT:
-            gram = np.linalg.solve(G.T @ G, G.T @ Y)
+        gram = np.linalg.solve(G.T @ G, G.T @ Y)
+        if certified:
+            sv = np.linalg.svd(G, compute_uv=False)
+            assert sv[0] <= estimator._GRAM_LIMIT * sv[-1]
             assert np.linalg.norm(gram - h) <= 1e-12 * np.linalg.norm(h)
         if L <= 15:
-            mus, _, _, grid, extremes = estimator._scan_grid(pulse, L)
-            assert mus[j] == j / 128 and grid[j].tobytes() == near.tobytes()
-            assert extremes[j] == [big, small]
+            mus, _, _, flags = estimator._scan_grid(pulse, L)
+            assert mus[j] == j / 128 and flags[j] == certified
             got = estimator._profile_derivative(pulse, mu, L, Y)[1]
-            expected = gram if bound <= estimator._GRAM_LIMIT else h
-            assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == (gram if certified else h).tobytes()
 
-    def test_uncertified_matrix_falls_back_to_svd(self, monkeypatch):
-        # a repeated column moves G(mu) farther from every scan matrix than
-        # their least singular value, so no Gram solve is certified: the SVD
-        # runs and rejects the rank-deficient G
+    def test_gram_certificate_is_sound_at_tight_limits(self, monkeypatch, fresh_caches):
+        # kappa(G) grows from 1 to 10 over [0, 1/2] on this pulse; with the limit set
+        # to each scan matrix's own kappa in turn, every certified half step still
+        # keeps kappa(G(mu)) within it at both ends (a flag from G_j alone would not).
+        # Then the polish reads the flag of the nearest scan offset, on either side
+        # of the last certified one
+        from chirpsounder import estimator
+
+        pulse, L = build_pulse(rolloff=1.0, M=1), 15
+        G, Gp = estimator._shaping_and_slope(pulse, np.arange(129) / 256, L)  # j/128 and ends
+        sv = np.linalg.svd(G, compute_uv=False)
+        kappa = sv[:, 0] / sv[:, -1]
+        certified = 0
+        for limit in kappa[::2].tolist():
+            monkeypatch.setattr(estimator, "_GRAM_LIMIT", limit)
+            for j in np.flatnonzero(estimator._certified(pulse, G[::2], Gp[::2])):
+                assert kappa[max(2 * j - 1, 0) : 2 * j + 2].max() <= limit
+                certified += 1
+        assert certified > 1000
+        b = int(np.argmin(estimator._certified(pulse, G[::2], Gp[::2])))  # first uncertified
+        assert b > 1
+        Y = np.random.default_rng(26).standard_normal((G.shape[1], 2))
+        calls = record_solves(monkeypatch)
+        for mu, path in (((b - 0.75) / 128, "solve"), ((b - 0.25) / 128, "lstsq")):
+            calls.clear()
+            estimator._profile_derivative(pulse, mu, L, Y)
+            assert [name for name, *_ in calls] == [path]
+
+    def test_fractional_preset_takes_only_gram_solves(self, monkeypatch):
+        # every scan interval of paper-sec5-fractional is certified, so its runs
+        # make no SVD solve; a cruder bound that sent the preset to the SVD fails here
+        from chirpsounder import estimator, run_mse_experiment
+
+        cfg = preset("paper-sec5-fractional")
+        pulse = build_pulse(cfg.pulse_rolloff, cfg.pulse_half_support)
+        assert estimator._scan_grid(pulse, cfg.total_length)[3] == [True] * 65
+        calls = record_solves(monkeypatch)
+        run_mse_experiment(cfg.replace(trials=3))
+        assert calls and {name for name, *_ in calls} == {"solve"}
+
+    def test_uncertified_matrix_falls_back_to_svd(self, monkeypatch, fresh_caches):
+        # a repeated column in every G, the scan's too, leaves each scan matrix a
+        # least singular value below its bound, so no Gram solve is certified:
+        # the SVD runs and rejects the rank-deficient G
         from chirpsounder import IllConditionedError, estimator
 
         pulse = build_pulse(rolloff=0.25, M=4)
         hF = build_shaping_matrix(pulse, 0.3, 15) @ random_taps(np.random.default_rng(20), 15)
-        estimator._scan_grid(pulse, 15)
         evaluate = estimator._shaping_and_slope
 
         def repeated_column(pulse, mu, L):
             G, Gp = evaluate(pulse, mu, L)
-            G[:, 1] = G[:, 0]
+            G[..., 1] = G[..., 0]
             return G, Gp
 
         monkeypatch.setattr(estimator, "_shaping_and_slope", repeated_column)
@@ -779,18 +834,17 @@ class TestJointEstimate:
         G[1, 1] = 1e-11  # kappa(G) = 1e11 passes
         assert np.allclose(_solve_h(G, G @ np.array([1.0, 2.0])), [1.0, 2.0])
 
-    def test_ill_conditioned_shaping_matrix_raises(self, monkeypatch):
+    def test_ill_conditioned_shaping_matrix_raises(self, monkeypatch, fresh_caches):
         from chirpsounder import IllConditionedError, estimator
 
         pulse = build_pulse(rolloff=0.25, M=4)
         rng = np.random.default_rng(20)
         hF = build_shaping_matrix(pulse, 0.3, 15) @ random_taps(rng, 15)
-        estimator._scan_grid(pulse, 15)  # the scan's cached matrices stay well posed
-        evaluate = estimator._shaping_and_slope
+        evaluate = estimator._shaping_and_slope  # the scan, built afresh, sees the patch too
 
         def repeated_column(pulse, mu, L):
             G, Gp = evaluate(pulse, mu, L)
-            G[:, 1] = G[:, 0]
+            G[..., 1] = G[..., 0]
             return G, Gp
 
         monkeypatch.setattr(estimator, "_shaping_and_slope", repeated_column)
@@ -822,6 +876,32 @@ class TestJointEstimate:
         # compared at unit scale: the norms of 2^k-scaled taps under/overflow
         h_hat = rep.h_hat / 2.0**k
         assert np.linalg.norm(h_hat - taps) / np.linalg.norm(taps) < 1e-6
+
+    def test_non_integer_span_rejected_before_the_caches(self, fresh_caches):
+        # 15.0 == 15 as a cache key: a float L that reached the shaping layout
+        # would cache a float gather for every later call with L = 15.  A bool
+        # is no count either; numpy integers are counts
+        from chirpsounder import run_mse_experiment
+
+        cfg = preset("paper-sec5-fractional")
+        pulse = build_pulse(cfg.pulse_rolloff, cfg.pulse_half_support)
+        rng = np.random.default_rng(25)
+        hF = rng.standard_normal(22) + 1j * rng.standard_normal(22)
+        w = generate_chirp(1, 128)
+        for call in (
+            lambda: joint_estimate(hF, pulse, 15.0),
+            lambda: build_shaping_matrix(pulse, 0.2, 15.0),
+            lambda: build_sounding_matrix(w, 15.0),
+            lambda: build_sounding_matrix(w, 15, 4.0),
+            lambda: build_sounding_matrix(w, True),
+            lambda: build_sounding_matrix(w, 15, True),
+            lambda: joint_estimate(hF[:2], pulse, True),
+        ):
+            with pytest.raises(DimensionMismatchError, match="need integers"):
+                call()
+        assert joint_estimate(hF, pulse, 15).h_hat.shape == (15,)
+        assert build_sounding_matrix(w, np.int64(15), np.int32(4)).entries.shape == (22, 128)
+        assert len(run_mse_experiment(cfg.replace(trials=2)).links) == 9
 
     def test_wrong_length_rejected(self):
         pulse = build_pulse(rolloff=0.25, M=4)

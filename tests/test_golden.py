@@ -15,9 +15,11 @@ digest depends on:
   estimates that the polish stops within 1e-10 of the minimizer, so a
   different iteration moves their last printed digits;
 * the polish's ``h`` solve: each polish step solves for ``h`` by the normal
-  equations where the scan certifies ``G(mu)`` well conditioned, else by an
-  SVD, and the ``paper-sec5-fractional`` ``mse`` CSVs hold the estimates of
-  the last step, so a different solver moves their last printed digits;
+  equations where the scan's flag for the nearest offset certifies ``G(mu)``
+  well conditioned on the whole half step, else by an SVD.  All 65 flags of
+  ``paper-sec5-fractional`` hold, and its ``mse`` CSVs hold the estimates of
+  the last step, so a different solver, or a cruder bound that sends a step
+  to the SVD, moves their last printed digits;
 * reception summation order: every digest downstream of reception (the
   ``mse`` and ``sound`` files, records included) depends on the order in
   which reception sums its terms, one sounding-matrix product per waveform;
