@@ -17,7 +17,8 @@ unless noted; unknown keys anywhere are rejected):
     snr_db             scalar or [per rx antenna]
     lo_topology        "independent" | "tx-shared" | "rx-shared"
     capacity           {"rho_db": [...], "bins": K}
-    trials, seed       integers
+    trials, seed       integers: 1 <= trials <= 2**32 (trial t keys its random
+                       streams with one uint32 word), seed >= 0
 
 Validation reports each fault it finds once, all in one ConfigError: a section that
 is not an object (null and [] included) is one fault, and a check that needs a
@@ -211,12 +212,14 @@ _as_topology = _checked(
 _as_pulse_kind = _checked(lambda v: v == "raised-cosine", "{what}: unsupported kind {value!r}")
 
 
-def _as_int(value, what, problems, minimum=0):
-    """An integer of at least ``minimum``."""
+def _as_int(value, what, problems, minimum=0, maximum=None):
+    """An integer of at least ``minimum`` and, if one is given, at most ``maximum``."""
     if not isinstance(value, int) or isinstance(value, bool):
         return _reject(problems, f"{what}: expected an integer, got {value!r}")
     if value < minimum:
         return _reject(problems, f"{what}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        return _reject(problems, f"{what}: must be <= {maximum}, got {value}")
     return value
 
 
@@ -386,7 +389,7 @@ def _from_dict(data):
             f"capacity.bins: must be >= channel.total_length ({total_length}), got {bins}"
         )
 
-    trials = top.field("trials", _as_int, 1)
+    trials = top.field("trials", _as_int, 1, 2**32)
     seed = top.field("seed", _as_int, 0)
     top.finish()
 

@@ -9,6 +9,12 @@ on execution order and are byte-reproducible:
     stream (2, t)      the channel redrawn for trial t: its uniform fractional
                        offsets, then (only with ``redraw_per_trial``) its taps
 
+Stream k is Philox keyed by ``SeedSequence(seed, spawn_key=k)
+.generate_state(2, np.uint64)`` with counter 0: ``derive_rng(seed, *k)``, which
+stays the reference.  The Monte-Carlo loop derives the same keys for (1, t) and
+(2, t) in vectorized blocks of trials (numpy's SeedSequence hash reads t only
+in its last word) and re-keys one generator, the stream-(0,) one, per stream.
+
 A synthesis stream yields the uniform offsets, then all active taps in one draw,
 link by link in (tx, rx) order, real parts before imaginary parts.  So trial t
 takes the same offsets and noise whether or not its taps are redrawn.
@@ -58,6 +64,127 @@ def derive_rng(seed, *key):
     """Generator for one named substream of the experiment's seed."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(seq))
+
+
+# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx): its
+# entropy hash (A), its pool mixing and its output hash (B).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# Output word k is hashed with the k-th and (k+1)-th constants of the B sequence.
+_HASH_B = np.array([_INIT_B * pow(_MULT_B, k, 1 << 32) & _MASK32 for k in range(5)], np.uint32)
+_OUT_XOR, _OUT_MUL = _HASH_B[:4, None], _HASH_B[1:, None]
+_SHIFT, _MIX_R32 = np.uint32(16), np.uint32(_MIX_R)  # uint32 scalars: no conversion per use
+_OTHER_LANES = [[k for k in range(4) if k != src] for src in range(4)]
+_KEY_BLOCK = 4096  # trials per vectorized key pass
+
+
+def _words(n):
+    """The uint32 words of the int ``n`` >= 0, least significant first."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _absorb(pool, hc, word, lanes):
+    """Mix the hash of ``word`` into each of ``lanes`` of ``pool`` in turn.
+
+    One step of SeedSequence's entropy mixing per lane, in place; returns the
+    next constant ``hc`` of the A sequence.
+    """
+    for k in lanes:
+        nxt = hc * _MULT_A & _MASK32
+        h = (word ^ hc) * nxt & _MASK32
+        r = (_MIX_L * pool[k] - _MIX_R * (h ^ h >> 16)) & _MASK32
+        pool[k] = r ^ r >> 16
+        hc = nxt
+    return hc
+
+
+def _stream_lanes(seed, streams):
+    """What keying streams (s, t) of ``seed`` does before it reads t, for s in ``streams``.
+
+    ``SeedSequence(seed, spawn_key=(s, t))`` pads the seed's words to 4 and
+    appends the words of s, then t.  It hashes the first 4 words into a 4-lane
+    pool, mixes the lanes, and then mixes each further word into every lane.
+    Only the last word is t's, so all that comes before it is done here, once,
+    in Python ints; the seed's part is shared by every stream.  Returns uint32
+    arrays (base, xor, mul), each (len(streams), 4, 1): t's lane k of stream s
+    becomes ``(base - _MIX_R * hash(t)) ^ >> 16`` with ``base = _MIX_L * pool``
+    and ``hash(t) = ((t ^ xor) * mul) ^ >> 16``.
+    """
+    words = _words(seed)
+    words += [0] * (4 - len(words))
+    hc = _INIT_A
+    pool = []
+    for w in words[:4]:
+        nxt = hc * _MULT_A & _MASK32
+        h = (w ^ hc) * nxt & _MASK32
+        pool.append(h ^ h >> 16)
+        hc = nxt
+    for src in range(4):
+        hc = _absorb(pool, hc, pool[src], _OTHER_LANES[src])
+    for w in words[4:]:
+        hc = _absorb(pool, hc, w, range(4))
+    lanes = []
+    for s in streams:
+        sp, h = pool[:], hc
+        for w in _words(s):
+            h = _absorb(sp, h, w, range(4))
+        consts = [h]
+        for _ in range(4):
+            consts.append(consts[-1] * _MULT_A & _MASK32)
+        lanes.append([[_MIX_L * p & _MASK32 for p in sp], consts[:4], consts[1:]])
+    return np.array(lanes, np.uint32).transpose(1, 0, 2)[..., None]
+
+
+def _philox_keys(lanes, t):
+    """The Philox keys of streams (s, t) for the uint32 array ``t``, as nested lists.
+
+    Entry ``[i][j]`` is ``SeedSequence(seed, spawn_key=(streams[j], t[i]))
+    .generate_state(2, np.uint64)``: t's word goes into each lane, then the
+    output hash runs, on a (streams, 4, len(t)) pool.
+    """
+    base, xor, mul = lanes
+    pool = t ^ xor
+    pool *= mul
+    pool ^= pool >> _SHIFT
+    pool *= _MIX_R32
+    np.subtract(base, pool, out=pool)
+    pool ^= pool >> _SHIFT
+    pool ^= _OUT_XOR
+    pool *= _OUT_MUL
+    pool ^= pool >> _SHIFT
+    # words 0-1 and 2-3 make each key's two uint64s, little-endian as generate_state joins them
+    return np.ascontiguousarray(pool.transpose(2, 0, 1), "<u4").view("<u8").tolist()
+
+
+def _trial_keys(seed, streams, trials):
+    """Yield, for t in range(trials), the Philox keys of derive_rng(seed, s, t), s in ``streams``.
+
+    The keys come _KEY_BLOCK trials at a time, so memory is bounded at any
+    trial count; t must fit one uint32 word, as config's trial bound ensures.
+    """
+    lanes = _stream_lanes(seed, streams)
+    for start in range(0, trials, _KEY_BLOCK):
+        t = np.arange(start, min(start + _KEY_BLOCK, trials), dtype=np.uint32)
+        yield from _philox_keys(lanes, t)
+
+
+def _rekeyed(rng, key):
+    """``rng``, its Philox set to the start of ``key``'s stream, as derive_rng would build it."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 @dataclass(frozen=True)
@@ -124,10 +251,13 @@ def _result(kind, cfg, t0, waveforms=(), trials=None, **payload):
     )
 
 
-def _setup(cfg):
-    """The waveforms, the stream-(0,) channel, the pulse and each waveform's sounding matrix."""
+def _setup(cfg, rng):
+    """The waveforms, the channel drawn from ``rng``, the pulse and each waveform's sounding matrix.
+
+    ``rng`` is ``derive_rng(cfg.seed, 0)``, the synthesis stream.
+    """
     waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
-    scenario = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
+    scenario = synthesize_channels(cfg, rng)
     pulse = build_pulse(cfg.pulse_rolloff, cfg.pulse_half_support)
     matrices = [build_sounding_matrix(w, cfg.total_length, cfg.lead) for w in waveforms]
     return waveforms, scenario, pulse, matrices
@@ -146,7 +276,8 @@ def run_mse_experiment(cfg):
     trial runs.
     """
     t0 = time.perf_counter()
-    waveforms, scenario, pulse, matrices = _setup(cfg)
+    rng = derive_rng(cfg.seed, 0)  # draws the channel, then is re-keyed to each trial's streams
+    waveforms, scenario, pulse, matrices = _setup(cfg, rng)
     L = cfg.total_length
 
     if not scenario.sigma2.all():
@@ -159,16 +290,18 @@ def run_mse_experiment(cfg):
     redraw = cfg.redraw_per_trial or (cfg.fractional and cfg.mu_values is None)
     r0 = None if redraw else _received(cfg, scenario, matrices, pulse)  # serves every trial
 
-    for t in range(cfg.trials):
+    # The redraw uses up stream (2, t) before the noise draws from (1, t).
+    streams = (2, 1) if redraw else (1,)
+    for keys in _trial_keys(cfg.seed, streams, cfg.trials):
         if redraw:
-            rng = derive_rng(cfg.seed, 2, t)
+            _rekeyed(rng, keys[0])
             if cfg.redraw_per_trial:
                 scenario = synthesize_channels(cfg, rng)
                 redrawn.append(scenario.sigma2)
             else:
                 scenario = replace(scenario, mu=cfg.per_link(draw_fractional_offsets(cfg, rng)))
             r0 = _received(cfg, scenario, matrices, pulse)
-        r = awgn(r0, scenario.sigma2, derive_rng(cfg.seed, 1, t))
+        r = awgn(r0, scenario.sigma2, _rekeyed(rng, keys[-1]))
         h_hat = np.empty_like(scenario.taps)
         for m in range(cfg.nr):
             for i in range(cfg.nt):
@@ -223,7 +356,7 @@ def run_sounding(cfg):
     the channel response.
     """
     t0 = time.perf_counter()
-    waveforms, scenario, pulse, matrices = _setup(cfg)
+    waveforms, scenario, pulse, matrices = _setup(cfg, derive_rng(cfg.seed, 0))
     r0 = _received(cfg, scenario, matrices, pulse)
     r = awgn(r0, scenario.sigma2, derive_rng(cfg.seed, 1, 0))
     traces = []

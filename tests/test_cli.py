@@ -259,6 +259,16 @@ def test_invalid_overrides_exit_2(tmp_path, capsys, override, field):
     assert not (tmp_path / "o").exists()
 
 
+def test_trials_override_past_one_stream_word_exits_2(tmp_path, capsys):
+    # trial t keys its noise stream with one uint32 word, so 2**32 trials is the most
+    argv = ["mse", "--preset", "paper-sec5", "--out", str(tmp_path / "o"), "--trials", "4294967297"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "trials: must be <= 4294967296, got 4294967297" in err
+    assert len([line for line in err.splitlines() if line.startswith("  ")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
 _NO_EXPERIMENT = ("generate", "correlate", "check")
 
 

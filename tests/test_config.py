@@ -106,7 +106,7 @@ OUT_OF_RANGE = {
     ("snr_db",): [-1e9],  # a noise power past any float
     ("capacity", "rho_db"): [[0.0, 1e9]],
     ("capacity", "bins"): [0, -1, 8],  # 8 is below every preset's total_length
-    ("trials",): [0, -1],
+    ("trials",): [0, -1, 2**32 + 1],  # trial t must fit one uint32 stream word
     ("seed",): [-1],
 }
 
@@ -126,7 +126,7 @@ def test_one_line_per_out_of_range_field():
                 lines = _problem_lines(data)
                 if len(lines) != 1 or path[-1] not in lines[0]:
                     failures.append((name, path, value, lines))
-    assert cases == 156
+    assert cases == 161
     assert failures == []
 
 
@@ -140,6 +140,7 @@ def test_edge_values_that_config_accepts(name):
     cfg = from_dict({**data, "snr_db": 1e9})
     with pytest.raises(ConfigError, match="zero noise variance"):
         run_mse_experiment(cfg)
+    assert _problem_lines({**data, "trials": 2**32}) == []  # the last t is 2**32 - 1
 
 
 def scenario(tx_node, rx_node, rates, N, L, active, offsets, *, mu=None, topology="independent",
@@ -245,7 +246,7 @@ def _soundable(data, fractional=None):
 
 def _noiseless(cfg):
     """The stream-(0,) channel, pulse and matrices of ``cfg``, and its noiseless reception."""
-    _, channel, pulse, matrices = _setup(cfg)
+    _, channel, pulse, matrices = _setup(cfg, derive_rng(cfg.seed, 0))
     return channel, pulse, matrices, _received(cfg, channel, matrices, pulse)
 
 

@@ -491,6 +491,60 @@ class TestMseExperiment:
             assert taps != taps_r  # the taps were redrawn
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(1, 5).flatmap(lambda words: st.integers(0, 2 ** (32 * words) - 1)),
+    streams=st.lists(st.sampled_from([0, 1, 2, 2**33]), min_size=1, max_size=3),
+    block=st.integers(1, 2),
+    drawn=st.integers(0, 5),
+)
+@example(seed=2**160 - 1, streams=[2**33, 0], block=2, drawn=1)
+def test_trial_keys_are_derive_rngs(seed, streams, block, drawn):
+    # every key equals SeedSequence's, on both sides of a key-block boundary, and a
+    # generator re-keyed after a partial uint32 draw continues as derive_rng's would
+    edge = block * harness._KEY_BLOCK
+    keys = list(harness._trial_keys(seed, streams, edge + 3))
+    used = derive_rng(seed + 1, 9)
+    used.integers(0, 2**32, size=drawn, dtype=np.uint32)  # odd sizes leave a half word
+    for t in range(edge - 3, edge + 3):
+        for s, key in zip(streams, keys[t]):
+            seq = np.random.SeedSequence(seed, spawn_key=(s, t))
+            assert key == seq.generate_state(2, np.uint64).tolist(), (s, t)
+    rekeyed, ref = harness._rekeyed(used, keys[edge][0]), derive_rng(seed, streams[0], edge)
+    assert rekeyed.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == ref.integers(
+        0, 2**32, size=3, dtype=np.uint32
+    ).tolist()
+    assert rekeyed.random(3).tolist() == ref.random(3).tolist()
+    assert rekeyed.standard_normal(5).tolist() == ref.standard_normal(5).tolist()
+
+
+@pytest.mark.parametrize("redraw", [False, True], ids=["fixed", "redrawn"])
+def test_a_run_seeds_only_its_synthesis_stream(monkeypatch, redraw):
+    # per-trial streams are re-keyed from vectorized keys: no SeedSequence per trial
+    built, seed_sequence = [], np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("spawn_key"))
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    data = PRESETS["paper-sec5"]()
+    data["channel"]["redraw_per_trial"] = redraw
+    run_mse_experiment(from_dict({**data, "trials": 50}))
+    assert built == [(0,)]
+
+
+@pytest.mark.parametrize("name", ["paper-sec5", "paper-sec5-fractional"])
+def test_key_blocks_do_not_change_a_run(monkeypatch, name):
+    # trials cross key blocks of 1 and of 7 exactly as they cross the default block
+    cfg = preset(name).replace(trials=16)
+    want = run_mse_experiment(cfg)
+    for block in (1, 7):
+        monkeypatch.setattr(harness, "_KEY_BLOCK", block)
+        got = run_mse_experiment(cfg)
+        assert got.links == want.links and got.antennas == want.antennas
+
+
 class TestCapacityExperiment:
     def test_shared_topologies_equal(self):
         for name in ("capacity-tx-shared", "capacity-rx-shared"):
