@@ -1,8 +1,8 @@
 """Matched-filter channel estimation and the joint fractional-offset solver.
 
 The sounding matrix S of a waveform is the N x D Toeplitz matrix whose
-columns are cyclic shifts of the waveform samples.  It is built once per
-waveform and stored as the matched filter S^H, a contiguous D x N array.
+columns are cyclic shifts of the waveform samples.  It is built once per waveform
+and window, and shared read-only as the matched filter S^H, a contiguous D x N array.
 Both directions of the operator live here: the filter is one product S^H r,
 whose bits do not depend on the BLAS thread count, and ``_sound`` forms
 reception's noiseless sum_i S_i F_i.  Whenever the design constraints hold,
@@ -15,12 +15,12 @@ Recovering (mu, h) from the fractional output minimizes
     || h_F - G(mu) h ||^2      over mu in [0, 1/2], h in C^L.
 
 G(mu) is real, so the mu step runs in real arithmetic on the D x 2 array of
-h_F's real and imaginary parts.  It scores a 65-point grid by the projected
-residual (the h solve is embedded, so the objective is the joint problem's
-true profile), starts at the minimum of the Hermite cubic through the grid's
-exact slopes (cached slope makers) and polishes with a bracketed, bisection-
-safeguarded secant on the profile slope, reusing the last solve as the h
-estimate.  Freezing h, as a literal alternation would, contracts too slowly.
+h_F's real and imaginary parts.  It scores a 65-point grid by the residual in the
+left null space of G, 2M - 1 rows per offset (Kaufman 1975; the h solve is embedded,
+so the objective is the joint problem's true profile), starts at the minimum of the
+Hermite cubic through the grid's exact slopes (cached slope makers) and polishes with
+a bracketed, bisection-safeguarded secant on the profile slope, reusing the last
+solve as the h estimate.  Freezing h, as a literal alternation would, contracts too slowly.
 The profile slope is the variable-projection derivative (Golub & Pereyra
 1973) -2 <r, G'(mu) h>: each polish step takes the pulse and its
 closed-form derivative from ``PulseShape.with_slope`` once, at one offset,
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConstraintViolationError,
@@ -77,7 +78,7 @@ class EstimateReport:
 
 
 def build_sounding_matrix(w, L, M=0):
-    """Build the sounding matrix of waveform ``w`` for reception and the matched filter.
+    """Sounding matrix of waveform ``w`` for reception and the matched filter: shared, read-only.
 
     D is the lag window of span L: L itself for integer offsets (M = 0), 2M + L - 1 with
     a pulse of half-support M.  ``check_design_constraints`` at ``w``'s own rate gives D
@@ -92,8 +93,15 @@ def build_sounding_matrix(w, L, M=0):
             f"waveform p={w.p}, N={w.N} cannot sound {report.window} columns: "
             f"requires N > {report.bound}"
         )
-    lags = M + np.arange(w.N) - np.arange(report.window)[:, None]
-    return SoundingMatrix(entries=np.conj(w.samples[lags % w.N]), M=M)
+    return _sounding_matrix(w, int(M), report.window)
+
+
+@lru_cache(maxsize=32)
+def _sounding_matrix(w, M, D):
+    """One per waveform object and window: row c is the conjugated period from (M - c) mod N."""
+    entries = sliding_window_view(np.conj(np.tile(w.samples, 2)), w.N)[(M - np.arange(D)) % w.N]
+    entries.flags.writeable = False
+    return SoundingMatrix(entries=entries, M=M)
 
 
 def _check_span(L, M=0):
@@ -168,8 +176,8 @@ def _shaping_layout(M, L):
 def _shaping_and_slope(pulse, mu, L):
     """G(mu) and its exact slope dG/dmu, shape (2,) + mu.shape + (2M+L-1, L), mu in [0, 1/2].
 
-    The one sampler of the pulse for G: ``pulse.with_slope`` once at the support lags k + mu,
-    0 elsewhere (at mu = 0, the right-sided slope and g(M) = 0), then one ``take``.
+    The sampler of the pulse for G (the polish inlines it): ``pulse.with_slope`` once at the
+    support lags k + mu, 0 elsewhere (at mu = 0, the right-sided slope and g(M) = 0), one ``take``.
     """
     lags, gather = _shaping_layout(pulse.M, L)
     mu = np.asarray(mu, dtype=float)
@@ -180,12 +188,15 @@ def _shaping_and_slope(pulse, mu, L):
 
 @lru_cache(maxsize=32)
 def _scan_grid(pulse, L):
-    """Offsets, makers I - G pinv(G) and G' pinv(G) (flat (65 D, D)), and ``_certified`` flags."""
+    """Offsets, makers Q2^T and Q2^T G' pinv(G) (flat (65 (2M-1), D)), and ``_certified`` flags.
+
+    Q2, the last 2M - 1 columns of G's complete QR, spans its left null space (Kaufman 1975).
+    """
     mus = np.linspace(0.0, 0.5, _SCAN_POINTS)
     G, Gp = _shaping_and_slope(pulse, mus, L)
-    pinv, D = np.linalg.pinv(G), G.shape[1]
-    makers = (np.eye(D) - G @ pinv).reshape(-1, D)
-    return mus.tolist(), makers, (Gp @ pinv).reshape(-1, D), _certified(pulse, G, Gp).tolist()
+    null, D = np.linalg.qr(G, mode="complete")[0][..., L:].swapaxes(-1, -2), G.shape[1]
+    slopers = (null @ Gp @ np.linalg.pinv(G)).reshape(-1, D)
+    return mus.tolist(), null.reshape(-1, D), slopers, _certified(pulse, G, Gp).tolist()
 
 
 def _certified(pulse, G, Gp):
@@ -217,29 +228,34 @@ def _solve_h(G, hF):
     return h
 
 
-def _profile_derivative(pulse, mu, L, Y):
-    """Slope of the projected residual ||Y - G(mu) h(mu)||^2 in mu, with h(mu) and the residual.
+def _profile_derivative(pulse, L, Y):
+    """The polish's mu -> (phi'(mu), h(mu), residual) of ||Y - G(mu) h(mu)||^2, for one Y.
 
-    Because the residual is orthogonal to range(G), only the explicit G(mu)
-    dependence contributes: phi'(mu) = -2 <Y - G h, G' h>, Y = [Re hF, Im hF],
-    with G and G' from one evaluation of the pulse and its exact slope, and h from the normal
+    Because the residual is orthogonal to range(G), only the explicit G(mu) dependence
+    contributes: phi'(mu) = -2 <Y - G h, G' h>, Y = [Re hF, Im hF], with G and G' from one
+    evaluation of the pulse and its exact slope (as ``_shaping_and_slope`` samples one offset,
+    with the layout, the flags and the scan step read once per Y), and h from the normal
     equations where the nearest scan offset's flag certifies them (``_certified``: Taylor, with
     ||G''||_F <= B by Bernstein's inequality, then Weyl's), else from ``_solve_h``'s SVD.
     """
-    G, Gp = _shaping_and_slope(pulse, mu, L)
+    lags, gather = _shaping_layout(pulse.M, L)
     mus, _, _, flags = _scan_grid(pulse, L)
-    if flags[round(mu / mus[1])]:
-        h = np.linalg.solve(G.T @ G, G.T @ Y)
-    else:
-        h = _solve_h(G, Y)
-    r = Y - G @ h
-    return -2.0 * float(np.vdot(r, Gp @ h)), h, r
+    samples = np.zeros((2, lags.size + 1))  # index 2M stays 0
+
+    def at(mu):
+        samples[:, :-1] = pulse.with_slope(mu + lags)
+        G, Gp = samples.take(gather, axis=-1)
+        h = np.linalg.solve(G.T @ G, G.T @ Y) if flags[round(mu / mus[1])] else _solve_h(G, Y)
+        r = Y - G @ h
+        return -2.0 * float(np.vdot(r, Gp @ h)), h, r
+
+    return at
 
 
 def _mu_step(pulse, L, Y):
     """Global scan of the profile objective in real arithmetic, then a safeguarded secant.
 
-    The scan is one product of the flat residual makers with Y, scored by row dots.
+    The scan is one product of the flat null-space makers with Y, scored by row dots.
     Hermite start, last solve reused: where the exact slopes at an interior scan minimum
     and its neighbours turn from - to + on [A, B], the polish starts at the minimum of
     the Hermite cubic through the values and slopes at A and B, its curvature the first
@@ -251,14 +267,14 @@ def _mu_step(pulse, L, Y):
     bring the update below ``_POLISH_TOL``.
     """
     mus, makers, slopers, _ = _scan_grid(pulse, L)
-    n, D = len(mus), Y.shape[0]
-    resid = (makers @ Y).reshape(n, 2 * D)
+    n, R = len(mus), makers.shape[0] // len(mus)  # R rows per offset, 2M - 1
+    resid = (makers @ Y).reshape(n, 2 * R)
     phi = np.einsum("ij,ij->i", resid, resid)
     k = int(np.argmin(phi))
     lo, hi = mus[max(k - 1, 0)], mus[min(k + 1, n - 1)]
     mu, slope = mus[k], 0.0
     if 0 < k < n - 1:
-        grad = (slopers[(k - 1) * D : (k + 2) * D] @ Y).reshape(3, 2 * D)
+        grad = (slopers[(k - 1) * R : (k + 2) * R] @ Y).reshape(3, 2 * R)
         s = (-2.0 * np.einsum("ij,ij->i", resid[k - 1 : k + 2], grad)).tolist()
         A, dx = k - 1 + int(s[1] < 0), mus[1] - mus[0]
         a, b = dx * s[A - k + 1], dx * s[A - k + 2]  # slopes at A and B = A + 1, in grid steps
@@ -269,8 +285,9 @@ def _mu_step(pulse, L, Y):
             lo, hi, slope = mus[A], mus[A + 1], 2 * root / dx**2
             mu = lo - dx * a / max(c2 + root, -a)  # the max keeps mu <= hi
 
+    profile_slope = _profile_derivative(pulse, L, Y)
     for steps in range(1, _POLISH_STEPS + 1):
-        fp, h, r = _profile_derivative(pulse, mu, L, Y)
+        fp, h, r = profile_slope(mu)
         lo, hi = (lo, mu) if fp > 0 else (mu, hi)
         if steps > 1:
             slope = (fp - fp0) / (mu - mu0)
@@ -280,7 +297,7 @@ def _mu_step(pulse, L, Y):
         if abs(nxt - mu) < _POLISH_TOL:
             return mu, steps, True, h, r
         mu0, fp0, mu = mu, fp, nxt
-    return mu, _POLISH_STEPS, False, *_profile_derivative(pulse, mu, L, Y)[1:]
+    return mu, _POLISH_STEPS, False, *profile_slope(mu)[1:]
 
 
 def joint_estimate(hF, pulse, L):

@@ -15,6 +15,7 @@ filters, even when the links carry large unknown integer delays.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,7 +79,7 @@ def generate_chirp(p, N):
     ``p*(n+1)*(n+2)`` is reduced mod N in integer arithmetic before the
     complex exponential is taken, so the samples (and all correlation
     identities built from them) are accurate to machine precision even for
-    large N.
+    large N.  Each ``(p, N)`` has one waveform per process, shared and read-only.
     """
     if not _is_pow2(p):
         raise ConstraintViolationError(f"chirp rate p must be a power of 2, got {p}")
@@ -86,11 +87,15 @@ def generate_chirp(p, N):
         raise ConstraintViolationError(f"period N must be a power of 2, got {N}")
     if N <= 2 * p:
         raise ConstraintViolationError(f"period must satisfy N > 2p, got N={N}, 2p={2 * p}")
+    return _chirp(int(p), int(N))
+
+
+@lru_cache(maxsize=32)
+def _chirp(p, N):
     n = np.arange(N, dtype=np.int64)
-    phase_index = (int(p) * (n + 1) * (n + 2)) % N
-    samples = np.exp(2j * np.pi * phase_index / N) / np.sqrt(N)
+    samples = np.exp(2j * np.pi * (p * (n + 1) * (n + 2) % N) / N) / np.sqrt(N)
     samples.flags.writeable = False
-    return SoundingWaveform(p=int(p), N=int(N), samples=samples)
+    return SoundingWaveform(p=p, N=N, samples=samples)
 
 
 def cyclic_correlation(a, b):

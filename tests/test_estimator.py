@@ -26,6 +26,7 @@ from chirpsounder import (
     synthesize_channels,
 )
 from chirpsounder.channel import PulseShape
+from chirpsounder.waveform import SoundingWaveform
 from tests.test_channel import single_link_scenario, sounding
 
 
@@ -146,19 +147,38 @@ def random_taps(rng, L):
 
 @pytest.fixture
 def fresh_caches():
-    """Empty the scan and shaping-layout caches before and after a test.
+    """Empty the scan, shaping-layout, chirp, sounding-matrix and PAPR caches around a test.
 
     ``lru_cache`` outlives ``monkeypatch``: a scan built from a patched G, or a
     layout cached under a bad key, would otherwise serve every later test.
     """
-    from chirpsounder import estimator
+    from chirpsounder import estimator, harness, waveform
 
-    caches = (estimator._scan_grid, estimator._shaping_layout)
+    caches = (
+        estimator._scan_grid,
+        estimator._shaping_layout,
+        estimator._sounding_matrix,
+        waveform._chirp,
+        harness._papr,
+    )
     for cache in caches:
         cache.cache_clear()
     yield
     for cache in caches:
         cache.cache_clear()
+
+
+def repeated_column_layout(estimator):
+    """A ``_shaping_layout`` whose G repeats column 0 in column 1, at every offset."""
+    layout = estimator._shaping_layout
+
+    def repeated(M, L):
+        lags, gather = layout(M, L)
+        gather = gather.copy()
+        gather[:, 1] = gather[:, 0]
+        return lags, gather
+
+    return repeated
 
 
 def record_solves(monkeypatch):
@@ -201,6 +221,33 @@ class TestSoundingMatrix:
         S1 = build_sounding_matrix(generate_chirp(1, 128), 15)
         S2 = build_sounding_matrix(generate_chirp(2, 128), 15)
         assert np.max(np.abs(S1.entries @ S2.entries.conj().T)) < 1e-10
+
+    def test_cached_matrix_is_shared_and_read_only(self, fresh_caches):
+        w = generate_chirp(1, 128)
+        S = build_sounding_matrix(w, 15, M=4)
+        assert build_sounding_matrix(w, np.int64(15), np.int32(4)) is S
+        assert type(S.M) is int
+        with pytest.raises(ValueError):
+            S.entries[0, 0] = 0.0
+
+    def test_hand_built_waveform_gets_its_own_matrix(self, fresh_caches):
+        # SoundingWaveform compares by identity, so equal (p, N) with other samples
+        # does not reach the chirp's cached matrix
+        w = generate_chirp(1, 128)
+        S = build_sounding_matrix(w, 15)
+        other = SoundingWaveform(p=1, N=128, samples=w.samples[::-1].copy())
+        T = build_sounding_matrix(other, 15)
+        assert T is not S and build_sounding_matrix(w, 15) is S
+        assert T.entries.tobytes() == toeplitz(other, 15).conj().T.tobytes()
+
+    @pytest.mark.parametrize("N", [128, 1024])
+    @pytest.mark.parametrize("M", [0, 4])
+    def test_strided_build_matches_the_definition(self, N, M, fresh_caches):
+        w = generate_chirp(2, N)
+        S = build_sounding_matrix(w, 15, M)
+        c, r = np.indices(S.entries.shape)
+        assert S.entries.shape == (2 * M + 14 if M else 15, N) and S.entries.flags.c_contiguous
+        assert S.entries.tobytes() == np.conj(w.samples[(M + r - c) % N]).tobytes()
 
     def test_single_column_is_waveform(self):
         w = generate_chirp(2, 64)
@@ -547,6 +594,44 @@ class TestShapingMatrix:
         assert points == [65 * 8]
 
 
+class TestNullSpaceScan:
+    @settings(max_examples=60)
+    @given(
+        rolloff=st.sampled_from([0.0, 0.25, 1.0]),
+        M=st.integers(1, 4),
+        L=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scan_scores_the_projected_residual(self, rolloff, M, L, seed):
+        # Kaufman's form: ||Q2^T Y||^2 is ||(I - G pinv(G)) Y||^2 at every scan offset,
+        # and the null-space slope makers give -2 <(I - G pinv(G)) Y, G' pinv(G) Y>
+        from chirpsounder import estimator
+
+        pulse = build_pulse(rolloff=rolloff, M=M)
+        mus, makers, slopers, _ = estimator._scan_grid.__wrapped__(pulse, L)  # past its cache
+        G, Gp = estimator._shaping_and_slope(pulse, np.array(mus), L)
+        n, D, R = len(mus), 2 * M + L - 1, 2 * M - 1
+        assert makers.shape == slopers.shape == (n * R, D)
+        Y = np.random.default_rng(seed).standard_normal((D, 2))
+        h = np.linalg.pinv(G) @ Y
+        resid = Y - G @ h
+        phi = np.einsum("kdi,kdi->k", resid, resid)
+        slope = -2.0 * np.einsum("kdi,kdi->k", resid, Gp @ h)
+        null, grad = (makers @ Y).reshape(n, R, 2), (slopers @ Y).reshape(n, R, 2)
+        np.testing.assert_allclose(np.einsum("kri,kri->k", null, null), phi, rtol=1e-12, atol=0)
+        got = -2.0 * np.einsum("kri,kri->k", null, grad)
+        np.testing.assert_allclose(got, slope, rtol=1e-10, atol=1e-10 * np.abs(slope).max())
+
+    @pytest.mark.parametrize("M,L", [(2, 6), (4, 15)])
+    def test_scan_entry_holds_2M_minus_1_rows_per_offset(self, M, L):
+        # two (65 (2M-1), D) makers, not two (65 D, D): 160160 B on paper-sec5-fractional
+        from chirpsounder import estimator
+
+        _, makers, slopers, _ = estimator._scan_grid.__wrapped__(build_pulse(0.25, M), L)
+        D = 2 * M + L - 1
+        assert makers.nbytes + slopers.nbytes <= 2 * 65 * (2 * M - 1) * D * 8
+
+
 class TestJointEstimate:
     def test_noiseless_recovery(self):
         pulse = build_pulse(rolloff=0.25, M=4)
@@ -704,7 +789,7 @@ class TestJointEstimate:
         if L <= 15:
             mus, _, _, flags = estimator._scan_grid(pulse, L)
             assert mus[j] == j / 128 and flags[j] == certified
-            got = estimator._profile_derivative(pulse, mu, L, Y)[1]
+            got = estimator._profile_derivative(pulse, L, Y)(mu)[1]
             assert got.tobytes() == (gram if certified else h).tobytes()
 
     def test_gram_certificate_is_sound_at_tight_limits(self, monkeypatch, fresh_caches):
@@ -732,7 +817,7 @@ class TestJointEstimate:
         calls = record_solves(monkeypatch)
         for mu, path in (((b - 0.75) / 128, "solve"), ((b - 0.25) / 128, "lstsq")):
             calls.clear()
-            estimator._profile_derivative(pulse, mu, L, Y)
+            estimator._profile_derivative(pulse, L, Y)(mu)
             assert [name for name, *_ in calls] == [path]
 
     def test_fractional_preset_takes_only_gram_solves(self, monkeypatch):
@@ -755,14 +840,7 @@ class TestJointEstimate:
 
         pulse = build_pulse(rolloff=0.25, M=4)
         hF = build_shaping_matrix(pulse, 0.3, 15) @ random_taps(np.random.default_rng(20), 15)
-        evaluate = estimator._shaping_and_slope
-
-        def repeated_column(pulse, mu, L):
-            G, Gp = evaluate(pulse, mu, L)
-            G[..., 1] = G[..., 0]
-            return G, Gp
-
-        monkeypatch.setattr(estimator, "_shaping_and_slope", repeated_column)
+        monkeypatch.setattr(estimator, "_shaping_layout", repeated_column_layout(estimator))
         calls = record_solves(monkeypatch)
         with pytest.raises(IllConditionedError) as exc:
             joint_estimate(hF, pulse, 15)
@@ -840,14 +918,8 @@ class TestJointEstimate:
         pulse = build_pulse(rolloff=0.25, M=4)
         rng = np.random.default_rng(20)
         hF = build_shaping_matrix(pulse, 0.3, 15) @ random_taps(rng, 15)
-        evaluate = estimator._shaping_and_slope  # the scan, built afresh, sees the patch too
-
-        def repeated_column(pulse, mu, L):
-            G, Gp = evaluate(pulse, mu, L)
-            G[..., 1] = G[..., 0]
-            return G, Gp
-
-        monkeypatch.setattr(estimator, "_shaping_and_slope", repeated_column)
+        # the scan, built afresh, and the polish both see the patch
+        monkeypatch.setattr(estimator, "_shaping_layout", repeated_column_layout(estimator))
         with pytest.raises(IllConditionedError) as exc:
             joint_estimate(hF, pulse, 15)
         assert exc.value.condition_estimate == np.inf
@@ -921,7 +993,7 @@ class TestJointEstimate:
             rep = joint_estimate(hF, pulse, L)
             if 0.0 < rep.mu_hat < 0.5:
                 Y = hF.view(np.float64).reshape(-1, 2)  # real and imaginary columns
-                slope, h, r = _profile_derivative(pulse, rep.mu_hat, L, Y)
+                slope, h, r = _profile_derivative(pulse, L, Y)(rep.mu_hat)
                 assert abs(slope) < 1e-6
                 np.testing.assert_allclose(h[:, 0] + 1j * h[:, 1], rep.h_hat, rtol=1e-9)
                 G = build_shaping_matrix(pulse, rep.mu_hat, L)

@@ -40,6 +40,13 @@ class TestGenerateChirp:
         w = generate_chirp(1, 4)
         assert w.samples[0] == pytest.approx(-0.5)
 
+    def test_repeat_call_shares_one_read_only_waveform(self):
+        w = generate_chirp(2, 64)
+        assert generate_chirp(2, 64) is w and generate_chirp(np.int64(2), np.int64(64)) is w
+        assert type(w.p) is int and type(w.N) is int
+        with pytest.raises(ValueError):
+            w.samples[0] = 0.0
+
     def test_unit_magnitude_and_energy(self):
         w = generate_chirp(1, 128)
         assert w.N == 128 and len(w.samples) == 128
