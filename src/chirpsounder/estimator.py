@@ -1,8 +1,8 @@
 """Matched-filter channel estimation and the joint fractional-offset solver.
 
 The sounding matrix S of a waveform is the N x D Toeplitz matrix whose
-columns are cyclic shifts of the waveform samples.  It is built once per waveform
-and window, and shared read-only as the matched filter S^H, a contiguous D x N array.
+columns are cyclic shifts of the waveform samples.  It is shared, read-only, as the
+matched filter S^H, a contiguous D x N array (see ``build_sounding_matrix``).
 Both directions of the operator live here: the filter is one product S^H r,
 whose bits do not depend on the BLAS thread count, and ``_sound`` forms
 reception's noiseless sum_i S_i F_i.  Whenever the design constraints hold,
@@ -44,7 +44,7 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
 )
-from .waveform import _window, check_design_constraints, cyclic_correlation
+from .waveform import _SHARED_ENTRIES, _window, check_design_constraints, cyclic_correlation
 
 _COND_LIMIT = 1e12  # on kappa(G); kappa(G^H G) is its square
 _SCAN_POINTS = 65
@@ -82,7 +82,8 @@ def build_sounding_matrix(w, L, M=0):
 
     D is the lag window of span L: L itself for integer offsets (M = 0), 2M + L - 1 with
     a pulse of half-support M.  ``check_design_constraints`` at ``w``'s own rate gives D
-    and must pass (the family-level check with p_max is the harness's job).
+    and must pass (the family-level check with p_max is the harness's job).  Up to 16 matrices
+    of at most 2^16 entries, of waveforms with read-only samples, are kept and shared.
     """
     _check_span(L, M)
     if w.N < L:
@@ -93,13 +94,17 @@ def build_sounding_matrix(w, L, M=0):
             f"waveform p={w.p}, N={w.N} cannot sound {report.window} columns: "
             f"requires N > {report.bound}"
         )
-    return _sounding_matrix(w, int(M), report.window)
+    M, D = int(M), report.window
+    if w.samples.flags.writeable or D * w.N > _SHARED_ENTRIES:
+        return _sounding_matrix.__wrapped__(w, M, D)  # editable or large: built per call
+    return _sounding_matrix(w, M, D)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=16)
 def _sounding_matrix(w, M, D):
     """One per waveform object and window: row c is the conjugated period from (M - c) mod N."""
-    entries = sliding_window_view(np.conj(np.tile(w.samples, 2)), w.N)[(M - np.arange(D)) % w.N]
+    doubled = np.conj(np.tile(w.samples, 2))
+    entries = sliding_window_view(doubled, w.N)[(M - np.arange(D)) % w.N]
     entries.flags.writeable = False
     return SoundingMatrix(entries=entries, M=M)
 
@@ -176,8 +181,8 @@ def _shaping_layout(M, L):
 def _shaping_and_slope(pulse, mu, L):
     """G(mu) and its exact slope dG/dmu, shape (2,) + mu.shape + (2M+L-1, L), mu in [0, 1/2].
 
-    The sampler of the pulse for G (the polish inlines it): ``pulse.with_slope`` once at the
-    support lags k + mu, 0 elsewhere (at mu = 0, the right-sided slope and g(M) = 0), one ``take``.
+    The one sampler of the pulse for G: ``pulse.with_slope`` once at the support lags k + mu,
+    0 elsewhere (at mu = 0, the right-sided slope and g(M) = 0), then one ``take``.
     """
     lags, gather = _shaping_layout(pulse.M, L)
     mu = np.asarray(mu, dtype=float)
@@ -188,13 +193,11 @@ def _shaping_and_slope(pulse, mu, L):
 
 @lru_cache(maxsize=32)
 def _scan_grid(pulse, L):
-    """Offsets, makers Q2^T and Q2^T G' pinv(G) (flat (65 (2M-1), D)), and ``_certified`` flags.
-
-    Q2, the last 2M - 1 columns of G's complete QR, spans its left null space (Kaufman 1975).
-    """
+    """Offsets, null-space makers Q2^T and Q2^T G' pinv(G) (flat (65 (2M-1), D)), and flags."""
     mus = np.linspace(0.0, 0.5, _SCAN_POINTS)
     G, Gp = _shaping_and_slope(pulse, mus, L)
-    null, D = np.linalg.qr(G, mode="complete")[0][..., L:].swapaxes(-1, -2), G.shape[1]
+    D = G.shape[1]
+    null = np.linalg.qr(G, mode="complete")[0][..., L:].swapaxes(-1, -2)  # Q2^T: left null space
     slopers = (null @ Gp @ np.linalg.pinv(G)).reshape(-1, D)
     return mus.tolist(), null.reshape(-1, D), slopers, _certified(pulse, G, Gp).tolist()
 
@@ -228,28 +231,23 @@ def _solve_h(G, hF):
     return h
 
 
-def _profile_derivative(pulse, L, Y):
-    """The polish's mu -> (phi'(mu), h(mu), residual) of ||Y - G(mu) h(mu)||^2, for one Y.
+def _profile_derivative(pulse, mu, L, Y):
+    """Slope of the projected residual ||Y - G(mu) h(mu)||^2 in mu, with h(mu) and the residual.
 
-    Because the residual is orthogonal to range(G), only the explicit G(mu) dependence
-    contributes: phi'(mu) = -2 <Y - G h, G' h>, Y = [Re hF, Im hF], with G and G' from one
-    evaluation of the pulse and its exact slope (as ``_shaping_and_slope`` samples one offset,
-    with the layout, the flags and the scan step read once per Y), and h from the normal
+    Because the residual is orthogonal to range(G), only the explicit G(mu)
+    dependence contributes: phi'(mu) = -2 <Y - G h, G' h>, Y = [Re hF, Im hF],
+    with G and G' from one evaluation of the pulse and its exact slope, and h from the normal
     equations where the nearest scan offset's flag certifies them (``_certified``: Taylor, with
     ||G''||_F <= B by Bernstein's inequality, then Weyl's), else from ``_solve_h``'s SVD.
     """
-    lags, gather = _shaping_layout(pulse.M, L)
+    G, Gp = _shaping_and_slope(pulse, mu, L)
     mus, _, _, flags = _scan_grid(pulse, L)
-    samples = np.zeros((2, lags.size + 1))  # index 2M stays 0
-
-    def at(mu):
-        samples[:, :-1] = pulse.with_slope(mu + lags)
-        G, Gp = samples.take(gather, axis=-1)
-        h = np.linalg.solve(G.T @ G, G.T @ Y) if flags[round(mu / mus[1])] else _solve_h(G, Y)
-        r = Y - G @ h
-        return -2.0 * float(np.vdot(r, Gp @ h)), h, r
-
-    return at
+    if flags[round(mu / mus[1])]:
+        h = np.linalg.solve(G.T @ G, G.T @ Y)
+    else:
+        h = _solve_h(G, Y)
+    r = Y - G @ h
+    return -2.0 * float(np.vdot(r, Gp @ h)), h, r
 
 
 def _mu_step(pulse, L, Y):
@@ -285,9 +283,8 @@ def _mu_step(pulse, L, Y):
             lo, hi, slope = mus[A], mus[A + 1], 2 * root / dx**2
             mu = lo - dx * a / max(c2 + root, -a)  # the max keeps mu <= hi
 
-    profile_slope = _profile_derivative(pulse, L, Y)
     for steps in range(1, _POLISH_STEPS + 1):
-        fp, h, r = profile_slope(mu)
+        fp, h, r = _profile_derivative(pulse, mu, L, Y)
         lo, hi = (lo, mu) if fp > 0 else (mu, hi)
         if steps > 1:
             slope = (fp - fp0) / (mu - mu0)
@@ -297,7 +294,7 @@ def _mu_step(pulse, L, Y):
         if abs(nxt - mu) < _POLISH_TOL:
             return mu, steps, True, h, r
         mu0, fp0, mu = mu, fp, nxt
-    return mu, _POLISH_STEPS, False, *profile_slope(mu)[1:]
+    return mu, _POLISH_STEPS, False, *_profile_derivative(pulse, mu, L, Y)[1:]
 
 
 def joint_estimate(hF, pulse, L):

@@ -37,7 +37,6 @@ import json
 import os
 import time
 from dataclasses import astuple, dataclass, fields, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,8 +58,6 @@ from .estimator import (
 )
 from .metrics import capacity_equivalence_report, crb
 from .waveform import generate_chirp, papr
-
-_papr = lru_cache(maxsize=32)(lambda w: papr(w.samples))  # once per shared waveform
 
 
 def derive_rng(seed, *key):
@@ -248,7 +245,7 @@ def _result(kind, cfg, t0, waveforms=(), trials=None, **payload):
         config_echo=echo,
         seed=cfg.seed,
         trials=cfg.trials if trials is None else trials,
-        papr=tuple((w.p, _papr(w)) for w in waveforms),
+        papr=tuple((w.p, papr(w.samples)) for w in waveforms),
         wall_clock_s=time.perf_counter() - t0,
         **payload,
     )

@@ -25,6 +25,8 @@ from .errors import (
     UndefinedResultError,
 )
 
+_SHARED_ENTRIES = 2**16  # largest shared chirp or sounding matrix, in samples: 1 MiB
+
 
 def _is_pow2(value):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -79,7 +81,8 @@ def generate_chirp(p, N):
     ``p*(n+1)*(n+2)`` is reduced mod N in integer arithmetic before the
     complex exponential is taken, so the samples (and all correlation
     identities built from them) are accurate to machine precision even for
-    large N.  Each ``(p, N)`` has one waveform per process, shared and read-only.
+    large N.  The samples are read-only; up to 16 waveforms with N <= 2^16 are kept and
+    shared, one per ``(p, N)``.
     """
     if not _is_pow2(p):
         raise ConstraintViolationError(f"chirp rate p must be a power of 2, got {p}")
@@ -87,13 +90,16 @@ def generate_chirp(p, N):
         raise ConstraintViolationError(f"period N must be a power of 2, got {N}")
     if N <= 2 * p:
         raise ConstraintViolationError(f"period must satisfy N > 2p, got N={N}, 2p={2 * p}")
+    if N > _SHARED_ENTRIES:
+        return _chirp.__wrapped__(int(p), int(N))  # too large to keep: built per call
     return _chirp(int(p), int(N))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=16)
 def _chirp(p, N):
     n = np.arange(N, dtype=np.int64)
-    samples = np.exp(2j * np.pi * (p * (n + 1) * (n + 2) % N) / N) / np.sqrt(N)
+    phase_index = (p * (n + 1) * (n + 2)) % N
+    samples = np.exp(2j * np.pi * phase_index / N) / np.sqrt(N)
     samples.flags.writeable = False
     return SoundingWaveform(p=p, N=N, samples=samples)
 

@@ -147,38 +147,24 @@ def random_taps(rng, L):
 
 @pytest.fixture
 def fresh_caches():
-    """Empty the scan, shaping-layout, chirp, sounding-matrix and PAPR caches around a test.
+    """Empty the scan, shaping-layout, chirp and sounding-matrix caches around a test.
 
     ``lru_cache`` outlives ``monkeypatch``: a scan built from a patched G, or a
     layout cached under a bad key, would otherwise serve every later test.
     """
-    from chirpsounder import estimator, harness, waveform
+    from chirpsounder import estimator, waveform
 
     caches = (
         estimator._scan_grid,
         estimator._shaping_layout,
         estimator._sounding_matrix,
         waveform._chirp,
-        harness._papr,
     )
     for cache in caches:
         cache.cache_clear()
     yield
     for cache in caches:
         cache.cache_clear()
-
-
-def repeated_column_layout(estimator):
-    """A ``_shaping_layout`` whose G repeats column 0 in column 1, at every offset."""
-    layout = estimator._shaping_layout
-
-    def repeated(M, L):
-        lags, gather = layout(M, L)
-        gather = gather.copy()
-        gather[:, 1] = gather[:, 0]
-        return lags, gather
-
-    return repeated
 
 
 def record_solves(monkeypatch):
@@ -239,6 +225,30 @@ class TestSoundingMatrix:
         T = build_sounding_matrix(other, 15)
         assert T is not S and build_sounding_matrix(w, 15) is S
         assert T.entries.tobytes() == toeplitz(other, 15).conj().T.tobytes()
+
+    def test_editable_waveform_matrix_follows_its_samples(self, fresh_caches):
+        # writable samples are built per call, so an edit between calls is seen;
+        # the same samples made read-only are taken as unchanging and shared
+        samples = generate_chirp(1, 128).samples[::-1].copy()
+        w = SoundingWaveform(p=1, N=128, samples=samples)
+        S = build_sounding_matrix(w, 15)
+        samples[3] = 0.5
+        T = build_sounding_matrix(w, 15)
+        assert T is not S and T.entries.tobytes() == toeplitz(w, 15).conj().T.tobytes()
+        assert S.entries.tobytes() != T.entries.tobytes()
+        samples.flags.writeable = False
+        assert build_sounding_matrix(w, 15) is build_sounding_matrix(w, 15)
+
+    def test_large_matrix_is_built_per_call(self, fresh_caches):
+        # D N = 15 * 8192 entries is above the shared bound: nothing outlives the call
+        from chirpsounder import estimator
+
+        w = generate_chirp(1, 8192)
+        S = build_sounding_matrix(w, 15)
+        T = build_sounding_matrix(w, 15)
+        assert T is not S and T.entries.tobytes() == S.entries.tobytes()
+        assert not T.entries.flags.writeable
+        assert estimator._sounding_matrix.cache_info().currsize == 0
 
     @pytest.mark.parametrize("N", [128, 1024])
     @pytest.mark.parametrize("M", [0, 4])
@@ -789,7 +799,7 @@ class TestJointEstimate:
         if L <= 15:
             mus, _, _, flags = estimator._scan_grid(pulse, L)
             assert mus[j] == j / 128 and flags[j] == certified
-            got = estimator._profile_derivative(pulse, L, Y)(mu)[1]
+            got = estimator._profile_derivative(pulse, mu, L, Y)[1]
             assert got.tobytes() == (gram if certified else h).tobytes()
 
     def test_gram_certificate_is_sound_at_tight_limits(self, monkeypatch, fresh_caches):
@@ -817,7 +827,7 @@ class TestJointEstimate:
         calls = record_solves(monkeypatch)
         for mu, path in (((b - 0.75) / 128, "solve"), ((b - 0.25) / 128, "lstsq")):
             calls.clear()
-            estimator._profile_derivative(pulse, L, Y)(mu)
+            estimator._profile_derivative(pulse, mu, L, Y)
             assert [name for name, *_ in calls] == [path]
 
     def test_fractional_preset_takes_only_gram_solves(self, monkeypatch):
@@ -840,7 +850,14 @@ class TestJointEstimate:
 
         pulse = build_pulse(rolloff=0.25, M=4)
         hF = build_shaping_matrix(pulse, 0.3, 15) @ random_taps(np.random.default_rng(20), 15)
-        monkeypatch.setattr(estimator, "_shaping_layout", repeated_column_layout(estimator))
+        evaluate = estimator._shaping_and_slope
+
+        def repeated_column(pulse, mu, L):
+            G, Gp = evaluate(pulse, mu, L)
+            G[..., 1] = G[..., 0]
+            return G, Gp
+
+        monkeypatch.setattr(estimator, "_shaping_and_slope", repeated_column)
         calls = record_solves(monkeypatch)
         with pytest.raises(IllConditionedError) as exc:
             joint_estimate(hF, pulse, 15)
@@ -918,8 +935,14 @@ class TestJointEstimate:
         pulse = build_pulse(rolloff=0.25, M=4)
         rng = np.random.default_rng(20)
         hF = build_shaping_matrix(pulse, 0.3, 15) @ random_taps(rng, 15)
-        # the scan, built afresh, and the polish both see the patch
-        monkeypatch.setattr(estimator, "_shaping_layout", repeated_column_layout(estimator))
+        evaluate = estimator._shaping_and_slope  # the scan, built afresh, sees the patch too
+
+        def repeated_column(pulse, mu, L):
+            G, Gp = evaluate(pulse, mu, L)
+            G[..., 1] = G[..., 0]
+            return G, Gp
+
+        monkeypatch.setattr(estimator, "_shaping_and_slope", repeated_column)
         with pytest.raises(IllConditionedError) as exc:
             joint_estimate(hF, pulse, 15)
         assert exc.value.condition_estimate == np.inf
@@ -993,7 +1016,7 @@ class TestJointEstimate:
             rep = joint_estimate(hF, pulse, L)
             if 0.0 < rep.mu_hat < 0.5:
                 Y = hF.view(np.float64).reshape(-1, 2)  # real and imaginary columns
-                slope, h, r = _profile_derivative(pulse, L, Y)(rep.mu_hat)
+                slope, h, r = _profile_derivative(pulse, rep.mu_hat, L, Y)
                 assert abs(slope) < 1e-6
                 np.testing.assert_allclose(h[:, 0] + 1j * h[:, 1], rep.h_hat, rtol=1e-9)
                 G = build_shaping_matrix(pulse, rep.mu_hat, L)

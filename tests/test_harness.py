@@ -55,16 +55,6 @@ def test_traced_entry_points_are_plain_functions():
     assert cli.run_mse_experiment is harness.run_mse_experiment
 
 
-def test_papr_is_cached_per_waveform_object():
-    # a hand-built waveform with a chirp's (p, N) but other samples gets its own PAPR
-    from chirpsounder.waveform import SoundingWaveform, papr
-
-    w = generate_chirp(1, 16)
-    spiky = SoundingWaveform(p=1, N=16, samples=np.r_[4.0, np.ones(15)].astype(complex))
-    assert harness._papr(w) == papr(w.samples) and harness._papr(spiky) == papr(spiky.samples)
-    assert harness._papr(spiky) != harness._papr(w)
-
-
 def small_config(**overrides):
     data = {
         "name": "small",

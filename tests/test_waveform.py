@@ -47,6 +47,13 @@ class TestGenerateChirp:
         with pytest.raises(ValueError):
             w.samples[0] = 0.0
 
+    def test_large_chirp_is_built_per_call(self):
+        # N above 2^16 samples is not kept between calls
+        w = generate_chirp(2, 2**17)
+        v = generate_chirp(2, 2**17)
+        assert v is not w and v.samples.tobytes() == w.samples.tobytes()
+        assert not v.samples.flags.writeable
+
     def test_unit_magnitude_and_energy(self):
         w = generate_chirp(1, 128)
         assert w.N == 128 and len(w.samples) == 128
