@@ -253,14 +253,18 @@ def awgn(r0, sigma2, rng):
 
     Row m of ``r0`` receives noise scaled by sqrt(sigma2[m]); draws are
     consumed in antenna order (real parts, then imaginary parts) even where
-    sigma2 is zero, so substreams stay aligned across configurations.  A negative
-    or NaN variance is rejected with ``ValueError``.
+    sigma2 is zero, so substreams stay aligned across configurations.  The noise
+    is built in one new complex array, then scaled and offset by ``r0`` in place.
+    A negative or NaN variance is rejected with ``ValueError``.
     """
     sigma2 = np.asarray(sigma2, dtype=float)
     if not sigma2.min() >= 0.0:  # NaN propagates through min
         raise ValueError(f"noise variances must be >= 0, got {sigma2.tolist()}")
     draws = rng.standard_normal((r0.shape[0], 2, r0.shape[1]))
-    return r0 + np.sqrt(sigma2)[:, None] * (draws[:, 0] + 1j * draws[:, 1])
+    z = np.empty(r0.shape, complex)
+    z.real, z.imag = draws[:, 0], draws[:, 1]
+    z *= np.sqrt(sigma2)[:, None]
+    return np.add(z, r0, out=z)
 
 
 def receive_integer(scenario, matrices):

@@ -127,7 +127,7 @@ def _apply_matched_filter(S, r, fractional):
         raise DimensionMismatchError(
             f"received vector of shape {r.shape} does not match period {S.entries.shape[1]}"
         )
-    return S.entries @ r
+    return S.entries.dot(r)
 
 
 def _sound(matrices, filters, M):

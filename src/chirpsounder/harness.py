@@ -22,6 +22,9 @@ takes the same offsets and noise whether or not its taps are redrawn.
 Reception (``channel.receive_*``) is noiseless; each run adds the noise of
 trial t with ``awgn`` from stream (1, t).  ``mse`` and ``sound`` share one
 setup: the waveforms, the stream-(0,) channel, the pulse and the matrices.
+An ``mse`` trial makes one ``awgn`` call and ``nt*nr`` matched-filter calls; its
+estimates wait in a block of B trials (O(B) memory at any trial count), whose
+squared errors join the running sum in trial order, so no output depends on B.
 
 Every CSV table, the CLI's included, is written by ``write_table``:
 integers as is, every other number as ``%.12e`` (13 significant digits).
@@ -78,6 +81,8 @@ _OUT_XOR, _OUT_MUL = _HASH_B[:4, None], _HASH_B[1:, None]
 _SHIFT, _MIX_R32 = np.uint32(16), np.uint32(_MIX_R)  # uint32 scalars: no conversion per use
 _OTHER_LANES = [[k for k in range(4) if k != src] for src in range(4)]
 _KEY_BLOCK = 4096  # trials per vectorized key pass
+_TRIAL_BLOCK = 64  # trials per block of estimates in run_mse_experiment,
+_BLOCK_BYTES = 1 << 20  # fewer where the block and its twin of taps would outgrow this
 
 
 def _words(n):
@@ -268,9 +273,12 @@ def run_mse_experiment(cfg):
 
     Trial t draws its noise from stream (1, t) and, per config, its uniform
     fractional offsets and then its taps from stream (2, t), as stream (0,) draws
-    the base channel.  It estimates every link with the matched filter (plus the
-    joint offset estimator in the fractional case) and accumulates squared errors.
-    An antenna's bound is 2*L*sigma2, its trial mean when redrawn taps change
+    the base channel.  It makes one ``awgn`` call and ``nt*nr`` matched-filter
+    calls (each followed by the joint offset estimator in the fractional case),
+    and its estimates, and any redrawn taps, fill row t mod B of a block.  Each
+    block's squared errors are added in trial order, so the outputs do not depend
+    on B, and memory is O(B) at any trial count.  An antenna's bound is
+    2*L*sigma2, its trial mean (summed in trial order) when redrawn taps change
     sigma2.  An antenna with no noise (no active taps into it, or an SNR whose
     noise level underflows) has no bound, which is a ``ConfigError`` before any
     trial runs.
@@ -284,37 +292,44 @@ def run_mse_experiment(cfg):
         m = int(np.flatnonzero(scenario.sigma2 == 0)[0])
         raise ConfigError(f"rx antenna {m} has zero noise variance; MSE/CRB is undefined")
 
-    sq_err = np.zeros((cfg.nt, cfg.nr))
-    redrawn = []  # per-trial noise levels of redrawn channels
-    nonconverged = 0
     redraw = cfg.redraw_per_trial or (cfg.fractional and cfg.mu_values is None)
     r0 = None if redraw else _received(cfg, scenario, matrices, pulse)  # serves every trial
+    pairs = [(i, m, matrices[i]) for m in range(cfg.nr) for i in range(cfg.nt)]
+    B = max(1, min(_TRIAL_BLOCK, cfg.trials, _BLOCK_BYTES // (2 * scenario.taps.nbytes)))
+    h_hat = np.empty((B, *scenario.taps.shape), complex)
+    taps = np.empty_like(h_hat) if cfg.redraw_per_trial else scenario.taps[None]
+    sums = np.zeros((B + 1, cfg.nt, cfg.nr))  # row 0 carries the running sum
+    sigma2_sum = np.zeros(cfg.nr)  # of the redrawn channels
+    nonconverged = 0
 
     # The redraw uses up stream (2, t) before the noise draws from (1, t).
-    streams = (2, 1) if redraw else (1,)
-    for keys in _trial_keys(cfg.seed, streams, cfg.trials):
-        if redraw:
-            _rekeyed(rng, keys[0])
-            if cfg.redraw_per_trial:
-                scenario = synthesize_channels(cfg, rng)
-                redrawn.append(scenario.sigma2)
-            else:
-                scenario = replace(scenario, mu=cfg.per_link(draw_fractional_offsets(cfg, rng)))
-            r0 = _received(cfg, scenario, matrices, pulse)
-        r = awgn(r0, scenario.sigma2, _rekeyed(rng, keys[-1]))
-        h_hat = np.empty_like(scenario.taps)
-        for m in range(cfg.nr):
-            for i in range(cfg.nt):
-                if cfg.fractional:
-                    hF = matched_filter_fractional(matrices[i], r[m])
-                    rep = joint_estimate(hF, pulse, L)
-                    nonconverged += not rep.converged
-                    h_hat[i, m] = rep.h_hat
+    keys = _trial_keys(cfg.seed, (2, 1) if redraw else (1,), cfg.trials)
+    for start in range(0, cfg.trials, B):
+        n = min(B, cfg.trials - start)
+        for k, key in zip(range(n), keys):
+            if redraw:
+                _rekeyed(rng, key[0])
+                if cfg.redraw_per_trial:
+                    scenario = synthesize_channels(cfg, rng)
+                    taps[k] = scenario.taps
+                    sigma2_sum += scenario.sigma2
                 else:
-                    h_hat[i, m] = matched_filter_integer(matrices[i], r[m])
-        sq_err += np.sum(np.abs(h_hat - scenario.taps) ** 2, axis=2)
-    sq_err /= cfg.trials
-    sigma2 = np.mean(redrawn, axis=0) if redrawn else scenario.sigma2
+                    scenario = replace(scenario, mu=cfg.per_link(draw_fractional_offsets(cfg, rng)))
+                r0 = _received(cfg, scenario, matrices, pulse)
+            r = awgn(r0, scenario.sigma2, _rekeyed(rng, key[-1]))
+            if cfg.fractional:
+                for i, m, S in pairs:
+                    rep = joint_estimate(matched_filter_fractional(S, r[m]), pulse, L)
+                    nonconverged += not rep.converged
+                    h_hat[k, i, m] = rep.h_hat
+            else:
+                for i, m, S in pairs:
+                    h_hat[k, i, m] = matched_filter_integer(S, r[m])
+        # each trial's error summed over taps, then added to the running sum a trial at a time
+        np.sum(np.abs(h_hat[:n] - taps[:n]) ** 2, axis=-1, out=sums[1 : n + 1])
+        sums[0] = np.add.accumulate(sums[: n + 1])[-1]
+    sq_err = sums[0] / cfg.trials
+    sigma2 = sigma2_sum / cfg.trials if cfg.redraw_per_trial else scenario.sigma2
 
     links, antennas = [], []
     for m in range(cfg.nr):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from chirpsounder import (
     ConfigError,
@@ -399,6 +400,30 @@ class TestReceiveInteger:
             expected[m] = r0[m] + np.sqrt(sigma2[m]) * (draws[0] + 1j * draws[1])
         z = awgn(r0, sigma2, derive_rng(98, 1, 0))
         assert z.tobytes() == expected.tobytes()
+
+    @given(
+        nr=st.integers(1, 4),
+        N=st.sampled_from([8, 128]),
+        sigma2=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=4, max_size=4),
+        silent=st.lists(st.booleans(), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(nr=2, N=8, sigma2=[0.0, 0.0, 0.0, 0.0], silent=[True] * 4, seed=0)
+    def test_noise_matches_the_broadcast_formula(self, nr, N, sigma2, silent, seed):
+        # the in-place build equals r0 + sqrt(sigma2) * (d0 + 1j d1) bit for bit, zero
+        # variances and zero signal rows included, and takes the same draws from the stream
+        sigma2 = np.array(sigma2[:nr])
+        gen = np.random.default_rng(seed)
+        r0 = gen.standard_normal((nr, N)) + 1j * gen.standard_normal((nr, N))
+        r0[np.array(silent[:nr])] = 0.0
+        kept = r0.copy()
+        rng, ref_rng = derive_rng(seed, 1, 0), derive_rng(seed, 1, 0)
+        draws = ref_rng.standard_normal((nr, 2, N))
+        expected = r0 + np.sqrt(sigma2)[:, None] * (draws[:, 0] + 1j * draws[:, 1])
+        z = awgn(r0, sigma2, rng)
+        assert z.tobytes() == expected.tobytes()
+        assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+        assert r0.tobytes() == kept.tobytes()
 
     def test_reception_is_noiseless(self):
         # sigma2 > 0 changes nothing: only awgn adds noise

@@ -385,6 +385,16 @@ class TestMatchedFilterInteger:
             matched_filter_fractional(build_sounding_matrix(w, 5), r)
 
 
+@pytest.mark.parametrize("N,M", [(128, 0), (1024, 0), (256, 4), (1024, 4)])
+def test_matched_filters_equal_the_matrix_product(N, M):
+    # the filter's dot product is the zgemv of S^H @ r, bit for bit
+    S = build_sounding_matrix(generate_chirp(1, N), 15, M)
+    gen = np.random.default_rng(N + M)
+    r = gen.standard_normal(N) + 1j * gen.standard_normal(N)
+    matched_filter = matched_filter_fractional if M else matched_filter_integer
+    assert matched_filter(S, r).tobytes() == (S.entries @ r).tobytes()
+
+
 class TestMatchedFilterFractional:
     def test_noiseless_output_is_shaped_taps(self):
         rng = np.random.default_rng(2)

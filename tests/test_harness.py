@@ -573,6 +573,105 @@ def test_key_blocks_do_not_change_a_run(monkeypatch, name):
         assert got.links == want.links and got.antennas == want.antennas
 
 
+BLOCK_RUNS = {  # T = 200 is no multiple of 7 or 64; the fractional run has T < B
+    "integer": ("paper-sec5", 200, {}),
+    "redrawn-taps": ("paper-sec5", 20, {"redraw_per_trial": True, "normalize_taps": False}),
+    "fractional": ("paper-sec5-fractional", 3, {}),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_RUNS))
+def test_trial_blocks_do_not_change_the_outputs(tmp_path, monkeypatch, name):
+    # errors are folded a block at a time in trial order, so any block size gives the same bytes
+    preset_name, trials, channel = BLOCK_RUNS[name]
+    data = PRESETS[preset_name]()
+    data["channel"].update(channel)
+    cfg = from_dict({**data, "trials": trials})
+    outputs = []
+    for block in (1, 7, harness._TRIAL_BLOCK):
+        monkeypatch.setattr(harness, "_TRIAL_BLOCK", block)
+        result = run_mse_experiment(cfg)
+        emit_results(result, tmp_path / str(block))
+        emit_results(result, tmp_path / str(block), "record")
+        files = ("mse.csv", "antenna_mse.csv", "result.json")
+        outputs.append([(tmp_path / str(block) / f).read_bytes() for f in files])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize(
+    "name,redraw", [("paper-sec5", False), ("paper-sec5", True), ("paper-sec5-fractional", False)]
+)
+def test_a_trial_makes_one_public_call_per_link(monkeypatch, name, redraw):
+    # the counts the benchmark's traced runs expect: one awgn call per trial, and one
+    # matched-filter (and, fractional, joint_estimate) call per link per trial
+    public = ["awgn", "matched_filter_integer", "matched_filter_fractional", "joint_estimate"]
+    calls = dict.fromkeys([*public, "receive_integer"], 0)
+    for fn in calls:
+        def spy(*args, _fn=getattr(harness, fn), _name=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(harness, fn, spy)
+    cfg = preset(name).replace(trials=12, redraw_per_trial=redraw)
+    run_mse_experiment(cfg)
+    per_trial = cfg.nt * cfg.nr * 12
+    assert calls == {
+        "awgn": 12,
+        "matched_filter_integer": 0 if cfg.fractional else per_trial,
+        "matched_filter_fractional": per_trial if cfg.fractional else 0,
+        "joint_estimate": per_trial if cfg.fractional else 0,
+        "receive_integer": 0 if cfg.fractional else 12 if redraw else 1,
+    }
+
+
+def redrawn_config(nr, trials):
+    """small_config with ``nr`` rx antennas, one per node, and unnormalized redrawn taps."""
+    return small_config(
+        nodes={"tx": 2, "rx": nr},
+        antennas={"tx_node": [0, 1], "rx_node": list(range(nr))},
+        channel={
+            "total_length": 8,
+            "active_taps": 5,
+            "integer_offsets": [[0] * nr, [3] * nr],
+            "normalize_taps": False,
+            "redraw_per_trial": True,
+        },
+        trials=trials,
+    )
+
+
+@pytest.mark.parametrize("nr", [1, 2, 5])
+def test_redrawn_noise_levels_are_summed_in_trial_order(nr):
+    cfg = redrawn_config(nr, 300)
+    drawn = [synthesize_channels(cfg, derive_rng(cfg.seed, 2, t)).sigma2 for t in range(300)]
+    total = np.zeros(nr)
+    for sigma2 in drawn:
+        total += sigma2
+    mean = total / 300
+    if nr > 1:  # numpy reduces a (T, nr) array row by row; a (T, 1) one it sums pairwise
+        assert mean.tobytes() == np.mean(drawn, axis=0).tobytes()
+    result = run_mse_experiment(cfg)
+    assert [row.crb for row in result.antennas] == [crb(cfg.total_length, s) for s in mean]
+
+
+def test_redrawn_runs_keep_memory_bounded_in_trials(monkeypatch):
+    # the redrawn noise levels are folded as they come, not kept per trial; the trial keys
+    # come in blocks bounded on their own, so both runs here take theirs in blocks of 256
+    import tracemalloc
+
+    monkeypatch.setattr(harness, "_KEY_BLOCK", 256)
+    run_mse_experiment(redrawn_config(2, 10))  # the per-process caches, outside the trace
+    peaks = []
+    for trials in (400, 4000):
+        tracemalloc.start()
+        try:
+            run_mse_experiment(redrawn_config(2, trials))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 * 1024, peaks
+
+
 class TestCapacityExperiment:
     def test_shared_topologies_equal(self):
         for name in ("capacity-tx-shared", "capacity-rx-shared"):
