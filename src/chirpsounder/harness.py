@@ -12,8 +12,10 @@ on execution order and are byte-reproducible:
 Stream k is Philox keyed by ``SeedSequence(seed, spawn_key=k)
 .generate_state(2, np.uint64)`` with counter 0: ``derive_rng(seed, *k)``, which
 stays the reference.  The Monte-Carlo loop derives the same keys for (1, t) and
-(2, t) in vectorized blocks of trials (numpy's SeedSequence hash reads t only
-in its last word) and re-keys one generator, the stream-(0,) one, per stream.
+(2, t) vectorized over each block of trials: SeedSequence hashes t as its last
+word, so numpy mixes the pool of (s,) once per run and only t's word and the
+output hash are done here.  It re-keys one generator, the stream-(0,) one, per
+stream.
 
 A synthesis stream yields the uniform offsets, then all active taps in one draw,
 link by link in (tx, rx) order, real parts before imaginary parts.  So trial t
@@ -79,70 +81,32 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _HASH_B = np.array([_INIT_B * pow(_MULT_B, k, 1 << 32) & _MASK32 for k in range(5)], np.uint32)
 _OUT_XOR, _OUT_MUL = _HASH_B[:4, None], _HASH_B[1:, None]
 _SHIFT, _MIX_R32 = np.uint32(16), np.uint32(_MIX_R)  # uint32 scalars: no conversion per use
-_OTHER_LANES = [[k for k in range(4) if k != src] for src in range(4)]
-_KEY_BLOCK = 4096  # trials per vectorized key pass
 _TRIAL_BLOCK = 64  # trials per block of estimates in run_mse_experiment,
 _BLOCK_BYTES = 1 << 20  # fewer where the block and its twin of taps would outgrow this
-
-
-def _words(n):
-    """The uint32 words of the int ``n`` >= 0, least significant first."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _absorb(pool, hc, word, lanes):
-    """Mix the hash of ``word`` into each of ``lanes`` of ``pool`` in turn.
-
-    One step of SeedSequence's entropy mixing per lane, in place; returns the
-    next constant ``hc`` of the A sequence.
-    """
-    for k in lanes:
-        nxt = hc * _MULT_A & _MASK32
-        h = (word ^ hc) * nxt & _MASK32
-        r = (_MIX_L * pool[k] - _MIX_R * (h ^ h >> 16)) & _MASK32
-        pool[k] = r ^ r >> 16
-        hc = nxt
-    return hc
 
 
 def _stream_lanes(seed, streams):
     """What keying streams (s, t) of ``seed`` does before it reads t, for s in ``streams``.
 
-    ``SeedSequence(seed, spawn_key=(s, t))`` pads the seed's words to 4 and
-    appends the words of s, then t.  It hashes the first 4 words into a 4-lane
-    pool, mixes the lanes, and then mixes each further word into every lane.
-    Only the last word is t's, so all that comes before it is done here, once,
-    in Python ints; the seed's part is shared by every stream.  Returns uint32
-    arrays (base, xor, mul), each (len(streams), 4, 1): t's lane k of stream s
-    becomes ``(base - _MIX_R * hash(t)) ^ >> 16`` with ``base = _MIX_L * pool``
-    and ``hash(t) = ((t ^ xor) * mul) ^ >> 16``.
+    ``SeedSequence(seed, spawn_key=(s, t))`` pads the seed's uint32 words to 4,
+    appends the words of s, then t, and mixes them into a 4-lane pool.  t's is
+    the last word, so the pool before it is ``SeedSequence(seed, spawn_key=(s,))
+    .pool``.  Each word hashed so far took the A constant 4 steps on, so t's
+    hash starts at ``_INIT_A * _MULT_A**(4 * W)`` for the W words before it.
+    Returns uint32 arrays (base, xor, mul), each (len(streams), 4, 1): t's lane
+    k of stream s becomes ``(base - _MIX_R * hash(t)) ^ >> 16`` with
+    ``base = _MIX_L * pool`` and ``hash(t) = ((t ^ xor) * mul) ^ >> 16``.
     """
-    words = _words(seed)
-    words += [0] * (4 - len(words))
-    hc = _INIT_A
-    pool = []
-    for w in words[:4]:
-        nxt = hc * _MULT_A & _MASK32
-        h = (w ^ hc) * nxt & _MASK32
-        pool.append(h ^ h >> 16)
-        hc = nxt
-    for src in range(4):
-        hc = _absorb(pool, hc, pool[src], _OTHER_LANES[src])
-    for w in words[4:]:
-        hc = _absorb(pool, hc, w, range(4))
+
+    def n_words(n):
+        return max(1, -(-n.bit_length() // 32))
+
     lanes = []
     for s in streams:
-        sp, h = pool[:], hc
-        for w in _words(s):
-            h = _absorb(sp, h, w, range(4))
-        consts = [h]
-        for _ in range(4):
-            consts.append(consts[-1] * _MULT_A & _MASK32)
-        lanes.append([[_MIX_L * p & _MASK32 for p in sp], consts[:4], consts[1:]])
+        pool = np.random.SeedSequence(seed, spawn_key=(s,)).pool.tolist()
+        W = max(4, n_words(seed)) + n_words(s)
+        consts = [_INIT_A * pow(_MULT_A, 4 * W + k, 1 << 32) & _MASK32 for k in range(5)]
+        lanes.append([[_MIX_L * p & _MASK32 for p in pool], consts[:4], consts[1:]])
     return np.array(lanes, np.uint32).transpose(1, 0, 2)[..., None]
 
 
@@ -165,18 +129,6 @@ def _philox_keys(lanes, t):
     pool ^= pool >> _SHIFT
     # words 0-1 and 2-3 make each key's two uint64s, little-endian as generate_state joins them
     return np.ascontiguousarray(pool.transpose(2, 0, 1), "<u4").view("<u8").tolist()
-
-
-def _trial_keys(seed, streams, trials):
-    """Yield, for t in range(trials), the Philox keys of derive_rng(seed, s, t), s in ``streams``.
-
-    The keys come _KEY_BLOCK trials at a time, so memory is bounded at any
-    trial count; t must fit one uint32 word, as config's trial bound ensures.
-    """
-    lanes = _stream_lanes(seed, streams)
-    for start in range(0, trials, _KEY_BLOCK):
-        t = np.arange(start, min(start + _KEY_BLOCK, trials), dtype=np.uint32)
-        yield from _philox_keys(lanes, t)
 
 
 def _rekeyed(rng, key):
@@ -302,11 +254,13 @@ def run_mse_experiment(cfg):
     sigma2_sum = np.zeros(cfg.nr)  # of the redrawn channels
     nonconverged = 0
 
-    # The redraw uses up stream (2, t) before the noise draws from (1, t).
-    keys = _trial_keys(cfg.seed, (2, 1) if redraw else (1,), cfg.trials)
+    # The redraw uses up stream (2, t) before the noise draws from (1, t).  Each t fits
+    # one uint32 word, as config's bound of 2**32 trials ensures.
+    lanes = _stream_lanes(cfg.seed, (2, 1) if redraw else (1,))
     for start in range(0, cfg.trials, B):
         n = min(B, cfg.trials - start)
-        for k, key in zip(range(n), keys):
+        keys = _philox_keys(lanes, np.arange(start, start + n, dtype=np.uint32))
+        for k, key in enumerate(keys):
             if redraw:
                 _rekeyed(rng, key[0])
                 if cfg.redraw_per_trial:

@@ -523,22 +523,24 @@ class TestMseExperiment:
 @given(
     seed=st.integers(1, 5).flatmap(lambda words: st.integers(0, 2 ** (32 * words) - 1)),
     streams=st.lists(st.sampled_from([0, 1, 2, 2**33]), min_size=1, max_size=3),
-    block=st.integers(1, 2),
     drawn=st.integers(0, 5),
 )
-@example(seed=2**160 - 1, streams=[2**33, 0], block=2, drawn=1)
-def test_trial_keys_are_derive_rngs(seed, streams, block, drawn):
-    # every key equals SeedSequence's, on both sides of a key-block boundary, and a
+@example(seed=0, streams=[1], drawn=0)
+@example(seed=2**96 + 1, streams=[2, 1], drawn=1)  # 4 words: the last with no padding
+@example(seed=2**160 - 1, streams=[2**33, 0], drawn=3)  # 5 words, and a 2-word stream
+def test_trial_keys_are_derive_rngs(seed, streams, drawn):
+    # every key equals SeedSequence's, up to the last trial index config allows, and a
     # generator re-keyed after a partial uint32 draw continues as derive_rng's would
-    edge = block * harness._KEY_BLOCK
-    keys = list(harness._trial_keys(seed, streams, edge + 3))
-    used = derive_rng(seed + 1, 9)
-    used.integers(0, 2**32, size=drawn, dtype=np.uint32)  # odd sizes leave a half word
-    for t in range(edge - 3, edge + 3):
-        for s, key in zip(streams, keys[t]):
+    trials = [0, 1, 63, 64, 65, 2**32 - 2, 2**32 - 1]
+    lanes = harness._stream_lanes(seed, streams)
+    keys = harness._philox_keys(lanes, np.array(trials, np.uint32))
+    for t, row in zip(trials, keys):
+        for s, key in zip(streams, row):
             seq = np.random.SeedSequence(seed, spawn_key=(s, t))
             assert key == seq.generate_state(2, np.uint64).tolist(), (s, t)
-    rekeyed, ref = harness._rekeyed(used, keys[edge][0]), derive_rng(seed, streams[0], edge)
+    used = derive_rng(seed + 1, 9)
+    used.integers(0, 2**32, size=drawn, dtype=np.uint32)  # odd sizes leave a half word
+    rekeyed, ref = harness._rekeyed(used, keys[-1][0]), derive_rng(seed, streams[0], trials[-1])
     assert rekeyed.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == ref.integers(
         0, 2**32, size=3, dtype=np.uint32
     ).tolist()
@@ -546,9 +548,12 @@ def test_trial_keys_are_derive_rngs(seed, streams, block, drawn):
     assert rekeyed.standard_normal(5).tolist() == ref.standard_normal(5).tolist()
 
 
-@pytest.mark.parametrize("redraw", [False, True], ids=["fixed", "redrawn"])
-def test_a_run_seeds_only_its_synthesis_stream(monkeypatch, redraw):
-    # per-trial streams are re-keyed from vectorized keys: no SeedSequence per trial
+@pytest.mark.parametrize(
+    "redraw,streams", [(False, [(0,), (1,)]), (True, [(0,), (2,), (1,)])], ids=["fixed", "redrawn"]
+)
+def test_a_run_seeds_only_its_synthesis_stream(monkeypatch, redraw, streams):
+    # one SeedSequence per stream per run: the synthesis stream's, then the pool of each
+    # per-trial stream, and none per trial or per block of trials (three blocks here)
     built, seed_sequence = [], np.random.SeedSequence
 
     def counting(*args, **kwargs):
@@ -558,19 +563,8 @@ def test_a_run_seeds_only_its_synthesis_stream(monkeypatch, redraw):
     monkeypatch.setattr(np.random, "SeedSequence", counting)
     data = PRESETS["paper-sec5"]()
     data["channel"]["redraw_per_trial"] = redraw
-    run_mse_experiment(from_dict({**data, "trials": 50}))
-    assert built == [(0,)]
-
-
-@pytest.mark.parametrize("name", ["paper-sec5", "paper-sec5-fractional"])
-def test_key_blocks_do_not_change_a_run(monkeypatch, name):
-    # trials cross key blocks of 1 and of 7 exactly as they cross the default block
-    cfg = preset(name).replace(trials=16)
-    want = run_mse_experiment(cfg)
-    for block in (1, 7):
-        monkeypatch.setattr(harness, "_KEY_BLOCK", block)
-        got = run_mse_experiment(cfg)
-        assert got.links == want.links and got.antennas == want.antennas
+    run_mse_experiment(from_dict({**data, "trials": 150}))
+    assert built == streams
 
 
 BLOCK_RUNS = {  # T = 200 is no multiple of 7 or 64; the fractional run has T < B
@@ -602,8 +596,9 @@ def test_trial_blocks_do_not_change_the_outputs(tmp_path, monkeypatch, name):
     "name,redraw", [("paper-sec5", False), ("paper-sec5", True), ("paper-sec5-fractional", False)]
 )
 def test_a_trial_makes_one_public_call_per_link(monkeypatch, name, redraw):
-    # the counts the benchmark's traced runs expect: one awgn call per trial, and one
-    # matched-filter (and, fractional, joint_estimate) call per link per trial
+    # one awgn call per trial (pinned here only), and the counts the benchmark's traced
+    # runs expect: one matched-filter (and, fractional, joint_estimate) call per link per
+    # trial, and receive_integer once per run or, redrawn, once per trial
     public = ["awgn", "matched_filter_integer", "matched_filter_fractional", "joint_estimate"]
     calls = dict.fromkeys([*public, "receive_integer"], 0)
     for fn in calls:
@@ -654,12 +649,11 @@ def test_redrawn_noise_levels_are_summed_in_trial_order(nr):
     assert [row.crb for row in result.antennas] == [crb(cfg.total_length, s) for s in mean]
 
 
-def test_redrawn_runs_keep_memory_bounded_in_trials(monkeypatch):
-    # the redrawn noise levels are folded as they come, not kept per trial; the trial keys
-    # come in blocks bounded on their own, so both runs here take theirs in blocks of 256
+def test_redrawn_runs_keep_memory_bounded_in_trials():
+    # the redrawn noise levels are folded as they come, not kept per trial, and each
+    # block of trials derives only its own keys
     import tracemalloc
 
-    monkeypatch.setattr(harness, "_KEY_BLOCK", 256)
     run_mse_experiment(redrawn_config(2, 10))  # the per-process caches, outside the trace
     peaks = []
     for trials in (400, 4000):
