@@ -59,11 +59,12 @@ class PulseShape:
     """Truncated raised-cosine pulse-shaping filter, zero outside [-M*T, M*T].
 
     g(t) = sinc(t) cos(pi*rolloff*t) / (1 - (2*rolloff*t)^2), t in units of T, is a
-    Nyquist pulse (g(0) = 1, and g(kT) = 0 for integer k != 0 only up to rounding: the
-    float sin(pi k) is not 0, so ``with_slope`` gives about 4e-17 there), taken as sinc(t) q with
+    Nyquist pulse (g(0) = 1 and g(kT) = 0 for integer k != 0), taken as sinc(t) q with
     q = (pi/4) (sinc(rolloff*t - 1/2) + sinc(rolloff*t + 1/2)), the partial fractions
     of (pi/2) sinc(v/2) / (2 - v), v = 1 - 2*rolloff*|t|: neither form has a 0/0 at
-    the removable singularity t = T/(2*rolloff), where v = 0.
+    the removable singularity t = T/(2*rolloff), where v = 0.  ``with_slope`` gives g
+    and g' (about 4e-17 at k != 0, where the float sin(pi k) is not 0); the estimator fits
+    its one sampler of G(mu) to it once per pulse, with the exact delta at the integer lags.
     """
 
     M: int
@@ -271,9 +272,9 @@ def receive_integer(scenario, matrices):
     """One noiseless period of received samples per antenna, integer offsets only.
 
     With one M = 0 sounding matrix S_i per tx antenna, antenna m receives
-    sum_i S_i h_im: the pulse sampled at mu = 0 is not an exact delta, so the
-    taps alone filter.  Returns an (Nr, N) array whatever ``scenario.sigma2``
-    holds; ``awgn`` adds the noise.
+    sum_i S_i h_im, the taps alone: G(0) is the exact delta, and
+    ``receive_fractional`` at mu = 0 gives these bits too.  Returns an (Nr, N)
+    array whatever ``scenario.sigma2`` holds; ``awgn`` adds the noise.
     """
     return _sound(matrices, scenario.taps, 0)
 

@@ -22,9 +22,10 @@ Hermite cubic through the grid's exact slopes (cached slope makers) and polishes
 a bracketed, bisection-safeguarded secant on the profile slope, reusing the last
 solve as the h estimate.  Freezing h, as a literal alternation would, contracts too slowly.
 The profile slope is the variable-projection derivative (Golub & Pereyra
-1973) -2 <r, G'(mu) h>: each polish step takes the pulse and its
-closed-form derivative from ``PulseShape.with_slope`` once, at one offset,
-for G and G' together, and makes one h solve.  That solve is the L x L
+1973) -2 <r, G'(mu) h>: each polish step takes G and G' together at one
+offset from ``_shaping_and_slope``, the one sampler of the pulse (a cached
+polynomial fit of g and g' per support lag, exact at mu = 0, that
+reception's G shares), and makes one h solve.  That solve is the L x L
 normal equations G^T G h = G^T Y where the scan certified kappa(G) <=
 ``_GRAM_LIMIT`` within half a step of the nearest scan offset (their error,
 about kappa^2 eps, then stays below 1e-10; Golub & Van Loan, *Matrix
@@ -51,6 +52,11 @@ _SCAN_POINTS = 65
 _POLISH_TOL = 1e-10  # on the secant update of mu
 _POLISH_STEPS = 60
 _GRAM_LIMIT = 1e3  # on the certified kappa(G): the normal equations lose about kappa^2 eps
+_FIT_POINTS = 18  # Chebyshev nodes of the pulse sampler, whose polynomials in mu have degree 19
+_FIT_ERROR = 1e-12  # bounds the sampler's error in each entry of G and G' (a property test)
+_POWER_SCALE, _POWER_SHIFT = np.array(  # mu * scale + shift = 1, mu, mu - 1/2, x, .., x
+    [[0.0, 1.0, 1.0] + [4.0] * (_FIT_POINTS - 1), [1.0, 0.0, -0.5] + [-1.0] * (_FIT_POINTS - 1)]
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,25 +176,56 @@ def build_shaping_matrix(pulse, mu, L):
 
 @lru_cache(maxsize=32)
 def _shaping_layout(M, L):
-    """The 2M support lags -M .. M-1 of the pulse and the Toeplitz index of G into their samples.
+    """The Toeplitz index of G into the pulse samples at the 2M support lags -M .. M-1.
 
     Entry (r, c), at lag k = r - M - c, reads sample k + M, or off the support the appended 0.
     """
     k = np.arange(_window(L, M))[:, None] - M - np.arange(L)
-    return np.arange(-M, M, dtype=float), np.where((k >= -M) & (k < M), k + M, 2 * M)
+    return np.where((k >= -M) & (k < M), k + M, 2 * M)
+
+
+@lru_cache(maxsize=32)
+def _pulse_fit(pulse):
+    """The pulse sampler's coefficients, shape (n + 2, 2, 2M + 1), n = ``_FIT_POINTS``.
+
+    At each support lag k = -M .. M-1, g(k + mu) = g(k) + mu (q_k + (mu - 1/2) r_k(x)) with
+    x = 4 mu - 1, and g' the same way: q_k = (g(k + 1/2) - g(k)) / (1/2), and r_k interpolates
+    the second divided difference at the n Chebyshev points of the first kind, inside (0, 1/2).
+    Row 0 is g(k), the exact Nyquist delta, and g'(k); row 1 q_k; row 2 + j the coefficient of
+    mu (mu - 1/2) x^j; column 2M, off the support, is 0.  So G(0) is the delta and G(1/2) is
+    ``with_slope``'s (its one caller here), both exactly.  As g is entire, the interpolants
+    converge geometrically (Trefethen, *Approximation Theory and Approximation Practice*,
+    ch. 8); the Vandermonde solve is backward stable and interpolation at Chebyshev points
+    well conditioned, so at n = 18 the sampler matches ``with_slope`` to about 1e-15 in g and
+    3e-14 in g'.
+    """
+    n, lags = _FIT_POINTS, np.arange(-pulse.M, pulse.M, dtype=float)
+    nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    mus = np.r_[0.0, 0.5, (nodes + 1) / 4]
+    g = pulse.with_slope(np.add.outer(mus, lags).ravel()).reshape(2, n + 2, -1)
+    g[0, 0] = lags == 0
+    q = (g[:, 1:] - g[:, :1]) / mus[1:, None]
+    r = ((q[:, 1:] - q[:, :1]) / (mus[2:, None] - 0.5)).swapaxes(0, 1).reshape(n, -1)
+    coefs = np.zeros((n + 2, 2, 2 * pulse.M + 1))
+    coefs[0, :, :-1], coefs[1, :, :-1] = g[:, 0], q[:, 0]
+    coefs[2:, :, :-1] = np.linalg.solve(np.vander(nodes, increasing=True), r).reshape(n, 2, -1)
+    coefs.flags.writeable = False
+    return coefs
 
 
 def _shaping_and_slope(pulse, mu, L):
-    """G(mu) and its exact slope dG/dmu, shape (2,) + mu.shape + (2M+L-1, L), mu in [0, 1/2].
+    """G(mu) and its slope dG/dmu, shape (2,) + mu.shape + (2M+L-1, L), mu in [0, 1/2].
 
-    The one sampler of the pulse for G: ``pulse.with_slope`` once at the support lags k + mu,
-    0 elsewhere (at mu = 0, the right-sided slope and g(M) = 0), then one ``take``.
+    The one sampler of the pulse for G: the products 1, mu, mu (mu - 1/2) x^j of each offset,
+    x = 4 mu - 1, contracted with ``_pulse_fit``'s coefficients by ``einsum`` (no BLAS, so an
+    offset's bits do not depend on mu's shape), then one ``take``.  G(0) is the exact delta
+    and G'(0) the pulse slope at the integer lags (right-sided: the lag M is off the support).
     """
-    lags, gather = _shaping_layout(pulse.M, L)
-    mu = np.asarray(mu, dtype=float)
-    samples = np.zeros((2,) + mu.shape + (lags.size + 1,))  # index 2M stays 0
-    samples[..., :-1] = pulse.with_slope(np.add.outer(mu, lags).ravel()).reshape(2, *mu.shape, -1)
-    return samples.take(gather, axis=-1)
+    powers = np.multiply.outer(np.asarray(mu, dtype=float), _POWER_SCALE)
+    powers += _POWER_SHIFT  # 1, mu, mu - 1/2, then x = 4 mu - 1: their running products
+    np.multiply.accumulate(powers, axis=-1, out=powers)
+    samples = np.einsum("...j,jkc->k...c", powers, _pulse_fit(pulse))
+    return samples.take(_shaping_layout(pulse.M, L), axis=-1)
 
 
 @lru_cache(maxsize=32)
@@ -205,15 +242,20 @@ def _scan_grid(pulse, L):
 def _certified(pulse, G, Gp):
     """Whether kappa(G(mu)) <= lim = ``_GRAM_LIMIT`` for all |mu - mu_j| <= d, per G_j and G'_j.
 
-    For d half a scan step, Taylor gives ||G(mu) - G_j||_F <= e_j = d ||G'_j||_F + d^2 B/2, with
-    B = sqrt(2ML) (pi (1 + rolloff))^2 >= ||G''||_F, as G'' holds 2M samples of g'' per column and
-    Bernstein's inequality gives |g''| <= (pi (1 + rolloff))^2 sup|g|, and sup|g| = g(0) = 1 as
-    g is band-limited to |f| <= (1 + rolloff)/2 with a nonnegative spectrum.  For G_j's singular
-    values in [s_j, S_j], Weyl's inequality certifies if s_j > e_j and S_j + e_j <= lim (s_j - e_j).
+    For d half a scan step, Taylor gives the true pulse's ||G(mu) - G_j||_F <= d ||G'_j||_F +
+    d^2 B/2, with B = r (pi (1 + rolloff))^2 >= ||G''||_F, r = sqrt(2ML), as G'' holds 2M samples
+    of g'' per column and Bernstein's inequality gives |g''| <= (pi (1 + rolloff))^2 sup|g|, and
+    sup|g| = g(0) = 1 as g is band-limited to |f| <= (1 + rolloff)/2 with a nonnegative spectrum.
+    The sampler's G and G' differ from the true pulse's by at most ``_FIT_ERROR`` in each of
+    their 2ML support entries, so for its G_j and G'_j the distance is at most e_j = d ||G'_j||_F +
+    d^2 B/2 + (2 + d) r ``_FIT_ERROR``.  For G_j's singular values in [s_j, S_j], Weyl's
+    inequality certifies if s_j > e_j and S_j + e_j <= lim (s_j - e_j).
     """
     d = 0.25 / (_SCAN_POINTS - 1)  # half a scan step
-    B = math.sqrt(2 * pulse.M * G.shape[-1]) * (math.pi * (1 + pulse.rolloff)) ** 2
-    e = d * np.linalg.norm(Gp, axis=(-2, -1)) + d * d * B / 2
+    r = math.sqrt(2 * pulse.M * G.shape[-1])
+    e = d * np.linalg.norm(Gp, axis=(-2, -1)) + r * (
+        d * d * (math.pi * (1 + pulse.rolloff)) ** 2 / 2 + (2 + d) * _FIT_ERROR
+    )
     small, big = np.linalg.svd(G, compute_uv=False)[..., [-1, 0]].T
     return (small > e) & (big + e <= _GRAM_LIMIT * (small - e))
 
@@ -236,9 +278,9 @@ def _profile_derivative(pulse, mu, L, Y):
 
     Because the residual is orthogonal to range(G), only the explicit G(mu)
     dependence contributes: phi'(mu) = -2 <Y - G h, G' h>, Y = [Re hF, Im hF],
-    with G and G' from one evaluation of the pulse and its exact slope, and h from the normal
-    equations where the nearest scan offset's flag certifies them (``_certified``: Taylor, with
-    ||G''||_F <= B by Bernstein's inequality, then Weyl's), else from ``_solve_h``'s SVD.
+    with G and G' from one call of the pulse sampler, and h from the normal equations where
+    the nearest scan offset's flag certifies them (``_certified``: Taylor, with ||G''||_F <= B
+    by Bernstein's inequality, the sampler's error, then Weyl's), else from ``_solve_h``'s SVD.
     """
     G, Gp = _shaping_and_slope(pulse, mu, L)
     mus, _, _, flags = _scan_grid(pulse, L)
@@ -257,8 +299,8 @@ def _mu_step(pulse, L, Y):
     Hermite start, last solve reused: where the exact slopes at an interior scan minimum
     and its neighbours turn from - to + on [A, B], the polish starts at the minimum of
     the Hermite cubic through the values and slopes at A and B, its curvature the first
-    secant slope (else at the scan minimum, bisecting first).  Each step takes G, the
-    exact G' and one solve at one offset, narrows a bracket [lo, hi] by the slope's sign
+    secant slope (else at the scan minimum, bisecting first).  Each step takes G,
+    G' and one solve at one offset, narrows a bracket [lo, hi] by the slope's sign
     and takes a secant step, bisecting when that leaves the bracket or meets a
     non-increasing slope.  Returns ``(mu, steps, converged, h, r)``, the solve and
     residual at mu; ``converged`` is false only when ``_POLISH_STEPS`` steps did not

@@ -55,10 +55,10 @@ def toeplitz(w, L, M=0):
 def direct_shaping_matrix(pulse, mu, L):
     """G(mu)[r, c] = g((r - M - c + mu)T), the pulse taken at all (2M+L-1) x L entries.
 
-    Kept as the reference for ``build_shaping_matrix``, which takes the pulse
-    once per support lag of the Toeplitz G and gathers, with the same sums
-    lag + mu, so the two agree bit for bit but where lag + mu = M: there
-    ``__call__`` holds sinc's rounding and the builder's support an exact 0.
+    Kept as the reference for ``build_shaping_matrix``, whose cached polynomial sampler
+    gathers the 2M support lags of the Toeplitz G: the two agree to the sampler's
+    accuracy, and off the support, where ``__call__`` holds sinc's rounding at lag + mu = M,
+    the builder has an exact 0.
     """
     lags = np.arange(2 * pulse.M + L - 1)[:, None] - pulse.M - np.arange(L)
     return pulse(lags + np.asarray(mu, dtype=float)[..., None, None])
@@ -541,10 +541,70 @@ class TestShapingMatrix:
             G, expected = build_shaping_matrix(pulse, mu, L), direct_shaping_matrix(pulse, mu, L)
             assert G.shape == expected.shape == np.shape(mu) + (2 * M + L - 1, L)
             # at mu = 0 the lag +M (in G when L > 1) is off the support: exactly
-            # g(M) = 0, where the direct evaluation holds sinc's rounding, ~1e-17
+            # g(M) = 0, where the direct evaluation holds sinc's rounding, ~1e-17;
+            # elsewhere the sampler is within its fit error of the pulse
             edge = np.asarray(mu)[..., None, None] + lags == M
             assert edge.any() == (0.0 in np.ravel(mu) and L > 1) and not G[edge].any()
-            assert G[~edge].tobytes() == expected[~edge].tobytes()
+            assert np.max(np.abs(G[~edge] - expected[~edge])) <= 1e-14
+
+    @settings(max_examples=150)
+    @given(
+        rolloff=st.floats(0.0, 1.0),
+        M=st.integers(1, 16),
+        L=st.integers(1, 20),
+        mus=st.lists(
+            st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)), min_size=1, max_size=6
+        ),
+    )
+    def test_sampler_matches_the_pulse_and_its_slope(self, rolloff, M, L, mus):
+        # the cached polynomial fit against PulseShape.with_slope at the support lags
+        # k + mu: within 1e-14 in G and 1e-12 in G', which _certified's _FIT_ERROR
+        # covers, and exactly 0 off the support
+        from chirpsounder import estimator
+
+        pulse, mu = build_pulse(rolloff=rolloff, M=M), np.array(mus)
+        G, Gp = estimator._shaping_and_slope(pulse, mu, L)
+        lags = np.arange(2 * M + L - 1)[:, None] - M - np.arange(L)
+        support = (lags >= -M) & (lags < M)
+        g, gp = pulse.with_slope(np.add.outer(mu, lags[support]).ravel())
+        assert not G[:, ~support].any() and not Gp[:, ~support].any()
+        assert np.max(np.abs(G[:, support].ravel() - g)) <= 1e-14
+        assert np.max(np.abs(Gp[:, support].ravel() - gp)) <= 1e-12 <= estimator._FIT_ERROR
+
+    @pytest.mark.parametrize("rolloff,M,L", [(0.25, 4, 15), (0.0, 1, 1), (1.0, 2, 3), (0.3, 8, 2)])
+    def test_offset_range_ends_are_exact(self, rolloff, M, L):
+        # G(0) is the Toeplitz delta bit for bit; G'(0) is the pulse slope at the
+        # integer lags -M .. M-1 and 0 at the lag M, off the support; G(1/2) equals
+        # with_slope's g(k + 1/2) (a zero may lose its sign), so the pulse is even there
+        from chirpsounder.estimator import _shaping_and_slope
+
+        pulse = build_pulse(rolloff=rolloff, M=M)
+        (G, Gp), (half, _) = _shaping_and_slope(pulse, np.array([0.0, 0.5]), L).swapaxes(0, 1)
+        delta = np.zeros((2 * M + L - 1, L))
+        delta[M : M + L] = np.eye(L)
+        assert G.tobytes() == delta.tobytes()
+        lags = np.arange(2 * M + L - 1)[:, None] - M - np.arange(L)
+        inside = (lags >= -M) & (lags < M)
+        slope = pulse.with_slope(lags[inside].astype(float))[1]
+        assert np.max(np.abs(Gp[inside] - slope)) <= 1e-14 and not Gp[~inside].any()
+        np.testing.assert_array_equal(half[inside], pulse.with_slope(lags[inside] + 0.5)[0])
+
+    @pytest.mark.parametrize("N,M,L,nt", [(256, 4, 15, 3), (128, 2, 5, 1), (64, 1, 1, 2)])
+    def test_zero_offset_reception_is_integer_reception(self, N, M, L, nt):
+        # with the exact delta, noiseless fractional reception at mu = 0 equals
+        # integer reception bit for bit
+        from chirpsounder.channel import MimoScenario
+
+        rng = np.random.default_rng(N + M)
+        taps = random_taps(rng, nt * 2 * L).reshape(nt, 2, L)
+        sc = MimoScenario(
+            taps=taps, d=np.zeros((nt, 2), int), mu=np.zeros((nt, 2)), sigma2=np.zeros(2)
+        )
+        waveforms = [generate_chirp(p, N) for p in (1, 2, 4)[:nt]]
+        pulse = build_pulse(rolloff=0.25, M=M)
+        integer = receive_integer(sc, sounding(waveforms, L))
+        fractional = receive_fractional(sc, sounding(waveforms, L, M), pulse)
+        assert fractional.tobytes() == integer.tobytes()
 
     @pytest.mark.parametrize("rolloff", [0.0, 0.25, 0.3, 1.0])
     @pytest.mark.parametrize("M", [1, 4])
@@ -582,11 +642,11 @@ class TestShapingMatrix:
             stacked = np.stack(scalar, axis=1).reshape(out.shape)
             assert out.tobytes() == stacked.tobytes()
 
-    def test_one_pulse_sample_per_distinct_lag(self, monkeypatch):
-        # G and G' take the pulse at its 2M = 8 support lags per offset on
-        # paper-sec5-fractional, in one with_slope call however many offsets,
-        # not at G's (2M+L-1)*L = 330 entries; reception and the scan alike
-        from chirpsounder.estimator import _scan_grid
+    def test_pulse_sampled_only_to_fit_the_sampler(self, monkeypatch):
+        # with_slope runs once per pulse, inside the coefficient build, at the 2M = 8
+        # support lags of mu = 0, 1/2 and the 18 fit nodes; once the coefficients are
+        # cached, reception, the scan and the shaping matrix never sample the pulse
+        from chirpsounder.estimator import _FIT_POINTS, _pulse_fit, _scan_grid
 
         points = []
         original = PulseShape.with_slope
@@ -600,18 +660,18 @@ class TestShapingMatrix:
         pulse = build_pulse(cfg.pulse_rolloff, cfg.pulse_half_support)
         L = cfg.total_length
         assert 2 * pulse.M == 8
+        _pulse_fit.cache_clear()
+        _pulse_fit(pulse)
+        assert points == [(_FIT_POINTS + 2) * 8]
+        points.clear()
         for mu in (0.3, (0.0, 0.2, 0.5), np.linspace(0.0, 0.5, 33).reshape(3, 11)):
-            points.clear()
             build_shaping_matrix(pulse, mu, L)
-            assert points == [np.size(mu) * 8]
         sc = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
         waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
-        points.clear()
         receive_fractional(sc, sounding(waveforms, L, pulse.M), pulse)
-        assert points == [sc.nt * sc.nr * 8] == [9 * 8]
-        points.clear()
         _scan_grid.__wrapped__(pulse, L)  # past its cache
-        assert points == [65 * 8]
+        joint_estimate(build_shaping_matrix(pulse, 0.3, L) @ sc.taps[0, 0], pulse, L)
+        assert points == []
 
 
 class TestNullSpaceScan:
