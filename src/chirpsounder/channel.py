@@ -168,6 +168,13 @@ def noise_variance_for_snr(mean_power, snr_db):
     return float(mean_power) * 10.0 ** (-float(snr_db) / 10.0) / 2.0
 
 
+def _offset_shape(cfg):
+    """One draw per independent offset: per (tx node, rx node) pair, or per rx node where the
+    transmit LOs are shared (tx-shared) and per tx node where the receive ones are (rx-shared)."""
+    shared = {"tx-shared": (1, cfg.mr), "rx-shared": (cfg.mt, 1)}
+    return shared.get(cfg.lo_topology, (cfg.mt, cfg.mr))
+
+
 def draw_fractional_offsets(cfg, rng):
     """Draw per-(tx node, rx node) fractional offsets in (0, 0.5].
 
@@ -175,9 +182,7 @@ def draw_fractional_offsets(cfg, rng):
     depends only on the receive node, and vice versa.  Returns a read-only
     (Mt, Mr) array broadcast from the one draw per independent offset.
     """
-    shared = {"tx-shared": (1, cfg.mr), "rx-shared": (cfg.mt, 1)}
-    shape = shared.get(cfg.lo_topology, (cfg.mt, cfg.mr))
-    return np.broadcast_to(0.5 * (1.0 - rng.random(shape)), (cfg.mt, cfg.mr))
+    return np.broadcast_to(0.5 * (1.0 - rng.random(_offset_shape(cfg))), (cfg.mt, cfg.mr))
 
 
 @lru_cache(maxsize=8)
@@ -199,6 +204,68 @@ def _tap_layout(active, offsets, tx_node, rx_node, L):
     return d, sum(counts), tuple(groups)
 
 
+@lru_cache(maxsize=8)
+def _node_index(shape, mt, mr, tx_node, rx_node):
+    """Read-only (nt, nr) index of each link's offset in a flat draw of ``shape``, which
+    broadcasts to the (mt, mr) node pairs as ``draw_fractional_offsets`` broadcasts it."""
+    index = np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), (mt, mr))
+    index = index[np.ix_(tx_node, rx_node)]
+    index.flags.writeable = False
+    return index
+
+
+def _layout(cfg):
+    return _tap_layout(
+        cfg.active_taps, cfg.integer_offsets, cfg.tx_node, cfg.rx_node, cfg.total_length
+    )
+
+
+def _draw_shapes(cfg):
+    """One channel's draws, in stream order: the shape of its uniform offsets (None where
+    the config fixes mu or has none) and the count of its normal draws, two per active tap."""
+    drawn = cfg.fractional and cfg.mu_values is None
+    return _offset_shape(cfg) if drawn else None, 2 * _layout(cfg)[1]
+
+
+def _channel_block(cfg, u, draws):
+    """The offsets, taps and noise levels of B channels, one pass over a block of their draws.
+
+    Row b of ``u``, shape (B, *offset shape), and of ``draws``, shape (B, 2*total), hold one
+    channel's draws as ``_draw_shapes`` sizes them; ``u`` is None where the config fixes mu
+    (or has none), and ``draws`` where the taps are not drawn, which leaves taps and sigma2 None.
+    Returns mu (B, nt, nr), read-only taps (B, nt, nr, L) and read-only sigma2 (B, nr); row b
+    is bit for bit ``synthesize_channels`` on the stream that drew it, at any B.
+    """
+    B = len(u if draws is None else draws)
+    if u is not None:
+        index = _node_index(u.shape[1:], cfg.mt, cfg.mr, cfg.tx_node, cfg.rx_node)
+        mu = (0.5 * (1.0 - u)).reshape(B, -1)[:, index]
+    elif cfg.mu_values is None:
+        mu = np.zeros((B, cfg.nt, cfg.nr))
+    else:
+        mu = np.repeat(cfg.per_link(cfg.mu_values)[None], B, axis=0)
+    if draws is None:
+        return mu, None, None
+
+    _, _, groups = _layout(cfg)
+    taps = np.zeros((B, cfg.nt, cfg.nr, cfg.total_length), dtype=complex)
+    flat = taps.reshape(B, -1)
+    for re, im, dst in groups:
+        block = (draws.take(re, axis=1) + 1j * draws.take(im, axis=1)) / np.sqrt(2.0)
+        if cfg.normalize_taps:  # np.linalg.norm bit for bit: a strided ddot per part and link
+            x, y = block.real, block.imag
+            norm = np.sqrt(x[..., None, :] @ x[..., None] + y[..., None, :] @ y[..., None])
+            block = block / norm[..., 0]
+        flat[:, dst] = block
+    taps.flags.writeable = False
+
+    power = np.sum(np.abs(taps) ** 2, axis=3).sum(axis=1) / cfg.waveform_length
+    scale = [10.0 ** (-float(snr) / 10.0) for snr in cfg.snr_db]  # noise_variance_for_snr's order
+    sigma2 = power * scale / 2.0
+    sigma2.flags.writeable = False
+    return mu, taps, sigma2
+
+
 def synthesize_channels(cfg, rng):
     """Realize the scenario's channel arrays from a seeded generator.
 
@@ -208,8 +275,9 @@ def synthesize_channels(cfg, rng):
     (uniform policy).  The golden digests pin the order of ``rng``'s draws: the
     uniform offsets, then all active taps in one link-major draw, link by link in
     (tx, rx) order, each link's real parts before its imaginary parts.  The harness
-    passes stream (0,) for the base channel and stream (2, t) for trial t's redraw,
-    whose offsets are then those of ``draw_fractional_offsets`` on that stream.
+    passes stream (0,) for the base channel.  Its Monte-Carlo redraw takes the same
+    draws from each trial's stream (2, t) and makes one ``_channel_block`` pass over a
+    block of trials, which gives each trial the channel this function draws from (2, t).
 
     The per-antenna noise level is calibrated from the configured SNR against
     the noiseless received power sum_i ||h_im||^2 / N, which equals the
@@ -221,32 +289,10 @@ def synthesize_channels(cfg, rng):
         raise ConstraintViolationError(
             f"waveform design constraint violated: {report.condition}"
         )
-    if not cfg.fractional:
-        mu = np.zeros((cfg.nt, cfg.nr))
-    elif cfg.mu_values is not None:
-        mu = cfg.per_link(cfg.mu_values)
-    else:
-        mu = cfg.per_link(draw_fractional_offsets(cfg, rng))
-
-    d, total, groups = _tap_layout(
-        cfg.active_taps, cfg.integer_offsets, cfg.tx_node, cfg.rx_node, cfg.total_length
-    )
-    draws = rng.standard_normal(2 * total)
-    taps = np.zeros((cfg.nt, cfg.nr, cfg.total_length), dtype=complex)
-    for re, im, dst in groups:
-        block = (draws[re] + 1j * draws[im]) / np.sqrt(2.0)
-        if cfg.normalize_taps:  # np.linalg.norm bit for bit: a strided ddot per part and link
-            x, y = block.real, block.imag
-            block = block / np.sqrt(x[:, None] @ x[..., None] + y[:, None] @ y[..., None])[:, 0]
-        taps.put(dst, block)
-    taps.flags.writeable = False
-
-    power = np.sum(np.abs(taps) ** 2, axis=2).sum(axis=0) / cfg.waveform_length
-    sigma2 = np.array(
-        [noise_variance_for_snr(power[m], cfg.snr_db[m]) for m in range(cfg.nr)]
-    )
-    sigma2.flags.writeable = False
-    return MimoScenario(taps=taps, d=d, mu=mu, sigma2=sigma2)
+    u_shape, n_draws = _draw_shapes(cfg)
+    u = None if u_shape is None else rng.random((1, *u_shape))
+    mu, taps, sigma2 = _channel_block(cfg, u, rng.standard_normal((1, n_draws)))
+    return MimoScenario(taps=taps[0], d=_layout(cfg)[0], mu=mu[0], sigma2=sigma2[0])
 
 
 def awgn(r0, sigma2, rng):

@@ -137,7 +137,8 @@ def _apply_matched_filter(S, r, fractional):
 
 
 def _sound(matrices, filters, M):
-    """Reception's r_m = sum_i S_i filters[i, m], one (S_i F)^T = conj(conj(F)^T S_i^H) per i."""
+    """Reception's r_m = sum_i S_i filters[i, m]: (sum_i S_i F_i)^T = conj(sum_i conj(F_i)^T S_i^H),
+    one product per i and one conjugation of their sum."""
     origins, shapes = [S.M for S in matrices], {S.entries.shape for S in matrices}
     if len(matrices) != len(filters):
         raise DimensionMismatchError(
@@ -148,7 +149,7 @@ def _sound(matrices, filters, M):
     D = filters.shape[-1]
     if len(shapes) != 1 or min(shapes)[0] != D:
         raise DimensionMismatchError(f"need sounding matrices of one shape ({D}, N), got {shapes}")
-    return sum(np.conj(np.conj(filters[i]) @ S.entries) for i, S in enumerate(matrices))
+    return np.conj(sum(np.conj(filters[i]) @ S.entries for i, S in enumerate(matrices)))
 
 
 def matched_filter_integer(S, r):

@@ -19,7 +19,11 @@ stream.
 
 A synthesis stream yields the uniform offsets, then all active taps in one draw,
 link by link in (tx, rx) order, real parts before imaginary parts.  So trial t
-takes the same offsets and noise whether or not its taps are redrawn.
+takes the same offsets and noise whether or not its taps are redrawn.  Only
+these draws are taken per trial in a redraw, into a block's buffers; one
+``channel._channel_block`` pass, the one ``synthesize_channels`` makes at B = 1,
+turns the block into offsets, taps and noise levels, so trial t's channel is
+bit for bit ``synthesize_channels`` on stream (2, t).
 
 Reception (``channel.receive_*``) is noiseless; each run adds the noise of
 trial t with ``awgn`` from stream (1, t).  ``mse`` and ``sound`` share one
@@ -39,6 +43,7 @@ The sidecar also records the numpy version and the BLAS thread settings.
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import astuple, dataclass, fields, replace
@@ -46,9 +51,11 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .channel import (
+    MimoScenario,
+    _channel_block,
+    _draw_shapes,
     awgn,
     build_pulse,
-    draw_fractional_offsets,
     receive_fractional,
     receive_integer,
     synthesize_channels,
@@ -81,8 +88,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _HASH_B = np.array([_INIT_B * pow(_MULT_B, k, 1 << 32) & _MASK32 for k in range(5)], np.uint32)
 _OUT_XOR, _OUT_MUL = _HASH_B[:4, None], _HASH_B[1:, None]
 _SHIFT, _MIX_R32 = np.uint32(16), np.uint32(_MIX_R)  # uint32 scalars: no conversion per use
-_TRIAL_BLOCK = 64  # trials per block of estimates in run_mse_experiment,
-_BLOCK_BYTES = 1 << 20  # fewer where the block and its twin of taps would outgrow this
+_TRIAL_BLOCK = 64  # trials per block of estimates and redraws in run_mse_experiment,
+_BLOCK_BYTES = 1 << 20  # fewer where the block's arrays would outgrow this
 
 
 def _stream_lanes(seed, streams):
@@ -225,31 +232,44 @@ def run_mse_experiment(cfg):
 
     Trial t draws its noise from stream (1, t) and, per config, its uniform
     fractional offsets and then its taps from stream (2, t), as stream (0,) draws
-    the base channel.  It makes one ``awgn`` call and ``nt*nr`` matched-filter
-    calls (each followed by the joint offset estimator in the fractional case),
-    and its estimates, and any redrawn taps, fill row t mod B of a block.  Each
-    block's squared errors are added in trial order, so the outputs do not depend
-    on B, and memory is O(B) at any trial count.  An antenna's bound is
-    2*L*sigma2, its trial mean (summed in trial order) when redrawn taps change
-    sigma2.  An antenna with no noise (no active taps into it, or an SNR whose
-    noise level underflows) has no bound, which is a ``ConfigError`` before any
-    trial runs.
+    the base channel.  A block of B trials takes these redraws one trial at a time
+    into row t mod B of its draw buffers, then turns them into every trial's
+    channel in one pass; each trial builds its own checked ``MimoScenario``.  A
+    trial makes one ``awgn`` call and ``nt*nr`` matched-filter calls (each
+    followed by the joint offset estimator in the fractional case), and its
+    estimates fill row t mod B of a block.  Each block's squared errors are added
+    in trial order, so the outputs do not depend on B, and memory is O(B) at any
+    trial count: B shrinks where the bytes a trial takes in the block (its
+    estimates and their error, its draws, offsets and redrawn taps) would outgrow
+    ``_BLOCK_BYTES``.  An antenna's bound is 2*L*sigma2, its trial mean (summed in
+    trial order) when redrawn taps change sigma2.  An antenna with no noise (no
+    active taps into it, or an SNR whose noise level underflows) has no bound,
+    which is a ``ConfigError`` before any trial runs.
     """
     t0 = time.perf_counter()
     rng = derive_rng(cfg.seed, 0)  # draws the channel, then is re-keyed to each trial's streams
-    waveforms, scenario, pulse, matrices = _setup(cfg, rng)
-    L = cfg.total_length
+    waveforms, base, pulse, matrices = _setup(cfg, rng)
+    scenario, L = base, cfg.total_length  # each trial's channel, the base one unless redrawn
 
-    if not scenario.sigma2.all():
-        m = int(np.flatnonzero(scenario.sigma2 == 0)[0])
+    if not base.sigma2.all():
+        m = int(np.flatnonzero(base.sigma2 == 0)[0])
         raise ConfigError(f"rx antenna {m} has zero noise variance; MSE/CRB is undefined")
 
-    redraw = cfg.redraw_per_trial or (cfg.fractional and cfg.mu_values is None)
-    r0 = None if redraw else _received(cfg, scenario, matrices, pulse)  # serves every trial
+    u_shape, n_draws = _draw_shapes(cfg)
+    redraw = cfg.redraw_per_trial or u_shape is not None
+    r0 = None if redraw else _received(cfg, base, matrices, pulse)  # serves every trial
     pairs = [(i, m, matrices[i]) for m in range(cfg.nr) for i in range(cfg.nt)]
-    B = max(1, min(_TRIAL_BLOCK, cfg.trials, _BLOCK_BYTES // (2 * scenario.taps.nbytes)))
-    h_hat = np.empty((B, *scenario.taps.shape), complex)
-    taps = np.empty_like(h_hat) if cfg.redraw_per_trial else scenario.taps[None]
+    # bytes per trial of a block: h_hat and its error, and a redraw's draws and what they make
+    per_trial = 2 * base.taps.nbytes
+    if redraw:
+        per_trial += 8 * (math.prod(u_shape) if u_shape else 0) + base.mu.nbytes
+    if cfg.redraw_per_trial:
+        per_trial += 8 * n_draws + base.taps.nbytes + base.sigma2.nbytes
+    B = max(1, min(_TRIAL_BLOCK, cfg.trials, _BLOCK_BYTES // per_trial))
+    h_hat = np.empty((B, *base.taps.shape), complex)
+    u = np.empty((B, *u_shape)) if u_shape else None
+    draws = np.empty((B, n_draws)) if cfg.redraw_per_trial else None
+    taps = base.taps[None]  # every trial's, unless a block redraws them
     sums = np.zeros((B + 1, cfg.nt, cfg.nr))  # row 0 carries the running sum
     sigma2_sum = np.zeros(cfg.nr)  # of the redrawn channels
     nonconverged = 0
@@ -260,15 +280,25 @@ def run_mse_experiment(cfg):
     for start in range(0, cfg.trials, B):
         n = min(B, cfg.trials - start)
         keys = _philox_keys(lanes, np.arange(start, start + n, dtype=np.uint32))
+        if redraw:  # each trial's stream-(2, t) draws, then one pass over the block's
+            for k, key in enumerate(keys):
+                _rekeyed(rng, key[0])
+                if u is not None:
+                    rng.random(out=u[k])
+                if draws is not None:
+                    rng.standard_normal(out=draws[k])
+            mu, block_taps, sigma2s = _channel_block(
+                cfg, None if u is None else u[:n], None if draws is None else draws[:n]
+            )
+            if draws is not None:
+                taps = block_taps
+                sigma2_sum = np.add.accumulate(np.vstack((sigma2_sum, sigma2s)))[-1]
         for k, key in enumerate(keys):
             if redraw:
-                _rekeyed(rng, key[0])
-                if cfg.redraw_per_trial:
-                    scenario = synthesize_channels(cfg, rng)
-                    taps[k] = scenario.taps
-                    sigma2_sum += scenario.sigma2
+                if draws is None:
+                    scenario = replace(base, mu=mu[k])
                 else:
-                    scenario = replace(scenario, mu=cfg.per_link(draw_fractional_offsets(cfg, rng)))
+                    scenario = MimoScenario(taps=taps[k], d=base.d, mu=mu[k], sigma2=sigma2s[k])
                 r0 = _received(cfg, scenario, matrices, pulse)
             r = awgn(r0, scenario.sigma2, _rekeyed(rng, key[-1]))
             if cfg.fractional:
@@ -283,7 +313,7 @@ def run_mse_experiment(cfg):
         np.sum(np.abs(h_hat[:n] - taps[:n]) ** 2, axis=-1, out=sums[1 : n + 1])
         sums[0] = np.add.accumulate(sums[: n + 1])[-1]
     sq_err = sums[0] / cfg.trials
-    sigma2 = sigma2_sum / cfg.trials if cfg.redraw_per_trial else scenario.sigma2
+    sigma2 = sigma2_sum / cfg.trials if cfg.redraw_per_trial else base.sigma2
 
     links, antennas = [], []
     for m in range(cfg.nr):

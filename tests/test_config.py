@@ -3,9 +3,10 @@
 Each invalid field or section is one problem line, whether its value has the
 wrong JSON type or is out of range.  Over ``small_scenarios`` the canonical
 dict reads back, ``check`` agrees with synthesis, synthesis draws bit for bit
-what a loop over the links draws, noiseless sounding returns the taps (and mu,
-where the taps span the whole window), and reruns write the same bytes.  The
-other config tests are ``TestConfig`` in ``test_harness.py``.
+what a loop over the links draws, the redraw's one pass over a block of trial
+draws gives each trial its synthesis bit for bit, noiseless sounding returns
+the taps (and mu, where the taps span the whole window), and reruns write the
+same bytes.  The other config tests are ``TestConfig`` in ``test_harness.py``.
 """
 
 import contextlib
@@ -37,6 +38,7 @@ from chirpsounder import (
     run_sounding,
     synthesize_channels,
 )
+from chirpsounder.channel import _channel_block, _draw_shapes
 from chirpsounder.cli import main
 from chirpsounder.harness import _received, _setup
 
@@ -286,6 +288,36 @@ def test_synthesis_equals_the_link_by_link_draws(data):
         assert channel.taps.tobytes() == taps.tobytes()
         assert channel.sigma2.tobytes() == sigma2.tobytes()
         assert ours.random() == oracle.random()
+
+
+@settings(max_examples=60)
+@given(data=small_scenarios(), block=st.integers(1, 9))
+@example(data=scenario([0, 1, 2], [0], [1, 2, 4], 256, 8, 3, [[0], [2], [4]]), block=5)  # nr = 1
+@example(data=scenario([0, 1], [0, 1, 1], [1, 2], 256, 8, 2, [[1, 3]] * 2, mu="uniform",
+                       topology="tx-shared"), block=4)
+def test_a_block_of_trial_draws_gives_each_trials_synthesis(data, block):
+    # the redraw's one pass over a block of stream-(2, t) draws gives trial t the offsets,
+    # taps and noise levels that synthesis draws from stream (2, t), byte for byte
+    for normalize in (False, True):
+        cfg = _soundable(data).replace(normalize_taps=normalize)
+        u_shape, n_draws = _draw_shapes(cfg)
+        u = None if u_shape is None else np.empty((block, *u_shape))
+        draws = np.empty((block, n_draws))
+        for t in range(block):
+            rng = derive_rng(cfg.seed, 2, t)
+            if u is not None:
+                rng.random(out=u[t])
+            rng.standard_normal(out=draws[t])
+        mu, taps, sigma2 = _channel_block(cfg, u, draws)
+        assert (mu.shape, taps.shape, sigma2.shape) == (
+            (block, cfg.nt, cfg.nr), (block, cfg.nt, cfg.nr, cfg.total_length), (block, cfg.nr)
+        )
+        assert not taps.flags.writeable and not sigma2.flags.writeable
+        for t in range(block):
+            channel = synthesize_channels(cfg, derive_rng(cfg.seed, 2, t))
+            assert mu[t].tobytes() == channel.mu.tobytes()
+            assert taps[t].tobytes() == channel.taps.tobytes()
+            assert sigma2[t].tobytes() == channel.sigma2.tobytes()
 
 
 @settings(max_examples=60)

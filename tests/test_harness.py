@@ -571,6 +571,10 @@ BLOCK_RUNS = {  # T = 200 is no multiple of 7 or 64; the fractional run has T < 
     "integer": ("paper-sec5", 200, {}),
     "redrawn-taps": ("paper-sec5", 20, {"redraw_per_trial": True, "normalize_taps": False}),
     "fractional": ("paper-sec5-fractional", 3, {}),
+    "fractional-redrawn-taps": (
+        "paper-sec5-fractional", 9, {"redraw_per_trial": True, "normalize_taps": False}
+    ),
+    "tx-shared-redrawn-taps": ("capacity-tx-shared", 9, {"redraw_per_trial": True}),
 }
 
 
