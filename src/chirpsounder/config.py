@@ -17,8 +17,8 @@ unless noted; unknown keys anywhere are rejected):
     snr_db             scalar or [per rx antenna]
     lo_topology        "independent" | "tx-shared" | "rx-shared"
     capacity           {"rho_db": [...], "bins": K}
-    trials, seed       integers: 1 <= trials <= 2**32 (trial t keys its random
-                       streams with one uint32 word), seed >= 0
+    trials, seed       integers: 1 <= trials <= 2**32 (a cap on run length, far
+                       inside the 64-bit counter word that trial t sets), seed >= 0
 
 Validation reports each fault it finds once, all in one ConfigError: a section that
 is not an object (null and [] included) is one fault, and a check that needs a

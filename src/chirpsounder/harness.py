@@ -9,13 +9,11 @@ on execution order and are byte-reproducible:
     stream (2, t)      the channel redrawn for trial t: its uniform fractional
                        offsets, then (only with ``redraw_per_trial``) its taps
 
-Stream k is Philox keyed by ``SeedSequence(seed, spawn_key=k)
-.generate_state(2, np.uint64)`` with counter 0: ``derive_rng(seed, *k)``, which
-stays the reference.  The Monte-Carlo loop derives the same keys for (1, t) and
-(2, t) vectorized over each block of trials: SeedSequence hashes t as its last
-word, so numpy mixes the pool of (s,) once per run and only t's word and the
-output hash are done here.  It re-keys one generator, the stream-(0,) one, per
-stream.
+Stream (s, t) is Philox keyed by ``SeedSequence(seed, spawn_key=(s,))``, its
+counter word 2 set to t: ``derive_rng(seed, s, t)``, numpy's ``jumped(t)`` of
+stream s.  Jumps are 2**128 outputs apart, so no two trials' draws overlap.  A
+run takes the key of each per-trial stream once and re-keys its one generator,
+the stream-(0,) one, to each trial's counter.
 
 A synthesis stream yields the uniform offsets, then all active taps in one draw,
 link by link in (tx, rx) order, real parts before imaginary parts.  So trial t
@@ -72,77 +70,30 @@ from .metrics import capacity_equivalence_report, crb
 from .waveform import generate_chirp, papr
 
 
-def derive_rng(seed, *key):
-    """Generator for one named substream of the experiment's seed."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.Philox(seq))
+def derive_rng(seed, stream, trial=0):
+    """Generator of stream ``(stream, trial)`` of the experiment's seed.
+
+    Philox keyed by ``SeedSequence(seed, spawn_key=(stream,))``, its counter word 2
+    set to ``trial``: numpy's ``Philox(...).jumped(trial)``.
+    """
+    seq = np.random.SeedSequence(seed, spawn_key=(stream,))
+    return np.random.Generator(np.random.Philox(seq, counter=int(trial) << 128))
 
 
-# The constants of numpy's SeedSequence (numpy/random/bit_generator.pyx): its
-# entropy hash (A), its pool mixing and its output hash (B).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-# Output word k is hashed with the k-th and (k+1)-th constants of the B sequence.
-_HASH_B = np.array([_INIT_B * pow(_MULT_B, k, 1 << 32) & _MASK32 for k in range(5)], np.uint32)
-_OUT_XOR, _OUT_MUL = _HASH_B[:4, None], _HASH_B[1:, None]
-_SHIFT, _MIX_R32 = np.uint32(16), np.uint32(_MIX_R)  # uint32 scalars: no conversion per use
 _TRIAL_BLOCK = 64  # trials per block of estimates and redraws in run_mse_experiment,
 _BLOCK_BYTES = 1 << 20  # fewer where the block's arrays would outgrow this
 
 
-def _stream_lanes(seed, streams):
-    """What keying streams (s, t) of ``seed`` does before it reads t, for s in ``streams``.
-
-    ``SeedSequence(seed, spawn_key=(s, t))`` pads the seed's uint32 words to 4,
-    appends the words of s, then t, and mixes them into a 4-lane pool.  t's is
-    the last word, so the pool before it is ``SeedSequence(seed, spawn_key=(s,))
-    .pool``.  Each word hashed so far took the A constant 4 steps on, so t's
-    hash starts at ``_INIT_A * _MULT_A**(4 * W)`` for the W words before it.
-    Returns uint32 arrays (base, xor, mul), each (len(streams), 4, 1): t's lane
-    k of stream s becomes ``(base - _MIX_R * hash(t)) ^ >> 16`` with
-    ``base = _MIX_L * pool`` and ``hash(t) = ((t ^ xor) * mul) ^ >> 16``.
-    """
-
-    def n_words(n):
-        return max(1, -(-n.bit_length() // 32))
-
-    lanes = []
-    for s in streams:
-        pool = np.random.SeedSequence(seed, spawn_key=(s,)).pool.tolist()
-        W = max(4, n_words(seed)) + n_words(s)
-        consts = [_INIT_A * pow(_MULT_A, 4 * W + k, 1 << 32) & _MASK32 for k in range(5)]
-        lanes.append([[_MIX_L * p & _MASK32 for p in pool], consts[:4], consts[1:]])
-    return np.array(lanes, np.uint32).transpose(1, 0, 2)[..., None]
+def _key(seed, stream):
+    """The Philox key of ``stream``: ``derive_rng(seed, stream)``'s, as a list."""
+    return derive_rng(seed, stream).bit_generator.state["state"]["key"].tolist()
 
 
-def _philox_keys(lanes, t):
-    """The Philox keys of streams (s, t) for the uint32 array ``t``, as nested lists.
-
-    Entry ``[i][j]`` is ``SeedSequence(seed, spawn_key=(streams[j], t[i]))
-    .generate_state(2, np.uint64)``: t's word goes into each lane, then the
-    output hash runs, on a (streams, 4, len(t)) pool.
-    """
-    base, xor, mul = lanes
-    pool = t ^ xor
-    pool *= mul
-    pool ^= pool >> _SHIFT
-    pool *= _MIX_R32
-    np.subtract(base, pool, out=pool)
-    pool ^= pool >> _SHIFT
-    pool ^= _OUT_XOR
-    pool *= _OUT_MUL
-    pool ^= pool >> _SHIFT
-    # words 0-1 and 2-3 make each key's two uint64s, little-endian as generate_state joins them
-    return np.ascontiguousarray(pool.transpose(2, 0, 1), "<u4").view("<u8").tolist()
-
-
-def _rekeyed(rng, key):
-    """``rng``, its Philox set to the start of ``key``'s stream, as derive_rng would build it."""
+def _rekeyed(rng, key, trial):
+    """``rng``, its Philox set where ``derive_rng`` starts trial ``trial`` of stream ``key``."""
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "state": {"counter": (0, 0, trial, 0), "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -274,15 +225,14 @@ def run_mse_experiment(cfg):
     sigma2_sum = np.zeros(cfg.nr)  # of the redrawn channels
     nonconverged = 0
 
-    # The redraw uses up stream (2, t) before the noise draws from (1, t).  Each t fits
-    # one uint32 word, as config's bound of 2**32 trials ensures.
-    lanes = _stream_lanes(cfg.seed, (2, 1) if redraw else (1,))
+    # each per-trial stream's key, once per run; trial t draws from (2, t), then (1, t)
+    key_redraw = _key(cfg.seed, 2) if redraw else None
+    key_noise = _key(cfg.seed, 1)
     for start in range(0, cfg.trials, B):
         n = min(B, cfg.trials - start)
-        keys = _philox_keys(lanes, np.arange(start, start + n, dtype=np.uint32))
         if redraw:  # each trial's stream-(2, t) draws, then one pass over the block's
-            for k, key in enumerate(keys):
-                _rekeyed(rng, key[0])
+            for k in range(n):
+                _rekeyed(rng, key_redraw, start + k)
                 if u is not None:
                     rng.random(out=u[k])
                 if draws is not None:
@@ -293,14 +243,14 @@ def run_mse_experiment(cfg):
             if draws is not None:
                 taps = block_taps
                 sigma2_sum = np.add.accumulate(np.vstack((sigma2_sum, sigma2s)))[-1]
-        for k, key in enumerate(keys):
+        for k in range(n):
             if redraw:
                 if draws is None:
                     scenario = replace(base, mu=mu[k])
                 else:
                     scenario = MimoScenario(taps=taps[k], d=base.d, mu=mu[k], sigma2=sigma2s[k])
                 r0 = _received(cfg, scenario, matrices, pulse)
-            r = awgn(r0, scenario.sigma2, _rekeyed(rng, key[-1]))
+            r = awgn(r0, scenario.sigma2, _rekeyed(rng, key_noise, start + k))
             if cfg.fractional:
                 for i, m, S in pairs:
                     rep = joint_estimate(matched_filter_fractional(S, r[m]), pulse, L)

@@ -260,7 +260,7 @@ def test_invalid_overrides_exit_2(tmp_path, capsys, override, field):
 
 
 def test_trials_override_past_one_stream_word_exits_2(tmp_path, capsys):
-    # trial t keys its noise stream with one uint32 word, so 2**32 trials is the most
+    # config caps a run at 2**32 trials, though trial t's counter word would take 2**64
     argv = ["mse", "--preset", "paper-sec5", "--out", str(tmp_path / "o"), "--trials", "4294967297"]
     assert main(argv) == 2
     err = capsys.readouterr().err

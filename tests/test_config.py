@@ -108,7 +108,7 @@ OUT_OF_RANGE = {
     ("snr_db",): [-1e9],  # a noise power past any float
     ("capacity", "rho_db"): [[0.0, 1e9]],
     ("capacity", "bins"): [0, -1, 8],  # 8 is below every preset's total_length
-    ("trials",): [0, -1, 2**32 + 1],  # trial t must fit one uint32 stream word
+    ("trials",): [0, -1, 2**32 + 1],  # a cap on run length, not on the stream counter
     ("seed",): [-1],
 }
 

@@ -38,7 +38,12 @@ digest depends on:
   (normalized taps, integer offsets) cannot see the taps: its error is
   S^H z whatever they are, and its sigma2 is the same to the printed digits.
   The ``REDRAWN_TAPS`` digests can: unnormalized taps set sigma2 and so the
-  ``crb`` column, and fractional offsets feed the taps through the estimator.
+  ``crb`` column, and fractional offsets feed the taps through the estimator;
+* trial streams: every digest that draws noise or a redrawn channel (the
+  ``mse`` and ``sound`` files, records included, and the redraw digests)
+  depends on stream (s, t) being counter word 2 set to t of the Philox keyed
+  by stream (s,), numpy's ``jumped(t)``.  Synthesis is stream (0,) at t = 0,
+  so what is drawn from it alone holds when only the trial streams change.
 
 The ``generate``, ``correlate`` and ``capacity`` digests and
 ``config_echo.json`` do not pass through reception.  Each of the three run
@@ -61,12 +66,12 @@ from chirpsounder.cli import main
 
 GOLDEN = {
     ("mse", "paper-sec5", 200, "csv"): {
-        "mse.csv": "df2d215151b878a0e4b090cfae057bccedcc5f5fb3261f33ebe8003af689de42",
-        "antenna_mse.csv": "d0c3f18193af0eb1373dcab001e07c5ce9869fdada3a8b0a50c486dfe4871527",
+        "mse.csv": "d81275206987e2ecb2a5c9925700855b9f0afc2aea7eedbd9615d830ffc19a06",
+        "antenna_mse.csv": "78312c46bc12d72e69a0dd4b08f3b74f29d99ed55be83a72e56dd2ebbba9b922",
     },
     ("mse", "paper-sec5-fractional", 3, "csv"): {
-        "mse.csv": "74f96d2365a12d40bacd828c255c0fda347ceef08ad383a628cb8ba3163e3297",
-        "antenna_mse.csv": "4319395e8356bfce8961f13fd562947ae277ab601418fbf6803f40bbe5ca2f0e",
+        "mse.csv": "98890cdb5765de8400feaeaf867e5413d22e4d0ac58d1dd4003f101486ea7507",
+        "antenna_mse.csv": "96b13220945167d48f8df5188718b28b20cf3552865eac046599008fb3d6875a",
     },
     ("capacity", "capacity-tx-shared", None, "csv"): {
         "capacity.csv": "625be9a0ffea6157ddf94c71b308d1485a40fa392665c1fb6717eb0d4636173d",
@@ -81,17 +86,17 @@ GOLDEN = {
         "result.json": "ded9961dbe4b477d51b5c10d585cd6522a1f140c5b73acb8c9e10e15a93e11e5",
     },
     ("mse", "paper-sec5", 20, "record"): {
-        "result.json": "c1c8ff181e1188aa8718e1ed7e27deb3fefd042bcd86e24b40fc32e4a2385690",
+        "result.json": "dd0f2ee308928ad2e4af4b0d03d8c623244d5178b24d2755600b7d4d7c0ab447",
         "config_echo.json": "1cfc64d74ac686d224f3abb136bedbd5a39d4d0c9891f0b502ab9d552be51463",
     },
     ("sound", "paper-sec5", None, "csv"): {
-        "trace_tx2_rx0.csv": "960241b98ea1f352a48d6857ffac010a64cf2d20a9d2c30ea0d7672cfe6d68b7",
+        "trace_tx2_rx0.csv": "2dd207ef2f97f302c1e5479540d0615089f5ee7eadc62af8ce1292796116df5e",
     },
     ("sound", "paper-sec5", None, "record"): {
-        "result.json": "21b76d7168ff2d398d0ddcf82d75ac631b52fa1c920ae2084bd40cf8f75d42ff",
+        "result.json": "f58523b73e5f0696a1ae7be28fbaf0c9b5f4f261e5e95abb76c55ee985e482ad",
     },
     ("sound", "paper-sec5-fractional", None, "csv"): {
-        "trace_tx2_rx0.csv": "21737aadd85b47ae2f3d260375f95dc2efc8148687710107f5a4bc1859d65187",
+        "trace_tx2_rx0.csv": "36a30b28ee7dc7ff6867f7b98557b9fe8fefd2a9415015a10454f03f7014b7f1",
     },
     ("generate", "paper-sec5", None, "csv"): {
         "waveform_p4_N128.csv": "2fc8ea996d22ea56b8ce2334ca408966c467d46278437f269d8a8860add7ba4b",
@@ -120,8 +125,8 @@ def test_output_digests(tmp_path, command, preset, trials, fmt):
 
 
 REDRAWN = {  # paper-sec5 with redraw_per_trial, 20 trials
-    "mse.csv": "2ad2368a5c5ff2ea3cfbb0bb86cecf7243ac62a2488a5c419fa7d75a94e5062f",
-    "antenna_mse.csv": "accdd4c0613ed6102be451c46f866f19ec6b38c24cded8e23d9ec7b44c1dd69f",
+    "mse.csv": "516bfcf4ae9f5b150ae819273db96bea20343693276f294319cdec46e6c56147",
+    "antenna_mse.csv": "cc668d577e777e2e07494b0ac120cc9ee2c68383394cc6d081f0af4c251d57c4",
 }
 
 
@@ -138,12 +143,12 @@ def test_redrawn_taps_digests(tmp_path):
 
 REDRAWN_TAPS = {  # redraw_per_trial runs whose outputs depend on the drawn taps
     ("paper-sec5", 20, False): {
-        "mse.csv": "462b7897fef008597963724aad1769627b5cf4c050b14440b530c4b7b9f98b98",
-        "antenna_mse.csv": "733a5100d6bbba0b16d79b65744ef35f59a1c3e5125a3aec4a781f4c3f8215e7",
+        "mse.csv": "2435bcc0297a9367c747735d1da8c9c1424849233285452ed827f43b302fe7cc",
+        "antenna_mse.csv": "4862e1f0cbf21e851818e40415b0881ad31b6abdbe30b57d4d88f357bdc6ffda",
     },
     ("paper-sec5-fractional", 3, True): {
-        "mse.csv": "87e105a13d44ce1d327e043fcdbe60480030e8c71b47cd92aff748ada2ea724a",
-        "antenna_mse.csv": "81938a7f928e129e933b8b6b047f2c0bceb86803dc00404acad7c051dfc26489",
+        "mse.csv": "e7126687e3f23b94d2196a330392d819a4add2a83a7e73d7a3828c9f9c4f38af",
+        "antenna_mse.csv": "9caee60d24bdbe3bef7e87caf68fd94a43b626437d90a904044970b8e32200a2",
     },
 }
 

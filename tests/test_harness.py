@@ -529,31 +529,33 @@ class TestMseExperiment:
 @example(seed=2**96 + 1, streams=[2, 1], drawn=1)  # 4 words: the last with no padding
 @example(seed=2**160 - 1, streams=[2**33, 0], drawn=3)  # 5 words, and a 2-word stream
 def test_trial_keys_are_derive_rngs(seed, streams, drawn):
-    # every key equals SeedSequence's, up to the last trial index config allows, and a
-    # generator re-keyed after a partial uint32 draw continues as derive_rng's would
+    # trial t of stream s is numpy's Philox of (s,) jumped t times, up to the last trial
+    # index config allows, and a generator re-keyed after a partial uint32 draw draws
+    # the same as that reference and as derive_rng
     trials = [0, 1, 63, 64, 65, 2**32 - 2, 2**32 - 1]
-    lanes = harness._stream_lanes(seed, streams)
-    keys = harness._philox_keys(lanes, np.array(trials, np.uint32))
-    for t, row in zip(trials, keys):
-        for s, key in zip(streams, row):
-            seq = np.random.SeedSequence(seed, spawn_key=(s, t))
-            assert key == seq.generate_state(2, np.uint64).tolist(), (s, t)
     used = derive_rng(seed + 1, 9)
-    used.integers(0, 2**32, size=drawn, dtype=np.uint32)  # odd sizes leave a half word
-    rekeyed, ref = harness._rekeyed(used, keys[-1][0]), derive_rng(seed, streams[0], trials[-1])
-    assert rekeyed.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == ref.integers(
-        0, 2**32, size=3, dtype=np.uint32
-    ).tolist()
-    assert rekeyed.random(3).tolist() == ref.random(3).tolist()
-    assert rekeyed.standard_normal(5).tolist() == ref.standard_normal(5).tolist()
+    for s in streams:
+        key = harness._key(seed, s)
+        for t in trials:
+            used.integers(0, 2**32, size=drawn, dtype=np.uint32)  # odd sizes leave a half word
+            seq = np.random.SeedSequence(seed, spawn_key=(s,))
+            ref = np.random.Generator(np.random.Philox(seq).jumped(t))
+            rngs = [harness._rekeyed(used, key, t), derive_rng(seed, s, t)]
+            words = ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+            uniforms, normals = ref.random(3).tolist(), ref.standard_normal(5).tolist()
+            for rng in rngs:
+                assert rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == words, (s, t)
+                assert rng.random(3).tolist() == uniforms, (s, t)
+                assert rng.standard_normal(5).tolist() == normals, (s, t)
 
 
 @pytest.mark.parametrize(
     "redraw,streams", [(False, [(0,), (1,)]), (True, [(0,), (2,), (1,)])], ids=["fixed", "redrawn"]
 )
 def test_a_run_seeds_only_its_synthesis_stream(monkeypatch, redraw, streams):
-    # one SeedSequence per stream per run: the synthesis stream's, then the pool of each
-    # per-trial stream, and none per trial or per block of trials (three blocks here)
+    # one SeedSequence per stream per run: the synthesis stream's, then the key of each
+    # per-trial stream the run uses, and none per trial or per block of trials (three
+    # blocks here); trial t only sets the counter of (s,)
     built, seed_sequence = [], np.random.SeedSequence
 
     def counting(*args, **kwargs):
@@ -654,8 +656,8 @@ def test_redrawn_noise_levels_are_summed_in_trial_order(nr):
 
 
 def test_redrawn_runs_keep_memory_bounded_in_trials():
-    # the redrawn noise levels are folded as they come, not kept per trial, and each
-    # block of trials derives only its own keys
+    # the redrawn noise levels are folded as they come, not kept per trial, and no
+    # trial keeps a key: each re-keys the run's one generator to its counter
     import tracemalloc
 
     run_mse_experiment(redrawn_config(2, 10))  # the per-process caches, outside the trace
