@@ -45,13 +45,6 @@ from .estimator import _sound, build_shaping_matrix
 
 
 _SERIES_BELOW = 5e-3  # below it, sinc and its slope take their Taylor series
-_SHIFTS = np.array([[0.0], [-0.5], [0.5]])  # of the sinc arguments t, rolloff*t -/+ 1/2
-
-
-@lru_cache(maxsize=8)
-def _pulse_scales(rolloff):
-    """Scales of the sinc arguments, and of q and q' over their sums of sincs."""
-    return np.array([[1.0], [rolloff], [rolloff]]), np.array([[1.0], [rolloff]]) * (np.pi / 4)
 
 
 @dataclass(frozen=True)
@@ -85,24 +78,18 @@ class PulseShape:
         sinc'(rolloff*t + 1/2)), from sinc and sinc'(x) = (cos(pi x) - sinc(x)) / x at the
         three arguments together, one Taylor rule serving all where |x| < ``_SERIES_BELOW``.
         """
-        scale, factor = _pulse_scales(self.rolloff)
-        x = t * scale + _SHIFTS
+        bt = t * self.rolloff
+        x = np.stack((t, bt - 0.5, bt + 0.5))
         small = np.abs(x) < _SERIES_BELOW
-        series = np.count_nonzero(small)
-        xs = np.where(small, 0.5, x) if series else x  # no 0/0 where the series goes
-        px = np.pi * xs
-        f = np.empty((3, 2, x.shape[1]))  # sinc and sinc' at each argument
-        np.divide(np.sin(px), px, out=f[:, 0])
-        np.divide(np.cos(px) - f[:, 0], xs, out=f[:, 1])
-        if series:
-            p = np.pi * x[small]
-            w = p * p
-            f[:, 0][small] = 1.0 + w * (w * (1 / 120 - w / 5040) - 1 / 6)
-            f[:, 1][small] = np.pi * p * (w * (1 / 30 - w / 840) - 1 / 3)
-        q = (f[1] + f[2]) * factor  # q and q'
-        out = f[0] * q[0]
-        out[1] += f[0, 0] * q[1]
-        return out
+        xs = np.where(small, 0.5, x)  # no 0/0 where the series goes
+        px, p = np.pi * xs, np.pi * x
+        w = p * p
+        sinc = np.where(small, 1.0 + w * (w * (1 / 120 - w / 5040) - 1 / 6), np.sin(px) / px)
+        series = np.pi * p * (w * (1 / 30 - w / 840) - 1 / 3)  # sinc' near 0
+        dsinc = np.where(small, series, (np.cos(px) - sinc) / xs)
+        q = (sinc[1] + sinc[2]) * (np.pi / 4)
+        dq = (dsinc[1] + dsinc[2]) * (self.rolloff * (np.pi / 4))
+        return np.stack((sinc[0] * q, dsinc[0] * q + sinc[0] * dq))
 
 
 def _is_real(value):
@@ -204,16 +191,6 @@ def _tap_layout(active, offsets, tx_node, rx_node, L):
     return d, sum(counts), tuple(groups)
 
 
-@lru_cache(maxsize=8)
-def _node_index(shape, mt, mr, tx_node, rx_node):
-    """Read-only (nt, nr) index of each link's offset in a flat draw of ``shape``, which
-    broadcasts to the (mt, mr) node pairs as ``draw_fractional_offsets`` broadcasts it."""
-    index = np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), (mt, mr))
-    index = index[np.ix_(tx_node, rx_node)]
-    index.flags.writeable = False
-    return index
-
-
 def _layout(cfg):
     return _tap_layout(
         cfg.active_taps, cfg.integer_offsets, cfg.tx_node, cfg.rx_node, cfg.total_length
@@ -233,17 +210,13 @@ def _channel_block(cfg, u, draws):
     Row b of ``u``, shape (B, *offset shape), and of ``draws``, shape (B, 2*total), hold one
     channel's draws as ``_draw_shapes`` sizes them; ``u`` is None where the config fixes mu
     (or has none), and ``draws`` where the taps are not drawn, which leaves taps and sigma2 None.
-    Returns mu (B, nt, nr), read-only taps (B, nt, nr, L) and read-only sigma2 (B, nr); row b
-    is bit for bit ``synthesize_channels`` on the stream that drew it, at any B.
+    The node-pair offsets, drawn (0.5 (1 - u)), fixed or absent (0.0), fill (B, mt, mr) for
+    ``cfg.per_link``.  Returns mu (B, nt, nr), read-only taps (B, nt, nr, L) and sigma2 (B, nr);
+    row b is bit for bit ``synthesize_channels`` on the stream that drew it, at any B.
     """
     B = len(u if draws is None else draws)
-    if u is not None:
-        index = _node_index(u.shape[1:], cfg.mt, cfg.mr, cfg.tx_node, cfg.rx_node)
-        mu = (0.5 * (1.0 - u)).reshape(B, -1)[:, index]
-    elif cfg.mu_values is None:
-        mu = np.zeros((B, cfg.nt, cfg.nr))
-    else:
-        mu = np.repeat(cfg.per_link(cfg.mu_values)[None], B, axis=0)
+    pairs = (cfg.mu_values or 0.0) if u is None else 0.5 * (1.0 - u)
+    mu = cfg.per_link(np.full((B, cfg.mt, cfg.mr), pairs))
     if draws is None:
         return mu, None, None
 
@@ -302,9 +275,14 @@ def awgn(r0, sigma2, rng):
     consumed in antenna order (real parts, then imaginary parts) even where
     sigma2 is zero, so substreams stay aligned across configurations.  The noise
     is built in one new complex array, then scaled and offset by ``r0`` in place.
-    A negative or NaN variance is rejected with ``ValueError``.
+    An ``r0`` that is not 2-d, or a ``sigma2`` not of shape (r0.shape[0],), is rejected
+    with ``DimensionMismatchError``, and a negative or NaN variance with ``ValueError``.
     """
     sigma2 = np.asarray(sigma2, dtype=float)
+    if r0.ndim != 2 or sigma2.shape != r0.shape[:1]:
+        raise DimensionMismatchError(
+            f"need a 2-d r0 and one sigma2 per row, got shapes {r0.shape} and {sigma2.shape}"
+        )
     if not sigma2.min() >= 0.0:  # NaN propagates through min
         raise ValueError(f"noise variances must be >= 0, got {sigma2.tolist()}")
     draws = rng.standard_normal((r0.shape[0], 2, r0.shape[1]))

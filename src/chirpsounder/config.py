@@ -84,8 +84,8 @@ class ScenarioConfig:
         return len(self.rx_node)
 
     def per_link(self, pairs):
-        """The (nt, nr) array of antenna links from an (mt, mr) grid of node pairs."""
-        return np.asarray(pairs)[np.ix_(self.tx_node, self.rx_node)]
+        """The (..., nt, nr) links of an (mt, mr) grid of node pairs or a (..., mt, mr) stack."""
+        return np.asarray(pairs).take(self.tx_node, -2).take(self.rx_node, -1)
 
     @property
     def lead(self):

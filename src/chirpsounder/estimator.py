@@ -45,7 +45,13 @@ from .errors import (
     DimensionMismatchError,
     IllConditionedError,
 )
-from .waveform import _SHARED_ENTRIES, _window, check_design_constraints, cyclic_correlation
+from .waveform import (
+    _SHARED_ENTRIES,
+    _is_int,
+    _window,
+    check_design_constraints,
+    cyclic_correlation,
+)
 
 _COND_LIMIT = 1e12  # on kappa(G); kappa(G^H G) is its square
 _SCAN_POINTS = 65
@@ -117,8 +123,7 @@ def _sounding_matrix(w, M, D):
 
 def _check_span(L, M=0):
     """Reject a span L < 1 or origin M < 0, or a non-integer one: a bool is not a count."""
-    integral = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (L, M))
-    if not integral or L < 1 or M < 0:
+    if not (_is_int(L) and _is_int(M)) or L < 1 or M < 0:
         raise DimensionMismatchError(f"need integers L >= 1 and M >= 0, got L={L!r}, M={M!r}")
 
 

@@ -44,7 +44,7 @@ import json
 import math
 import os
 import time
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -181,21 +181,21 @@ def _setup(cfg, rng):
 def run_mse_experiment(cfg):
     """Monte-Carlo channel sounding MSE against the variance bound.
 
-    Trial t draws its noise from stream (1, t) and, per config, its uniform
-    fractional offsets and then its taps from stream (2, t), as stream (0,) draws
-    the base channel.  A block of B trials takes these redraws one trial at a time
-    into row t mod B of its draw buffers, then turns them into every trial's
-    channel in one pass; each trial builds its own checked ``MimoScenario``.  A
-    trial makes one ``awgn`` call and ``nt*nr`` matched-filter calls (each
-    followed by the joint offset estimator in the fractional case), and its
-    estimates fill row t mod B of a block.  Each block's squared errors are added
-    in trial order, so the outputs do not depend on B, and memory is O(B) at any
-    trial count: B shrinks where the bytes a trial takes in the block (its
-    estimates and their error, its draws, offsets and redrawn taps) would outgrow
-    ``_BLOCK_BYTES``.  An antenna's bound is 2*L*sigma2, its trial mean (summed in
-    trial order) when redrawn taps change sigma2.  An antenna with no noise (no
-    active taps into it, or an SNR whose noise level underflows) has no bound,
-    which is a ``ConfigError`` before any trial runs.
+    Trial t draws its noise from stream (1, t) and, per config, its uniform fractional
+    offsets and then its taps from stream (2, t), as stream (0,) draws the base channel.  A
+    block of B trials takes these redraws one trial at a time into row t mod B of its draw
+    buffers, then turns them into every trial's channel in one pass.  Each redrawn trial
+    builds its own checked ``MimoScenario`` from row t mod B of the block's arrays, where
+    the taps and noise levels not redrawn are read-only views of the base channel's.  A
+    trial makes one ``awgn`` call and ``nt*nr`` matched-filter calls (each followed by the
+    joint offset estimator in the fractional case), and its estimates fill row t mod B of a
+    block.  Each block's squared errors are added in trial order, so the outputs do not
+    depend on B, and memory is O(B) at any trial count: B shrinks where the arrays the
+    block allocates (its estimates and their error, and a redraw's draws and what they
+    make) would outgrow ``_BLOCK_BYTES``.  An antenna's bound is 2*L*sigma2, its trial mean
+    (summed in trial order) when redrawn taps change sigma2.  An antenna with no noise (no
+    active taps into it, or an SNR whose noise level underflows) has no bound, which is a
+    ``ConfigError`` before any trial runs.
     """
     t0 = time.perf_counter()
     rng = derive_rng(cfg.seed, 0)  # draws the channel, then is re-keyed to each trial's streams
@@ -210,17 +210,19 @@ def run_mse_experiment(cfg):
     redraw = cfg.redraw_per_trial or u_shape is not None
     r0 = None if redraw else _received(cfg, base, matrices, pulse)  # serves every trial
     pairs = [(i, m, matrices[i]) for m in range(cfg.nr) for i in range(cfg.nt)]
-    # bytes per trial of a block: h_hat and its error, and a redraw's draws and what they make
+    # bytes per trial of the arrays a block allocates: h_hat and its error, and in a redraw its
+    # draws, its offsets per node pair and per link, and its redrawn taps and noise levels
     per_trial = 2 * base.taps.nbytes
     if redraw:
-        per_trial += 8 * (math.prod(u_shape) if u_shape else 0) + base.mu.nbytes
+        per_trial += 8 * (math.prod(u_shape or (0,)) + cfg.mt * cfg.mr) + base.mu.nbytes
     if cfg.redraw_per_trial:
         per_trial += 8 * n_draws + base.taps.nbytes + base.sigma2.nbytes
     B = max(1, min(_TRIAL_BLOCK, cfg.trials, _BLOCK_BYTES // per_trial))
     h_hat = np.empty((B, *base.taps.shape), complex)
     u = np.empty((B, *u_shape)) if u_shape else None
     draws = np.empty((B, n_draws)) if cfg.redraw_per_trial else None
-    taps = base.taps[None]  # every trial's, unless a block redraws them
+    # every trial's taps and noise levels: read-only views of the base channel's, unless redrawn
+    taps, sigma2s = (np.broadcast_to(a, (B, *a.shape)) for a in (base.taps, base.sigma2))
     sums = np.zeros((B + 1, cfg.nt, cfg.nr))  # row 0 carries the running sum
     sigma2_sum = np.zeros(cfg.nr)  # of the redrawn channels
     nonconverged = 0
@@ -237,18 +239,15 @@ def run_mse_experiment(cfg):
                     rng.random(out=u[k])
                 if draws is not None:
                     rng.standard_normal(out=draws[k])
-            mu, block_taps, sigma2s = _channel_block(
+            mu, *redrawn = _channel_block(
                 cfg, None if u is None else u[:n], None if draws is None else draws[:n]
             )
             if draws is not None:
-                taps = block_taps
+                taps, sigma2s = redrawn
                 sigma2_sum = np.add.accumulate(np.vstack((sigma2_sum, sigma2s)))[-1]
         for k in range(n):
             if redraw:
-                if draws is None:
-                    scenario = replace(base, mu=mu[k])
-                else:
-                    scenario = MimoScenario(taps=taps[k], d=base.d, mu=mu[k], sigma2=sigma2s[k])
+                scenario = MimoScenario(taps=taps[k], d=base.d, mu=mu[k], sigma2=sigma2s[k])
                 r0 = _received(cfg, scenario, matrices, pulse)
             r = awgn(r0, scenario.sigma2, _rekeyed(rng, key_noise, start + k))
             if cfg.fractional:

@@ -28,10 +28,13 @@ from .errors import (
 _SHARED_ENTRIES = 2**16  # largest shared chirp or sounding matrix, in samples: 1 MiB
 
 
+def _is_int(value):
+    """An int or a numpy integer, but not a bool: a JSON true is not the count 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_pow2(value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        return False  # a JSON true is not the rate 1
-    return value >= 1 and (value & (value - 1)) == 0
+    return _is_int(value) and value >= 1 and (value & (value - 1)) == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,16 +151,17 @@ def papr(samples):
 def check_design_constraints(pmax, N, L, M=0):
     """Check whether period N clears the correlation-free window of span ``L``.
 
-    For integer offsets (``M = 0``) the family needs ``N > 2*pmax*L``; a
-    fractional offset with pulse half-support ``M`` widens the window to
-    ``N > 2*pmax*(2M + L - 1)``.  Returns a :class:`ConstraintReport` with the
-    slack ``N - bound``; a failed check is a valid report, not an exception.
-    The one statement of the bound, it is one column conservative: the Gram blocks
-    (S^H S = I, and 0 across distinct rates) are exact already at ``N = bound``.
+    For integer offsets (``M = 0``) the family needs ``N > 2*pmax*L``; a fractional offset
+    with pulse half-support ``M`` widens the window to ``N > 2*pmax*(2M + L - 1)``.  Returns
+    a :class:`ConstraintReport` with the slack ``N - bound``; a failed check is a valid
+    report, not an exception, but a count that is not an integer (a bool is not one), or
+    pmax < 1, L < 1 or M < 0, raises ``ConstraintViolationError``.  The one statement of the
+    bound, it is one column conservative: the Gram blocks (S^H S = I, and 0 across distinct
+    rates) are exact already at ``N = bound``.
     """
-    if pmax < 1 or L < 1 or M < 0:
+    if not all(map(_is_int, (pmax, N, L, M))) or pmax < 1 or L < 1 or M < 0:
         raise ConstraintViolationError(
-            f"need pmax >= 1, L >= 1 and M >= 0, got pmax={pmax}, L={L}, M={M}"
+            f"need integers pmax >= 1, N, L >= 1, M >= 0, got {pmax!r}, {N!r}, {L!r}, {M!r}"
         )
     window = _window(L, M)
     bound = 2 * int(pmax) * window

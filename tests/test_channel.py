@@ -143,6 +143,34 @@ class TestRaisedCosine:
                 value = pulse(arg)
                 assert type(value) is float and value == masked_pulse(pulse, x)
 
+    @pytest.mark.parametrize("rolloff", [0.0, 0.1, 0.25, 0.5, 1.0])
+    def test_slope_matches_independent_references(self, rolloff):
+        # away from the series and the removable singularity: the analytic derivative of
+        # sinc(t) c / D with c = cos(pi b t) and D = 1 - (2bt)^2, b the rolloff
+        pulse = build_pulse(rolloff, M=8)
+        t = np.linspace(-8.0, 8.0, 3201)
+        t = t[(np.abs(t) >= 0.1) & (np.abs(1 - (2 * rolloff * t) ** 2) >= 0.1)]
+        s, ds = np.sinc(t), (np.cos(np.pi * t) - np.sinc(t)) / t
+        c, dc = np.cos(np.pi * rolloff * t), -np.pi * rolloff * np.sin(np.pi * rolloff * t)
+        D, dD = 1 - (2 * rolloff * t) ** 2, -8 * rolloff**2 * t
+        analytic = (ds * c + s * dc) / D - s * c * dD / D**2
+        assert np.abs(pulse.with_slope(t)[1] - analytic).max() <= 1e-12
+        # on both sides of the series cutoff of each sinc argument (t and bt -/+ 1/2), and at
+        # t = +-1/(2b): Richardson's central difference of the masked reference, h = 1e-3
+        x = 5e-3 * np.array([0.8, 1 - 1e-3, 1 + 1e-3, 1.2])
+        x = np.concatenate([x, -x])  # a sinc argument next to the cutoff, on either side
+        t = [x]
+        if rolloff:  # where bt - 1/2 or bt + 1/2 is x, and where bt - 1/2 is 0
+            t += [(x + 0.5) / rolloff, (x - 0.5) / rolloff, [0.5 / rolloff]]
+        t = np.concatenate(t)
+        t = np.concatenate([t, -t])
+
+        def central(h):
+            return (masked_pulse(pulse, t + h) - masked_pulse(pulse, t - h)) / (2 * h)
+
+        richardson = (4 * central(5e-4) - central(1e-3)) / 3
+        assert np.abs(pulse.with_slope(t)[1] - richardson).max() <= 1e-10
+
     @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-9])
     def test_accurate_next_to_the_removable_singularity(self, delta):
         # cos(pi b t) / (1 - (2bt)^2) cancels there; the reference is the
@@ -300,6 +328,33 @@ class TestSynthesis:
         draw_fractional_offsets(cfg, after)
         assert after.random() == rng.random()
 
+    def test_per_link_takes_a_grid_or_a_stack(self):
+        # the last two axes index the (tx node, rx node) pair, whatever leads them
+        cfg = node_pair_config()
+        pairs = np.arange(4 * cfg.mt * cfg.mr, dtype=float).reshape(4, cfg.mt, cfg.mr)
+        loop = np.empty((4, cfg.nt, cfg.nr))
+        for i, m in np.ndindex(cfg.nt, cfg.nr):
+            loop[..., i, m] = pairs[..., cfg.tx_node[i], cfg.rx_node[m]]
+        np.testing.assert_array_equal(cfg.per_link(pairs), loop, strict=True)
+        np.testing.assert_array_equal(cfg.per_link(pairs[1]), loop[1], strict=True)
+        np.testing.assert_array_equal(cfg.per_link(pairs[1].tolist()), loop[1], strict=True)
+
+    @pytest.mark.parametrize("topology", ["independent", "tx-shared", "rx-shared"])
+    def test_drawn_offsets_follow_the_node_pairs(self, topology):
+        # link (i, m) takes the scalar draw that the topology gives (tx_node[i], rx_node[m])
+        cfg = node_pair_config(topology, {"enabled": True, "mu": "uniform"})
+        count = {"independent": cfg.mt * cfg.mr, "tx-shared": cfg.mr, "rx-shared": cfg.mt}
+        for t in range(3):
+            rng = derive_rng(cfg.seed, 2, t)
+            scalars = [0.5 * (1.0 - rng.random()) for _ in range(count[topology])]
+            pick = {
+                "independent": lambda a, b: scalars[a * cfg.mr + b],
+                "tx-shared": lambda a, b: scalars[b],
+                "rx-shared": lambda a, b: scalars[a],
+            }[topology]
+            expected = [[pick(a, b) for b in cfg.rx_node] for a in cfg.tx_node]
+            assert synthesize_channels(cfg, derive_rng(cfg.seed, 2, t)).mu.tolist() == expected
+
     def test_constraint_violation_aborts(self):
         cfg = sec5_config(channel={
             "total_length": 16,
@@ -308,6 +363,17 @@ class TestSynthesis:
         })
         with pytest.raises(ConstraintViolationError):
             synthesize_channels(cfg, derive_rng(cfg.seed, 0))
+
+
+def node_pair_config(topology="independent", fractional=None):
+    """A 3 x 4 antenna config on 2 x 3 nodes whose antennas are not in node order."""
+    return sec5_config(
+        antennas={"tx_node": [1, 0, 1], "rx_node": [2, 0, 1, 0]},
+        channel={"total_length": 15, "active_taps": 10, "integer_offsets": 3},
+        fractional=fractional or {"enabled": False},
+        waveform={"length": 256, "chirp_rates": [1, 2, 4]},
+        lo_topology=topology,
+    )
 
 
 def sounding(waveforms, L, M=0):
@@ -388,6 +454,15 @@ class TestReceiveInteger:
         # a ValueError, not NaN samples behind a RuntimeWarning (warnings are errors here)
         with pytest.raises(ValueError):
             awgn(np.zeros((2, 8), dtype=complex), np.array([0.3, bad]), derive_rng(1, 1, 0))
+
+    @pytest.mark.parametrize(
+        "shape,sigma2", [((3, 8), [1.0]), ((3, 8), 1.0), ((8,), [1.0])],
+        ids=["one-variance-for-three-rows", "scalar-variance", "one-dimensional-r0"],
+    )
+    def test_noise_needs_one_variance_per_row(self, shape, sigma2):
+        # row m takes sigma2[m], so a 2-d r0 and sigma2 of shape (rows,), nothing broadcast
+        with pytest.raises(DimensionMismatchError):
+            awgn(np.zeros(shape, dtype=complex), sigma2, derive_rng(1, 1, 0))
 
     def test_noise_matches_per_antenna_draws(self):
         # reference: one (2, N) draw per antenna, in antenna order

@@ -216,6 +216,12 @@ class TestDesignConstraints:
     def test_scenario_kind_validation(self):
         # M = 0 is the integer-offset window, not an error
         assert check_design_constraints(1, 128, 10, M=0).window == 10
-        for pmax, L, M in ((0, 10, 0), (1, 0, 0), (1, 10, -1)):
+        # numpy integers are counts, so check_design_constraints takes them
+        assert check_design_constraints(np.int64(4), np.int64(128), np.int64(15)).slack == 8
+        # a count below its minimum, or one that is not an integer (a bool is not one)
+        for pmax, N, L, M in ((0, 128, 10, 0), (1, 128, 0, 0), (1, 128, 10, -1),
+                              (2.5, 128, 15, 0), (1, 128.0, 10, 0), (1, 128, 10.0, 0),
+                              (1, 128, 10, 0.0), (True, 128, 10, 0), (1, 128, True, 0),
+                              (1, 128, 10, True), (1, np.True_, 10, 0)):
             with pytest.raises(ConstraintViolationError):
-                check_design_constraints(pmax, 128, L, M)
+                check_design_constraints(pmax, N, L, M)
