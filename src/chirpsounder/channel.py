@@ -27,7 +27,7 @@ is taken at the 2M support lags y - l = -M .. M-1 and is 0 at every other lag:
 r_m = sum_i S_i G(mu_im) h_im + z, the estimator's own model and G(mu).  The
 ``receive_*`` functions take the S_i that the matched filter applies and
 return the noiseless sum, formed by the estimator beside its matched filter;
-``awgn`` alone adds z.
+z is added only by ``_noisy``: ``awgn`` at B = 1, the harness a block of trials at a time.
 
 The sampling interval T is normalized to 1 throughout; only ratios t/T enter
 any formula.
@@ -130,11 +130,13 @@ class MimoScenario:
                 f"taps of shape (nt, nr, L) = {self.taps.shape} need d and mu of shape "
                 f"(nt, nr) and sigma2 of shape (nr,), got {shapes}"
             )
-        if not all(0 <= v <= L for v in self.d.ravel().tolist()):
+        offsets = self.d.ravel().tolist()
+        if not all(0 <= v <= L for v in offsets):
             raise ConfigError(f"integer offsets must lie in [0, {L}], got {self.d.tolist()}")
         if not all(0.0 <= v <= 0.5 for v in self.mu.ravel().tolist()):  # rejects NaN too
             raise ConfigError(f"fractional offsets must lie in [0, 0.5], got {self.mu.tolist()}")
-        if np.count_nonzero(self.taps[np.arange(L) < self.d[..., None]]):  # np.any: 2x the time
+        below = _below_offsets(grid, tuple(offsets), L)
+        if np.count_nonzero(self.taps[below]):  # np.any: 2x the time
             raise ConfigError("taps below the integer offset must be zero")
 
     @property
@@ -148,6 +150,14 @@ class MimoScenario:
     @property
     def L(self):
         return self.taps.shape[2]
+
+
+@lru_cache(maxsize=16)
+def _below_offsets(grid, offsets, L):
+    """Read-only (nt, nr, L) mask of the lags below each link's integer offset, per layout."""
+    mask = np.arange(L) < np.reshape(offsets, grid)[..., None]
+    mask.flags.writeable = False
+    return mask
 
 
 def noise_variance_for_snr(mean_power, snr_db):
@@ -273,22 +283,39 @@ def awgn(r0, sigma2, rng):
 
     Row m of ``r0`` receives noise scaled by sqrt(sigma2[m]); draws are
     consumed in antenna order (real parts, then imaginary parts) even where
-    sigma2 is zero, so substreams stay aligned across configurations.  The noise
-    is built in one new complex array, then scaled and offset by ``r0`` in place.
-    An ``r0`` that is not 2-d, or a ``sigma2`` not of shape (r0.shape[0],), is rejected
-    with ``DimensionMismatchError``, and a negative or NaN variance with ``ValueError``.
+    sigma2 is zero, so substreams stay aligned across configurations.  This is
+    ``_noisy`` at B = 1, the pass that the Monte-Carlo run makes once per block of
+    trials.  An ``r0`` that is not 2-d, or a ``sigma2`` not of shape (r0.shape[0],), is
+    rejected with ``DimensionMismatchError``, and a negative or NaN variance with ``ValueError``.
     """
     sigma2 = np.asarray(sigma2, dtype=float)
     if r0.ndim != 2 or sigma2.shape != r0.shape[:1]:
         raise DimensionMismatchError(
             f"need a 2-d r0 and one sigma2 per row, got shapes {r0.shape} and {sigma2.shape}"
         )
+    scale = _noise_scale(sigma2)
+    return _noisy(r0, scale, rng.standard_normal((r0.shape[0], 2, r0.shape[1])))
+
+
+def _noise_scale(sigma2):
+    """sqrt(sigma2), a negative or NaN variance rejected with ``ValueError``."""
     if not sigma2.min() >= 0.0:  # NaN propagates through min
         raise ValueError(f"noise variances must be >= 0, got {sigma2.tolist()}")
-    draws = rng.standard_normal((r0.shape[0], 2, r0.shape[1]))
-    z = np.empty(r0.shape, complex)
-    z.real, z.imag = draws[:, 0], draws[:, 1]
-    z *= np.sqrt(sigma2)[:, None]
+    return np.sqrt(sigma2)
+
+
+def _noisy(r0, scale, draws):
+    """B received periods, one pass over a block of noise draws.
+
+    Row b of ``draws``, shape (B, nr, 2, N), holds one period's standard normal draws in
+    ``awgn``'s order (``awgn`` passes one (nr, 2, N) period); ``scale`` is sqrt(sigma2),
+    shape (nr,) or (B, nr), and ``r0`` the noiseless periods, (nr, N) or (B, nr, N).  The
+    noise is built in one new (B, nr, N) complex array, then scaled and offset by ``r0`` in
+    place, so row b is bit for bit ``awgn`` on the stream that drew it, at any B.
+    """
+    z = np.empty((*draws.shape[:-2], draws.shape[-1]), complex)
+    z.real, z.imag = draws[..., 0, :], draws[..., 1, :]
+    z *= scale[..., None]
     return np.add(z, r0, out=z)
 
 

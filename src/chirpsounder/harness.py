@@ -23,12 +23,15 @@ these draws are taken per trial in a redraw, into a block's buffers; one
 turns the block into offsets, taps and noise levels, so trial t's channel is
 bit for bit ``synthesize_channels`` on stream (2, t).
 
-Reception (``channel.receive_*``) is noiseless; each run adds the noise of
-trial t with ``awgn`` from stream (1, t).  ``mse`` and ``sound`` share one
-setup: the waveforms, the stream-(0,) channel, the pulse and the matrices.
-An ``mse`` trial makes one ``awgn`` call and ``nt*nr`` matched-filter calls; its
-estimates wait in a block of B trials (O(B) memory at any trial count), whose
-squared errors join the running sum in trial order, so no output depends on B.
+Reception (``channel.receive_*``) is noiseless; the noise of trial t comes from
+stream (1, t).  ``sound`` adds it with ``awgn``.  An ``mse`` trial takes only its
+draws, into row t mod B of a block's buffer, and one ``channel._noisy`` pass, the
+one ``awgn`` makes at B = 1, turns the block into received periods, so trial t's
+period is bit for bit ``awgn`` on stream (1, t).  ``mse`` and ``sound`` share one
+setup: the waveforms, the stream-(0,) channel, the pulse and the matrices.  An
+``mse`` trial makes ``nt*nr`` matched-filter calls; its estimates wait in a block
+of B trials (O(B) memory at any trial count), whose squared errors join the
+running sum in trial order, so no output depends on B.
 
 Every CSV table, the CLI's included, is written by ``write_table``:
 integers as is, every other number as ``%.12e`` (13 significant digits).
@@ -52,6 +55,8 @@ from .channel import (
     MimoScenario,
     _channel_block,
     _draw_shapes,
+    _noise_scale,
+    _noisy,
     awgn,
     build_pulse,
     receive_fractional,
@@ -85,8 +90,8 @@ _BLOCK_BYTES = 1 << 20  # fewer where the block's arrays would outgrow this
 
 
 def _key(seed, stream):
-    """The Philox key of ``stream``: ``derive_rng(seed, stream)``'s, as a list."""
-    return derive_rng(seed, stream).bit_generator.state["state"]["key"].tolist()
+    """The Philox key of ``stream``, as a list: numpy's, which ``derive_rng(seed, stream)`` uses."""
+    return np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(2, np.uint64).tolist()
 
 
 def _rekeyed(rng, key, trial):
@@ -186,12 +191,15 @@ def run_mse_experiment(cfg):
     block of B trials takes these redraws one trial at a time into row t mod B of its draw
     buffers, then turns them into every trial's channel in one pass.  Each redrawn trial
     builds its own checked ``MimoScenario`` from row t mod B of the block's arrays, where
-    the taps and noise levels not redrawn are read-only views of the base channel's.  A
-    trial makes one ``awgn`` call and ``nt*nr`` matched-filter calls (each followed by the
-    joint offset estimator in the fractional case), and its estimates fill row t mod B of a
-    block.  Each block's squared errors are added in trial order, so the outputs do not
-    depend on B, and memory is O(B) at any trial count: B shrinks where the arrays the
-    block allocates (its estimates and their error, and a redraw's draws and what they
+    the taps and noise levels not redrawn are read-only views of the base channel's.  Its
+    noise draws go to row t mod B of the block's noise buffer, and one ``_noisy`` pass, the
+    one ``awgn`` makes at B = 1, adds the block's noise to its noiseless periods; sqrt(sigma2)
+    is taken and checked once per run, or once per block when the taps are redrawn.  A trial
+    makes ``nt*nr`` matched-filter calls (each followed by the joint offset estimator in the
+    fractional case), and its estimates fill row t mod B of a block.  Each block's squared
+    errors are added in trial order, so the outputs do not depend on B, and memory is O(B)
+    at any trial count: B shrinks where the arrays the block allocates (its estimates and
+    their error, its noise draws and received periods, and a redraw's draws and what they
     make) would outgrow ``_BLOCK_BYTES``.  An antenna's bound is 2*L*sigma2, its trial mean
     (summed in trial order) when redrawn taps change sigma2.  An antenna with no noise (no
     active taps into it, or an SNR whose noise level underflows) has no bound, which is a
@@ -200,7 +208,7 @@ def run_mse_experiment(cfg):
     t0 = time.perf_counter()
     rng = derive_rng(cfg.seed, 0)  # draws the channel, then is re-keyed to each trial's streams
     waveforms, base, pulse, matrices = _setup(cfg, rng)
-    scenario, L = base, cfg.total_length  # each trial's channel, the base one unless redrawn
+    L = cfg.total_length
 
     if not base.sigma2.all():
         m = int(np.flatnonzero(base.sigma2 == 0)[0])
@@ -209,20 +217,27 @@ def run_mse_experiment(cfg):
     u_shape, n_draws = _draw_shapes(cfg)
     redraw = cfg.redraw_per_trial or u_shape is not None
     r0 = None if redraw else _received(cfg, base, matrices, pulse)  # serves every trial
+    scale = _noise_scale(base.sigma2)  # sqrt(sigma2) of every trial, unless taps are redrawn
     pairs = [(i, m, matrices[i]) for m in range(cfg.nr) for i in range(cfg.nt)]
-    # bytes per trial of the arrays a block allocates: h_hat and its error, and in a redraw its
-    # draws, its offsets per node pair and per link, and its redrawn taps and noise levels
-    per_trial = 2 * base.taps.nbytes
+    # bytes per trial of the arrays a block allocates: h_hat and its error, the noise draws and
+    # the received periods, and in a redraw its draws, its offsets per node pair and per link,
+    # its noiseless periods, and its redrawn taps and noise levels
+    periods = 16 * cfg.nr * cfg.waveform_length  # bytes of one trial's complex (nr, N) periods
+    per_trial = 2 * base.taps.nbytes + 2 * periods
     if redraw:
-        per_trial += 8 * (math.prod(u_shape or (0,)) + cfg.mt * cfg.mr) + base.mu.nbytes
+        per_trial += 8 * (math.prod(u_shape or (0,)) + cfg.mt * cfg.mr) + base.mu.nbytes + periods
     if cfg.redraw_per_trial:
-        per_trial += 8 * n_draws + base.taps.nbytes + base.sigma2.nbytes
+        per_trial += 8 * n_draws + base.taps.nbytes + 2 * base.sigma2.nbytes
     B = max(1, min(_TRIAL_BLOCK, cfg.trials, _BLOCK_BYTES // per_trial))
     h_hat = np.empty((B, *base.taps.shape), complex)
+    noise = np.empty((B, cfg.nr, 2, cfg.waveform_length))
     u = np.empty((B, *u_shape)) if u_shape else None
     draws = np.empty((B, n_draws)) if cfg.redraw_per_trial else None
+    received = np.empty((B, cfg.nr, cfg.waveform_length), complex) if redraw else None
     # every trial's taps and noise levels: read-only views of the base channel's, unless redrawn
-    taps, sigma2s = (np.broadcast_to(a, (B, *a.shape)) for a in (base.taps, base.sigma2))
+    taps = sigma2s = None
+    if not cfg.redraw_per_trial:
+        taps, sigma2s = (np.broadcast_to(a, (B, *a.shape)) for a in (base.taps, base.sigma2))
     sums = np.zeros((B + 1, cfg.nt, cfg.nr))  # row 0 carries the running sum
     sigma2_sum = np.zeros(cfg.nr)  # of the redrawn channels
     nonconverged = 0
@@ -232,32 +247,36 @@ def run_mse_experiment(cfg):
     key_noise = _key(cfg.seed, 1)
     for start in range(0, cfg.trials, B):
         n = min(B, cfg.trials - start)
-        if redraw:  # each trial's stream-(2, t) draws, then one pass over the block's
-            for k in range(n):
+        for k in range(n):  # each trial's stream-(2, t) draws, if redrawn, then its noise
+            if redraw:
                 _rekeyed(rng, key_redraw, start + k)
                 if u is not None:
                     rng.random(out=u[k])
                 if draws is not None:
                     rng.standard_normal(out=draws[k])
+            _rekeyed(rng, key_noise, start + k).standard_normal(out=noise[k])
+        if redraw:  # one pass over the block's draws makes its channels, then each is received
             mu, *redrawn = _channel_block(
                 cfg, None if u is None else u[:n], None if draws is None else draws[:n]
             )
             if draws is not None:
                 taps, sigma2s = redrawn
                 sigma2_sum = np.add.accumulate(np.vstack((sigma2_sum, sigma2s)))[-1]
-        for k in range(n):
-            if redraw:
+                scale = _noise_scale(sigma2s)
+            for k in range(n):
                 scenario = MimoScenario(taps=taps[k], d=base.d, mu=mu[k], sigma2=sigma2s[k])
-                r0 = _received(cfg, scenario, matrices, pulse)
-            r = awgn(r0, scenario.sigma2, _rekeyed(rng, key_noise, start + k))
+                received[k] = _received(cfg, scenario, matrices, pulse)
+            r0 = received[:n]
+        r = _noisy(r0, scale, noise[:n])  # one pass makes the block's received periods
+        for k in range(n):
             if cfg.fractional:
                 for i, m, S in pairs:
-                    rep = joint_estimate(matched_filter_fractional(S, r[m]), pulse, L)
+                    rep = joint_estimate(matched_filter_fractional(S, r[k, m]), pulse, L)
                     nonconverged += not rep.converged
                     h_hat[k, i, m] = rep.h_hat
             else:
                 for i, m, S in pairs:
-                    h_hat[k, i, m] = matched_filter_integer(S, r[m])
+                    h_hat[k, i, m] = matched_filter_integer(S, r[k, m])
         # each trial's error summed over taps, then added to the running sum a trial at a time
         np.sum(np.abs(h_hat[:n] - taps[:n]) ** 2, axis=-1, out=sums[1 : n + 1])
         sums[0] = np.add.accumulate(sums[: n + 1])[-1]

@@ -23,7 +23,7 @@ from chirpsounder import (
     receive_integer,
     synthesize_channels,
 )
-from chirpsounder.channel import MimoScenario
+from chirpsounder.channel import MimoScenario, _noise_scale, _noisy
 
 
 def pulse_by_quadrature(t, rolloff, points=1 << 17):
@@ -255,6 +255,19 @@ class TestLinkChannel:
         taps[link + (d[link] - 1,)] = 1.0  # one just below it
         with pytest.raises(ConfigError, match="below the integer offset"):
             MimoScenario(taps=taps, **grid)
+
+    def test_leading_zero_checked_per_layout(self):
+        # the lag mask is cached per layout, so grids and spans that share offset values
+        # each get their own: lag 2 of the second link, below its offset 3, is caught in all
+        for grid, L in [((1, 2), 4), ((2, 1), 4), ((1, 2), 6), ((2, 1), 6)]:
+            d = np.array([0, 3]).reshape(grid)
+            good = np.where(np.arange(L) >= d[..., None], 1.0 + 0.0j, 0.0)
+            fields = {"d": d, "mu": np.zeros(grid), "sigma2": np.zeros(grid[1])}
+            MimoScenario(taps=good, **fields)
+            bad = good.copy()
+            bad.reshape(2, L)[1, 2] = 1.0
+            with pytest.raises(ConfigError, match="below the integer offset"):
+                MimoScenario(taps=bad, **fields)
 
 
 class TestSynthesis:
@@ -499,6 +512,29 @@ class TestReceiveInteger:
         assert z.tobytes() == expected.tobytes()
         assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
         assert r0.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("B", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_awgn_is_a_row_of_the_block_pass(self, seed, B):
+        # trial t's stream-(1, t) draws, taken with out= into row k of a block, and one
+        # pass over the block give awgn's period bit for bit: over one r0 for every row
+        # and over one r0 and sigma2 per row, zero variances included
+        nr, N = 3, 64
+        gen = np.random.default_rng(seed)
+        r0 = gen.standard_normal((B, nr, N)) + 1j * gen.standard_normal((B, nr, N))
+        sigma2 = gen.uniform(0.0, 2.0, (B, nr))
+        sigma2[:, 1] = 0.0
+        draws = np.empty((B, nr, 2, N))
+        for k in range(B):
+            derive_rng(seed, 1, 5 + k).standard_normal(out=draws[k])
+        shared = _noisy(r0[0], _noise_scale(sigma2[0]), draws)
+        per_row = _noisy(r0, _noise_scale(sigma2), draws)
+        assert shared.shape == per_row.shape == (B, nr, N)
+        for k in range(B):
+            single = awgn(r0[0], sigma2[0], derive_rng(seed, 1, 5 + k))
+            assert shared[k].tobytes() == single.tobytes()
+            single = awgn(r0[k], sigma2[k], derive_rng(seed, 1, 5 + k))
+            assert per_row[k].tobytes() == single.tobytes()
 
     def test_reception_is_noiseless(self):
         # sigma2 > 0 changes nothing: only awgn adds noise

@@ -492,30 +492,37 @@ class TestMseExperiment:
             assert 0.9 < row.ratio < 1.1
 
     def test_redrawn_taps_keep_each_trials_offsets_and_noise(self, monkeypatch):
-        # common random numbers: trial t hands reception the same offsets and awgn
-        # the same noise stream whether or not its taps are redrawn
+        # common random numbers: trial t hands reception the same offsets and the block
+        # pass the same noise draws whether or not its taps are redrawn
         runs = []
-        received, add_noise = harness._received, harness.awgn
+        received, noisy = harness._received, harness._noisy
 
         def spy_received(cfg, scenario, *args):
-            runs[-1].append((scenario.mu.tobytes(), scenario.taps.tobytes()))
+            runs[-1]["channel"].append((scenario.mu.tobytes(), scenario.taps.tobytes()))
             return received(cfg, scenario, *args)
 
-        def spy_awgn(r0, sigma2, rng):
-            runs[-1][-1] += (json.dumps(rng.bit_generator.state, default=np.ndarray.tolist),)
-            return add_noise(r0, sigma2, rng)
+        def spy_noisy(r0, scale, draws):
+            runs[-1]["noise"] += [row.tobytes() for row in draws]
+            return noisy(r0, scale, draws)
 
         monkeypatch.setattr(harness, "_received", spy_received)
-        monkeypatch.setattr(harness, "awgn", spy_awgn)
+        monkeypatch.setattr(harness, "_noisy", spy_noisy)
+        monkeypatch.setattr(harness, "_TRIAL_BLOCK", 2)  # three blocks, the last one short
         for redraw in (False, True):
             data = PRESETS["paper-sec5-fractional"]()
             data["channel"]["redraw_per_trial"] = redraw
-            runs.append([])
+            runs.append({"channel": [], "noise": []})
             run_mse_experiment(from_dict({**data, "trials": 5}))
         fixed, redrawn = runs
-        assert len(fixed) == len(redrawn) == 5
-        for (mu, taps, noise), (mu_r, taps_r, noise_r) in zip(fixed, redrawn):
-            assert mu == mu_r and noise == noise_r
+        assert len(fixed["channel"]) == len(redrawn["channel"]) == 5
+        assert len(fixed["noise"]) == len(redrawn["noise"]) == 5
+        assert fixed["noise"] == redrawn["noise"]
+        cfg = from_dict({**data, "trials": 5})
+        for t, noise in enumerate(fixed["noise"]):  # trial t's noise is stream (1, t)'s
+            shape = (cfg.nr, 2, cfg.waveform_length)
+            assert noise == derive_rng(cfg.seed, 1, t).standard_normal(shape).tobytes()
+        for (mu, taps), (mu_r, taps_r) in zip(fixed["channel"], redrawn["channel"]):
+            assert mu == mu_r
             assert taps != taps_r  # the taps were redrawn
 
 
@@ -602,9 +609,9 @@ def test_trial_blocks_do_not_change_the_outputs(tmp_path, monkeypatch, name):
     "name,redraw", [("paper-sec5", False), ("paper-sec5", True), ("paper-sec5-fractional", False)]
 )
 def test_a_trial_makes_one_public_call_per_link(monkeypatch, name, redraw):
-    # one awgn call per trial (pinned here only), and the counts the benchmark's traced
-    # runs expect: one matched-filter (and, fractional, joint_estimate) call per link per
-    # trial, and receive_integer once per run or, redrawn, once per trial
+    # no awgn call (the noise is one pass per block of trials), and the counts the
+    # benchmark's traced runs expect: one matched-filter (and, fractional, joint_estimate)
+    # call per link per trial, and receive_integer once per run or, redrawn, once per trial
     public = ["awgn", "matched_filter_integer", "matched_filter_fractional", "joint_estimate"]
     calls = dict.fromkeys([*public, "receive_integer"], 0)
     for fn in calls:
@@ -617,7 +624,7 @@ def test_a_trial_makes_one_public_call_per_link(monkeypatch, name, redraw):
     run_mse_experiment(cfg)
     per_trial = cfg.nt * cfg.nr * 12
     assert calls == {
-        "awgn": 12,
+        "awgn": 0,
         "matched_filter_integer": 0 if cfg.fractional else per_trial,
         "matched_filter_fractional": per_trial if cfg.fractional else 0,
         "joint_estimate": per_trial if cfg.fractional else 0,
