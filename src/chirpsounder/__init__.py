@@ -21,8 +21,6 @@ from .channel import (
     PulseShape,
     awgn,
     build_pulse,
-    draw_fractional_offsets,
-    noise_variance_for_snr,
     receive_fractional,
     receive_integer,
     synthesize_channels,

@@ -27,7 +27,7 @@ is taken at the 2M support lags y - l = -M .. M-1 and is 0 at every other lag:
 r_m = sum_i S_i G(mu_im) h_im + z, the estimator's own model and G(mu).  The
 ``receive_*`` functions take the S_i that the matched filter applies and
 return the noiseless sum, formed by the estimator beside its matched filter;
-z is added only by ``_noisy``: ``awgn`` at B = 1, the harness a block of trials at a time.
+z is added only by ``_noisy``, from sigma2: ``awgn`` at B = 1, the harness a block at a time.
 
 The sampling interval T is normalized to 1 throughout; only ratios t/T enter
 any formula.
@@ -160,28 +160,6 @@ def _below_offsets(grid, offsets, L):
     return mask
 
 
-def noise_variance_for_snr(mean_power, snr_db):
-    """Per-real-dimension sigma^2 giving SNR = mean_power / (2*sigma^2)."""
-    return float(mean_power) * 10.0 ** (-float(snr_db) / 10.0) / 2.0
-
-
-def _offset_shape(cfg):
-    """One draw per independent offset: per (tx node, rx node) pair, or per rx node where the
-    transmit LOs are shared (tx-shared) and per tx node where the receive ones are (rx-shared)."""
-    shared = {"tx-shared": (1, cfg.mr), "rx-shared": (cfg.mt, 1)}
-    return shared.get(cfg.lo_topology, (cfg.mt, cfg.mr))
-
-
-def draw_fractional_offsets(cfg, rng):
-    """Draw per-(tx node, rx node) fractional offsets in (0, 0.5].
-
-    Respects the LO topology: a shared transmitter side means the offset
-    depends only on the receive node, and vice versa.  Returns a read-only
-    (Mt, Mr) array broadcast from the one draw per independent offset.
-    """
-    return np.broadcast_to(0.5 * (1.0 - rng.random(_offset_shape(cfg))), (cfg.mt, cfg.mr))
-
-
 @lru_cache(maxsize=8)
 def _tap_layout(active, offsets, tx_node, rx_node, L):
     """Read-only per-link ``d``, the active tap total and, per active count a, the (links, a)
@@ -208,10 +186,13 @@ def _layout(cfg):
 
 
 def _draw_shapes(cfg):
-    """One channel's draws, in stream order: the shape of its uniform offsets (None where
-    the config fixes mu or has none) and the count of its normal draws, two per active tap."""
+    """One channel's draws, in stream order: the shape of its uniform offsets and the count of
+    its normal draws, two per active tap.  One uniform per independent offset: per (tx node,
+    rx node) pair, per rx node where the transmit LOs are shared (tx-shared), per tx node where
+    the receive ones are (rx-shared), and the shape None where the config fixes mu or has none."""
+    shared = {"tx-shared": (1, cfg.mr), "rx-shared": (cfg.mt, 1)}
     drawn = cfg.fractional and cfg.mu_values is None
-    return _offset_shape(cfg) if drawn else None, 2 * _layout(cfg)[1]
+    return shared.get(cfg.lo_topology, (cfg.mt, cfg.mr)) if drawn else None, 2 * _layout(cfg)[1]
 
 
 def _channel_block(cfg, u, draws):
@@ -243,8 +224,8 @@ def _channel_block(cfg, u, draws):
     taps.flags.writeable = False
 
     power = np.sum(np.abs(taps) ** 2, axis=3).sum(axis=1) / cfg.waveform_length
-    scale = [10.0 ** (-float(snr) / 10.0) for snr in cfg.snr_db]  # noise_variance_for_snr's order
-    sigma2 = power * scale / 2.0
+    scale = [10.0 ** (-float(snr) / 10.0) for snr in cfg.snr_db]
+    sigma2 = power * scale / 2.0  # power * 10^(-snr/10) / 2, in this order
     sigma2.flags.writeable = False
     return mu, taps, sigma2
 
@@ -286,36 +267,32 @@ def awgn(r0, sigma2, rng):
     sigma2 is zero, so substreams stay aligned across configurations.  This is
     ``_noisy`` at B = 1, the pass that the Monte-Carlo run makes once per block of
     trials.  An ``r0`` that is not 2-d, or a ``sigma2`` not of shape (r0.shape[0],), is
-    rejected with ``DimensionMismatchError``, and a negative or NaN variance with ``ValueError``.
+    rejected with ``DimensionMismatchError``; ``_noisy`` rejects a negative or NaN variance
+    with ``ValueError``, after the period's draws are taken.
     """
     sigma2 = np.asarray(sigma2, dtype=float)
     if r0.ndim != 2 or sigma2.shape != r0.shape[:1]:
         raise DimensionMismatchError(
             f"need a 2-d r0 and one sigma2 per row, got shapes {r0.shape} and {sigma2.shape}"
         )
-    scale = _noise_scale(sigma2)
-    return _noisy(r0, scale, rng.standard_normal((r0.shape[0], 2, r0.shape[1])))
+    return _noisy(r0, sigma2, rng.standard_normal((r0.shape[0], 2, r0.shape[1])))
 
 
-def _noise_scale(sigma2):
-    """sqrt(sigma2), a negative or NaN variance rejected with ``ValueError``."""
-    if not sigma2.min() >= 0.0:  # NaN propagates through min
-        raise ValueError(f"noise variances must be >= 0, got {sigma2.tolist()}")
-    return np.sqrt(sigma2)
-
-
-def _noisy(r0, scale, draws):
+def _noisy(r0, sigma2, draws):
     """B received periods, one pass over a block of noise draws.
 
     Row b of ``draws``, shape (B, nr, 2, N), holds one period's standard normal draws in
-    ``awgn``'s order (``awgn`` passes one (nr, 2, N) period); ``scale`` is sqrt(sigma2),
-    shape (nr,) or (B, nr), and ``r0`` the noiseless periods, (nr, N) or (B, nr, N).  The
-    noise is built in one new (B, nr, N) complex array, then scaled and offset by ``r0`` in
-    place, so row b is bit for bit ``awgn`` on the stream that drew it, at any B.
+    ``awgn``'s order (``awgn`` passes one (nr, 2, N) period); ``sigma2`` is the noise level,
+    shape (nr,) or (B, nr), and ``r0`` the noiseless periods, (nr, N) or (B, nr, N).  A
+    negative or NaN variance is rejected with ``ValueError``.  The noise is built in one new
+    (B, nr, N) complex array, then scaled by sqrt(sigma2) and offset by ``r0`` in place, so
+    row b is bit for bit ``awgn`` on the stream that drew it, at any B.
     """
+    if not sigma2.min() >= 0.0:  # NaN propagates through min
+        raise ValueError(f"noise variances must be >= 0, got {sigma2.tolist()}")
     z = np.empty((*draws.shape[:-2], draws.shape[-1]), complex)
     z.real, z.imag = draws[..., 0, :], draws[..., 1, :]
-    z *= scale[..., None]
+    z *= np.sqrt(sigma2)[..., None]
     return np.add(z, r0, out=z)
 
 

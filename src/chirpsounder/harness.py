@@ -26,12 +26,13 @@ bit for bit ``synthesize_channels`` on stream (2, t).
 Reception (``channel.receive_*``) is noiseless; the noise of trial t comes from
 stream (1, t).  ``sound`` adds it with ``awgn``.  An ``mse`` trial takes only its
 draws, into row t mod B of a block's buffer, and one ``channel._noisy`` pass, the
-one ``awgn`` makes at B = 1, turns the block into received periods, so trial t's
-period is bit for bit ``awgn`` on stream (1, t).  ``mse`` and ``sound`` share one
-setup: the waveforms, the stream-(0,) channel, the pulse and the matrices.  An
-``mse`` trial makes ``nt*nr`` matched-filter calls; its estimates wait in a block
-of B trials (O(B) memory at any trial count), whose squared errors join the
-running sum in trial order, so no output depends on B.
+one ``awgn`` makes at B = 1, turns the block's draws and sigma2 (the base channel's,
+or the redrawn block's) into received periods, so trial t's period is bit for bit
+``awgn`` on stream (1, t).  ``mse`` and ``sound`` share one setup: the waveforms,
+the stream-(0,) channel, the pulse and the matrices.  An ``mse`` trial makes
+``nt*nr`` matched-filter calls; its estimates wait in a block of B trials (O(B)
+memory at any trial count), whose squared errors join the running sum in trial
+order, so no output depends on B.
 
 Every CSV table, the CLI's included, is written by ``write_table``:
 integers as is, every other number as ``%.12e`` (13 significant digits).
@@ -55,7 +56,6 @@ from .channel import (
     MimoScenario,
     _channel_block,
     _draw_shapes,
-    _noise_scale,
     _noisy,
     awgn,
     build_pulse,
@@ -193,17 +193,17 @@ def run_mse_experiment(cfg):
     builds its own checked ``MimoScenario`` from row t mod B of the block's arrays, where
     the taps and noise levels not redrawn are read-only views of the base channel's.  Its
     noise draws go to row t mod B of the block's noise buffer, and one ``_noisy`` pass, the
-    one ``awgn`` makes at B = 1, adds the block's noise to its noiseless periods; sqrt(sigma2)
-    is taken and checked once per run, or once per block when the taps are redrawn.  A trial
-    makes ``nt*nr`` matched-filter calls (each followed by the joint offset estimator in the
-    fractional case), and its estimates fill row t mod B of a block.  Each block's squared
-    errors are added in trial order, so the outputs do not depend on B, and memory is O(B)
-    at any trial count: B shrinks where the arrays the block allocates (its estimates and
-    their error, its noise draws and received periods, and a redraw's draws and what they
-    make) would outgrow ``_BLOCK_BYTES``.  An antenna's bound is 2*L*sigma2, its trial mean
-    (summed in trial order) when redrawn taps change sigma2.  An antenna with no noise (no
-    active taps into it, or an SNR whose noise level underflows) has no bound, which is a
-    ``ConfigError`` before any trial runs.
+    one ``awgn`` makes at B = 1, takes the block's sigma2 (the base view or the redrawn
+    block), checks it, and adds the noise scaled by its square root to the block's noiseless
+    periods.  A trial makes ``nt*nr`` matched-filter calls (each followed by the joint offset
+    estimator in the fractional case), and its estimates fill row t mod B of a block.  Each
+    block's squared errors are added in trial order, so the outputs do not depend on B, and
+    memory is O(B) at any trial count: B shrinks where the arrays the block allocates (its
+    estimates and their error, its noise draws, sqrt(sigma2) and received periods, and a
+    redraw's draws and what they make) would outgrow ``_BLOCK_BYTES``.  An antenna's bound is
+    2*L*sigma2, its trial mean (summed in trial order) when redrawn taps change sigma2.  An
+    antenna with no noise (no active taps into it, or an SNR whose noise level underflows)
+    has no bound, which is a ``ConfigError`` before any trial runs.
     """
     t0 = time.perf_counter()
     rng = derive_rng(cfg.seed, 0)  # draws the channel, then is re-keyed to each trial's streams
@@ -217,17 +217,16 @@ def run_mse_experiment(cfg):
     u_shape, n_draws = _draw_shapes(cfg)
     redraw = cfg.redraw_per_trial or u_shape is not None
     r0 = None if redraw else _received(cfg, base, matrices, pulse)  # serves every trial
-    scale = _noise_scale(base.sigma2)  # sqrt(sigma2) of every trial, unless taps are redrawn
     pairs = [(i, m, matrices[i]) for m in range(cfg.nr) for i in range(cfg.nt)]
-    # bytes per trial of the arrays a block allocates: h_hat and its error, the noise draws and
-    # the received periods, and in a redraw its draws, its offsets per node pair and per link,
-    # its noiseless periods, and its redrawn taps and noise levels
+    # bytes per trial of the arrays a block allocates: h_hat and its error, the noise draws,
+    # sqrt(sigma2) and the received periods, and in a redraw its draws, its offsets per node
+    # pair and per link, its noiseless periods, and its redrawn taps and noise levels
     periods = 16 * cfg.nr * cfg.waveform_length  # bytes of one trial's complex (nr, N) periods
-    per_trial = 2 * base.taps.nbytes + 2 * periods
+    per_trial = 2 * base.taps.nbytes + 2 * periods + base.sigma2.nbytes
     if redraw:
         per_trial += 8 * (math.prod(u_shape or (0,)) + cfg.mt * cfg.mr) + base.mu.nbytes + periods
     if cfg.redraw_per_trial:
-        per_trial += 8 * n_draws + base.taps.nbytes + 2 * base.sigma2.nbytes
+        per_trial += 8 * n_draws + base.taps.nbytes + base.sigma2.nbytes
     B = max(1, min(_TRIAL_BLOCK, cfg.trials, _BLOCK_BYTES // per_trial))
     h_hat = np.empty((B, *base.taps.shape), complex)
     noise = np.empty((B, cfg.nr, 2, cfg.waveform_length))
@@ -262,12 +261,11 @@ def run_mse_experiment(cfg):
             if draws is not None:
                 taps, sigma2s = redrawn
                 sigma2_sum = np.add.accumulate(np.vstack((sigma2_sum, sigma2s)))[-1]
-                scale = _noise_scale(sigma2s)
             for k in range(n):
                 scenario = MimoScenario(taps=taps[k], d=base.d, mu=mu[k], sigma2=sigma2s[k])
                 received[k] = _received(cfg, scenario, matrices, pulse)
             r0 = received[:n]
-        r = _noisy(r0, scale, noise[:n])  # one pass makes the block's received periods
+        r = _noisy(r0, sigma2s[:n], noise[:n])  # one pass makes the block's received periods
         for k in range(n):
             if cfg.fractional:
                 for i, m, S in pairs:

@@ -1,7 +1,6 @@
 """Channel model: pulse shaping, synthesis, integer and fractional reception."""
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from chirpsounder import (
     build_pulse,
     build_sounding_matrix,
     derive_rng,
-    draw_fractional_offsets,
     from_dict,
     generate_chirp,
     preset,
@@ -23,7 +21,7 @@ from chirpsounder import (
     receive_integer,
     synthesize_channels,
 )
-from chirpsounder.channel import MimoScenario, _noise_scale, _noisy
+from chirpsounder.channel import MimoScenario, _noisy
 
 
 def pulse_by_quadrature(t, rolloff, points=1 << 17):
@@ -324,8 +322,14 @@ class TestSynthesis:
     @pytest.mark.parametrize("topology", ["independent", "tx-shared", "rx-shared"])
     def test_fractional_offset_draws(self, topology):
         # one scalar draw per independent (tx node, rx node) offset, in row-major order
-        cfg = SimpleNamespace(lo_topology=topology, mt=2, mr=3)
-        mu = np.asarray(draw_fractional_offsets(cfg, derive_rng(5, 2, 0)))
+        cfg = node_pair_config(topology, {"enabled": True, "mu": "uniform"})
+        cfg = cfg.replace(normalize_taps=False)
+        sc = synthesize_channels(cfg, derive_rng(5, 2, 0))
+        links = np.ix_(  # one link per node pair (a, b), a in range(mt) and b in range(mr)
+            [cfg.tx_node.index(a) for a in range(cfg.mt)],
+            [cfg.rx_node.index(b) for b in range(cfg.mr)],
+        )
+        mu = sc.mu[links]
         rng = derive_rng(5, 2, 0)
         count = {"independent": 6, "tx-shared": 3, "rx-shared": 2}[topology]
         scalars = [0.5 * (1.0 - rng.random()) for _ in range(count)]
@@ -336,10 +340,12 @@ class TestSynthesis:
             assert np.all(mu == mu[:, :1]) and mu[:, 0].tolist() == scalars
         else:
             assert mu.ravel().tolist() == scalars
-        # the draw leaves the substream where the scalar draws leave it
-        after = derive_rng(5, 2, 0)
-        draw_fractional_offsets(cfg, after)
-        assert after.random() == rng.random()
+        # the taps draw from where the scalar draws leave the substream: link (0, 0) first,
+        # its real parts, then its imaginary parts
+        active, d = cfg.active_taps[0][0], sc.d[0, 0]
+        draws = rng.standard_normal((2, active))
+        expected = (draws[0] + 1j * draws[1]) / np.sqrt(2.0)
+        assert sc.taps[0, 0, d : d + active].tobytes() == expected.tobytes()
 
     def test_per_link_takes_a_grid_or_a_stack(self):
         # the last two axes index the (tx node, rx node) pair, whatever leads them
@@ -398,6 +404,25 @@ def single_link_scenario(taps, mu=0.0):
     """1x1 scenario with explicit taps, built without the config machinery."""
     taps = np.asarray(taps, dtype=complex)
     return link_scenario(taps, int(np.argmax(taps != 0)), mu)  # d: leading zeros
+
+
+def draw_fractional_offsets(cfg, rng):
+    """Reference (mt, mr) node-pair offsets in (0, 0.5], a scalar uniform u at a time as
+    0.5 (1 - u): one per node pair in row-major order, one per rx node where the transmit
+    LOs are shared (tx-shared), one per tx node where the receive ones are (rx-shared)."""
+    count = {"tx-shared": cfg.mr, "rx-shared": cfg.mt}.get(cfg.lo_topology, cfg.mt * cfg.mr)
+    scalars = [0.5 * (1.0 - rng.random()) for _ in range(count)]
+    pick = {
+        "tx-shared": lambda a, b: scalars[b],
+        "rx-shared": lambda a, b: scalars[a],
+    }.get(cfg.lo_topology, lambda a, b: scalars[a * cfg.mr + b])
+    return np.array([[pick(a, b) for b in range(cfg.mr)] for a in range(cfg.mt)])
+
+
+def noise_variance_for_snr(mean_power, snr_db):
+    """Reference per-real-dimension sigma^2 giving SNR = mean_power / (2 sigma^2), multiplied
+    in the order synthesis uses: mean_power * 10^(-snr/10) / 2."""
+    return float(mean_power) * 10.0 ** (-float(snr_db) / 10.0) / 2.0
 
 
 class TestReceiveInteger:
@@ -462,11 +487,18 @@ class TestReceiveInteger:
         measured = np.mean(np.abs(z) ** 2)
         assert measured == pytest.approx(2 * sigma2, rel=0.02)
 
+    @pytest.mark.parametrize("add", ["awgn", "block"])
     @pytest.mark.parametrize("bad", [-0.1, np.nan])
-    def test_noise_variance_below_zero_or_nan_rejected(self, bad):
-        # a ValueError, not NaN samples behind a RuntimeWarning (warnings are errors here)
+    def test_noise_variance_below_zero_or_nan_rejected(self, bad, add):
+        # a ValueError, not NaN samples behind a RuntimeWarning (warnings are errors here),
+        # from awgn and from the block pass, whose bad variance is in a row k > 0
         with pytest.raises(ValueError):
-            awgn(np.zeros((2, 8), dtype=complex), np.array([0.3, bad]), derive_rng(1, 1, 0))
+            if add == "awgn":
+                awgn(np.zeros((2, 8), dtype=complex), np.array([0.3, bad]), derive_rng(1, 1, 0))
+            else:
+                sigma2 = np.full((3, 2), 0.3)
+                sigma2[2, 1] = bad
+                _noisy(np.zeros((3, 2, 8), dtype=complex), sigma2, np.zeros((3, 2, 2, 8)))
 
     @pytest.mark.parametrize(
         "shape,sigma2", [((3, 8), [1.0]), ((3, 8), 1.0), ((8,), [1.0])],
@@ -527,8 +559,8 @@ class TestReceiveInteger:
         draws = np.empty((B, nr, 2, N))
         for k in range(B):
             derive_rng(seed, 1, 5 + k).standard_normal(out=draws[k])
-        shared = _noisy(r0[0], _noise_scale(sigma2[0]), draws)
-        per_row = _noisy(r0, _noise_scale(sigma2), draws)
+        shared = _noisy(r0[0], sigma2[0], draws)
+        per_row = _noisy(r0, sigma2, draws)
         assert shared.shape == per_row.shape == (B, nr, N)
         for k in range(B):
             single = awgn(r0[0], sigma2[0], derive_rng(seed, 1, 5 + k))

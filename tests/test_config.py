@@ -24,13 +24,11 @@ from chirpsounder import (
     ConfigError,
     ConstraintViolationError,
     derive_rng,
-    draw_fractional_offsets,
     emit_results,
     from_dict,
     joint_estimate,
     matched_filter_fractional,
     matched_filter_integer,
-    noise_variance_for_snr,
     preset,
     receive_fractional,
     run_capacity_experiment,
@@ -41,6 +39,7 @@ from chirpsounder import (
 from chirpsounder.channel import _channel_block, _draw_shapes
 from chirpsounder.cli import main
 from chirpsounder.harness import _received, _setup
+from tests.test_channel import draw_fractional_offsets, noise_variance_for_snr
 
 
 @pytest.mark.parametrize("data", [[], None, "?", 3.5], ids=["list", "null", "string", "number"])

@@ -14,7 +14,6 @@ from chirpsounder import (
     build_sounding_matrix,
     check_design_constraints,
     derive_rng,
-    draw_fractional_offsets,
     generate_chirp,
     joint_estimate,
     matched_filter_fractional,
@@ -27,7 +26,7 @@ from chirpsounder import (
 )
 from chirpsounder.channel import PulseShape
 from chirpsounder.waveform import SoundingWaveform
-from tests.test_channel import single_link_scenario, sounding
+from tests.test_channel import draw_fractional_offsets, single_link_scenario, sounding
 
 
 def grid_search_oracle(hF, pulse, L, step=1e-4):

@@ -501,9 +501,9 @@ class TestMseExperiment:
             runs[-1]["channel"].append((scenario.mu.tobytes(), scenario.taps.tobytes()))
             return received(cfg, scenario, *args)
 
-        def spy_noisy(r0, scale, draws):
+        def spy_noisy(r0, sigma2, draws):
             runs[-1]["noise"] += [row.tobytes() for row in draws]
-            return noisy(r0, scale, draws)
+            return noisy(r0, sigma2, draws)
 
         monkeypatch.setattr(harness, "_received", spy_received)
         monkeypatch.setattr(harness, "_noisy", spy_noisy)

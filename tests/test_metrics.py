@@ -14,7 +14,6 @@ from chirpsounder import (
     derive_rng,
     from_dict,
     frequency_response,
-    noise_variance_for_snr,
     preset,
     run_capacity_experiment,
     synthesize_channels,
@@ -65,7 +64,7 @@ class TestCrb:
 
     def test_snr_convention(self):
         # unit receive power at 25 dB: 2*sigma^2 = 10^-2.5
-        sigma2 = noise_variance_for_snr(1.0, 25.0)
+        sigma2 = 10**-2.5 / 2
         assert crb(15, sigma2) == pytest.approx(15 * 10 ** -2.5)
         assert crb(15, sigma2) == pytest.approx(0.04743, abs=1e-5)
 
