@@ -48,7 +48,10 @@ digest depends on:
 The ``generate``, ``correlate`` and ``capacity`` digests and
 ``config_echo.json`` do not pass through reception.  Each of the three run
 kinds (``mse``, ``sound``, ``capacity``) has its record ``result.json``
-pinned, since one ``RunResult.to_dict`` writes them all.
+pinned, since one ``RunResult.to_dict`` writes them all.  ``TABLES`` pins
+every CSV that ``generate`` and ``sound`` write on ``paper-sec5``, and that
+``generate``, ``correlate`` and ``sound`` write at N = 1024, one digest per
+command, so a change to the table writer shows in every table it writes.
 """
 
 import hashlib
@@ -165,6 +168,36 @@ def test_redrawn_taps_stream_digests(tmp_path, name, trials, normalize):
     assert main(["mse", "--config", str(config), "--trials", str(trials), "--out", str(out)]) == 0
     for file, digest in REDRAWN_TAPS[name, trials, normalize].items():
         assert hashlib.sha256((out / file).read_bytes()).hexdigest() == digest, file
+
+
+TABLES = {  # one sha256 over every CSV a command writes: name, NUL, bytes, in name order
+    ("generate", "paper-sec5"): "bddbf5dd515c48cb224ea9b07733a2357d1b2b0ae8db3d066cf9107ebe1622a0",
+    ("sound", "paper-sec5"): "37f3c9f1fccf24892fab45a4f03f23dfd94231b4e64bf77db680d6cc02d27583",
+    ("generate", 1024): "a0302a624a2ecd1a79f3580d7c28739504f76a1e3e10fede4453f7801e8f3015",
+    ("correlate", 1024): "296f063c4b04a58f086186fc612beed549143a024854e176855c4a3889498ac1",
+    ("sound", 1024): "0c9f5495b06bbb3e970dc8997348cffdd7d98e5c241e697faf61a0beca97c9ea",
+}
+
+
+@pytest.mark.parametrize(
+    "command,scenario", list(TABLES), ids=[f"{c}-{s}" for c, s in TABLES]
+)
+def test_table_digests(tmp_path, command, scenario):
+    # a preset by name, or paper-sec5 with waveforms of that length
+    if isinstance(scenario, str):
+        source = ["--preset", scenario]
+    else:
+        data = PRESETS["paper-sec5"]()
+        data["waveform"]["length"] = scenario
+        config = tmp_path / f"n{scenario}.json"
+        config.write_text(json.dumps(data))
+        source = ["--config", str(config)]
+    out = tmp_path / "out"
+    assert main([command, *source, "--out", str(out)]) == 0
+    digest = hashlib.sha256()
+    for table in sorted(out.glob("*.csv")):
+        digest.update(table.name.encode() + b"\0" + table.read_bytes())
+    assert digest.hexdigest() == TABLES[command, scenario]
 
 
 THREADED = {  # N = 256 runs, where a BLAS product could split across threads
