@@ -63,32 +63,28 @@ def _cmd_generate(args):
     os.makedirs(args.out, exist_ok=True)
     for p in cfg.chirp_rates:
         w = generate_chirp(p, cfg.waveform_length)
-        rows = ((n, v.real, v.imag) for n, v in enumerate(w.samples.tolist()))
         path = os.path.join(args.out, f"waveform_p{p}_N{w.N}.csv")
-        print(write_table(path, "n,re,im", rows))
+        print(write_table(path, "n,re,im", (np.arange(w.N), w.samples.real, w.samples.imag)))
     return EXIT_OK
 
 
 def _cmd_correlate(args):
     cfg = _load_config(args)
     waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
+    N = cfg.waveform_length
     os.makedirs(args.out, exist_ok=True)
 
-    def lags(a, b):
-        # periodic correlation of a with b at lag tau = conj(cyclic_correlation(b, a))[tau]
-        return enumerate(np.conj(cyclic_correlation(b.samples, a.samples)).tolist())
+    def table(pairs):
+        # the (p, q) columns of each pair's N lags, tau, then re and im of the periodic
+        # correlation of a with b at lag tau = conj(cyclic_correlation(b, a))[tau]
+        c = np.conj([cyclic_correlation(b.samples, a.samples) for a, b in pairs]).reshape(-1)
+        ends = [np.repeat([w.p for w in ws], N) for ws in zip(*pairs)]
+        return (*ends, np.tile(np.arange(N), len(pairs)), c.real, c.imag)
 
-    auto = ((w.p, tau, c.real, c.imag) for w in waveforms for tau, c in lags(w, w))
-    path = os.path.join(args.out, "autocorrelation.csv")
-    print(write_table(path, "p,tau,re,im", auto))
-    cross = (
-        (wa.p, wb.p, tau, c.real, c.imag)
-        for a, wa in enumerate(waveforms)
-        for wb in waveforms[a + 1 :]
-        for tau, c in lags(wa, wb)
-    )
-    path = os.path.join(args.out, "crosscorrelation.csv")
-    print(write_table(path, "p,q,tau,re,im", cross))
+    auto = table([(w, w) for w in waveforms])[1:]  # p, once
+    print(write_table(os.path.join(args.out, "autocorrelation.csv"), "p,tau,re,im", auto))
+    cross = table([(a, b) for k, a in enumerate(waveforms) for b in waveforms[k + 1 :]])
+    print(write_table(os.path.join(args.out, "crosscorrelation.csv"), "p,q,tau,re,im", cross))
     return EXIT_OK
 
 

@@ -34,8 +34,9 @@ the stream-(0,) channel, the pulse and the matrices.  An ``mse`` trial makes
 memory at any trial count), whose squared errors join the running sum in trial
 order, so no output depends on B.
 
-Every CSV table, the CLI's included, is written by ``write_table``:
-integers as is, every other number as ``%.12e`` (13 significant digits).
+Every CSV table, the CLI's included, is written by ``write_table`` from
+equal-length columns with one %-format: an integer or bool column as is, a
+real one as ``%.12e`` (13 significant digits).
 The record (``RunResult.to_dict``) is every ``RunResult`` field except
 ``wall_clock_s``: wall-clock time and timestamps live only in the
 ``run_meta.json`` sidecar, so repeated runs with the same config and seed
@@ -341,24 +342,25 @@ def _write(path, text):
     return path
 
 
-def write_table(path, header, rows):
-    """Write one CSV table and return its path.
+def write_table(path, header, columns):
+    """Write one CSV table of equal-length columns and return its path.
 
-    ``header`` is the comma-separated column line; each row is a sequence of
-    integers (``int`` or ``np.integer``, bools included: written as is) and
-    other reals (``%.12e``: 13 significant digits).  A row is written with one
-    %-format, built once per pattern of value types.
+    ``header`` is the comma-separated column line.  Each column is taken as a
+    numpy array: an integer or bool column is written as is (bools as
+    ``True``/``False``), a real one as ``%.12e`` (13 significant digits).  The
+    body is one %-format; unequal lengths, or a column of another dtype, raise
+    ``ValueError`` before the file is opened.
     """
-    formats = {}
-    lines = [header]
-    for row in rows:
-        key = (*map(type, row),)  # not tuple(map(...)): its resized keys pile up in the free list
-        if key not in formats:
-            formats[key] = ",".join(
-                "%s" if issubclass(t, (int, np.integer)) else "%.12e" for t in key
-            )
-        lines.append(formats[key] % tuple(row))
-    return _write(path, "\n".join(lines) + "\n")
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    if any(len(c) != n or c.dtype.kind not in "biuf" for c in columns):
+        kinds = [f"{c.dtype}[{len(c)}]" for c in columns]
+        raise ValueError(f"{path}: need real columns of one length, got {kinds}")
+    row = ",".join("%s" if c.dtype.kind in "biu" else "%.12e" for c in columns) + "\n"
+    values = [None] * (n * len(columns))  # row-major: column j at j, j + k, ... of k columns
+    for j, c in enumerate(columns):
+        values[j :: len(columns)] = c.tolist()
+    return _write(path, header + "\n" + row * n % tuple(values))
 
 
 def emit_results(result, outdir, fmt="csv"):
@@ -403,17 +405,17 @@ def emit_results(result, outdir, fmt="csv"):
 
     if result.kind == "mse":  # the columns are the row fields, in order
         tables = {
-            "mse.csv": ("link_tx,link_rx,mse,crb,ratio", map(astuple, result.links)),
-            "antenna_mse.csv": ("rx,mse,crb,ratio", map(astuple, result.antennas)),
+            "mse.csv": ("link_tx,link_rx,mse,crb,ratio", zip(*map(astuple, result.links))),
+            "antenna_mse.csv": ("rx,mse,crb,ratio", zip(*map(astuple, result.antennas))),
         }
     elif result.kind == "capacity":
         rows = [(c.rho_db, c.c_syn, c.c_asyn, c.max_bin_gap) for c in result.capacity]
-        tables = {"capacity.csv": ("rho_db,c_syn,c_asyn,max_bin_gap", rows)}
+        tables = {"capacity.csv": ("rho_db,c_syn,c_asyn,max_bin_gap", zip(*rows))}
     else:
         tables = {
-            f"trace_tx{i}_rx{m}.csv": ("n,magnitude", enumerate(mag))
+            f"trace_tx{i}_rx{m}.csv": ("n,magnitude", (np.arange(len(mag)), mag))
             for i, m, mag in result.traces
         }
-    for name, (header, rows) in tables.items():
-        paths.append(write_table(os.path.join(outdir, name), header, rows))
+    for name, (header, columns) in tables.items():
+        paths.append(write_table(os.path.join(outdir, name), header, columns))
     return paths

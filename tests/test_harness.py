@@ -786,8 +786,8 @@ def _reference_fmt(value):
 
 
 _EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308, 1.7976931348623157e308)
-_CELLS = st.one_of(
-    st.integers(),
+_KINDS = (  # one kind of value per column; Python ints in the range numpy gives int64
+    st.integers(-(2**63), 2**63 - 1),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.booleans(),
     st.floats(),
@@ -797,14 +797,41 @@ _CELLS = st.one_of(
 )
 
 
+@st.composite
+def _columns(draw):
+    n = draw(st.integers(0, 8))
+    kinds = draw(st.lists(st.sampled_from(_KINDS), max_size=5))
+    return [draw(st.lists(kind, min_size=n, max_size=n)) for kind in kinds]
+
+
 @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(st.lists(_CELLS, max_size=5).map(tuple), max_size=8))
-@example(rows=[(1, 2.0), (1.0, 2), (True, np.float32(0.1)), (np.int64(-3), -0.0), (1, 2.0)])
-@example(rows=[(np.uint8(7), np.float64(math.nan)), [2, math.inf], (), (5e-324,)])
-def test_write_table_matches_per_value_rule(tmp_path, rows):
-    # one %-format per row, whatever the types of its values and of the rows before it
-    path = write_table(str(tmp_path / "t.csv"), "h", rows)
+@given(columns=_columns())
+@example(columns=[[1, 2], [2.0, -0.0], [True, False], [np.float32(0.1), np.float32(3)]])
+@example(columns=[[np.uint8(7)], [np.float64(math.nan)], [np.int64(-3)], [5e-324]])
+def test_write_table_matches_per_value_rule(tmp_path, columns):
+    # one %-format for the table, each column's values of one type
+    path = write_table(str(tmp_path / "t.csv"), "h", columns)
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
-    want = "".join(",".join(map(_reference_fmt, row)) + "\n" for row in rows)
+    want = "".join(",".join(map(_reference_fmt, row)) + "\n" for row in zip(*columns))
     assert text == "h\n" + want
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [[[1, 2], [1.0]], [[], [0.5]], [[1.0 + 2.0j]], [[2**64]], [["a"]]],
+    ids=["ragged", "ragged-empty", "complex", "beyond-int64", "text"],
+)
+def test_write_table_rejects_columns_before_writing(tmp_path, columns):
+    # ragged or non-real columns would be cut short by zip, or written as another type
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        write_table(str(path), "h", columns)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("columns", [[], [[], []], [np.arange(0), np.empty(0)]])
+def test_write_table_of_no_rows_is_its_header(tmp_path, columns):
+    path = write_table(str(tmp_path / "t.csv"), "a,b", columns)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == "a,b\n"
