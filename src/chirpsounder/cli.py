@@ -75,13 +75,13 @@ def _cmd_correlate(args):
     os.makedirs(args.out, exist_ok=True)
 
     def table(pairs):
-        # the (p, q) columns of each pair's N lags, tau, then re and im of the periodic
-        # correlation of a with b at lag tau = conj(cyclic_correlation(b, a))[tau]
+        # columns p, q, tau, re, im over each pair's N lags: the periodic correlation
+        # of a with b at lag tau is conj(cyclic_correlation(b, a))[tau]
         c = np.conj([cyclic_correlation(b.samples, a.samples) for a, b in pairs]).reshape(-1)
         ends = [np.repeat([w.p for w in ws], N) for ws in zip(*pairs)]
         return (*ends, np.tile(np.arange(N), len(pairs)), c.real, c.imag)
 
-    auto = table([(w, w) for w in waveforms])[1:]  # p, once
+    auto = table([(w, w) for w in waveforms])[1:]  # q repeats p
     print(write_table(os.path.join(args.out, "autocorrelation.csv"), "p,tau,re,im", auto))
     cross = table([(a, b) for k, a in enumerate(waveforms) for b in waveforms[k + 1 :]])
     print(write_table(os.path.join(args.out, "crosscorrelation.csv"), "p,q,tau,re,im", cross))
