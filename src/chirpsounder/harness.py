@@ -31,8 +31,8 @@ or the redrawn block's) into received periods, so trial t's period is bit for bi
 ``awgn`` on stream (1, t).  ``mse`` and ``sound`` share one setup: the waveforms,
 the stream-(0,) channel, the pulse and the matrices.  An ``mse`` trial makes
 ``nt*nr`` matched-filter calls; its estimates wait in a block of B trials (O(B)
-memory at any trial count), whose squared errors join the running sum in trial
-order, so no output depends on B.
+memory at any trial count, B by the rule beside ``_BLOCK_BYTES``), whose squared errors
+join the running sum in trial order, so no output depends on B.
 
 Every CSV table, the CLI's included, is written by ``write_table`` from
 equal-length columns with one %-format: an integer or bool column as is, a
@@ -46,7 +46,6 @@ The sidecar also records the numpy version and the BLAS thread settings.
 
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import astuple, dataclass, fields
@@ -86,8 +85,10 @@ def derive_rng(seed, stream, trial=0):
     return np.random.Generator(np.random.Philox(seq, counter=int(trial) << 128))
 
 
-_TRIAL_BLOCK = 64  # trials per block of estimates and redraws in run_mse_experiment,
-_BLOCK_BYTES = 1 << 20  # fewer where the block's arrays would outgrow this
+# run_mse_experiment takes B = min(_TRIAL_BLOCK, trials, _BLOCK_BYTES // (7 * 16*nr*N)) trials
+# per block, at least 1: 16*nr*N bytes are one trial's noise draws, and 7 of them bound its arrays
+_TRIAL_BLOCK = 64
+_BLOCK_BYTES = 1 << 20
 
 
 def _key(seed, stream):
@@ -138,7 +139,7 @@ class RunResult:
     links: tuple = ()
     antennas: tuple = ()
     capacity: tuple = ()
-    traces: tuple = ()  # (tx, rx, magnitudes) triples for segment plots
+    traces: tuple = ()  # (tx, rx, read-only magnitude array) triples for segment plots
     nonconverged: int = 0
     wall_clock_s: float = 0.0  # run_meta.json only
 
@@ -149,7 +150,7 @@ class RunResult:
             record[key] = [vars(row) for row in record[key]]
         record["papr"] = [{"chirp_rate": p, "papr": v} for p, v in self.papr]
         record["traces"] = [
-            {"tx": i, "rx": m, "magnitude": list(mag)} for i, m, mag in self.traces
+            {"tx": i, "rx": m, "magnitude": mag.tolist()} for i, m, mag in self.traces
         ]
         return record
 
@@ -199,9 +200,7 @@ def run_mse_experiment(cfg):
     periods.  A trial makes ``nt*nr`` matched-filter calls (each followed by the joint offset
     estimator in the fractional case), and its estimates fill row t mod B of a block.  Each
     block's squared errors are added in trial order, so the outputs do not depend on B, and
-    memory is O(B) at any trial count: B shrinks where the arrays the block allocates (its
-    estimates and their error, its noise draws, sqrt(sigma2) and received periods, and a
-    redraw's draws and what they make) would outgrow ``_BLOCK_BYTES``.  An antenna's bound is
+    memory is O(B) at any trial count, B as ``_BLOCK_BYTES`` sets it.  An antenna's bound is
     2*L*sigma2, its trial mean (summed in trial order) when redrawn taps change sigma2.  An
     antenna with no noise (no active taps into it, or an SNR whose noise level underflows)
     has no bound, which is a ``ConfigError`` before any trial runs.
@@ -219,27 +218,22 @@ def run_mse_experiment(cfg):
     redraw = cfg.redraw_per_trial or u_shape is not None
     r0 = None if redraw else _received(cfg, base, matrices, pulse)  # serves every trial
     pairs = [(i, m, matrices[i]) for m in range(cfg.nr) for i in range(cfg.nt)]
-    # bytes per trial of the arrays a block allocates: h_hat and its error, the noise draws,
-    # sqrt(sigma2) and the received periods, and in a redraw its draws, its offsets per node
-    # pair and per link, its noiseless periods, and its redrawn taps and noise levels
-    periods = 16 * cfg.nr * cfg.waveform_length  # bytes of one trial's complex (nr, N) periods
-    per_trial = 2 * base.taps.nbytes + 2 * periods + base.sigma2.nbytes
-    if redraw:
-        per_trial += 8 * (math.prod(u_shape or (0,)) + cfg.mt * cfg.mr) + base.mu.nbytes + periods
-    if cfg.redraw_per_trial:
-        per_trial += 8 * n_draws + base.taps.nbytes + base.sigma2.nbytes
-    B = max(1, min(_TRIAL_BLOCK, cfg.trials, _BLOCK_BYTES // per_trial))
+    # c = 7 in B's rule.  P = 16*nr*N bytes are one trial's noise draws, and as many its
+    # noiseless or received periods.  Every other array a block makes holds at most 16*nt*nr*L
+    # bytes a trial (estimates, taps, tap draws, the error and its temporaries), under P/2, as
+    # N > 2*pmax*L >= 2*nt*L (distinct power-of-two rates give pmax >= nt).  A trial's share
+    # peaks while a redraw stacks its noiseless periods: five P (the noise draws, the last
+    # block's noiseless and received periods, the new rows and their stack) and three tap-sized
+    # (estimates, taps, tap draws), under 6.5 P; elsewhere it is at most 3 P and six tap-sized.
+    B = max(1, min(_TRIAL_BLOCK, cfg.trials,
+                   _BLOCK_BYTES // (7 * 16 * cfg.nr * cfg.waveform_length)))
     h_hat = np.empty((B, *base.taps.shape), complex)
     noise = np.empty((B, cfg.nr, 2, cfg.waveform_length))
     u = np.empty((B, *u_shape)) if u_shape else None
     draws = np.empty((B, n_draws)) if cfg.redraw_per_trial else None
-    received = np.empty((B, cfg.nr, cfg.waveform_length), complex) if redraw else None
-    # every trial's taps and noise levels: read-only views of the base channel's, unless redrawn
-    taps = sigma2s = None
-    if not cfg.redraw_per_trial:
-        taps, sigma2s = (np.broadcast_to(a, (B, *a.shape)) for a in (base.taps, base.sigma2))
-    sums = np.zeros((B + 1, cfg.nt, cfg.nr))  # row 0 carries the running sum
-    sigma2_sum = np.zeros(cfg.nr)  # of the redrawn channels
+    # every trial's taps and noise levels: read-only views of the base channel's, until redrawn
+    taps, sigma2s = (np.broadcast_to(a, (B, *a.shape)) for a in (base.taps, base.sigma2))
+    sq_sum, sigma2_sum = np.zeros((cfg.nt, cfg.nr)), np.zeros(cfg.nr)  # errors, redrawn sigma2
     nonconverged = 0
 
     # each per-trial stream's key, once per run; trial t draws from (2, t), then (1, t)
@@ -261,11 +255,11 @@ def run_mse_experiment(cfg):
             )
             if draws is not None:
                 taps, sigma2s = redrawn
-                sigma2_sum = np.add.accumulate(np.vstack((sigma2_sum, sigma2s)))[-1]
-            for k in range(n):
-                scenario = MimoScenario(taps=taps[k], d=base.d, mu=mu[k], sigma2=sigma2s[k])
-                received[k] = _received(cfg, scenario, matrices, pulse)
-            r0 = received[:n]
+                sigma2_sum = _fold(sigma2_sum, sigma2s)
+            r0 = np.stack([
+                _received(cfg, MimoScenario(taps[k], base.d, mu[k], sigma2s[k]), matrices, pulse)
+                for k in range(n)
+            ])
         r = _noisy(r0, sigma2s[:n], noise[:n])  # one pass makes the block's received periods
         for k in range(n):
             if cfg.fractional:
@@ -276,10 +270,8 @@ def run_mse_experiment(cfg):
             else:
                 for i, m, S in pairs:
                     h_hat[k, i, m] = matched_filter_integer(S, r[k, m])
-        # each trial's error summed over taps, then added to the running sum a trial at a time
-        np.sum(np.abs(h_hat[:n] - taps[:n]) ** 2, axis=-1, out=sums[1 : n + 1])
-        sums[0] = np.add.accumulate(sums[: n + 1])[-1]
-    sq_err = sums[0] / cfg.trials
+        sq_sum = _fold(sq_sum, np.sum(np.abs(h_hat[:n] - taps[:n]) ** 2, axis=-1))
+    sq_err = sq_sum / cfg.trials
     sigma2 = sigma2_sum / cfg.trials if cfg.redraw_per_trial else base.sigma2
 
     links, antennas = [], []
@@ -298,6 +290,11 @@ def run_mse_experiment(cfg):
         antennas=tuple(antennas),
         nonconverged=nonconverged,
     )
+
+
+def _fold(total, rows):
+    """``total`` plus each of ``rows`` in turn, in trial order, so no sum depends on B."""
+    return np.add.accumulate(np.concatenate((total[None], rows)))[-1]
 
 
 def _received(cfg, scenario, matrices, pulse):
@@ -328,8 +325,9 @@ def run_sounding(cfg):
     traces = []
     for i, w in enumerate(waveforms):
         for m in range(cfg.nr):
-            out = segmented_output(w, r[m], cfg.lead).ravel()
-            traces.append((i, m, tuple(np.abs(out).tolist())))
+            mag = np.abs(segmented_output(w, r[m], cfg.lead).ravel())
+            mag.flags.writeable = False
+            traces.append((i, m, mag))
     return _result("sound", cfg, t0, waveforms, trials=1, traces=tuple(traces))
 
 

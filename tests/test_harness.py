@@ -576,24 +576,28 @@ def test_a_run_seeds_only_its_synthesis_stream(monkeypatch, redraw, streams):
     assert built == streams
 
 
-BLOCK_RUNS = {  # T = 200 is no multiple of 7 or 64; the fractional run has T < B
-    "integer": ("paper-sec5", 200, {}),
-    "redrawn-taps": ("paper-sec5", 20, {"redraw_per_trial": True, "normalize_taps": False}),
-    "fractional": ("paper-sec5-fractional", 3, {}),
-    "fractional-redrawn-taps": (
-        "paper-sec5-fractional", 9, {"redraw_per_trial": True, "normalize_taps": False}
+BLOCK_RUNS = {  # T = 200 is no multiple of 7 or 64; the fractional run has T < B; at N = 512
+    # the byte rule, not _TRIAL_BLOCK or T, sets the redrawn run's B = 6, and 20 is no multiple
+    "integer": ("paper-sec5", {"trials": 200}),
+    "redrawn-taps": (
+        "paper-sec5", {"trials": 20, "redraw_per_trial": True, "normalize_taps": False}
     ),
-    "tx-shared-redrawn-taps": ("capacity-tx-shared", 9, {"redraw_per_trial": True}),
+    "fractional": ("paper-sec5-fractional", {"trials": 3}),
+    "fractional-redrawn-taps": (
+        "paper-sec5-fractional", {"trials": 9, "redraw_per_trial": True, "normalize_taps": False}
+    ),
+    "tx-shared-redrawn-taps": ("capacity-tx-shared", {"trials": 9, "redraw_per_trial": True}),
+    "redrawn-taps-long-period": (
+        "paper-sec5", {"trials": 20, "redraw_per_trial": True, "waveform_length": 512}
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(BLOCK_RUNS))
 def test_trial_blocks_do_not_change_the_outputs(tmp_path, monkeypatch, name):
     # errors are folded a block at a time in trial order, so any block size gives the same bytes
-    preset_name, trials, channel = BLOCK_RUNS[name]
-    data = PRESETS[preset_name]()
-    data["channel"].update(channel)
-    cfg = from_dict({**data, "trials": trials})
+    preset_name, fields = BLOCK_RUNS[name]
+    cfg = preset(preset_name).replace(**fields)
     outputs = []
     for block in (1, 7, harness._TRIAL_BLOCK):
         monkeypatch.setattr(harness, "_TRIAL_BLOCK", block)
@@ -677,6 +681,35 @@ def test_redrawn_runs_keep_memory_bounded_in_trials():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 64 * 1024, peaks
+
+
+@pytest.mark.parametrize("redraw", [False, True], ids=["fixed", "redrawn"])
+@pytest.mark.parametrize("name,trials", [("paper-sec5", 100), ("paper-sec5-fractional", 50)])
+def test_a_block_stays_within_its_byte_budget(monkeypatch, name, trials, redraw):
+    # at a period where _BLOCK_BYTES sets B, what a run holds over a few blocks of trials,
+    # temporaries included, exceeds what it holds at T = 1 by at most _BLOCK_BYTES
+    import tracemalloc
+
+    blocks, noisy = [], harness._noisy
+
+    def spy_noisy(r0, sigma2, draws):
+        blocks.append(len(draws))
+        return noisy(r0, sigma2, draws)
+
+    monkeypatch.setattr(harness, "_noisy", spy_noisy)
+    cfg = preset(name).replace(trials=trials, redraw_per_trial=redraw)
+    run_mse_experiment(cfg)  # the per-process caches, outside the trace
+    assert 1 < blocks[0] < min(harness._TRIAL_BLOCK, trials) and len(blocks) > 1, blocks
+    monkeypatch.setattr(harness, "_noisy", noisy)
+    peaks = []
+    for run in (cfg.replace(trials=1), cfg):
+        tracemalloc.start()
+        try:
+            run_mse_experiment(run)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= harness._BLOCK_BYTES, peaks
 
 
 class TestCapacityExperiment:

@@ -1,4 +1,5 @@
-"""The public surface: every function the package exports is reached by a workflow."""
+"""The public surface: every function the package exports is reached by a workflow, and
+every name a module imports is read there."""
 
 import ast
 import inspect
@@ -23,6 +24,17 @@ def _called_names(path):
     }
 
 
+def _unused_imports(path):
+    """Every name that ``path`` imports and never reads."""
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    return imported - {node.id for node in nodes if isinstance(node, ast.Name)}
+
+
 def test_every_exported_function_has_a_caller_in_the_package():
     # a call in a module other than __init__.py, or a reason on the UNCALLED list
     package = Path(chirpsounder.__file__).parent
@@ -32,3 +44,10 @@ def test_every_exported_function_has_a_caller_in_the_package():
     assert sorted(exported - called - set(UNCALLED)) == []
     assert sorted(set(UNCALLED) - exported) == []  # the list names only exported functions
     assert sorted(set(UNCALLED) & called) == []  # and only uncalled ones
+
+
+def test_no_module_keeps_an_unused_import():
+    # __init__.py imports the exports; every other module reads each name it imports
+    package = Path(chirpsounder.__file__).parent
+    unused = {p.name: _unused_imports(p) for p in package.glob("*.py") if p.name != "__init__.py"}
+    assert {name: sorted(names) for name, names in unused.items() if names} == {}
