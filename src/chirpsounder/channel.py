@@ -27,7 +27,7 @@ is taken at the 2M support lags y - l = -M .. M-1 and is 0 at every other lag:
 r_m = sum_i S_i G(mu_im) h_im + z, the estimator's own model and G(mu).  The
 ``receive_*`` functions take the S_i that the matched filter applies and
 return the noiseless sum, formed by the estimator beside its matched filter;
-z is added only by ``_noisy``, from sigma2: ``awgn`` at B = 1, the harness a block at a time.
+z is made only by ``_noisy``, from sigma2: ``awgn`` at B = 1, the harness a block at a time.
 
 The sampling interval T is normalized to 1 throughout; only ratios t/T enter
 any formula.
@@ -264,36 +264,35 @@ def awgn(r0, sigma2, rng):
 
     Row m of ``r0`` receives noise scaled by sqrt(sigma2[m]); draws are
     consumed in antenna order (real parts, then imaginary parts) even where
-    sigma2 is zero, so substreams stay aligned across configurations.  This is
-    ``_noisy`` at B = 1, the pass that the Monte-Carlo run makes once per block of
-    trials.  An ``r0`` that is not 2-d, or a ``sigma2`` not of shape (r0.shape[0],), is
-    rejected with ``DimensionMismatchError``; ``_noisy`` rejects a negative or NaN variance
-    with ``ValueError``, after the period's draws are taken.
+    sigma2 is zero, so substreams stay aligned across configurations.  The noise is
+    ``_noisy``'s at B = 1, the pass the Monte-Carlo run makes once per block of trials,
+    and ``r0`` is added to it.  An ``r0`` that is not 2-d, or a ``sigma2`` not of shape
+    (r0.shape[0],), is rejected with ``DimensionMismatchError``; ``_noisy`` rejects a
+    negative or NaN variance with ``ValueError``, after the period's draws are taken.
     """
     sigma2 = np.asarray(sigma2, dtype=float)
     if r0.ndim != 2 or sigma2.shape != r0.shape[:1]:
         raise DimensionMismatchError(
             f"need a 2-d r0 and one sigma2 per row, got shapes {r0.shape} and {sigma2.shape}"
         )
-    return _noisy(r0, sigma2, rng.standard_normal((r0.shape[0], 2, r0.shape[1])))
+    z = np.empty(r0.shape, complex)
+    _noisy(sigma2, rng.standard_normal((r0.shape[0], 2, r0.shape[1])), z)
+    return np.add(z, r0, out=z)
 
 
-def _noisy(r0, sigma2, draws):
-    """B received periods, one pass over a block of noise draws.
+def _noisy(sigma2, draws, out):
+    """A block's noise, one pass over its draws into ``out``, a (B, nr, N) complex array.
 
     Row b of ``draws``, shape (B, nr, 2, N), holds one period's standard normal draws in
-    ``awgn``'s order (``awgn`` passes one (nr, 2, N) period); ``sigma2`` is the noise level,
-    shape (nr,) or (B, nr), and ``r0`` the noiseless periods, (nr, N) or (B, nr, N).  A
-    negative or NaN variance is rejected with ``ValueError``.  The noise is built in one new
-    (B, nr, N) complex array, then scaled by sqrt(sigma2) and offset by ``r0`` in place, so
-    row b is bit for bit ``awgn`` on the stream that drew it, at any B.
+    ``awgn``'s order (``awgn`` passes one (nr, 2, N) period into an (nr, N) ``out``), and
+    ``sigma2`` is the noise level, shape (nr,) or (B, nr).  A negative or NaN variance is
+    rejected with ``ValueError``.  Row b of ``out`` becomes its draws as complex samples
+    scaled by sqrt(sigma2) in place, the noise ``awgn`` adds to its period, at any B.
     """
     if not sigma2.min() >= 0.0:  # NaN propagates through min
         raise ValueError(f"noise variances must be >= 0, got {sigma2.tolist()}")
-    z = np.empty((*draws.shape[:-2], draws.shape[-1]), complex)
-    z.real, z.imag = draws[..., 0, :], draws[..., 1, :]
-    z *= np.sqrt(sigma2)[..., None]
-    return np.add(z, r0, out=z)
+    out.real, out.imag = draws[..., 0, :], draws[..., 1, :]
+    out *= np.sqrt(sigma2)[..., None]
 
 
 def receive_integer(scenario, matrices):

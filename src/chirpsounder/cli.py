@@ -22,6 +22,7 @@ import numpy as np
 from . import config as config_mod
 from .errors import ConfigError, ConstraintViolationError, NumericalError
 from .harness import (
+    _makedirs,
     emit_results,
     run_capacity_experiment,
     run_mse_experiment,
@@ -60,7 +61,7 @@ def _load_config(args):
 
 def _cmd_generate(args):
     cfg = _load_config(args)
-    os.makedirs(args.out, exist_ok=True)
+    _makedirs(args.out)
     for p in cfg.chirp_rates:
         w = generate_chirp(p, cfg.waveform_length)
         path = os.path.join(args.out, f"waveform_p{p}_N{w.N}.csv")
@@ -72,7 +73,7 @@ def _cmd_correlate(args):
     cfg = _load_config(args)
     waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
     N = cfg.waveform_length
-    os.makedirs(args.out, exist_ok=True)
+    _makedirs(args.out)
 
     def table(pairs):
         # columns p, q, tau, re, im over each pair's N lags: the periodic correlation

@@ -25,14 +25,12 @@ bit for bit ``synthesize_channels`` on stream (2, t).
 
 Reception (``channel.receive_*``) is noiseless; the noise of trial t comes from
 stream (1, t).  ``sound`` adds it with ``awgn``.  An ``mse`` trial takes only its
-draws, into row t mod B of a block's buffer, and one ``channel._noisy`` pass, the
-one ``awgn`` makes at B = 1, turns the block's draws and sigma2 (the base channel's,
-or the redrawn block's) into received periods, so trial t's period is bit for bit
-``awgn`` on stream (1, t).  ``mse`` and ``sound`` share one setup: the waveforms,
-the stream-(0,) channel, the pulse and the matrices.  An ``mse`` trial makes
-``nt*nr`` matched-filter calls; its estimates wait in a block of B trials (O(B)
-memory at any trial count, B by the rule beside ``_BLOCK_BYTES``), whose squared errors
-join the running sum in trial order, so no output depends on B.
+draws, into row t mod B of a block's buffer; one ``channel._noisy`` pass, the one
+``awgn`` makes at B = 1, writes the block's noise into the run's one received
+buffer, and each trial adds its noiseless period to its row, so trial t's row is
+bit for bit ``awgn`` on stream (1, t).  ``mse`` and ``sound`` share one setup: the
+waveforms, the stream-(0,) channel, the pulse and the matrices; ``run_mse_experiment``
+says how its blocks of B trials keep memory O(B) and every output free of B.
 
 Every CSV table, the CLI's included, is written by ``write_table`` from
 equal-length columns with one %-format: an integer or bool column as is, a
@@ -190,15 +188,14 @@ def run_mse_experiment(cfg):
 
     Trial t draws its noise from stream (1, t) and, per config, its uniform fractional
     offsets and then its taps from stream (2, t), as stream (0,) draws the base channel.  A
-    block of B trials takes these redraws one trial at a time into row t mod B of its draw
-    buffers, then turns them into every trial's channel in one pass.  Each redrawn trial
-    builds its own checked ``MimoScenario`` from row t mod B of the block's arrays, where
-    the taps and noise levels not redrawn are read-only views of the base channel's.  Its
-    noise draws go to row t mod B of the block's noise buffer, and one ``_noisy`` pass, the
-    one ``awgn`` makes at B = 1, takes the block's sigma2 (the base view or the redrawn
-    block), checks it, and adds the noise scaled by its square root to the block's noiseless
-    periods.  A trial makes ``nt*nr`` matched-filter calls (each followed by the joint offset
-    estimator in the fractional case), and its estimates fill row t mod B of a block.  Each
+    block of B trials takes these draws one trial at a time into row t mod B of its buffers,
+    then turns the redraws into every trial's channel in one pass; the taps and noise levels
+    not redrawn are read-only views of the base channel's.  One ``_noisy`` pass, the one
+    ``awgn`` makes at B = 1, checks the block's sigma2 and writes its noise, scaled by the
+    square root, into the run's one received buffer.  Each trial then adds its noiseless
+    period to its row (the run's one period of a fixed channel, or that of its own checked
+    ``MimoScenario``) and makes ``nt*nr`` matched-filter calls (each followed by the joint
+    offset estimator in the fractional case), its estimates in row t mod B of a block.  Each
     block's squared errors are added in trial order, so the outputs do not depend on B, and
     memory is O(B) at any trial count, B as ``_BLOCK_BYTES`` sets it.  An antenna's bound is
     2*L*sigma2, its trial mean (summed in trial order) when redrawn taps change sigma2.  An
@@ -219,16 +216,16 @@ def run_mse_experiment(cfg):
     r0 = None if redraw else _received(cfg, base, matrices, pulse)  # serves every trial
     pairs = [(i, m, matrices[i]) for m in range(cfg.nr) for i in range(cfg.nt)]
     # c = 7 in B's rule.  P = 16*nr*N bytes are one trial's noise draws, and as many its
-    # noiseless or received periods.  Every other array a block makes holds at most 16*nt*nr*L
-    # bytes a trial (estimates, taps, tap draws, the error and its temporaries), under P/2, as
-    # N > 2*pmax*L >= 2*nt*L (distinct power-of-two rates give pmax >= nt).  A trial's share
-    # peaks while a redraw stacks its noiseless periods: five P (the noise draws, the last
-    # block's noiseless and received periods, the new rows and their stack) and three tap-sized
-    # (estimates, taps, tap draws), under 6.5 P; elsewhere it is at most 3 P and six tap-sized.
+    # received row.  Every other array a block makes holds at most 16*nt*nr*L bytes a trial
+    # (estimates, taps, tap draws, the error and its temporaries), under P/2, as
+    # N > 2*pmax*L >= 2*nt*L (distinct power-of-two rates give pmax >= nt).  So a trial holds
+    # two P and at most six tap-sized arrays, under 5 P, and 7 leaves margin; a reception's
+    # temporaries are one trial's, not the block's.
     B = max(1, min(_TRIAL_BLOCK, cfg.trials,
                    _BLOCK_BYTES // (7 * 16 * cfg.nr * cfg.waveform_length)))
     h_hat = np.empty((B, *base.taps.shape), complex)
     noise = np.empty((B, cfg.nr, 2, cfg.waveform_length))
+    r = np.empty((B, cfg.nr, cfg.waveform_length), complex)  # each trial's received row
     u = np.empty((B, *u_shape)) if u_shape else None
     draws = np.empty((B, n_draws)) if cfg.redraw_per_trial else None
     # every trial's taps and noise levels: read-only views of the base channel's, until redrawn
@@ -249,19 +246,18 @@ def run_mse_experiment(cfg):
                 if draws is not None:
                     rng.standard_normal(out=draws[k])
             _rekeyed(rng, key_noise, start + k).standard_normal(out=noise[k])
-        if redraw:  # one pass over the block's draws makes its channels, then each is received
+        if redraw:  # one pass over the block's draws makes its channels
             mu, *redrawn = _channel_block(
                 cfg, None if u is None else u[:n], None if draws is None else draws[:n]
             )
             if draws is not None:
                 taps, sigma2s = redrawn
                 sigma2_sum = _fold(sigma2_sum, sigma2s)
-            r0 = np.stack([
-                _received(cfg, MimoScenario(taps[k], base.d, mu[k], sigma2s[k]), matrices, pulse)
-                for k in range(n)
-            ])
-        r = _noisy(r0, sigma2s[:n], noise[:n])  # one pass makes the block's received periods
-        for k in range(n):
+        _noisy(sigma2s[:n], noise[:n], r[:n])  # one pass writes the block's noise
+        for k in range(n):  # each trial adds its noiseless period to its row, then estimates
+            r[k] += r0 if not redraw else _received(
+                cfg, MimoScenario(taps[k], base.d, mu[k], sigma2s[k]), matrices, pulse
+            )
             if cfg.fractional:
                 for i, m, S in pairs:
                     rep = joint_estimate(matched_filter_fractional(S, r[k, m]), pulse, L)
@@ -331,6 +327,13 @@ def run_sounding(cfg):
     return _result("sound", cfg, t0, waveforms, trials=1, traces=tuple(traces))
 
 
+def _makedirs(outdir):
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory {outdir}: {exc}") from exc
+
+
 def _write(path, text):
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -371,10 +374,7 @@ def emit_results(result, outdir, fmt="csv"):
     """
     if fmt not in ("csv", "record"):
         raise ValueError(f"format must be 'csv' or 'record', got {fmt!r}")
-    try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {outdir}: {exc}") from exc
+    _makedirs(outdir)
 
     paths = []
     meta = {

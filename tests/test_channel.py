@@ -498,7 +498,7 @@ class TestReceiveInteger:
             else:
                 sigma2 = np.full((3, 2), 0.3)
                 sigma2[2, 1] = bad
-                _noisy(np.zeros((3, 2, 8), dtype=complex), sigma2, np.zeros((3, 2, 2, 8)))
+                _noisy(sigma2, np.zeros((3, 2, 2, 8)), np.empty((3, 2, 8), dtype=complex))
 
     @pytest.mark.parametrize(
         "shape,sigma2", [((3, 8), [1.0]), ((3, 8), 1.0), ((8,), [1.0])],
@@ -548,9 +548,10 @@ class TestReceiveInteger:
     @pytest.mark.parametrize("B", [1, 2, 5])
     @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
     def test_awgn_is_a_row_of_the_block_pass(self, seed, B):
-        # trial t's stream-(1, t) draws, taken with out= into row k of a block, and one
-        # pass over the block give awgn's period bit for bit: over one r0 for every row
-        # and over one r0 and sigma2 per row, zero variances included
+        # trial t's stream-(1, t) draws, taken with out= into row k of a block, one pass
+        # over the block, and each row's period added as a run adds it give awgn's period
+        # bit for bit: one r0 and sigma2 for every row (a fixed channel) and one of each
+        # per row (a redrawn one), zero variances included
         nr, N = 3, 64
         gen = np.random.default_rng(seed)
         r0 = gen.standard_normal((B, nr, N)) + 1j * gen.standard_normal((B, nr, N))
@@ -559,10 +560,12 @@ class TestReceiveInteger:
         draws = np.empty((B, nr, 2, N))
         for k in range(B):
             derive_rng(seed, 1, 5 + k).standard_normal(out=draws[k])
-        shared = _noisy(r0[0], sigma2[0], draws)
-        per_row = _noisy(r0, sigma2, draws)
-        assert shared.shape == per_row.shape == (B, nr, N)
+        shared, per_row = np.empty((2, B, nr, N), complex)
+        _noisy(sigma2[0], draws, shared)
+        _noisy(sigma2, draws, per_row)
         for k in range(B):
+            shared[k] += r0[0]
+            per_row[k] += r0[k]
             single = awgn(r0[0], sigma2[0], derive_rng(seed, 1, 5 + k))
             assert shared[k].tobytes() == single.tobytes()
             single = awgn(r0[k], sigma2[k], derive_rng(seed, 1, 5 + k))

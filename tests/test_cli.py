@@ -199,6 +199,17 @@ def test_io_failure_exits_4(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["generate", "correlate", "sound", "mse", "capacity"])
+def test_out_naming_a_file_exits_4_naming_the_directory(tmp_path, capsys, command):
+    # every writing command creates --out the one way, and says which directory it could not
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x")
+    path = small_config_file(tmp_path)
+    assert main([command, "--config", path, "--out", str(blocker)]) == 4
+    assert f"i/o error: cannot create output directory {blocker}" in capsys.readouterr().err
+    assert blocker.read_text() == "x"
+
+
 def test_missing_config_file_exits_4(tmp_path, capsys):
     code = main(["check", "--config", str(tmp_path / "absent.json")])
     assert code == 4

@@ -1,5 +1,6 @@
 """Experiment orchestration: configs, determinism, output formats."""
 
+import dataclasses
 import json
 import math
 
@@ -11,6 +12,9 @@ from chirpsounder import (
     PRESETS,
     ConfigError,
     ConstraintViolationError,
+    awgn,
+    build_pulse,
+    build_sounding_matrix,
     crb,
     derive_rng,
     emit_results,
@@ -18,6 +22,8 @@ from chirpsounder import (
     from_json,
     generate_chirp,
     preset,
+    receive_fractional,
+    receive_integer,
     run_capacity_experiment,
     run_mse_experiment,
     run_sounding,
@@ -501,9 +507,9 @@ class TestMseExperiment:
             runs[-1]["channel"].append((scenario.mu.tobytes(), scenario.taps.tobytes()))
             return received(cfg, scenario, *args)
 
-        def spy_noisy(r0, sigma2, draws):
+        def spy_noisy(sigma2, draws, out):
             runs[-1]["noise"] += [row.tobytes() for row in draws]
-            return noisy(r0, sigma2, draws)
+            noisy(sigma2, draws, out)
 
         monkeypatch.setattr(harness, "_received", spy_received)
         monkeypatch.setattr(harness, "_noisy", spy_noisy)
@@ -609,6 +615,53 @@ def test_trial_blocks_do_not_change_the_outputs(tmp_path, monkeypatch, name):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+RECEIVED_RUNS = {  # T is no multiple of 7 or of the default B: 24, 36 and 12 by preset
+    "integer": ("paper-sec5", {"trials": 25}),
+    "redrawn-taps": ("paper-sec5", {"trials": 25, "redraw_per_trial": True}),
+    "fixed-offsets": ("capacity-tx-shared", {"trials": 37}),
+    "drawn-offsets": ("paper-sec5-fractional", {"trials": 13}),
+    "drawn-offsets-redrawn-taps": (
+        "paper-sec5-fractional", {"trials": 13, "redraw_per_trial": True, "normalize_taps": False}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RECEIVED_RUNS))
+def test_each_trial_receives_awgn_of_its_own_channel(monkeypatch, name):
+    # the row that every matched filter of trial t reads is, bit for bit, awgn on stream
+    # (1, t) of trial t's noiseless period: the base channel's, with the offsets and, if
+    # redrawn, the taps that stream (2, t) draws, at any block size
+    preset_name, fields = RECEIVED_RUNS[name]
+    cfg = preset(preset_name).replace(**fields)
+    base = synthesize_channels(cfg, derive_rng(cfg.seed, 0))
+    pulse = build_pulse(cfg.pulse_rolloff, cfg.pulse_half_support)
+    waveforms = [generate_chirp(p, cfg.waveform_length) for p in cfg.chirp_rates]
+    matrices = [build_sounding_matrix(w, cfg.total_length, cfg.lead) for w in waveforms]
+    expected = []
+    for t in range(cfg.trials):
+        drawn = synthesize_channels(cfg, derive_rng(cfg.seed, 2, t))
+        scenario = drawn if cfg.redraw_per_trial else dataclasses.replace(base, mu=drawn.mu)
+        if cfg.fractional:
+            r0 = receive_fractional(scenario, matrices, pulse)
+        else:
+            r0 = receive_integer(scenario, matrices)
+        r = awgn(r0, scenario.sigma2, derive_rng(cfg.seed, 1, t))
+        expected += [r[m].tobytes() for m in range(cfg.nr) for _ in range(cfg.nt)]
+
+    rows = []
+    for fn in ("matched_filter_integer", "matched_filter_fractional"):
+        def spy(S, row, _fn=getattr(harness, fn)):
+            rows.append(row.tobytes())
+            return _fn(S, row)
+
+        monkeypatch.setattr(harness, fn, spy)
+    for block in (1, 7, harness._TRIAL_BLOCK):
+        monkeypatch.setattr(harness, "_TRIAL_BLOCK", block)
+        rows.clear()
+        run_mse_experiment(cfg)
+        assert rows == expected, block
+
+
 @pytest.mark.parametrize(
     "name,redraw", [("paper-sec5", False), ("paper-sec5", True), ("paper-sec5-fractional", False)]
 )
@@ -687,14 +740,16 @@ def test_redrawn_runs_keep_memory_bounded_in_trials():
 @pytest.mark.parametrize("name,trials", [("paper-sec5", 100), ("paper-sec5-fractional", 50)])
 def test_a_block_stays_within_its_byte_budget(monkeypatch, name, trials, redraw):
     # at a period where _BLOCK_BYTES sets B, what a run holds over a few blocks of trials,
-    # temporaries included, exceeds what it holds at T = 1 by at most _BLOCK_BYTES
+    # temporaries included, exceeds what it holds at T = 1 by at most _BLOCK_BYTES, and by
+    # at most 4.5 B P: a trial holds its noise draws and its received row, P = 16*nr*N
+    # bytes each, and arrays the size of its taps, but no block of noiseless periods
     import tracemalloc
 
     blocks, noisy = [], harness._noisy
 
-    def spy_noisy(r0, sigma2, draws):
+    def spy_noisy(sigma2, draws, out):
         blocks.append(len(draws))
-        return noisy(r0, sigma2, draws)
+        noisy(sigma2, draws, out)
 
     monkeypatch.setattr(harness, "_noisy", spy_noisy)
     cfg = preset(name).replace(trials=trials, redraw_per_trial=redraw)
@@ -710,6 +765,8 @@ def test_a_block_stays_within_its_byte_budget(monkeypatch, name, trials, redraw)
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= harness._BLOCK_BYTES, peaks
+    B, P = blocks[0], 16 * cfg.nr * cfg.waveform_length
+    assert peaks[1] - peaks[0] <= 4.5 * B * P, (peaks, B * P)
 
 
 class TestCapacityExperiment:
