@@ -44,7 +44,8 @@ from .errors import ConfigError, ConstraintViolationError, DimensionMismatchErro
 from .estimator import _sound, build_shaping_matrix
 
 
-_SERIES_BELOW = 5e-3  # below it, sinc and its slope take their Taylor series
+_SERIES_BELOW = 5e-3  # below it, sinc takes its Taylor series
+_SLOPE_SERIES_BELOW = 0.4  # and sinc' its own, where (cos(pi x) - sinc(x)) / x cancels
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,10 @@ class PulseShape:
 
         g' = sinc'(t) q + sinc(t) q' with q' = rolloff (pi/4) (sinc'(rolloff*t - 1/2) +
         sinc'(rolloff*t + 1/2)), from sinc and sinc'(x) = (cos(pi x) - sinc(x)) / x at the
-        three arguments together, one Taylor rule serving all where |x| < ``_SERIES_BELOW``.
+        three arguments together.  Each takes its Taylor series near 0: sinc where |x| <
+        ``_SERIES_BELOW``, and sinc', whose quotient loses about 1e-16/|x| to cancellation,
+        where |x| < ``_SLOPE_SERIES_BELOW``, at which nine terms and the quotient both hold
+        it to about 2e-16.
         """
         bt = t * self.rolloff
         x = np.stack((t, bt - 0.5, bt + 0.5))
@@ -85,8 +89,11 @@ class PulseShape:
         px, p = np.pi * xs, np.pi * x
         w = p * p
         sinc = np.where(small, 1.0 + w * (w * (1 / 120 - w / 5040) - 1 / 6), np.sin(px) / px)
-        series = np.pi * p * (w * (1 / 30 - w / 840) - 1 / 3)  # sinc' near 0
-        dsinc = np.where(small, series, (np.cos(px) - sinc) / xs)
+        series = 0.0
+        for k in range(9, 0, -1):  # sinc'(x) = pi p sum_k (-1)^k 2k w^(k-1) / (2k + 1)!, k >= 1
+            series = series * w + (-1) ** k * 2 * k / math.factorial(2 * k + 1)
+        near = np.abs(x) < _SLOPE_SERIES_BELOW
+        dsinc = np.where(near, np.pi * p * series, (np.cos(px) - sinc) / xs)
         q = (sinc[1] + sinc[2]) * (np.pi / 4)
         dq = (dsinc[1] + dsinc[2]) * (self.rolloff * (np.pi / 4))
         return np.stack((sinc[0] * q, dsinc[0] * q + sinc[0] * dq))

@@ -18,9 +18,11 @@ G(mu) is real, so the mu step runs in real arithmetic on the D x 2 array of
 h_F's real and imaginary parts.  It scores a 65-point grid by the residual in the
 left null space of G, 2M - 1 rows per offset (Kaufman 1975; the h solve is embedded,
 so the objective is the joint problem's true profile), starts at the minimum of the
-Hermite cubic through the grid's exact slopes (cached slope makers) and polishes with
-a bracketed, bisection-safeguarded secant on the profile slope, reusing the last
-solve as the h estimate.  Freezing h, as a literal alternation would, contracts too slowly.
+degree-9 Hermite interpolant through the values and exact slopes (cached slope makers)
+at the five scan offsets around the scan minimum, and polishes with a bracketed,
+bisection-safeguarded secant on the profile slope, reusing the last solve as the h
+estimate; most estimates stop after that one solve.  Freezing h, as a literal
+alternation would, contracts too slowly.
 The profile slope is the variable-projection derivative (Golub & Pereyra
 1973) -2 <r, G'(mu) h>: each polish step takes G and G' together at one
 offset from ``_shaping_and_slope``, the one sampler of the pulse (a cached
@@ -202,8 +204,7 @@ def _pulse_fit(pulse):
     ``with_slope``'s (its one caller here), both exactly.  As g is entire, the interpolants
     converge geometrically (Trefethen, *Approximation Theory and Approximation Practice*,
     ch. 8); the Vandermonde solve is backward stable and interpolation at Chebyshev points
-    well conditioned, so at n = 18 the sampler matches ``with_slope`` to about 1e-15 in g and
-    3e-14 in g'.
+    well conditioned, so at n = 18 the sampler matches ``with_slope`` to about 1e-15 in g and g'.
     """
     n, lags = _FIT_POINTS, np.arange(-pulse.M, pulse.M, dtype=float)
     nodes = np.cos(np.pi * (np.arange(n) + 0.5) / n)
@@ -236,13 +237,18 @@ def _shaping_and_slope(pulse, mu, L):
 
 @lru_cache(maxsize=32)
 def _scan_grid(pulse, L):
-    """Offsets, null-space makers Q2^T and Q2^T G' pinv(G) (flat (65 (2M-1), D)), and flags."""
+    """Offsets, null-space makers Q2^T and Q2^T G' pinv(G) (flat (65 (2M-1), D)), flags, and the
+    9 x 10 Hermite map: values and slopes at the nodes -2 .. 2 to the slope's coefficients, high
+    to low, of their degree-9 interpolant (the confluent Vandermonde inverse, kappa 1.6e4)."""
     mus = np.linspace(0.0, 0.5, _SCAN_POINTS)
     G, Gp = _shaping_and_slope(pulse, mus, L)
     D = G.shape[1]
     null = np.linalg.qr(G, mode="complete")[0][..., L:].swapaxes(-1, -2)  # Q2^T: left null space
     slopers = (null @ Gp @ np.linalg.pinv(G)).reshape(-1, D)
-    return mus.tolist(), null.reshape(-1, D), slopers, _certified(pulse, G, Gp).tolist()
+    t = np.arange(-2.0, 3.0)[:, None] ** np.arange(10)  # t^j at the nodes, then j t^(j-1)
+    hermite = np.linalg.inv(np.r_[t, np.c_[np.zeros(5), t[:, :-1] * np.arange(1, 10)]])
+    hermite = (np.arange(1, 10)[:, None] * hermite[1:])[::-1]
+    return mus.tolist(), null.reshape(-1, D), slopers, _certified(pulse, G, Gp).tolist(), hermite
 
 
 def _certified(pulse, G, Gp):
@@ -289,7 +295,7 @@ def _profile_derivative(pulse, mu, L, Y):
     by Bernstein's inequality, the sampler's error, then Weyl's), else from ``_solve_h``'s SVD.
     """
     G, Gp = _shaping_and_slope(pulse, mu, L)
-    mus, _, _, flags = _scan_grid(pulse, L)
+    mus, _, _, flags, _ = _scan_grid(pulse, L)
     if flags[round(mu / mus[1])]:
         h = np.linalg.solve(G.T @ G, G.T @ Y)
     else:
@@ -303,16 +309,17 @@ def _mu_step(pulse, L, Y):
 
     The scan is one product of the flat null-space makers with Y, scored by row dots.
     Hermite start, last solve reused: where the exact slopes at an interior scan minimum
-    and its neighbours turn from - to + on [A, B], the polish starts at the minimum of
-    the Hermite cubic through the values and slopes at A and B, its curvature the first
-    secant slope (else at the scan minimum, bisecting first).  Each step takes G,
-    G' and one solve at one offset, narrows a bracket [lo, hi] by the slope's sign
-    and takes a secant step, bisecting when that leaves the bracket or meets a
-    non-increasing slope.  Returns ``(mu, steps, converged, h, r)``, the solve and
-    residual at mu; ``converged`` is false only when ``_POLISH_STEPS`` steps did not
-    bring the update below ``_POLISH_TOL``.
+    and its neighbours turn from - to + on [A, A + 1], the polish starts at the minimum there
+    of the degree-9 Hermite model of the values and slopes at the five scan offsets around
+    it, its curvature the first secant slope (else it bisects first, from the midpoint of
+    [A, A + 1] if the model's minimum leaves it or is not convex, else from the scan minimum).
+    Each step takes G, G' and one solve at one offset, narrows a bracket [lo, hi] by the
+    slope's sign and takes a secant step, bisecting when that leaves the bracket or meets a
+    non-increasing slope.  Returns ``(mu, steps, converged, h, r)``, the solve and residual
+    at mu; ``converged`` is false only when ``_POLISH_STEPS`` steps did not bring the update
+    below ``_POLISH_TOL``.
     """
-    mus, makers, slopers, _ = _scan_grid(pulse, L)
+    mus, makers, slopers, _, hermite = _scan_grid(pulse, L)
     n, R = len(mus), makers.shape[0] // len(mus)  # R rows per offset, 2M - 1
     resid = (makers @ Y).reshape(n, 2 * R)
     phi = np.einsum("ij,ij->i", resid, resid)
@@ -320,16 +327,17 @@ def _mu_step(pulse, L, Y):
     lo, hi = mus[max(k - 1, 0)], mus[min(k + 1, n - 1)]
     mu, slope = mus[k], 0.0
     if 0 < k < n - 1:
-        grad = (slopers[(k - 1) * R : (k + 2) * R] @ Y).reshape(3, 2 * R)
-        s = (-2.0 * np.einsum("ij,ij->i", resid[k - 1 : k + 2], grad)).tolist()
-        A, dx = k - 1 + int(s[1] < 0), mus[1] - mus[0]
-        a, b = dx * s[A - k + 1], dx * s[A - k + 2]  # slopes at A and B = A + 1, in grid steps
-        if a < 0 < b:
-            pa, pb = float(phi[A]), float(phi[A + 1])
-            c3, c2 = 2 * (pa - pb) + a + b, 3 * (pb - pa) - 2 * a - b
-            root = math.sqrt(max(c2 * c2 - 3 * c3 * a, 0.0))
-            lo, hi, slope = mus[A], mus[A + 1], 2 * root / dx**2
-            mu = lo - dx * a / max(c2 + root, -a)  # the max keeps mu <= hi
+        c, dx = min(max(k, 2), n - 3), mus[1]  # the five offsets c - 2 .. c + 2, k among them
+        grad = (slopers[(c - 2) * R : (c + 3) * R] @ Y).reshape(5, 2 * R)
+        s = (-2.0 * dx * np.einsum("ij,ij->i", resid[c - 2 : c + 3], grad)).tolist()  # per step
+        a = k - c - 1 + int(s[k - c + 2] < 0)  # the bracket [A, A + 1] is [c + a, c + a + 1]
+        if s[a + 2] < 0 < s[a + 3]:
+            lo, hi = mus[c + a], mus[c + a + 1]
+            t, curvature = _model_minimum(hermite, phi[c - 2 : c + 3], s, a)
+            if a <= t <= a + 1 and curvature > 0:
+                mu, slope = mus[c] + dx * t, curvature / dx**2
+            else:
+                mu = 0.5 * (lo + hi)
 
     for steps in range(1, _POLISH_STEPS + 1):
         fp, h, r = _profile_derivative(pulse, mu, L, Y)
@@ -343,6 +351,23 @@ def _mu_step(pulse, L, Y):
             return mu, steps, True, h, r
         mu0, fp0, mu = mu, fp, nxt
     return mu, _POLISH_STEPS, False, *_profile_derivative(pulse, mu, L, Y)[1:]
+
+
+def _model_minimum(hermite, phi, s, a):
+    """Minimizer t in [a, a + 1] of the degree-9 Hermite model of values ``phi`` and slopes ``s``
+    at the nodes -2 .. 2, s turning from - to + there, and its curvature (early if not positive):
+    five Newton steps on the model's slope from the secant root, quadratic to about 1e-16."""
+    coefs, fa, fb = (hermite @ np.concatenate((phi, s))).tolist(), s[a + 2], s[a + 3]
+    t = a - fa / (fb - fa)
+    for _ in range(5):
+        f = df = 0.0
+        for d in coefs:  # Horner for the slope f and the curvature df together
+            df = df * t + f
+            f = f * t + d
+        if not df > 0:
+            break
+        t -= f / df
+    return t, df
 
 
 def joint_estimate(hF, pulse, L):

@@ -7,11 +7,11 @@ These sha256 digests were taken with numpy 2.4.6 on x86-64; a change that
 alters the bytes fails here and has to say why in CHANGES.md.  What each
 digest depends on:
 
-* pulse arithmetic: the ``paper-sec5-fractional`` digests (the ``mse`` CSVs
-  and the ``sound`` trace) pass through G(mu) and G'(mu), which reception
-  and the estimator take from one cached polynomial fit of the raised cosine
-  per support lag (exact at mu = 0 and 1/2), so another fit or another
-  evaluation of it moves their last printed digits;
+* pulse arithmetic: the ``paper-sec5-fractional`` digests pass through G(mu)
+  (the ``mse`` CSVs and the ``sound`` trace) and G'(mu) (the ``mse`` CSVs),
+  which reception and the estimator take from one cached polynomial fit of the
+  raised cosine per support lag (exact at mu = 0 and 1/2), so another fit or
+  another evaluation of it moves their last printed digits;
 * polish tolerance: the ``paper-sec5-fractional`` ``mse`` CSVs also hold
   estimates that the polish stops within 1e-10 of the minimizer, so a
   different iteration moves their last printed digits;
@@ -21,6 +21,11 @@ digest depends on:
   ``paper-sec5-fractional`` hold, and its ``mse`` CSVs hold the estimates of
   the last step, so a different solver, or a cruder bound that sends a step
   to the SVD, moves their last printed digits;
+* polish start: the polish starts at the minimum of the degree-9 Hermite model
+  of the scan's values and exact slopes at five offsets, and most estimates of
+  ``paper-sec5-fractional`` stop after that one step, so another model or
+  another count of its Newton steps moves the last printed digits of its
+  ``mse`` CSVs;
 * scan makers: the polish starts from the scan's values and exact slopes, taken
   in the left null space of each scan ``G`` (its complete QR), so another
   basis or another product order moves the last printed digits of their
@@ -73,8 +78,8 @@ GOLDEN = {
         "antenna_mse.csv": "78312c46bc12d72e69a0dd4b08f3b74f29d99ed55be83a72e56dd2ebbba9b922",
     },
     ("mse", "paper-sec5-fractional", 3, "csv"): {
-        "mse.csv": "98890cdb5765de8400feaeaf867e5413d22e4d0ac58d1dd4003f101486ea7507",
-        "antenna_mse.csv": "96b13220945167d48f8df5188718b28b20cf3552865eac046599008fb3d6875a",
+        "mse.csv": "351968ad906d73271c86eb7b20408e0ec26cbf92c8a9131356d5bd141769fa7e",
+        "antenna_mse.csv": "5d620fe24fb259c13be3cfb7ce17edb9730daa06feab1221089f8c2ab655c5e8",
     },
     ("capacity", "capacity-tx-shared", None, "csv"): {
         "capacity.csv": "625be9a0ffea6157ddf94c71b308d1485a40fa392665c1fb6717eb0d4636173d",
@@ -150,8 +155,8 @@ REDRAWN_TAPS = {  # redraw_per_trial runs whose outputs depend on the drawn taps
         "antenna_mse.csv": "4862e1f0cbf21e851818e40415b0881ad31b6abdbe30b57d4d88f357bdc6ffda",
     },
     ("paper-sec5-fractional", 3, True): {
-        "mse.csv": "e7126687e3f23b94d2196a330392d819a4add2a83a7e73d7a3828c9f9c4f38af",
-        "antenna_mse.csv": "9caee60d24bdbe3bef7e87caf68fd94a43b626437d90a904044970b8e32200a2",
+        "mse.csv": "921336995a0d09c11f1904090e8522ea370d5ebdd3cbe870f021d425fde342f1",
+        "antenna_mse.csv": "0dcbbc1dadee3c63b4cb02d53186a50af205daf0f62bbc1bbea734f372518bf9",
     },
 }
 
