@@ -173,13 +173,14 @@ def build_shaping_matrix(pulse, mu, L):
     """Toeplitz pulse matrices G(mu)[r, c] = g((r - M - c + mu)T), M = pulse.M.
 
     One per offset of a scalar or array ``mu`` in [0, 1/2]: shape mu.shape + (2M+L-1, L),
-    the G of ``_shaping_and_slope``, which the estimator takes too.
+    the G of ``_shaping_and_slope``, which the estimator takes too, bit for bit: the same
+    sampler contracted with the coefficients of g alone.
     """
     mu = np.asarray(mu, dtype=float)
-    if not np.all((mu >= 0.0) & (mu <= 0.5)):
+    if not ((mu >= 0.0) & (mu <= 0.5)).all():
         raise ConstraintViolationError(f"mu must lie in [0, 0.5], got {mu}")
     _check_span(L)
-    return _shaping_and_slope(pulse, mu, L)[0]
+    return _sampled(pulse, mu, L, "...j,jc->...c", _pulse_fit(pulse)[:, 0])
 
 
 @lru_cache(maxsize=32)
@@ -228,11 +229,16 @@ def _shaping_and_slope(pulse, mu, L):
     offset's bits do not depend on mu's shape), then one ``take``.  G(0) is the exact delta
     and G'(0) the pulse slope at the integer lags (right-sided: the lag M is off the support).
     """
+    return _sampled(pulse, mu, L, "...j,jkc->k...c", _pulse_fit(pulse))
+
+
+def _sampled(pulse, mu, L, subscripts, coefs):
+    """The sampler's products of each offset contracted with ``coefs`` by ``subscripts``, laid
+    out as G: coefs is ``_pulse_fit``'s, or its g column alone for G without G'."""
     powers = np.multiply.outer(np.asarray(mu, dtype=float), _POWER_SCALE)
     powers += _POWER_SHIFT  # 1, mu, mu - 1/2, then x = 4 mu - 1: their running products
     np.multiply.accumulate(powers, axis=-1, out=powers)
-    samples = np.einsum("...j,jkc->k...c", powers, _pulse_fit(pulse))
-    return samples.take(_shaping_layout(pulse.M, L), axis=-1)
+    return np.einsum(subscripts, powers, coefs).take(_shaping_layout(pulse.M, L), axis=-1)
 
 
 @lru_cache(maxsize=32)

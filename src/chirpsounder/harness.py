@@ -36,7 +36,7 @@ Every CSV table, the CLI's included, is written by ``write_table`` from
 equal-length columns with one %-format: an integer or bool column as is, a
 real one as ``%.12e`` (13 significant digits).
 The record (``RunResult.to_dict``) is every ``RunResult`` field except
-``wall_clock_s``: wall-clock time and timestamps live only in the
+``wall_clock_s``, written as ``json.dumps(indent=2, sort_keys=True)`` would write it: wall-clock time and timestamps live only in the
 ``run_meta.json`` sidecar, so repeated runs with the same config and seed
 produce byte-identical CSV and record payloads.
 The sidecar also records the numpy version and the BLAS thread settings.
@@ -61,6 +61,7 @@ from .channel import (
     receive_integer,
     synthesize_channels,
 )
+from .config import _json_text
 from .errors import ConfigError
 from .estimator import (
     build_sounding_matrix,
@@ -70,7 +71,7 @@ from .estimator import (
     segmented_output,
 )
 from .metrics import capacity_equivalence_report, crb
-from .waveform import generate_chirp, papr
+from .waveform import _chirp_papr, generate_chirp
 
 
 def derive_rng(seed, stream, trial=0):
@@ -156,7 +157,8 @@ class RunResult:
 def _result(kind, cfg, t0, waveforms=(), trials=None, **payload):
     """The ``kind`` RunResult of ``cfg``, a run that started at ``t0``.
 
-    ``papr`` lists the ``waveforms``; ``trials`` defaults to ``cfg.trials``.
+    ``papr`` lists the ``waveforms``, each ratio computed once per shared chirp; the echo is
+    ``cfg.canonical_json()``; ``trials`` defaults to ``cfg.trials``.
     """
     echo = cfg.canonical_json()
     return RunResult(
@@ -165,7 +167,7 @@ def _result(kind, cfg, t0, waveforms=(), trials=None, **payload):
         config_echo=echo,
         seed=cfg.seed,
         trials=cfg.trials if trials is None else trials,
-        papr=tuple((w.p, papr(w.samples)) for w in waveforms),
+        papr=tuple((w.p, _chirp_papr(w)) for w in waveforms),
         wall_clock_s=time.perf_counter() - t0,
         **payload,
     )
@@ -271,10 +273,12 @@ def run_mse_experiment(cfg):
     sigma2 = sigma2_sum / cfg.trials if cfg.redraw_per_trial else base.sigma2
 
     links, antennas = [], []
-    for m in range(cfg.nr):
-        bound = crb(L, sigma2[m])
-        links += [LinkResult(i, m, e, bound, e / bound) for i, e in enumerate(sq_err[:, m])]
-        agg = float(sq_err[:, m].mean())
+    per_rx = np.ascontiguousarray(sq_err.T)  # its row means are sq_err[:, m].mean(), bit for bit
+    for m, (errors, agg, noise_m) in enumerate(
+        zip(per_rx.tolist(), per_rx.mean(axis=1).tolist(), sigma2.tolist())
+    ):
+        bound = crb(L, noise_m)
+        links += [LinkResult(i, m, e, bound, e / bound) for i, e in enumerate(errors)]
         antennas.append(AntennaResult(rx=m, mse=agg, crb=bound, ratio=agg / bound))
 
     return _result(
@@ -396,7 +400,7 @@ def emit_results(result, outdir, fmt="csv"):
         paths.append(
             _write(
                 os.path.join(outdir, "result.json"),
-                json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
+                _json_text(result.to_dict()) + "\n",
             )
         )
         return paths

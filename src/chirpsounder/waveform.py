@@ -148,6 +148,16 @@ def papr(samples):
     return float(power.max() / power.mean())
 
 
+def _chirp_papr(w):
+    """``papr`` of a ``generate_chirp`` waveform: once per shared (p, N), per call past 2^16."""
+    return papr(w.samples) if w.N > _SHARED_ENTRIES else _shared_papr(w.p, w.N)
+
+
+@lru_cache(maxsize=16)
+def _shared_papr(p, N):
+    return papr(_chirp(p, N).samples)
+
+
 def check_design_constraints(pmax, N, L, M=0):
     """Check whether period N clears the correlation-free window of span ``L``.
 
@@ -157,22 +167,25 @@ def check_design_constraints(pmax, N, L, M=0):
     report, not an exception, but a count that is not an integer (a bool is not one), or
     pmax < 1, L < 1 or M < 0, raises ``ConstraintViolationError``.  The one statement of the
     bound, it is one column conservative: the Gram blocks (S^H S = I, and 0 across distinct
-    rates) are exact already at ``N = bound``.
+    rates) are exact already at ``N = bound``.  The arguments are checked on every call; the
+    frozen report of one (pmax, N, L, M) is built once and shared.
     """
     if not all(map(_is_int, (pmax, N, L, M))) or pmax < 1 or L < 1 or M < 0:
         raise ConstraintViolationError(
             f"need integers pmax >= 1, N, L >= 1, M >= 0, got {pmax!r}, {N!r}, {L!r}, {M!r}"
         )
+    return _design_report(int(pmax), int(N), int(L), int(M))
+
+
+@lru_cache(maxsize=64)
+def _design_report(pmax, N, L, M):
+    """``check_design_constraints``'s report of checked ints, built once per (pmax, N, L, M)."""
     window = _window(L, M)
-    bound = 2 * int(pmax) * window
+    bound = 2 * pmax * window
     if M:
         condition = f"N > 2*pmax*(2M + Lmax - 1): {N} > 2*{pmax}*({2 * M} + {L} - 1) = {bound}"
     else:
         condition = f"N > 2*pmax*Lmax: {N} > 2*{pmax}*{L} = {bound}"
     return ConstraintReport(
-        passed=bool(N > bound),
-        condition=condition,
-        bound=bound,
-        slack=int(N) - bound,
-        window=window,
+        passed=N > bound, condition=condition, bound=bound, slack=N - bound, window=window
     )
