@@ -36,9 +36,10 @@ Every CSV table, the CLI's included, is written by ``write_table`` from
 equal-length columns with one %-format: an integer or bool column as is, a
 real one as ``%.12e`` (13 significant digits).
 The record (``RunResult.to_dict``) is every ``RunResult`` field except
-``wall_clock_s``, written as ``json.dumps(indent=2, sort_keys=True)`` would write it: wall-clock time and timestamps live only in the
-``run_meta.json`` sidecar, so repeated runs with the same config and seed
-produce byte-identical CSV and record payloads.
+``wall_clock_s``, written as ``json.dumps(indent=2, sort_keys=True)`` would write
+it: wall-clock time and timestamps live only in the ``run_meta.json`` sidecar, so
+repeated runs with the same config and seed produce byte-identical CSV and record
+payloads.
 The sidecar also records the numpy version and the BLAS thread settings.
 """
 
