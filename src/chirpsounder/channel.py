@@ -292,9 +292,9 @@ def _noisy(sigma2, draws, out):
 
     Row b of ``draws``, shape (B, nr, 2, N), holds one period's standard normal draws in
     ``awgn``'s order (``awgn`` passes one (nr, 2, N) period into an (nr, N) ``out``), and
-    ``sigma2`` is the noise level, shape (nr,) or (B, nr).  A negative or NaN variance is
-    rejected with ``ValueError``.  Row b of ``out`` becomes its draws as complex samples
-    scaled by sqrt(sigma2) in place, the noise ``awgn`` adds to its period, at any B.
+    ``sigma2`` is the noise level, shape (nr,), (1, nr) or (B, nr).  A negative or NaN
+    variance is rejected with ``ValueError``.  Row b of ``out`` becomes its draws as complex
+    samples scaled by sqrt(sigma2) in place, the noise ``awgn`` adds to its period, at any B.
     """
     if not sigma2.min() >= 0.0:  # NaN propagates through min
         raise ValueError(f"noise variances must be >= 0, got {sigma2.tolist()}")

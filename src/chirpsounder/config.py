@@ -20,9 +20,6 @@ unless noted; unknown keys anywhere are rejected):
     trials, seed       integers: 1 <= trials <= 2**32 (a cap on run length, far
                        inside the 64-bit counter word that trial t sets), seed >= 0
 
-The canonical form (``canonical_json``) is the text of ``json.dumps(to_dict(), indent=2,
-sort_keys=True)``, written by a private writer of that exact form.
-
 Validation reports each fault it finds once, all in one ConfigError: a section that
 is not an object (null and [] included) is one fault, and a check that needs a
 rejected field is skipped.
@@ -135,72 +132,12 @@ class ScenarioConfig:
         }
 
     def canonical_json(self):
-        """Deterministic serialized form (sorted keys, two-space indent), ``_json_text``'s."""
-        return _json_text(self.to_dict()) + "\n"
+        """Deterministic serialized form (sorted keys, two-space indent)."""
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def replace(self, **kwargs):
         """This configuration with ``kwargs`` fields changed, validated anew."""
         return _from_dict(ScenarioConfig(**{**vars(self), **kwargs}).to_dict())
-
-
-def _json_text(value, indent="\n"):
-    """``json.dumps(value, indent=2, sort_keys=True)``, the same text, for an acyclic value.
-
-    ``json`` encodes with an indent in pure Python, a generator per container; this writer
-    joins each container's items in one comprehension and writes a scalar item in place:
-    sorted keys, ``","`` and ``": "`` separators, strings as ``encode_basestring_ascii``
-    quotes them, ints by ``int.__repr__`` and floats by ``float.__repr__`` (NaN, Infinity and
-    -Infinity as json writes them), subclasses as their base.  A value json rejects raises
-    json's ``TypeError``.  ``indent`` is the newline and indent of the value's own line.
-    """
-    text = _SCALAR_TEXT.get(type(value))
-    if text is not None:
-        return text(value)
-    if not isinstance(value, (list, tuple, dict)):
-        return _subclass_text(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [
-            f"{_quoted(k) if type(k) is str else _key_text(k)}: "
-            f"{t(v) if (t := _SCALAR_TEXT.get(type(v))) else _json_text(v, inner)}"
-            for k, v in sorted(value.items())
-        ]
-        return f"{{{inner}{f',{inner}'.join(items)}{indent}}}"
-    items = [t(v) if (t := _SCALAR_TEXT.get(type(v))) else _json_text(v, inner) for v in value]
-    return f"[{inner}{f',{inner}'.join(items)}{indent}]"
-
-
-def _subclass_text(value):
-    """json's text of a str, int or float subclass; any other value raises json's TypeError."""
-    for base, text in ((str, _quoted), (int, int.__repr__), (float, _float_text)):
-        if isinstance(value, base):
-            return text(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _float_text(value):
-    text = float.__repr__(value)
-    return _NON_FINITE.get(text, text)
-
-
-def _key_text(key):
-    """json's quoted text of a dict key that is not a str: a str subclass, number, bool or None."""
-    if isinstance(key, (str, int, float)) or key is None:
-        return _quoted(key if isinstance(key, str) else _json_text(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-_quoted = json.encoder.encode_basestring_ascii
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_SCALAR_TEXT = {  # by exact type; bool and None have no subclasses
-    str: _quoted,
-    int: int.__repr__,
-    float: _float_text,
-    bool: ("false", "true").__getitem__,
-    type(None): lambda _: "null",
-}
 
 
 def _degrid(grid):
@@ -341,7 +278,7 @@ def _as_rates(value, what, problems, count):
         return _reject(problems, f"{what}: expected a nonempty list")
     if count is not None and len(value) != count:
         return _reject(problems, f"{what}: expected one rate per tx antenna ({count})")
-    if not all(type(v) is int and _is_pow2(v) for v in value):  # a JSON integer, as length
+    if not all(isinstance(v, int) and not isinstance(v, bool) and _is_pow2(v) for v in value):
         return _reject(problems, f"{what}: every rate must be an integer power of 2, got {value!r}")
     if len(set(value)) != len(value):
         return _reject(problems, f"{what}: rates must be distinct")

@@ -145,7 +145,8 @@ def _apply_matched_filter(S, r, fractional):
 
 def _sound(matrices, filters, M):
     """Reception's r_m = sum_i S_i filters[i, m]: (sum_i S_i F_i)^T = conj(sum_i conj(F_i)^T S_i^H),
-    one product per i and one conjugation of their sum."""
+    one conjugation of the filters, one product per i summed in place, and one conjugation of
+    the sum."""
     origins, shapes = [S.M for S in matrices], {S.entries.shape for S in matrices}
     if len(matrices) != len(filters):
         raise DimensionMismatchError(
@@ -156,7 +157,11 @@ def _sound(matrices, filters, M):
     D = filters.shape[-1]
     if len(shapes) != 1 or min(shapes)[0] != D:
         raise DimensionMismatchError(f"need sounding matrices of one shape ({D}, N), got {shapes}")
-    return np.conj(sum(np.conj(filters[i]) @ S.entries for i, S in enumerate(matrices)))
+    conj = np.conj(filters)
+    total = conj[0] @ matrices[0].entries
+    for i in range(1, len(matrices)):
+        total += conj[i] @ matrices[i].entries
+    return np.conj(total, out=total)
 
 
 def matched_filter_integer(S, r):

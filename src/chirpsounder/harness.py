@@ -36,10 +36,9 @@ Every CSV table, the CLI's included, is written by ``write_table`` from
 equal-length columns with one %-format: an integer or bool column as is, a
 real one as ``%.12e`` (13 significant digits).
 The record (``RunResult.to_dict``) is every ``RunResult`` field except
-``wall_clock_s``, written as ``json.dumps(indent=2, sort_keys=True)`` would write
-it: wall-clock time and timestamps live only in the ``run_meta.json`` sidecar, so
-repeated runs with the same config and seed produce byte-identical CSV and record
-payloads.
+``wall_clock_s``: wall-clock time and timestamps live only in the
+``run_meta.json`` sidecar, so repeated runs with the same config and seed
+produce byte-identical CSV and record payloads.
 The sidecar also records the numpy version and the BLAS thread settings.
 """
 
@@ -62,7 +61,6 @@ from .channel import (
     receive_integer,
     synthesize_channels,
 )
-from .config import _json_text
 from .errors import ConfigError
 from .estimator import (
     build_sounding_matrix,
@@ -231,8 +229,9 @@ def run_mse_experiment(cfg):
     r = np.empty((B, cfg.nr, cfg.waveform_length), complex)  # each trial's received row
     u = np.empty((B, *u_shape)) if u_shape else None
     draws = np.empty((B, n_draws)) if cfg.redraw_per_trial else None
-    # every trial's taps and noise levels: read-only views of the base channel's, until redrawn
-    taps, sigma2s = (np.broadcast_to(a, (B, *a.shape)) for a in (base.taps, base.sigma2))
+    # every trial's taps and noise levels: one-row read-only views of the base channel's, which
+    # broadcast over a block, until redrawn
+    taps, sigma2s = base.taps[None], base.sigma2[None]
     sq_sum, sigma2_sum = np.zeros((cfg.nt, cfg.nr)), np.zeros(cfg.nr)  # errors, redrawn sigma2
     nonconverged = 0
 
@@ -258,8 +257,9 @@ def run_mse_experiment(cfg):
                 sigma2_sum = _fold(sigma2_sum, sigma2s)
         _noisy(sigma2s[:n], noise[:n], r[:n])  # one pass writes the block's noise
         for k in range(n):  # each trial adds its noiseless period to its row, then estimates
+            j = k if draws is not None else 0  # the trial's row of taps and sigma2s
             r[k] += r0 if not redraw else _received(
-                cfg, MimoScenario(taps[k], base.d, mu[k], sigma2s[k]), matrices, pulse
+                cfg, MimoScenario(taps[j], base.d, mu[k], sigma2s[j]), matrices, pulse
             )
             if cfg.fractional:
                 for i, m, S in pairs:
@@ -401,7 +401,7 @@ def emit_results(result, outdir, fmt="csv"):
         paths.append(
             _write(
                 os.path.join(outdir, "result.json"),
-                _json_text(result.to_dict()) + "\n",
+                json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
             )
         )
         return paths

@@ -93,9 +93,14 @@ def generate_chirp(p, N):
         raise ConstraintViolationError(f"period N must be a power of 2, got {N}")
     if N <= 2 * p:
         raise ConstraintViolationError(f"period must satisfy N > 2p, got N={N}, 2p={2 * p}")
-    if N > _SHARED_ENTRIES:
+    if not _is_shared(N):
         return _chirp.__wrapped__(int(p), int(N))  # too large to keep: built per call
     return _chirp(int(p), int(N))
+
+
+def _is_shared(N):
+    """Whether the chirp of period N, and its PAPR, are kept and shared: at most 2^16 samples."""
+    return N <= _SHARED_ENTRIES
 
 
 @lru_cache(maxsize=16)
@@ -149,8 +154,8 @@ def papr(samples):
 
 
 def _chirp_papr(w):
-    """``papr`` of a ``generate_chirp`` waveform: once per shared (p, N), per call past 2^16."""
-    return papr(w.samples) if w.N > _SHARED_ENTRIES else _shared_papr(w.p, w.N)
+    """``papr`` of a ``generate_chirp`` waveform, once per shared (p, N), else per call."""
+    return _shared_papr(w.p, w.N) if _is_shared(w.N) else papr(w.samples)
 
 
 @lru_cache(maxsize=16)
