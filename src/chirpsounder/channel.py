@@ -169,8 +169,9 @@ def _below_offsets(grid, offsets, L):
 
 @lru_cache(maxsize=8)
 def _tap_layout(active, offsets, tx_node, rx_node, L):
-    """Read-only per-link ``d``, the active tap total and, per active count a, the (links, a)
-    indices of their real and imaginary parts in the link-major draw and in flat ``taps``."""
+    """Read-only per-link ``d``, the active tap total and, per active count a, the (links, a, 2)
+    indices of each tap's real and imaginary parts in the link-major draw, which read as a
+    complex view, and its (links, a) indices in flat ``taps``."""
     d = np.asarray(offsets)[np.ix_(tx_node, rx_node)]
     counts = [a for row in active for a in row]
     first = np.cumsum([0] + [2 * a for a in counts])  # each link's first draw
@@ -180,7 +181,7 @@ def _tap_layout(active, offsets, tx_node, rx_node, L):
         lags = np.arange(a)
         re = first[links, None] + lags
         dst = np.array(links)[:, None] * L + d.ravel()[links, None] + lags
-        groups.append((re, re + a, dst))
+        groups.append((np.stack((re, re + a), axis=-1), dst))
     for array in (d, *(x for group in groups for x in group)):
         array.flags.writeable = False
     return d, sum(counts), tuple(groups)
@@ -221,8 +222,8 @@ def _channel_block(cfg, u, draws):
     _, _, groups = _layout(cfg)
     taps = np.zeros((B, cfg.nt, cfg.nr, cfg.total_length), dtype=complex)
     flat = taps.reshape(B, -1)
-    for re, im, dst in groups:
-        block = (draws.take(re, axis=1) + 1j * draws.take(im, axis=1)) / np.sqrt(2.0)
+    for parts, dst in groups:
+        block = draws.take(parts, axis=1).view(complex)[..., 0] / math.sqrt(2.0)
         if cfg.normalize_taps:  # np.linalg.norm bit for bit: a strided ddot per part and link
             x, y = block.real, block.imag
             norm = np.sqrt(x[..., None, :] @ x[..., None] + y[..., None, :] @ y[..., None])
