@@ -1,8 +1,6 @@
 """What a run pays outside its trials: the shared design report, the PAPR of a shared chirp,
 and reception's G sampled alone."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -17,28 +15,10 @@ from chirpsounder import (
     from_dict,
     generate_chirp,
     preset,
-    run_capacity_experiment,
     run_mse_experiment,
-    run_sounding,
 )
 from chirpsounder import estimator, harness, waveform
 from chirpsounder.config import PRESETS
-
-
-@pytest.mark.parametrize(
-    "run, name",
-    [
-        (run_mse_experiment, "paper-sec5"),
-        (run_mse_experiment, "paper-sec5-fractional"),
-        (run_sounding, "paper-sec5"),
-        (run_capacity_experiment, "capacity-multi-lo"),
-    ],
-)
-def test_every_run_kinds_record_is_json(run, name):
-    cfg = preset(name).replace(trials=2)
-    result = run(cfg)
-    assert result.config_echo == json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
-    json.dumps(result.to_dict(), indent=2, sort_keys=True)  # no numpy scalar in the record
 
 
 def test_numpy_integer_rates_are_one_problem_line():
